@@ -30,14 +30,17 @@ product conditions use a running log-sum-exp.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._num import first_bad, margin_ok
-from .factorable import FactorableSpec
+from .factorable import FactorableSpec, _require_normalized
 from .sequences import WeightSequence
+
+_ROW_CHUNK = 1 << 14  # rows per float-list conversion in _scalar_rows
 
 
 @dataclass(frozen=True)
@@ -240,8 +243,7 @@ def check_product_condition(w: WeightSequence, p: float, L: float) -> Certificat
 def check_factorable_product(spec: FactorableSpec, p: float, L: float) -> CertificateReport:
     """Product condition for a normalized factorable matrix, n <= N-1."""
     params = BoundParams(p, L)
-    if not spec.normalized:
-        raise ValueError("product certificate needs a normalized spec (a_1 = b_1)")
+    _require_normalized(spec, "product certificate")
     nums = spec.a[:-1] / spec.b[1:] + 1.0 - L / p
     return _product_condition(spec.a, spec.b, params, nums,
                               "factorable-product", spec.N)
@@ -267,8 +269,7 @@ def check_factorable_stepwise(spec: FactorableSpec, p: float, L: float) -> Certi
     failure at that index.
     """
     params = BoundParams(p, L)
-    if not spec.normalized:
-        raise ValueError("stepwise certificate needs a normalized spec (a_1 = b_1)")
+    _require_normalized(spec, "stepwise certificate")
     lam_p = params.lam_p
     A = lam_p ** (1.0 - 1.0 / p)
     B = 1.0 - lam_p - A
@@ -329,8 +330,7 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
         raise ValueError("need p > 1")
     if not (0.0 < lam_p < 1.0):
         raise ValueError("need lam_p in (0, 1)")
-    if not spec.normalized:
-        raise ValueError("primal recurrence needs a normalized spec (a_1 = b_1)")
+    _require_normalized(spec, "primal recurrence")
     a, b = spec.a, spec.b
     N = spec.N
     e1 = 1.0 / (p - 1.0)
@@ -362,6 +362,18 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
                    first_violation=violation)
 
 
+def _scalar_rows(*arrays: np.ndarray):
+    """Iterate the arrays in lockstep as tuples of Python floats.
+
+    Rows are converted a chunk at a time, so a scalar loop pays neither
+    numpy-scalar arithmetic nor a full-length list per array.
+    """
+    n = arrays[0].shape[0]
+    return itertools.chain.from_iterable(
+        zip(*(x[lo:lo + _ROW_CHUNK].tolist() for x in arrays))
+        for lo in range(0, n, _ROW_CHUNK))
+
+
 def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
     """Dual recurrence; staying strictly below the ceiling (a_n/b_n)^q for
     all n <= N certifies sum (Mx)_n^p <= U_p sum x_n^p at truncation N.
@@ -372,40 +384,42 @@ def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
                      / ((a_n/b_n)^(q/(q-1)) mu_n^(-1/(q-1)) - 1)^(q-1).
 
     The ceiling is strict: a zero margin is a violation (e.g. U_p = 1 on a
-    normalized spec dies immediately at n = 1).
+    normalized spec dies immediately at n = 1).  The per-index powers are
+    computed up front; only scalar float steps run in the loop.
     """
     if not (p > 1.0):
         raise ValueError("need p > 1")
     if not (U_p > 0.0):
         raise ValueError("need U_p > 0")
     a, b = spec.a, spec.b
-    N = spec.N
     q = p / (p - 1.0)
     base = U_p ** (-q / p)
     eq = q / (q - 1.0)           # equals p
     e1 = 1.0 / (q - 1.0)         # equals p - 1
+    r = a / b
+    with np.errstate(over="ignore"):
+        ceilings = r ** q
+        r_eq = r[:-1] ** eq
+        cross_q = (a[:-1] / b[1:]) ** q
     mu = [base]
-    margins = []
+    prev = base
     violation = None
-    for n in range(1, N + 1):  # math index of the value just appended
-        r = float(a[n - 1] / b[n - 1])
-        ceiling = r ** q
-        m = ceiling - mu[-1]
-        margins.append(m)
-        if not (m > 0.0):
+    rows = _scalar_rows(ceilings[:-1], r_eq, cross_q)
+    for n, (ceiling, rp, cq) in enumerate(rows, start=1):
+        if not (ceiling - prev > 0.0):
             violation = n
             break
-        if n == N:
-            break
-        cross = float(a[n - 1] / b[n])
-        inner = r ** eq * mu[-1] ** (-e1) - 1.0
+        inner = rp * prev ** (-e1) - 1.0
         if inner <= 0.0 or not math.isfinite(inner):
             violation = n
             break
-        mu.append(base + cross ** q / inner ** (q - 1.0))
+        prev = base + cq / inner ** (q - 1.0)
+        mu.append(prev)
     arr = np.array(mu, dtype=np.float64)
-    return MuTrace(mu=arr, constraint="mu < (a_n/b_n)^q",
-                   margins=np.array(margins, dtype=np.float64),
+    margins = ceilings[:arr.shape[0]] - arr
+    if violation is None and not (margins[-1] > 0.0):
+        violation = arr.shape[0]
+    return MuTrace(mu=arr, constraint="mu < (a_n/b_n)^q", margins=margins,
                    first_violation=violation)
 
 

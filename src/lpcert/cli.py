@@ -425,8 +425,6 @@ def _add_common(sub, weights=True, p=True, trials=False):
     if trials:
         sub.add_argument("--trials", type=int, default=1000)
         sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=None,
-                     help="override the solver/probe tolerance")
     sub.add_argument("--out", default=None, help="write the report here")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -439,6 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = ap.add_subparsers(dest="command", required=True)
 
     norm = subs.add_parser("norm", help="power-iteration norm lower bound")
+    norm.add_argument("--tol", type=float, default=None,
+                      help="override the power-iteration tolerance")
     _add_common(norm)
 
     certify = subs.add_parser("certify", help="run one norm-bound "

@@ -31,22 +31,23 @@ The blocked tail inequality checked by check_bge is, for p >= 1, alpha > 0,
 
 with admissible_alpha giving the proven range alpha >= 1 - 1/(2p).
 
-mu_dual_copson and mu_bge run the dual/primal mu recurrences specialized
-to these families and compare each trace against both its hard domain
-ceiling and the analytic envelope that the admissibility proofs provide.
+mu_dual_copson and mu_bge add no recurrence of their own: they run the
+generic mu_dual (or mu_primal) on copson_matrix/bge_matrix, which has the
+hard domain ceiling, and check the trace against the analytic envelope
+that the admissibility proofs provide.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from ._num import first_bad, margin_ok, suffix_sums
-from .certificates import MuTrace, mu_primal
-from .factorable import bge_matrix
+from .certificates import MuTrace, mu_dual, mu_primal
+from .factorable import bge_matrix, copson_matrix
 from .sequences import WeightSequence, build_weights
 
 RATIO_TOL = 1e-10  # LHS/RHS ratios above 1 + RATIO_TOL are violations
@@ -260,6 +261,31 @@ def _branch_ratios(w: WeightSequence, X: np.ndarray, branch: str, p: float,
     return lhs / rhs
 
 
+def _trial_report(w: WeightSequence, branch: str, p: float,
+                  c_or_alpha: float, trials: int, seed: int,
+                  ratios_of) -> BranchReport:
+    """Max of ratios_of(X) over seeded trial rows, log-uniform entries in
+    [1e-3, 1e3], drawn and evaluated in chunks of about 2e6 entries."""
+    rng = np.random.default_rng(seed)
+    chunk = max(1, int(2_000_000 // max(w.N, 1)))
+    best = -math.inf
+    best_trial = 0
+    done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        X = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, w.N))
+        ratios = ratios_of(X)
+        j = int(np.argmax(ratios))
+        if float(ratios[j]) > best:
+            best = float(ratios[j])
+            best_trial = done + j + 1
+        done += m
+    return BranchReport(branch=branch, p=p, c_or_alpha=c_or_alpha, N=w.N,
+                        trials=trials, max_ratio=best,
+                        min_margin=1.0 - best, argmin=best_trial,
+                        passed=best <= 1.0 + RATIO_TOL)
+
+
 def check_copson_branch(w: WeightSequence, p: float, c: float, branch: str,
                         trials: int = 1000, seed: int = 0) -> BranchReport:
     """Random positive trials (log-uniform entries in [1e-3, 1e3]) of one
@@ -270,24 +296,8 @@ def check_copson_branch(w: WeightSequence, p: float, c: float, branch: str,
     if trials < 1:
         raise ValueError("need trials >= 1")
     branch_constant(branch, p, c)  # validates branch and c domain
-    rng = np.random.default_rng(seed)
-    chunk = max(1, int(2_000_000 // max(w.N, 1)))
-    best = -math.inf
-    best_trial = 0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        X = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, w.N))
-        ratios = _branch_ratios(w, X, branch, p, c)
-        j = int(np.argmax(ratios))
-        if float(ratios[j]) > best:
-            best = float(ratios[j])
-            best_trial = done + j + 1
-        done += m
-    return BranchReport(branch=branch, p=p, c_or_alpha=c, N=w.N,
-                        trials=trials, max_ratio=best,
-                        min_margin=1.0 - best, argmin=best_trial,
-                        passed=best <= 1.0 + RATIO_TOL)
+    return _trial_report(w, branch, p, c, trials, seed,
+                         lambda X: _branch_ratios(w, X, branch, p, c))
 
 
 def near_extremal_ratio(p: float, c: float, N: int,
@@ -354,41 +364,49 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
         raise ValueError("need alpha > 0")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    lam, Lam = w.values, w.partials
+    lam = w.values
     K = (alpha * p + 1.0) ** p
-    rng = np.random.default_rng(seed)
-    chunk = max(1, int(2_000_000 // max(w.N, 1)))
-    best = -math.inf
-    best_trial = 0
-    done = 0
-    wa = Lam ** alpha
-    while done < trials:
-        m = min(chunk, trials - done)
-        X = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, w.N))
+    wa = w.partials ** alpha
+
+    def ratios(X):
         X /= np.max(X, axis=-1, keepdims=True)
         lhs = np.sum(lam * suffix_sums(wa * X) ** p, axis=-1)
         rhs = K * np.sum(lam * wa ** p * suffix_sums(X) ** p, axis=-1)
-        ratios = lhs / rhs
-        j = int(np.argmax(ratios))
-        if float(ratios[j]) > best:
-            best = float(ratios[j])
-            best_trial = done + j + 1
-        done += m
-    return BranchReport(branch="bge", p=p, c_or_alpha=alpha, N=w.N,
-                        trials=trials, max_ratio=best,
-                        min_margin=1.0 - best, argmin=best_trial,
-                        passed=best <= 1.0 + RATIO_TOL)
+        return lhs / rhs
+
+    return _trial_report(w, "bge", p, alpha, trials, seed, ratios)
 
 
 # ----------------------------------------------------------------------
-# Mu recurrences specialized to the two families
+# Mu recurrences of the two families: mu_dual plus an analytic envelope
+
+
+def _head(w: WeightSequence, N: int | None) -> WeightSequence:
+    """w itself, or its first N weights (same partials) when N < len(w)."""
+    n_stop = w.N if N is None else int(N)
+    if not (1 <= n_stop <= w.N):
+        raise ValueError("need 1 <= N <= len(weights)")
+    if n_stop == w.N:
+        return w
+    return build_weights("explicit", n_stop, values=w.values[:n_stop])
+
+
+def _with_envelope(trace: MuTrace, constraint: str,
+                   targets: np.ndarray) -> MuTrace:
+    """trace relabelled, with margins against an envelope mu_n <= targets."""
+    t_margins = targets - trace.mu
+    t_bad = first_bad(t_margins, np.maximum(np.abs(targets),
+                                            np.abs(trace.mu)))
+    return replace(trace, constraint=constraint, target_margins=t_margins,
+                   target_violation=None if t_bad is None else t_bad + 1)
 
 
 def mu_dual_copson(w: WeightSequence, p: float, c: float,
                    N: int | None = None) -> MuTrace:
     """Dual recurrence for the prefix branch with constant (p/(c-1))^p.
 
-    With q = p/(p-1) and R_n = Lam_n/lam_n:
+    This is mu_dual on copson_matrix(w, p, c), whose diagonal ratios are
+    R_n = Lam_n/lam_n, with U_p = (p/(c-1))^p.  With q = p/(p-1) it reads
 
         mu_1 = ((c-1)/p)^q,
         mu_{n+1} = mu_1 + (lam_n/Lam_n) (Lam_n/Lam_{n+1})^((c-1)/(p-1))
@@ -403,53 +421,18 @@ def mu_dual_copson(w: WeightSequence, p: float, c: float,
         raise ValueError("need p > 1")
     if not (c > 1.0):
         raise ValueError("need c > 1")
-    n_stop = w.N if N is None else int(N)
-    if not (1 <= n_stop <= w.N):
-        raise ValueError("need 1 <= N <= len(weights)")
-    lam = w.values
-    Lam = w.partials
+    w = _head(w, N)
+    trace = mu_dual(copson_matrix(w, p, c), p, (p / (c - 1.0)) ** p)
+    k = trace.n_evaluated
     q = p / (p - 1.0)
-    e1 = 1.0 / (q - 1.0)   # = p - 1
-    eq = q / (q - 1.0)     # = p
-    a = p / (c - 1.0)
-    base = ((c - 1.0) / p) ** q
-    theta = (c - 1.0) / (p - 1.0)
-    mu = [base]
-    margins = []
-    violation = None
-    for n in range(1, n_stop + 1):
-        R = float(Lam[n - 1] / lam[n - 1])
-        ceiling = R ** q
-        m = ceiling - mu[-1]
-        margins.append(m)
-        if not (m > 0.0):
-            violation = n
-            break
-        if n == n_stop:
-            break
-        t = float(lam[n - 1] / Lam[n - 1])
-        D = mu[-1] ** (-e1) - t ** eq
-        # D > 0 is exactly the ceiling just checked; guard anyway
-        if D <= 0.0 or not math.isfinite(D):
-            violation = n
-            break
-        num = t * float(Lam[n - 1] / Lam[n]) ** theta * float(Lam[n] / lam[n])
-        mu.append(base + num / D ** (q - 1.0))
-    arr = np.array(mu, dtype=np.float64)
-    R_used = Lam[:arr.shape[0]] / lam[:arr.shape[0]]
-    targets = R_used * (1.0 / R_used + a) ** (1.0 - q)
-    t_margins = targets - arr
-    t_bad = first_bad(t_margins, np.maximum(np.abs(targets), np.abs(arr)))
-    return MuTrace(mu=arr, constraint="mu < (Lam_n/lam_n)^q",
-                   margins=np.array(margins, dtype=np.float64),
-                   first_violation=violation,
-                   target_margins=t_margins,
-                   target_violation=None if t_bad is None else t_bad + 1)
+    R = w.partials[:k] / w.values[:k]
+    targets = R * (1.0 / R + p / (c - 1.0)) ** (1.0 - q)
+    return _with_envelope(trace, "mu < (Lam_n/lam_n)^q", targets)
 
 
-def _bge_s(w: WeightSequence, alpha: float, n_stop: int) -> np.ndarray:
+def _bge_s(w: WeightSequence, alpha: float) -> np.ndarray:
     """s_n = 1 - (Lam_{n-1}/Lam_n)^alpha, with s_1 = 1."""
-    Lam = w.partials[:n_stop]
+    Lam = w.partials
     prev = np.concatenate(([0.0], Lam[:-1]))
     return 1.0 - (prev / Lam) ** alpha
 
@@ -458,7 +441,9 @@ def mu_bge(w: WeightSequence, p: float, alpha: float, route: str = "dual",
            N: int | None = None) -> MuTrace:
     """Mu recurrences for the blocked tail inequality, either route.
 
-    dual route, with q = p/(p-1) and s_n = 1 - (Lam_{n-1}/Lam_n)^alpha:
+    dual route: mu_dual on bge_matrix(w, p, alpha), whose diagonal ratios
+    are 1/s_n with s_n = 1 - (Lam_{n-1}/Lam_n)^alpha, and
+    U_p = (alpha p/(p-1))^p.  With q = p/(p-1) it reads
 
         mu_1 = ((p-1)/(alpha p))^q,
         mu_{n+1} = mu_1 + (lam_n/lam_{n+1})
@@ -480,74 +465,39 @@ def mu_bge(w: WeightSequence, p: float, alpha: float, route: str = "dual",
         raise ValueError("need alpha > 0")
     if route not in ("dual", "primal"):
         raise ValueError("route must be 'dual' or 'primal'")
-    n_stop = w.N if N is None else int(N)
-    if not (1 <= n_stop <= w.N):
-        raise ValueError("need 1 <= N <= len(weights)")
+    w = _head(w, N)
     lam = w.values
     Lam = w.partials
     q = p / (p - 1.0)
-    s = _bge_s(w, alpha, n_stop)
+    s = _bge_s(w, alpha)
 
-    if route == "primal":
-        lam_p = ((p - 1.0) / (alpha * p)) ** p
-        if not (lam_p < 1.0):
-            raise ValueError("primal route needs alpha > 1 - 1/p")
-        spec = bge_matrix(w, p, alpha)
-        if n_stop != w.N:
-            spec = bge_matrix(build_weights(
-                "explicit", n_stop, values=w.values[:n_stop]), p, alpha)
-        trace = mu_primal(spec, p, lam_p)
-        k = trace.mu.shape[0]
-        # The analytic floor only constrains n >= 2; n = 1 is recorded
-        # with an infinite margin and excluded from the violation scan.
-        t_margins = np.full(k, math.inf)
-        t_bad = None
-        if k > 1:
-            idx = np.arange(1, k)
-            floors = (lam[idx - 1] / Lam[idx - 1]) ** (p - 1.0) / (
-                (p / (p - 1.0)) ** (p - 1.0) * s[idx - 1] ** p)
-            t_margins[1:] = trace.mu[1:] - floors
-            scales = np.maximum(np.abs(trace.mu[1:]), np.abs(floors))
-            bad = first_bad(t_margins[1:], scales)
-            t_bad = None if bad is None else bad + 2
-        return MuTrace(mu=trace.mu, constraint=trace.constraint,
-                       margins=trace.margins,
-                       first_violation=trace.first_violation,
-                       target_margins=t_margins,
-                       target_violation=t_bad)
+    if route == "dual":
+        trace = mu_dual(bge_matrix(w, p, alpha), p,
+                        (alpha * p / (p - 1.0)) ** p)
+        k = trace.n_evaluated
+        A = alpha ** q * q ** (q - 1.0)
+        targets = (s[:k] ** (q / (q - 1.0))
+                   + (A * lam[:k] / Lam[:k]) ** (1.0 / (q - 1.0))) ** (1.0 - q)
+        return _with_envelope(trace, "mu < s_n^(-q)", targets)
 
-    e1 = 1.0 / (q - 1.0)
-    eq = q / (q - 1.0)
-    base = ((p - 1.0) / (alpha * p)) ** q
-    A = alpha ** q * q ** (q - 1.0)
-    mu = [base]
-    margins = []
-    violation = None
-    for n in range(1, n_stop + 1):
-        sn = float(s[n - 1])
-        ceiling = sn ** (-q)
-        m = ceiling - mu[-1]
-        margins.append(m)
-        if not (m > 0.0):
-            violation = n
-            break
-        if n == n_stop:
-            break
-        D = mu[-1] ** (-e1) - sn ** eq
-        if D <= 0.0 or not math.isfinite(D):
-            violation = n
-            break
-        mu.append(base + float(lam[n - 1] / lam[n]) / D ** (q - 1.0))
-    arr = np.array(mu, dtype=np.float64)
-    k = arr.shape[0]
-    targets = (s[:k] ** eq + (A * lam[:k] / Lam[:k]) ** e1) ** (1.0 - q)
-    t_margins = targets - arr
-    t_bad = first_bad(t_margins, np.maximum(np.abs(targets), np.abs(arr)))
-    return MuTrace(mu=arr, constraint="mu < s_n^(-q)",
-                   margins=np.array(margins, dtype=np.float64),
-                   first_violation=violation,
-                   target_margins=t_margins,
-                   target_violation=None if t_bad is None else t_bad + 1)
+    lam_p = ((p - 1.0) / (alpha * p)) ** p
+    if not (lam_p < 1.0):
+        raise ValueError("primal route needs alpha > 1 - 1/p")
+    trace = mu_primal(bge_matrix(w, p, alpha), p, lam_p)
+    k = trace.mu.shape[0]
+    # The analytic floor only constrains n >= 2; n = 1 is recorded
+    # with an infinite margin and excluded from the violation scan.
+    t_margins = np.full(k, math.inf)
+    t_bad = None
+    if k > 1:
+        idx = np.arange(1, k)
+        floors = (lam[idx - 1] / Lam[idx - 1]) ** (p - 1.0) / (
+            (p / (p - 1.0)) ** (p - 1.0) * s[idx - 1] ** p)
+        t_margins[1:] = trace.mu[1:] - floors
+        scales = np.maximum(np.abs(trace.mu[1:]), np.abs(floors))
+        bad = first_bad(t_margins[1:], scales)
+        t_bad = None if bad is None else bad + 2
+    return replace(trace, target_margins=t_margins, target_violation=t_bad)
 
 
 __all__ = [

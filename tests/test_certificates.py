@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpcert import (BoundParams, build_weights, cartlidge_constant,
-                    cartlidge_profile, cesaro, check_cartlidge,
+from lpcert import (BoundParams, FactorableSpec, build_weights,
+                    cartlidge_constant, cartlidge_profile, cesaro,
+                    check_cartlidge,
                     check_factorable_product, check_factorable_stepwise,
                     check_product_condition, check_ratio_condition,
                     check_stepwise_p2, comparability_pair, mu_dual, mu_primal,
@@ -147,6 +148,64 @@ def test_mu_dual_fails_below_norm():
     # ceiling must break at some finite index
     trace = mu_dual(cesaro(5000), 2.0, 3.0)
     assert not trace.passed
+
+
+def _mu_dual_reference(spec, p, U_p):
+    """mu_dual's docstring recurrence as a plain scalar loop:
+    (first violation, mu values)."""
+    a, b = spec.a.tolist(), spec.b.tolist()
+    q = p / (p - 1.0)
+    mu = [U_p ** (-q / p)]
+    for n in range(1, spec.N + 1):
+        r = a[n - 1] / b[n - 1]
+        if not (mu[-1] < r ** q):
+            return n, mu
+        if n == spec.N:
+            return None, mu
+        inner = r ** (q / (q - 1.0)) * mu[-1] ** (-1.0 / (q - 1.0)) - 1.0
+        if not (inner > 0.0):
+            return n, mu
+        mu.append(mu[0] + (a[n - 1] / b[n]) ** q / inner ** (q - 1.0))
+
+
+@pytest.mark.parametrize("kind,param", [("constant", None), ("power", 0.7),
+                                        ("power", -0.5),
+                                        ("geometric", 1.0005)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("L", [0.5, 0.9, 1.2])
+def test_mu_dual_matches_scalar_reference(kind, param, p, L):
+    extra = {"power": {"exponent": param}, "geometric": {"ratio": param},
+             "constant": {}}[kind]
+    spec = weighted_mean(build_weights(kind, 2000, **extra))
+    U_p = BoundParams(p, L).U_p
+    trace = mu_dual(spec, p, U_p)
+    first, ref = _mu_dual_reference(spec, p, U_p)
+    ref = np.array(ref)
+    assert trace.first_violation == first
+    assert trace.n_evaluated == ref.shape[0]
+    assert trace.margins.shape == trace.mu.shape
+    # coefficient powers may differ from the scalar ones by an ulp; the
+    # gap grows only on the steps where a failing trace blows up
+    tol = 1e-12 if first is None else 1e-9
+    assert np.allclose(trace.mu, ref, rtol=tol, atol=0.0)
+    if first is not None:
+        # truncated at the failing index, the last step is a ceiling test only
+        head = FactorableSpec(kind=spec.kind, a=spec.a[:first],
+                              b=spec.b[:first])
+        assert (mu_dual(head, p, U_p).first_violation
+                == _mu_dual_reference(head, p, U_p)[0])
+
+
+@pytest.mark.parametrize("check", [
+    lambda spec: check_factorable_product(spec, 2.0, 1.0),
+    lambda spec: check_factorable_stepwise(spec, 2.0, 1.0),
+    lambda spec: mu_primal(spec, 2.0, 0.25),
+], ids=["product", "stepwise", "mu_primal"])
+def test_unnormalized_spec_is_rejected(check):
+    spec = FactorableSpec(kind="unnormalized", a=np.array([2.0, 3.0, 4.0]),
+                          b=np.ones(3))
+    with pytest.raises(ValueError, match=r"normalized spec \(a_1 = b_1\)"):
+        check(spec)
 
 
 def test_mu_traces_certify_actual_inequality():

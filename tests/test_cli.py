@@ -66,6 +66,26 @@ def test_argparse_usage_error_is_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("route", ["dual", "primal"])
+def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
+    # geometric:0.99 partial sums stop growing in binary64 well before
+    # N = 5000, so a power difference Lam_n^alpha - Lam_{n-1}^alpha is 0
+    assert run(["copson", "bge-mu", "--p", "2", "--alpha", "0.8",
+                "--weights", "geometric:0.99", "--N", "5000",
+                "--route", route]) == 2
+    assert ("error: power differences must stay positive"
+            in capsys.readouterr().err)
+
+
+def test_tol_is_a_norm_option_only(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", "--method", "cartlidge", "--p", "2", "--L", "1.0",
+             "--N", "16", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert run(["norm", "--p", "2", "--N", "64", "--tol", "1e-3",
+                "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_stepwise_p2_defaults_p(tmp_path):
     out = tmp_path / "r.json"
     assert run(["certify", "--method", "stepwise-p2", "--N", "32",

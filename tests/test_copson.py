@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpcert import (BRANCHES, admissible_alpha, admissible_c, branch_constant,
-                    build_weights, check_bge, check_copson_branch,
+from lpcert import (BRANCHES, PASS_RTOL, admissible_alpha, admissible_c,
+                    branch_constant, build_weights, check_bge,
+                    check_copson_branch,
                     check_kernel_inequality, copson_root, copson_threshold,
                     mu_bge, mu_dual_copson, near_extremal_ratio,
                     near_extremal_schedule)
@@ -215,6 +216,93 @@ def test_mu_bge_rejects_bad_routes_and_domains():
     with pytest.raises(ValueError):
         mu_bge(w, 2.0, 0.4, route="primal")
     assert not mu_bge(w, 2.0, 0.3, route="dual").passed
+
+
+# Reference loops: the Copson and blocked-tail dual recurrences exactly
+# as the mu_dual_copson / mu_bge docstrings state them, independent of
+# the factorable matrices the library runs them through.
+
+def _first_above(mu, envelope):
+    """1-based first index where mu exceeds the envelope beyond the
+    verdict slack, or None."""
+    margins = envelope - mu
+    scales = np.maximum(np.maximum(np.abs(envelope), np.abs(mu)), 1.0)
+    bad = np.flatnonzero(~(margins >= -PASS_RTOL * scales))
+    return int(bad[0]) + 1 if bad.size else None
+
+
+def _copson_dual_reference(w, p, c):
+    lam, Lam = w.values.tolist(), w.partials.tolist()
+    q = p / (p - 1.0)
+    mu, first = [((c - 1.0) / p) ** q], None
+    for n in range(1, w.N + 1):
+        if not (mu[-1] < (Lam[n - 1] / lam[n - 1]) ** q):
+            first = n
+            break
+        if n == w.N:
+            break
+        t = lam[n - 1] / Lam[n - 1]
+        D = mu[-1] ** (-1.0 / (q - 1.0)) - t ** (q / (q - 1.0))
+        if not (D > 0.0):
+            first = n
+            break
+        mu.append(mu[0] + t * (Lam[n - 1] / Lam[n]) ** ((c - 1.0) / (p - 1.0))
+                  * (Lam[n] / lam[n]) / D ** (q - 1.0))
+    mu = np.array(mu)
+    R = (w.partials / w.values)[:mu.shape[0]]
+    envelope = R * (1.0 / R + p / (c - 1.0)) ** (1.0 - q)
+    return first, _first_above(mu, envelope), mu
+
+
+def _bge_dual_reference(w, p, alpha):
+    lam, Lam = w.values.tolist(), w.partials.tolist()
+    q = p / (p - 1.0)
+    s = [1.0] + [1.0 - (Lam[n - 2] / Lam[n - 1]) ** alpha
+                 for n in range(2, w.N + 1)]
+    mu, first = [((p - 1.0) / (alpha * p)) ** q], None
+    for n in range(1, w.N + 1):
+        if not (mu[-1] < s[n - 1] ** (-q)):
+            first = n
+            break
+        if n == w.N:
+            break
+        D = mu[-1] ** (-1.0 / (q - 1.0)) - s[n - 1] ** (q / (q - 1.0))
+        if not (D > 0.0):
+            first = n
+            break
+        mu.append(mu[0] + (lam[n - 1] / lam[n]) / D ** (q - 1.0))
+    mu = np.array(mu)
+    k = mu.shape[0]
+    A = alpha ** q * q ** (q - 1.0)
+    sk = np.array(s[:k])
+    envelope = (sk ** (q / (q - 1.0))
+                + (A * w.values[:k] / w.partials[:k]) ** (1.0 / (q - 1.0))
+                ) ** (1.0 - q)
+    return first, _first_above(mu, envelope), mu
+
+
+REFERENCE_WEIGHTS = {"constant": {}, "power": {"exponent": 0.7},
+                     "geometric": {"ratio": 1.0005}}
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_WEIGHTS))
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("family,c_or_alpha", [
+    ("copson", 1.5), ("copson", 2.236), ("copson", 2.237), ("copson", 3.2),
+    ("bge", 0.3), ("bge", 0.7), ("bge", 0.8), ("bge", 1.2)])
+def test_family_dual_traces_match_docstring_recurrences(kind, p, family,
+                                                        c_or_alpha):
+    w = build_weights(kind, 2000, **REFERENCE_WEIGHTS[kind])
+    if family == "copson":
+        trace = mu_dual_copson(w, p, c_or_alpha)
+        first, target, ref = _copson_dual_reference(w, p, c_or_alpha)
+    else:
+        trace = mu_bge(w, p, c_or_alpha, route="dual")
+        first, target, ref = _bge_dual_reference(w, p, c_or_alpha)
+    assert trace.first_violation == first
+    assert trace.target_violation == target
+    assert trace.n_evaluated == ref.shape[0]
+    assert np.allclose(trace.mu, ref, rtol=1e-9, atol=0.0)
 
 
 @given(st.integers(min_value=2, max_value=40),
