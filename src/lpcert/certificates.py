@@ -391,18 +391,28 @@ def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
         raise ValueError("need p > 1")
     if not (U_p > 0.0):
         raise ValueError("need U_p > 0")
-    a, b = spec.a, spec.b
     q = p / (p - 1.0)
-    base = U_p ** (-q / p)
+    a, b = spec.a, spec.b
+    return _mu_dual_ratios(a / b, a[:-1] / b[1:], p, U_p ** (-q / p))
+
+
+def _mu_dual_ratios(r: np.ndarray, cross: np.ndarray, p: float,
+                    mu_1: float) -> MuTrace:
+    """mu_dual's recurrence driven by the ratios alone: r_n = a_n/b_n,
+    cross_n = a_n/b_{n+1} and mu_1 = U_p^(-q/p).
+
+    A family whose a_n, b_n overflow while these ratios stay moderate
+    (large partial sums) passes them in closed form instead of a spec.
+    """
+    q = p / (p - 1.0)
     eq = q / (q - 1.0)           # equals p
     e1 = 1.0 / (q - 1.0)         # equals p - 1
-    r = a / b
     with np.errstate(over="ignore"):
         ceilings = r ** q
         r_eq = r[:-1] ** eq
-        cross_q = (a[:-1] / b[1:]) ** q
-    mu = [base]
-    prev = base
+        cross_q = cross ** q
+    mu = [mu_1]
+    prev = mu_1
     violation = None
     rows = _scalar_rows(ceilings[:-1], r_eq, cross_q)
     for n, (ceiling, rp, cq) in enumerate(rows, start=1):
@@ -413,7 +423,7 @@ def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
         if inner <= 0.0 or not math.isfinite(inner):
             violation = n
             break
-        prev = base + cq / inner ** (q - 1.0)
+        prev = mu_1 + cq / inner ** (q - 1.0)
         mu.append(prev)
     arr = np.array(mu, dtype=np.float64)
     margins = ceilings[:arr.shape[0]] - arr

@@ -32,9 +32,9 @@ The blocked tail inequality checked by check_bge is, for p >= 1, alpha > 0,
 with admissible_alpha giving the proven range alpha >= 1 - 1/(2p).
 
 mu_dual_copson and mu_bge add no recurrence of their own: they run the
-generic mu_dual (or mu_primal) on copson_matrix/bge_matrix, which has the
-hard domain ceiling, and check the trace against the analytic envelope
-that the admissibility proofs provide.
+generic mu_dual recurrence (or mu_primal) on copson_matrix/bge_matrix,
+which has the hard domain ceiling, and check the trace against the
+analytic envelope that the admissibility proofs provide.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._num import first_bad, margin_ok, suffix_sums
-from .certificates import MuTrace, mu_dual, mu_primal
-from .factorable import bge_matrix, copson_matrix
+from .certificates import MuTrace, _mu_dual_ratios, mu_dual, mu_primal
+from .factorable import bge_matrix, bge_steps
 from .sequences import WeightSequence, build_weights
 
 RATIO_TOL = 1e-10  # LHS/RHS ratios above 1 + RATIO_TOL are violations
@@ -405,8 +405,11 @@ def mu_dual_copson(w: WeightSequence, p: float, c: float,
                    N: int | None = None) -> MuTrace:
     """Dual recurrence for the prefix branch with constant (p/(c-1))^p.
 
-    This is mu_dual on copson_matrix(w, p, c), whose diagonal ratios are
-    R_n = Lam_n/lam_n, with U_p = (p/(c-1))^p.  With q = p/(p-1) it reads
+    This is mu_dual on copson_matrix(w, p, c) with U_p = (p/(c-1))^p, fed
+    the matrix's ratios in closed form, since its a_n and b_n overflow on
+    fast-growing weights: R_n = a_n/b_n = Lam_n/lam_n and
+    a_n/b_{n+1} = R_n (lam_n/lam_{n+1})^(1-1/p) (Lam_{n+1}/Lam_n)^(1-c/p).
+    With q = p/(p-1) it reads
 
         mu_1 = ((c-1)/p)^q,
         mu_{n+1} = mu_1 + (lam_n/Lam_n) (Lam_n/Lam_{n+1})^((c-1)/(p-1))
@@ -422,19 +425,15 @@ def mu_dual_copson(w: WeightSequence, p: float, c: float,
     if not (c > 1.0):
         raise ValueError("need c > 1")
     w = _head(w, N)
-    trace = mu_dual(copson_matrix(w, p, c), p, (p / (c - 1.0)) ** p)
-    k = trace.n_evaluated
+    lam, Lam = w.values, w.partials
     q = p / (p - 1.0)
-    R = w.partials[:k] / w.values[:k]
+    R = Lam / lam
+    cross = (R[:-1] * (lam[:-1] / lam[1:]) ** (1.0 - 1.0 / p)
+             * (Lam[1:] / Lam[:-1]) ** (1.0 - c / p))
+    trace = _mu_dual_ratios(R, cross, p, ((c - 1.0) / p) ** q)
+    R = R[:trace.n_evaluated]
     targets = R * (1.0 / R + p / (c - 1.0)) ** (1.0 - q)
     return _with_envelope(trace, "mu < (Lam_n/lam_n)^q", targets)
-
-
-def _bge_s(w: WeightSequence, alpha: float) -> np.ndarray:
-    """s_n = 1 - (Lam_{n-1}/Lam_n)^alpha, with s_1 = 1."""
-    Lam = w.partials
-    prev = np.concatenate(([0.0], Lam[:-1]))
-    return 1.0 - (prev / Lam) ** alpha
 
 
 def mu_bge(w: WeightSequence, p: float, alpha: float, route: str = "dual",
@@ -442,7 +441,7 @@ def mu_bge(w: WeightSequence, p: float, alpha: float, route: str = "dual",
     """Mu recurrences for the blocked tail inequality, either route.
 
     dual route: mu_dual on bge_matrix(w, p, alpha), whose diagonal ratios
-    are 1/s_n with s_n = 1 - (Lam_{n-1}/Lam_n)^alpha, and
+    are 1/s_n with s_n = 1 - (Lam_{n-1}/Lam_n)^alpha (bge_steps), and
     U_p = (alpha p/(p-1))^p.  With q = p/(p-1) it reads
 
         mu_1 = ((p-1)/(alpha p))^q,
@@ -469,7 +468,7 @@ def mu_bge(w: WeightSequence, p: float, alpha: float, route: str = "dual",
     lam = w.values
     Lam = w.partials
     q = p / (p - 1.0)
-    s = _bge_s(w, alpha)
+    s = bge_steps(w, alpha)
 
     if route == "dual":
         trace = mu_dual(bge_matrix(w, p, alpha), p,

@@ -12,15 +12,16 @@ Constructors cover the families the certificates target:
     weighted_mean(w):        a_n = Lam_n, b_k = lam_k        (rows sum to 1)
     copson_matrix(w, p, c):  a_n = lam_n^(-1/p) Lam_n^(c/p),
                              b_k = lam_k^(1-1/p) Lam_k^(-(1-c/p))
-    bge_matrix(w, p, alpha): a_n = lam_n^(1-1/p) Lam_n^alpha
-                                   / (Lam_n^alpha - Lam_{n-1}^alpha),
-                             b_k = lam_k^(1-1/p)
+    bge_matrix(w, p, alpha): a_n = lam_n^(1-1/p) / s_n,
+                             b_k = lam_k^(1-1/p),
+                             s_n = 1 - (Lam_{n-1}/Lam_n)^alpha
     hlp_dual_matrix(N):      a_n = 1, b_k = 1/k
 
 weighted_mean with constant weights is the Cesaro matrix (entries 1/n).
 copson_matrix and bge_matrix are normalized (a_1 = b_1) for every weight
-sequence; their diagonal ratios a_n/b_n are Lam_n/lam_n and
-1/(1 - (Lam_{n-1}/Lam_n)^alpha) respectively.
+sequence; their diagonal ratios a_n/b_n are Lam_n/lam_n and 1/s_n
+respectively.  copson_matrix forms powers of Lam_n, so it overflows on
+fast-growing weights where those ratios stay moderate.
 """
 
 from __future__ import annotations
@@ -136,6 +137,21 @@ def copson_matrix(w: WeightSequence, p: float, c: float) -> FactorableSpec:
     return FactorableSpec(kind=f"copson(p={p:g},c={c:g})", a=a, b=b)
 
 
+def bge_steps(w: WeightSequence, alpha: float) -> np.ndarray:
+    """Relative power differences s_n = 1 - (Lam_{n-1}/Lam_n)^alpha, i.e.
+    (Lam_n^alpha - Lam_{n-1}^alpha)/Lam_n^alpha, with s_1 = 1.
+
+    Formed from ratios, so large partial sums do not overflow; stalled
+    partial sums (s_n rounding to 0) are rejected.
+    """
+    Lam = w.partials
+    prev = np.concatenate(([0.0], Lam[:-1]))
+    s = 1.0 - (prev / Lam) ** alpha
+    if np.any(s <= 0.0):
+        raise ValueError("power differences must stay positive")
+    return s
+
+
 def bge_matrix(w: WeightSequence, p: float, alpha: float) -> FactorableSpec:
     """The factorable matrix behind the power-difference inequality with
     exponent alpha; its l^p bound target is (alpha*p/(p-1))^p."""
@@ -143,15 +159,9 @@ def bge_matrix(w: WeightSequence, p: float, alpha: float) -> FactorableSpec:
         raise ValueError("bge_matrix needs p > 1")
     if not (alpha > 0.0):
         raise ValueError("bge_matrix needs alpha > 0")
-    lam, Lam = w.values, w.partials
-    prev = np.concatenate(([0.0], Lam[:-1]))
-    diff = Lam ** alpha - prev ** alpha
-    if np.any(diff <= 0.0):
-        raise ValueError("power differences must stay positive")
-    base = lam ** (1.0 - 1.0 / p)
-    a = base * Lam ** alpha / diff
-    b = base.copy()
-    return FactorableSpec(kind=f"bge(p={p:g},alpha={alpha:g})", a=a, b=b)
+    base = w.values ** (1.0 - 1.0 / p)
+    return FactorableSpec(kind=f"bge(p={p:g},alpha={alpha:g})",
+                          a=base / bge_steps(w, alpha), b=base)
 
 
 def hlp_dual_matrix(N: int) -> FactorableSpec:
@@ -185,6 +195,6 @@ def _require_normalized(spec: FactorableSpec, what: str):
 
 
 __all__ = [
-    "FactorableSpec", "weighted_mean", "copson_matrix", "bge_matrix",
-    "hlp_dual_matrix", "cesaro", "norm_upper_hardy",
+    "FactorableSpec", "weighted_mean", "copson_matrix", "bge_steps",
+    "bge_matrix", "hlp_dual_matrix", "cesaro", "norm_upper_hardy",
 ]

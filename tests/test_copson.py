@@ -293,6 +293,26 @@ REFERENCE_WEIGHTS = {"constant": {}, "power": {"exponent": 0.7},
 def test_family_dual_traces_match_docstring_recurrences(kind, p, family,
                                                         c_or_alpha):
     w = build_weights(kind, 2000, **REFERENCE_WEIGHTS[kind])
+    _assert_matches_reference(w, p, family, c_or_alpha)
+
+
+# Partial sums whose powers leave binary64 while the ratios stay moderate:
+# Lam_n reaches about 1e213 for geometric:1.05 at N = 1e4, and
+# Lam_n^alpha overflows for alpha = 1000 on constant weights at N = 1000.
+@pytest.mark.parametrize("kind,param,N,p,family,c_or_alpha", [
+    ("geometric", {"ratio": 1.05}, 10_000, 2.0, "copson", 3.0),
+    ("geometric", {"ratio": 1.05}, 10_000, 2.0, "bge", 1.5),
+    ("geometric", {"ratio": 1.05}, 10_000, 3.0, "bge", 0.8),
+    ("constant", {}, 1000, 2.0, "bge", 1000.0),
+], ids=["copson-geometric-c3", "bge-geometric-a1.5", "bge-geometric-p3-a0.8",
+        "bge-constant-a1000"])
+def test_family_dual_traces_survive_large_partial_sums(kind, param, N, p,
+                                                       family, c_or_alpha):
+    w = build_weights(kind, N, **param)
+    _assert_matches_reference(w, p, family, c_or_alpha)
+
+
+def _assert_matches_reference(w, p, family, c_or_alpha):
     if family == "copson":
         trace = mu_dual_copson(w, p, c_or_alpha)
         first, target, ref = _copson_dual_reference(w, p, c_or_alpha)

@@ -77,13 +77,26 @@ def test_copson_matrix_general_weights_differs_from_weighted_mean():
 
 
 def test_bge_matrix_blocked_rows():
-    # a_n = lam_n^{1-1/p} Lam_n^alpha / (Lam_n^alpha - Lam_{n-1}^alpha),
+    # a_n = lam_n^{1-1/p} / (1 - (Lam_{n-1}/Lam_n)^alpha),
     # b_k = lam_k^{1-1/p}; constant weights, alpha = 1 gives the
     # averaging matrix entries 1/n
     w = build_weights("constant", 6)
     dense = dense_oracle(bge_matrix(w, 2.0, 1.0))
     for i in range(6):
         assert np.allclose(dense[i, : i + 1], 1.0 / (i + 1), rtol=1e-13)
+
+
+def test_bge_matrix_stays_finite_on_large_partial_sums():
+    # a_n = lam_n^{1-1/p} / s_n with s_n = 1 - (Lam_{n-1}/Lam_n)^alpha;
+    # geometric:1.05 partial sums reach about 1e213 at N = 1e4, where
+    # Lam_n^alpha alone would overflow
+    w = build_weights("geometric", 10_000, ratio=1.05)
+    spec = bge_matrix(w, 2.0, 1.5)
+    assert np.all(np.isfinite(spec.a))
+    lam, Lam = w.values[:200], w.partials[:200]
+    prev = np.concatenate(([0.0], Lam[:-1]))
+    power_form = lam ** 0.5 * Lam ** 1.5 / (Lam ** 1.5 - prev ** 1.5)
+    assert np.allclose(spec.a[:200], power_form, rtol=1e-12, atol=0.0)
 
 
 def test_hlp_dual_matrix_columns():
