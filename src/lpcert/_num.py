@@ -2,9 +2,16 @@
 
 Everything here is binary64 only.  Partial sums of weights use Neumaier
 compensation so that ratios like Lam_n/lam_n keep close to full precision
-even for slowly growing weights at large truncations.  Fractional powers
-of positive scalars go through exp(e*log(b)) with an explicit domain
-check rather than relying on libm pow edge cases.
+even for slowly growing weights at large truncations.  The compensated
+sum is vectorized without changing a bit of the sequential Neumaier loop
+(Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
+Comput. 2005): the loop's running total is itself an in-order sum, which
+`np.cumsum` reproduces exactly; each step's rounding error is then an
+elementwise Fast2Sum of that total with its predecessor, taken with the
+loop's own branch on the larger magnitude; and the loop's compensation
+is the in-order running sum of those errors, another `np.cumsum`.
+Fractional powers of positive scalars go through exp(e*log(b)) with an
+explicit domain check rather than relying on libm pow edge cases.
 """
 
 from __future__ import annotations
@@ -20,35 +27,28 @@ PASS_RTOL = 1e-12
 
 
 def comp_cumsum(values) -> np.ndarray:
-    """Running sums of a 1-d array with Neumaier compensation."""
-    arr = np.asarray(values, dtype=np.float64)
-    out = np.empty(arr.shape[0], dtype=np.float64)
-    total = 0.0
-    comp = 0.0
-    for i in range(arr.shape[0]):
-        v = float(arr[i])
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out[i] = total + comp
-    return out
+    """Running sums of a 1-d array with Neumaier compensation.
 
-
-def rev_cumsum(values) -> np.ndarray:
-    """Compensated suffix sums: out[i] = values[i] + ... + values[-1]."""
+    Bitwise equal to the sequential loop that keeps a running total t and
+    compensation c, adding ``(t - t') + v`` or ``(v - t') + t`` to c by
+    whichever of |t|, |v| is larger, and emitting ``t' + c`` at each step.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    return comp_cumsum(arr[::-1])[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.cumsum(arr)
+        prev = np.empty_like(total)
+        prev[:1] = 0.0
+        prev[1:] = total[:-1]
+        err = np.where(np.abs(prev) >= np.abs(arr),
+                       (prev - total) + arr, (arr - total) + prev)
+        return total + np.cumsum(err)
 
 
 def suffix_sums(values) -> np.ndarray:
     """Plain vectorized suffix sums along the last axis.
 
-    Used for bulk trial evaluation where the compensated 1-d variant
-    would dominate the runtime; weight partials always go through
-    comp_cumsum/rev_cumsum instead.
+    Used for bulk trial evaluation, whose reports were fixed on plain
+    sums; weight partials always go through comp_cumsum instead.
     """
     arr = np.asarray(values, dtype=np.float64)
     return np.cumsum(arr[..., ::-1], axis=-1)[..., ::-1]

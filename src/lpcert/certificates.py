@@ -374,6 +374,18 @@ def _scalar_rows(*arrays: np.ndarray):
         for lo in range(0, n, _ROW_CHUNK))
 
 
+def _binary64_pow(base: float, expo: float, name: str) -> float:
+    """base**expo for base > 0, raising a domain error (not OverflowError
+    or a later division by zero) when it leaves the binary64 range."""
+    try:
+        val = base ** expo
+    except OverflowError:
+        raise ValueError(f"{name} leaves the binary64 range") from None
+    if val == 0.0:
+        raise ValueError(f"{name} underflows to 0")
+    return val
+
+
 def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
     """Dual recurrence; staying strictly below the ceiling (a_n/b_n)^q for
     all n <= N certifies sum (Mx)_n^p <= U_p sum x_n^p at truncation N.
@@ -393,7 +405,8 @@ def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
         raise ValueError("need U_p > 0")
     q = p / (p - 1.0)
     a, b = spec.a, spec.b
-    return _mu_dual_ratios(a / b, a[:-1] / b[1:], p, U_p ** (-q / p))
+    return _mu_dual_ratios(a / b, a[:-1] / b[1:], p,
+                           _binary64_pow(U_p, -q / p, "mu_1 = U_p^(-q/p)"))
 
 
 def _mu_dual_ratios(r: np.ndarray, cross: np.ndarray, p: float,
@@ -407,6 +420,9 @@ def _mu_dual_ratios(r: np.ndarray, cross: np.ndarray, p: float,
     q = p / (p - 1.0)
     eq = q / (q - 1.0)           # equals p
     e1 = 1.0 / (q - 1.0)         # equals p - 1
+    # mu_1^(-e1) recovers U_p; since every mu_n >= mu_1 it is also the
+    # largest power the loop forms, so one check covers every step.
+    _binary64_pow(mu_1, -e1, "U_p")
     with np.errstate(over="ignore"):
         ceilings = r ** q
         r_eq = r[:-1] ** eq

@@ -43,10 +43,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._num import first_bad, margin_ok, suffix_sums
-from .certificates import MuTrace, _mu_dual_ratios, mu_dual, mu_primal
+from .certificates import (MuTrace, _binary64_pow, _mu_dual_ratios, mu_dual,
+                           mu_primal)
 from .factorable import bge_matrix, bge_steps
 from .sequences import WeightSequence, build_weights
 
@@ -96,6 +96,9 @@ def copson_root(p: float) -> RootResult:
             raise ValueError("no sign change down to c = -1e6")
     if _threshold_gap(hi, p) <= 0.0:
         raise ValueError("threshold function not positive at c = 0")
+    # Imported here: scipy costs more start-up than any other module, and
+    # this is its only use.
+    from scipy.optimize import brentq
     root, info = brentq(_threshold_gap, lo, hi, args=(p,),
                         xtol=1e-15, rtol=8.9e-16, full_output=True)
     return RootResult(root=float(root),
@@ -430,7 +433,8 @@ def mu_dual_copson(w: WeightSequence, p: float, c: float,
     R = Lam / lam
     cross = (R[:-1] * (lam[:-1] / lam[1:]) ** (1.0 - 1.0 / p)
              * (Lam[1:] / Lam[:-1]) ** (1.0 - c / p))
-    trace = _mu_dual_ratios(R, cross, p, ((c - 1.0) / p) ** q)
+    trace = _mu_dual_ratios(R, cross, p,
+                            _binary64_pow((c - 1.0) / p, q, "mu_1 = ((c-1)/p)^q"))
     R = R[:trace.n_evaluated]
     targets = R * (1.0 / R + p / (c - 1.0)) ** (1.0 - q)
     return _with_envelope(trace, "mu < (Lam_n/lam_n)^q", targets)
@@ -472,7 +476,7 @@ def mu_bge(w: WeightSequence, p: float, alpha: float, route: str = "dual",
 
     if route == "dual":
         trace = mu_dual(bge_matrix(w, p, alpha), p,
-                        (alpha * p / (p - 1.0)) ** p)
+                        _binary64_pow(alpha * p / (p - 1.0), p, "U_p"))
         k = trace.n_evaluated
         A = alpha ** q * q ** (q - 1.0)
         targets = (s[:k] ** (q / (q - 1.0))

@@ -97,6 +97,10 @@ def build_weights(kind: str, N: int, *, exponent: float | None = None,
             raise ValueError("geometric weights need ratio > 0")
         lam = float(ratio) ** np.arange(1, N + 1, dtype=np.float64)
         label = label or f"geometric:{ratio:g}"
+        zeros = np.flatnonzero(lam == 0.0)
+        if zeros.size:
+            raise ValueError(f"{label} weights underflow to 0 from n = "
+                             f"{zeros[0] + 1}; lower N")
     elif kind == "explicit":
         if values is None:
             raise ValueError("explicit weights need values")

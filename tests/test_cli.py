@@ -6,10 +6,14 @@ weight-spec parsing including file loading and truncation.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lpcert
 from lpcert import cli
 
 CSV_HEADER = "method,p,L,c,alpha,N,pass,first_fail,worst_margin,bound"
@@ -75,6 +79,49 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
                 "--route", route]) == 2
     assert ("error: power differences must stay positive"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    # U_p = mu_1^(-(p-1)) is 1e390 at the first step
+    (["copson", "mu", "--p", "40", "--c", "1.0000001", "--N", "1000"],
+     "U_p leaves the binary64 range"),
+    (["copson", "bge-mu", "--p", "200", "--alpha", "1000", "--N", "1000"],
+     "U_p leaves the binary64 range"),
+    (["copson", "mu", "--p", "1.01", "--c", "1.0000001", "--N", "1000"],
+     "mu_1 = ((c-1)/p)^q underflows to 0"),
+    (["copson", "mu", "--p", "1.01", "--c", "1e10", "--N", "100"],
+     "mu_1 = ((c-1)/p)^q leaves the binary64 range"),
+    (["copson", "bge-mu", "--p", "1.001", "--alpha", "0.5", "--N", "1000"],
+     "mu_1 = U_p^(-q/p) underflows to 0"),
+    (["certify", "--method", "mu-dual", "--weights", "geometric:0.5",
+      "--N", "2000", "--p", "2", "--L", "1.0"],
+     "geometric:0.5 weights underflow to 0 from n = 1075"),
+])
+def test_out_of_range_inputs_are_domain_errors(argv, message, capsys):
+    assert run(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(lpcert.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lpcert.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert res.stdout.strip() == "[]"
+
+
+def test_cp_root_report_is_unchanged(capsys):
+    # brentq stays the solver, so its iteration count is part of the report
+    assert run(["copson", "cp-root", "--p", "3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["iterations"] == 7
+    assert rep["c"] == -0.3967136956303042
+    assert rep["residual"] == 5.551115123125783e-17
 
 
 def test_tol_is_a_norm_option_only(tmp_path):

@@ -1,5 +1,6 @@
 """Weight sequence construction, partial sums, and tail identities."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,34 @@ finite_weights = st.lists(
               allow_infinity=False),
     min_size=1, max_size=64,
 )
+
+# Mixed signs over the whole binary64 range, so that partial sums also
+# cancel, go subnormal and overflow to inf (and then nan).
+wide_floats = st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.builds(lambda m, e: m * 2.0 ** e,
+                        st.floats(min_value=-2.0, max_value=2.0),
+                        st.integers(min_value=-1074, max_value=1023))),
+    min_size=0, max_size=64,
+)
+
+
+def neumaier_loop(values):
+    """The sequential Neumaier loop that comp_cumsum must reproduce."""
+    arr = np.asarray(values, dtype=np.float64)
+    out = np.empty(arr.shape[0], dtype=np.float64)
+    total = 0.0
+    comp = 0.0
+    for i in range(arr.shape[0]):
+        v = float(arr[i])
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        out[i] = total + comp
+    return out
 
 
 def test_constant_weights_partials_and_ratios():
@@ -92,6 +121,33 @@ def test_ratio_families_bounded_below_by_one(vals):
     assert np.all(w.ratios >= 1.0 - 1e-12)
     assert np.all(w.tail_ratios >= 1.0 - 1e-12)
     assert np.all(np.diff(w.partials) > 0.0)
+
+
+@given(wide_floats)
+@settings(max_examples=400, deadline=None)
+def test_comp_cumsum_is_bitwise_the_neumaier_loop(vals):
+    arr = np.array(vals, dtype=np.float64)
+    for seq in (arr, arr[::-1]):
+        assert comp_cumsum(seq).tobytes() == neumaier_loop(seq).tobytes()
+
+
+def test_overflowing_partials_emit_no_warning():
+    # 2^1023 is finite, but the last partial sums overflow (to nan, as
+    # in the loop: inf plus a compensation of inf - inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = build_weights("geometric", 1023, ratio=2.0)
+    assert not np.isfinite(w.partials[-1])
+    assert w.partials.tobytes() == neumaier_loop(w.values).tobytes()
+
+
+def test_underflowing_geometric_weights_name_the_index():
+    # 0.5^1075 is below the smallest subnormal
+    with pytest.raises(ValueError,
+                       match="geometric:0.5 weights underflow to 0 from "
+                             "n = 1075"):
+        build_weights("geometric", 2000, ratio=0.5)
+    assert build_weights("geometric", 1074, ratio=0.5).values[-1] > 0.0
 
 
 def test_comp_cumsum_beats_naive_on_adversarial_input():
