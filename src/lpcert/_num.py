@@ -5,11 +5,12 @@ compensation so that ratios like Lam_n/lam_n keep close to full precision
 even for slowly growing weights at large truncations.  The compensated
 sum is vectorized without changing a bit of the sequential Neumaier loop
 (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
-Comput. 2005): the loop's running total is itself an in-order sum, which
-`np.cumsum` reproduces exactly; each step's rounding error is then an
-elementwise Fast2Sum of that total with its predecessor, taken with the
-loop's own branch on the larger magnitude; and the loop's compensation
-is the in-order running sum of those errors, another `np.cumsum`.
+Comput. 2005): the loop's running totals are an in-order sum, which
+`np.cumsum` reproduces; each step's rounding error is an elementwise
+Fast2Sum of a total and its predecessor, with the loop's own branch on
+the larger magnitude; and the loop's compensation is the in-order sum of
+those errors, a second `np.cumsum`.  (Only a leading -0.0 total differs,
+as the loop starts from +0.0; adding the +0.0 compensation erases it.)
 Fractional powers of positive scalars go through exp(e*log(b)) with an
 explicit domain check rather than relying on libm pow edge cases.
 """
