@@ -82,7 +82,7 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    # U_p = mu_1^(-(p-1)) is 1e390 at the first step
+    # U_p = (p/(c-1))^p is about 1e344, (alpha p/(p-1))^p about 1e600
     (["copson", "mu", "--p", "40", "--c", "1.0000001", "--N", "1000"],
      "U_p leaves the binary64 range"),
     (["copson", "bge-mu", "--p", "200", "--alpha", "1000", "--N", "1000"],
