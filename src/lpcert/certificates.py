@@ -325,41 +325,66 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
 
     Constraint: mu_n >= 0.  Values within -1e-12 (relative) of zero are
     clamped to zero and the run continues; anything lower stops the trace.
+    The per-index powers come from _primal_rows; only scalar float steps
+    run in the loop.
     """
     if not (p > 1.0):
         raise ValueError("need p > 1")
     if not (0.0 < lam_p < 1.0):
         raise ValueError("need lam_p in (0, 1)")
     _require_normalized(spec, "primal recurrence")
-    a, b = spec.a, spec.b
-    N = spec.N
     e1 = 1.0 / (p - 1.0)
-    ep = p / (p - 1.0)
     mu = [1.0]
+    prev = 1.0
     violation = None
-    for n in range(1, N):  # math index; computes mu_{n+1}
-        prev = mu[-1]
-        an, bn = float(a[n - 1]), float(b[n - 1])
-        anm1 = float(a[n - 2]) if n >= 2 else 0.0
-        base = prev ** e1 if prev > 0.0 else 0.0
-        cross = (anm1 / bn) ** ep if anm1 > 0.0 else 0.0
-        denom = (base + cross) ** (p - 1.0)
-        if denom <= 0.0 or not math.isfinite(denom):
-            violation = n
-            break
-        t = (an / bn) ** p * prev / denom
-        nxt = t - lam_p
-        if nxt < 0.0:
-            if margin_ok(nxt, max(t, lam_p)):
-                nxt = 0.0
-            else:
-                mu.append(nxt)
-                violation = n + 1
+    try:
+        for n, (rp, cross) in enumerate(_primal_rows(spec, p), start=1):
+            base = prev ** e1 if prev > 0.0 else 0.0
+            denom = (base + cross) ** (p - 1.0)
+            if denom <= 0.0 or not math.isfinite(denom):
+                violation = n
                 break
-        mu.append(nxt)
+            t = rp * prev / denom
+            nxt = t - lam_p
+            if nxt < 0.0:
+                if margin_ok(nxt, max(t, lam_p)):
+                    nxt = 0.0
+                else:
+                    mu.append(nxt)
+                    violation = n + 1
+                    break
+            mu.append(nxt)
+            prev = nxt
+    except OverflowError:
+        raise ValueError("(mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) "
+                         f"leaves the binary64 range at n = {n}") from None
     arr = np.array(mu, dtype=np.float64)
     return MuTrace(mu=arr, constraint="mu >= 0", margins=arr.copy(),
                    first_violation=violation)
+
+
+def _primal_rows(spec: FactorableSpec, p: float):
+    """((a_n/b_n)^p, (a_(n-1)/b_n)^(p/(p-1))) for n = 1..N-1, a_0 = 0, as
+    Python floats.
+
+    The powers are formed with numpy one _ROW_CHUNK at a time, so a trace
+    that dies early forms few of them.  A power that leaves the binary64
+    range raises a domain error when the trace reaches its row.
+    """
+    a, b = spec.a, spec.b
+    rows = spec.N - 1
+    a_prev = np.concatenate(([0.0], a[:-2]))
+    for lo in range(0, rows, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, rows)
+        with np.errstate(over="ignore"):
+            rp = (a[lo:hi] / b[lo:hi]) ** p
+            cross = (a_prev[lo:hi] / b[lo:hi]) ** (p / (p - 1.0))
+        bad = np.flatnonzero(np.isinf(rp) | np.isinf(cross))
+        stop = bad[0] if bad.size else hi - lo
+        yield from _scalar_rows(rp[:stop], cross[:stop])
+        if bad.size:
+            raise ValueError("(a_n/b_n)^p or (a_(n-1)/b_n)^(p/(p-1)) leaves "
+                             f"the binary64 range at n = {lo + stop + 1}")
 
 
 def _scalar_rows(*arrays: np.ndarray):
@@ -431,16 +456,22 @@ def _mu_dual_ratios(r: np.ndarray, cross: np.ndarray, p: float,
     prev = mu_1
     violation = None
     rows = _scalar_rows(ceilings[:-1], r_eq, cross_q)
-    for n, (ceiling, rp, cq) in enumerate(rows, start=1):
-        if not (ceiling - prev > 0.0):
-            violation = n
-            break
-        inner = rp * prev ** (-e1) - 1.0
-        if inner <= 0.0 or not math.isfinite(inner):
-            violation = n
-            break
-        prev = mu_1 + cq / inner ** (q - 1.0)
-        mu.append(prev)
+    try:
+        for n, (ceiling, rp, cq) in enumerate(rows, start=1):
+            if not (ceiling - prev > 0.0):
+                violation = n
+                break
+            inner = rp * prev ** (-e1) - 1.0
+            if inner <= 0.0 or not math.isfinite(inner):
+                violation = n
+                break
+            prev = mu_1 + cq / inner ** (q - 1.0)
+            mu.append(prev)
+    except (OverflowError, ZeroDivisionError):
+        # the power overflowed or underflowed to 0; either way the next
+        # mu is not known in binary64, so no verdict is given
+        raise ValueError("((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) leaves the "
+                         f"binary64 range at n = {n}") from None
     arr = np.array(mu, dtype=np.float64)
     margins = ceilings[:arr.shape[0]] - arr
     if violation is None and not (margins[-1] > 0.0):

@@ -95,12 +95,15 @@ def build_weights(kind: str, N: int, *, exponent: float | None = None,
     elif kind == "geometric":
         if ratio is None or not math.isfinite(ratio) or ratio <= 0.0:
             raise ValueError("geometric weights need ratio > 0")
-        lam = float(ratio) ** np.arange(1, N + 1, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            lam = float(ratio) ** np.arange(1, N + 1, dtype=np.float64)
         label = label or f"geometric:{ratio:g}"
-        zeros = np.flatnonzero(lam == 0.0)
-        if zeros.size:
-            raise ValueError(f"{label} weights underflow to 0 from n = "
-                             f"{zeros[0] + 1}; lower N")
+        for bad, what in ((lam == 0.0, "underflow to 0"),
+                          (np.isinf(lam), "overflow")):
+            idx = np.flatnonzero(bad)
+            if idx.size:
+                raise ValueError(f"{label} weights {what} from n = "
+                                 f"{idx[0] + 1}; lower N")
     elif kind == "explicit":
         if values is None:
             raise ValueError("explicit weights need values")

@@ -1,5 +1,7 @@
 """Norm-bound certificates: conditions, implications, and mu traces."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from lpcert import (BoundParams, FactorableSpec, build_weights,
                     check_product_condition, check_ratio_condition,
                     check_stepwise_p2, comparability_pair, mu_dual, mu_primal,
                     power_lower_bound, ratio_at, trace_report, weighted_mean)
+from lpcert import certificates
+from lpcert._num import margin_ok
 
 weight_arrays = st.lists(
     st.floats(min_value=1e-2, max_value=1e2, allow_nan=False,
@@ -194,6 +198,72 @@ def test_mu_dual_matches_scalar_reference(kind, param, p, L):
                               b=spec.b[:first])
         assert (mu_dual(head, p, U_p).first_violation
                 == _mu_dual_reference(head, p, U_p)[0])
+
+
+def _mu_primal_reference(spec, p, lam_p):
+    """mu_primal's docstring recurrence as a plain scalar loop with its
+    clamp and denominator guard: (first violation, mu values)."""
+    a, b = spec.a.tolist(), spec.b.tolist()
+    e1, ep = 1.0 / (p - 1.0), p / (p - 1.0)
+    mu = [1.0]
+    for n in range(1, spec.N):
+        prev = mu[-1]
+        anm1 = a[n - 2] if n >= 2 else 0.0
+        base = prev ** e1 if prev > 0.0 else 0.0
+        cross = (anm1 / b[n - 1]) ** ep if anm1 > 0.0 else 0.0
+        denom = (base + cross) ** (p - 1.0)
+        if denom <= 0.0 or not math.isfinite(denom):
+            return n, mu
+        t = (a[n - 1] / b[n - 1]) ** p * prev / denom
+        nxt = t - lam_p
+        if nxt < 0.0:
+            if margin_ok(nxt, max(t, lam_p)):
+                nxt = 0.0
+            else:
+                mu.append(nxt)
+                return n + 1, mu
+        mu.append(nxt)
+    return None, mu
+
+
+@pytest.mark.parametrize("kind,param", [("constant", None), ("power", 0.7),
+                                        ("power", -0.5),
+                                        ("geometric", 1.0005)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("L", [0.5, 0.9, 1.2])
+def test_mu_primal_matches_scalar_reference(kind, param, p, L):
+    extra = {"power": {"exponent": param}, "geometric": {"ratio": param},
+             "constant": {}}[kind]
+    spec = weighted_mean(build_weights(kind, 2000, **extra))
+    lam_p = BoundParams(p, L).lam_p
+    trace = mu_primal(spec, p, lam_p)
+    first, ref = _mu_primal_reference(spec, p, lam_p)
+    assert trace.first_violation == first
+    assert trace.n_evaluated == len(ref)
+    # numpy's powers may differ from the scalar ones by an ulp
+    assert np.allclose(trace.mu, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_mu_primal_forms_its_powers_a_chunk_at_a_time(monkeypatch):
+    spec = weighted_mean(build_weights("power", 5000, exponent=0.7))
+    lam_p = BoundParams(2.5, 0.9).lam_p
+    whole = mu_primal(spec, 2.5, lam_p)
+    monkeypatch.setattr(certificates, "_ROW_CHUNK", 7)
+    assert mu_primal(spec, 2.5, lam_p).mu.tobytes() == whole.mu.tobytes()
+    # an over-claimed bound dies in the first chunk and forms no other
+    formed = []
+    rows = certificates._scalar_rows
+    monkeypatch.setattr(certificates, "_scalar_rows",
+                        lambda *xs: formed.append(len(xs[0])) or rows(*xs))
+    assert mu_primal(cesaro(5000), 2.0, 0.9).first_violation <= 7
+    assert formed == [7]
+
+
+def test_mu_primal_out_of_range_power_is_a_domain_error():
+    # (a_n/b_n)^p = n^200 leaves binary64 at n = 35
+    with pytest.raises(ValueError, match=r"binary64 range at n = 35"):
+        mu_primal(weighted_mean(build_weights("constant", 100)), 200.0,
+                  BoundParams(200.0, 1.0).lam_p)
 
 
 @pytest.mark.parametrize("check", [

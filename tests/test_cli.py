@@ -96,6 +96,15 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
     (["certify", "--method", "mu-dual", "--weights", "geometric:0.5",
       "--N", "2000", "--p", "2", "--L", "1.0"],
      "geometric:0.5 weights underflow to 0 from n = 1075"),
+    # ((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) underflows to 0 at p = 1.01
+    (["certify", "--method", "mu-dual", "--weights", "constant", "--N", "100",
+      "--p", "1.01", "--L", "1e-5"],
+     "((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) leaves the binary64 range at n = 1"),
+    # R_n^2 is about 4^n for geometric:0.5
+    (["certify", "--method", "mu-primal", "--weights", "geometric:0.5",
+      "--N", "1000", "--p", "2", "--L", "1.99"],
+     "(a_n/b_n)^p or (a_(n-1)/b_n)^(p/(p-1)) leaves the binary64 range "
+     "at n = 512"),
 ])
 def test_out_of_range_inputs_are_domain_errors(argv, message, capsys):
     assert run(argv) == 2

@@ -1,5 +1,6 @@
 """Reversed averaging inequality for exponents below one."""
 
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from lpcert import (bracket_threshold, certify_direct, certify_report,
                     dual_feasible, hlp_constant, mu_direct, probe_dual,
                     probe_primal, search_c, shift_gap, threshold_margin)
-from lpcert import mu_dual_hlp
+from lpcert import hlp, mu_dual_hlp
+from lpcert._num import PASS_RTOL
 
 
 def test_constant_closed_forms():
@@ -169,3 +171,113 @@ def test_certify_report_shapes():
     assert rs["n0"] == 5
     with pytest.raises(ValueError):
         certify_report(0.35, "unknown")
+
+
+# ----------------------------------------------------------------------
+# Early stop of the n0 searches
+
+
+def _full_direct(p, n0_max):
+    """certify_direct as a scan of the whole trace up to n0_max."""
+    trace = mu_direct(p, n0_max)
+    a, b = hlp.direct_floor(p)
+    n = np.arange(1, trace.mu.shape[0] + 1, dtype=np.float64)
+    floors = a * n + b
+    slack = trace.mu - floors
+    scales = np.maximum(np.abs(trace.mu), np.abs(floors))
+    idx = np.flatnonzero(slack >= -PASS_RTOL * np.maximum(scales, 1.0))
+    if idx.size == 0:
+        return None, float(np.max(slack))
+    return int(idx[0]) + 1, float(slack[idx[0]])
+
+
+def _full_search_c(p, n0_max):
+    """search_c as a scan of the whole dual trace up to n0_max:
+    (n0, c_max, c_min, margins) or None."""
+    mu = mu_dual_hlp(p, n0_max).mu
+    slope = (1.0 / p - 1.0) ** (1.0 / (p - 1.0))
+    for n0 in range(1, mu.shape[0] + 1):
+        if n0 >= 2 and not (mu[n0 - 1] > 0.0):
+            break
+        c_max = float(mu[n0 - 1]) / slope - n0
+        lower = max(-1.0 / (2.0 * p), -float(n0))
+        if not (c_max > lower) or shift_gap(1.0 / n0, p, c_max) < 0.0:
+            continue
+        lo, hi = lower, c_max
+        if shift_gap(1.0 / n0, p, lower + 1e-12 * max(1.0, abs(lower))) >= 0.0:
+            c_min = lower
+        else:
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if shift_gap(1.0 / n0, p, mid) >= 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            c_min = hi
+        return n0, c_max, c_min, dual_feasible(p, n0, c_max).margins
+    return None
+
+
+def _full_trace_report(p, method, n0_max):
+    """certify_report's dict built from the full-trace searches."""
+    if method == "direct":
+        n0, margin = _full_direct(p, n0_max)
+        return {"p": p, "certified": n0 is not None, "n0": n0, "c": None,
+                "method": "direct", "margins": [margin], "N_max": n0_max}
+    found = _full_search_c(p, n0_max)
+    return {"p": p, "certified": found is not None,
+            "n0": found[0] if found else None,
+            "c": found[1] if found else None, "method": "dual-shift",
+            "margins": list(found[3]) if found else [], "N_max": n0_max}
+
+
+# certified early (n0 = 1..9) and late, past the short prefix (direct
+# and dual n0 = 994 and 1328 at 0.35150664062500003, 1558 and 2081 at
+# 0.3515066528320313), uncertified to the end, and traces that die at n = 1, 7, 536 (p = 0.4)
+# and 5317 (p = 0.39)
+EARLY_STOP_PS = [1.0 / 3.0, 0.34, 0.345, 0.3465, 0.35, 0.351,
+                 0.35150664062500003, 0.3515066528320313, 0.352, 0.355,
+                 0.36, 0.38, 0.385, 0.39, 0.4, 0.45, 0.5, 0.7, 0.99]
+EARLY_STOP_N0_MAX = [1, 2, 3, 4, 5, 7, 535, 536, 537, 1023, 1024, 1025,
+                     5317, 5318, 20_000]
+
+
+@pytest.mark.parametrize("p", EARLY_STOP_PS)
+def test_early_stop_reports_equal_full_trace_scans(p):
+    for n0_max in EARLY_STOP_N0_MAX:
+        for method in ("direct", "dual-shift"):
+            assert (json.dumps(certify_report(p, method, n0_max), sort_keys=True)
+                    == json.dumps(_full_trace_report(p, method, n0_max),
+                                  sort_keys=True)), (method, n0_max)
+        found, ref = search_c(p, n0_max), _full_search_c(p, n0_max)
+        assert found.feasible == (ref is not None)
+        if ref is not None:
+            assert (found.n0, found.c_max, found.c_min, found.margins) == ref
+
+
+@pytest.mark.parametrize("p", [1.0 / 3.0, 0.35, 0.355, 0.39, 0.4])
+@pytest.mark.parametrize("trace", [mu_direct, mu_dual_hlp])
+def test_hlp_traces_are_prefixes_of_longer_ones(p, trace):
+    full = trace(p, 6000).mu
+    for k in (1, 2, 5, 536, 1024, 5317, 6000):
+        assert trace(p, k).mu.tobytes() == full[:k].tobytes()
+
+
+def test_certified_searches_stop_early(monkeypatch):
+    steps = []
+
+    def counted(fn):
+        def wrapper(p, N):
+            steps.append(N)
+            return fn(p, N)
+        return wrapper
+
+    monkeypatch.setattr(hlp, "mu_direct", counted(hlp.mu_direct))
+    monkeypatch.setattr(hlp, "mu_dual", counted(hlp.mu_dual))
+    assert certify_direct(0.35, 10**6).n0 == 4
+    assert search_c(0.345, 10**6).n0 == 3
+    assert sum(steps) <= 5000
+    # an uncertified search still reads the whole trace
+    steps.clear()
+    assert not certify_direct(0.355, 20_000).certified
+    assert max(steps) == 20_000

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpcert import build_weights, comp_cumsum, load_weight_file, averages
+from lpcert import build_weights, cli, comp_cumsum, load_weight_file, averages
 
 finite_weights = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False,
@@ -148,6 +148,20 @@ def test_underflowing_geometric_weights_name_the_index():
                              "n = 1075"):
         build_weights("geometric", 2000, ratio=0.5)
     assert build_weights("geometric", 1074, ratio=0.5).values[-1] > 0.0
+
+
+def test_overflowing_geometric_weights_name_the_index(capsys):
+    # 2^1024 is above the largest finite double; no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="geometric:2 weights overflow from "
+                                 "n = 1024; lower N"):
+            build_weights("geometric", 2000, ratio=2.0)
+    assert cli.main(["certify", "--method", "mu-dual", "--weights",
+                     "geometric:2", "--N", "2000", "--p", "2", "--L", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: geometric:2 weights overflow from n = 1024; lower N\n"
 
 
 def test_comp_cumsum_beats_naive_on_adversarial_input():
