@@ -139,12 +139,8 @@ class DirectCertificate:
 def certify_direct(p: float, n0_max: int = N_MAX_DEFAULT) -> DirectCertificate:
     """Smallest n0 <= n0_max with mu_{n0} >= a n0 + b (tolerant of exact
     equality); margin is the raw slack at that n0, or the largest slack
-    over the evaluated trace when no n0 qualifies.
-
-    The trace is evaluated only as far as the answer needs: a short prefix
-    first, the full n0_max only when that prefix neither certifies nor
-    dies.  mu_direct(p, k) is mu_direct(p, N) cut at k bit for bit, so the
-    result equals a scan of the full trace.
+    over the evaluated trace when no n0 qualifies.  The trace stops early
+    as the module docstring describes; the result is a full scan's.
     """
     head = min(n0_max, _PREFIX)
     cert = _floor_scan(p, mu_direct(p, head), n0_max)
@@ -334,9 +330,8 @@ def search_c(p: float, n0_max: int = 10_000) -> ShiftSearch:
     the bisected lower end of the feasible interval (bounded below by
     the strict -1/(2p) and the domain bound -n0).
 
-    Like certify_direct, the scan runs on a short prefix of the trace
-    first and on the full n0_max only when that prefix settles nothing;
-    the result equals a scan of the full trace.
+    The trace stops early as the module docstring describes; the result
+    is a full scan's.
     """
     head = min(n0_max, _PREFIX)
     trace = mu_dual(p, head)
