@@ -8,7 +8,13 @@ HLP n0 searches at N = 1e3, 1e5 and 1e6: `mu_primal` and
 (both traces pass), `hlp.certify_direct` at p = 0.35 (certified at
 n0 = 4) and 0.355 (uncertified, the whole trace), and `hlp.search_c` at
 p = 0.345 (feasible at n0 = 3) and 0.355 (infeasible), each with
-n0_max = N.  Run from the repository root:
+n0_max = N.  The random-trial batches run at N = 1e3, 2e4 and 1e5 with
+300 trials on lam_n = n^0.8 weights at p = 2: `check_copson_branch`
+(copson_prefix, c at 60% of the admissible range), `check_bge`
+(alpha = 0.85) and `strengthened_trials` (the dual case); `hlp
+dual-probe` runs through the CLI entry point at p = 0.31 with 1000
+trials of N = 256 (the large-n call) and with 300 trials at the same N
+as the others.  Run from the repository root:
 
     PYTHONPATH=src python -m pytest bench/test_layers.py \\
         --benchmark-json=OUT.json
@@ -18,17 +24,23 @@ median and IQR of the rounds.  `BENCH_<n>.json` files at the root keep
 such runs of a change and of its parent side by side.
 """
 
+import os
+
 import numpy as np
 import pytest
 
-from lpcert import (BoundParams, build_weights, certify_direct, comp_cumsum,
-                    mu_dual, mu_primal, search_c, weighted_mean)
+from lpcert import (BoundParams, StrengthenedCase, build_weights,
+                    certify_direct, check_bge, check_copson_branch, cli,
+                    comp_cumsum, copson_threshold, mu_dual, mu_primal,
+                    search_c, strengthened_trials, weighted_mean)
 
 # Fewer rounds at large N keep a run of the sequential loop this
 # replaced (about 5 s per sum at N = 1e7) within a few minutes.
 ROUNDS = {10**3: 200, 10**5: 20, 10**6: 7, 10**7: 5}
 # The recurrences and searches take up to a few seconds at N = 1e6.
 TRACE_ROUNDS = {10**3: 50, 10**5: 10, 10**6: 5}
+# Trial batches of 300 rows; at N = 1e5 an unblocked batch holds 1.7 GB.
+TRIAL_ROUNDS = {10**3: 30, 2 * 10**4: 10, 10**5: 3}
 
 
 @pytest.mark.parametrize("N", sorted(ROUNDS))
@@ -73,3 +85,28 @@ def test_search_c(benchmark, p, N):
     found = benchmark.pedantic(search_c, args=(p, N),
                                rounds=TRACE_ROUNDS[N], warmup_rounds=1)
     assert found.feasible == (p == 0.345)
+
+
+@pytest.mark.parametrize("N", sorted(TRIAL_ROUNDS))
+@pytest.mark.parametrize("kind", ["branch", "bge", "strengthened"])
+def test_trials(benchmark, kind, N):
+    w = build_weights("power", N, exponent=0.8)
+    c = 1.0 + 0.6 * (copson_threshold(2.0) - 1.0)
+    fn = {"branch": lambda: check_copson_branch(w, 2.0, c, "copson_prefix",
+                                                trials=300, seed=1),
+          "bge": lambda: check_bge(w, 2.0, 0.85, trials=300, seed=1),
+          "strengthened": lambda: strengthened_trials(
+              StrengthenedCase(kind="dual", p=2.0), w, trials=300, seed=1)}
+    rep = benchmark.pedantic(fn[kind], rounds=TRIAL_ROUNDS[N],
+                             warmup_rounds=1)
+    assert rep.passed and rep.trials == 300
+
+
+@pytest.mark.parametrize("N,trials", [(256, 1000)] + [
+    (N, 300) for N in sorted(TRIAL_ROUNDS)])
+def test_dual_probe(benchmark, N, trials):
+    argv = ["hlp", "dual-probe", "--p", "0.31", "--N", str(N), "--trials",
+            str(trials), "--seed", "1", "--out", os.devnull]
+    rc = benchmark.pedantic(cli.main, args=(argv,),
+                            rounds=TRIAL_ROUNDS.get(N, 30), warmup_rounds=1)
+    assert rc == 0

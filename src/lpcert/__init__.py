@@ -38,8 +38,8 @@ from .factorable import (FactorableSpec, bge_matrix, cesaro, copson_matrix,
 from .hlp import (DirectCertificate, DualFeasibility, ShiftSearch,
                   bracket_threshold, certify_direct, certify_report,
                   direct_floor, direct_floor_margin, dual_feasible,
-                  hlp_constant, mu_direct, probe_dual, probe_primal, search_c,
-                  shift_gap, threshold_margin)
+                  hlp_constant, mu_direct, probe_dual, probe_dual_trials,
+                  probe_primal, search_c, shift_gap, threshold_margin)
 from .hlp import mu_dual as mu_dual_hlp
 from .norm_probe import NormEstimate, power_lower_bound, ratio_at
 from .sequences import (AveragesBundle, WeightSequence, averages,
@@ -75,7 +75,7 @@ __all__ = [
     "certify_direct", "direct_floor_margin", "threshold_margin",
     "bracket_threshold", "mu_dual_hlp", "shift_gap", "DualFeasibility",
     "dual_feasible", "ShiftSearch", "search_c", "probe_primal", "probe_dual",
-    "certify_report",
+    "probe_dual_trials", "certify_report",
     "builtin_corpus", "comparability_pair", "weights_from_ratios",
     "__version__",
 ]

@@ -11,14 +11,18 @@ Fast2Sum of a total and its predecessor, with the loop's own branch on
 the larger magnitude; and the loop's compensation is the in-order sum of
 those errors, a second `np.cumsum`.  (Only a leading -0.0 total differs,
 as the loop starts from +0.0; adding the +0.0 compensation erases it.)
-Fractional powers of positive scalars go through exp(e*log(b)) with an
-explicit domain check rather than relying on libm pow edge cases.
+
+Random trials all go through trial_rows: seeded rows drawn a block of
+about 2^17 entries at a time and evaluated on a thread pool.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -55,15 +59,6 @@ def suffix_sums(values) -> np.ndarray:
     return np.cumsum(arr[..., ::-1], axis=-1)[..., ::-1]
 
 
-def fpow(base: float, expo: float) -> float:
-    """base**expo for base > 0 via exp/log; raises on a nonpositive base."""
-    if base <= 0.0:
-        if base == 0.0 and expo > 0.0:
-            return 0.0
-        raise ValueError(f"fractional power needs a positive base, got {base!r}")
-    return math.exp(expo * math.log(base))
-
-
 def margin_ok(margin: float, scale: float, rtol: float = PASS_RTOL) -> bool:
     """Pass test for `margin >= 0` with relative slack against `scale`."""
     if not math.isfinite(margin):
@@ -91,3 +86,50 @@ def thread_count() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+# Entries per trial block: 2^17 float64, so each temporary is 1 MiB.
+_BLOCK_ELEMS = 2 ** 17
+
+# A trial draw (low, high, transform): the rows are transform(u) for u
+# drawn from rng.uniform(low, high); transform may overwrite u.  This
+# one gives log-uniform entries 10**u in [1e-3, 1e3].
+POW10_UNIFORM = (-3.0, 3.0, lambda u: np.power(10.0, u, out=u))
+
+
+def trial_rows(N: int, trials: int, seed: int, evaluate,
+               draw=POW10_UNIFORM) -> np.ndarray:
+    """evaluate over `trials` seeded random rows of length N, in row order.
+
+    The rows are one default_rng(seed) stream, drawn on the calling
+    thread max(1, 2^17 // N) rows at a time: m rows of N drawn at once
+    are the same numbers as m draws of one row.  The blocks are
+    transformed and evaluated on a pool of thread_count() workers, with
+    at most two blocks per worker in flight, so memory stays near a few
+    MiB per worker whatever `trials` is.  evaluate must treat each row on
+    its own (cumsum along the last axis, sums along the last axis,
+    elementwise powers); its per-row results are then the same for any
+    block size or thread count.  The workers run under the caller's
+    np.errstate.  The results of the blocks are concatenated along their
+    first axis; no trials give an empty array.
+    """
+    low, high, transform = draw
+    rng = np.random.default_rng(seed)
+    rows = max(1, _BLOCK_ELEMS // max(N, 1))
+    workers = thread_count()
+    done: list[np.ndarray] = []
+    pending: deque = deque()
+
+    def block(U):
+        return evaluate(transform(U))
+
+    with ThreadPoolExecutor(workers) as pool:
+        for start in range(0, trials, rows):
+            U = rng.uniform(low, high, size=(min(rows, trials - start), N))
+            # a copy of the caller's context carries its np.errstate
+            pending.append(pool.submit(contextvars.copy_context().run,
+                                       block, U))
+            if len(pending) == 2 * workers:
+                done.append(pending.popleft().result())
+        done.extend(f.result() for f in pending)
+    return np.concatenate(done) if done else np.empty(0)

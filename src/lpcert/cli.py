@@ -17,7 +17,8 @@ keys and no timestamps, CSV uses the fixed column set
 and repeated runs with the same configuration produce byte-identical
 output.  Exit codes: 0 pass/success, 1 certificate failure (a valid
 negative outcome), 2 usage or domain error.  The THREADS environment
-variable caps the corpus-comparison thread pool.
+variable caps the corpus-comparison thread pool and the pool that
+evaluates random-trial blocks.
 """
 
 from __future__ import annotations
@@ -357,11 +358,7 @@ def cmd_hlp(args) -> tuple[dict, bool | None]:
                  "N": args.N, "ratio": ratio, "constant": floor,
                  "pass": ok}, ok)
     if args.hlp_cmd == "dual-probe":
-        rng = np.random.default_rng(args.seed)
-        worst = -np.inf
-        for _ in range(args.trials):
-            x = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=args.N))
-            worst = max(worst, hlp.probe_dual(args.p, x))
+        worst = hlp.probe_dual_trials(args.p, args.N, args.trials, args.seed)
         ok = worst <= 1.0 + 1e-10
         return ({"method": "probe-dual", "p": args.p, "N": args.N,
                  "trials": args.trials, "max_ratio": worst, "pass": ok}, ok)

@@ -44,20 +44,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import first_bad, margin_ok, suffix_sums
+from ._num import first_bad, margin_ok, suffix_sums, trial_rows
 from .certificates import (MuTrace, _binary64_pow, _mu_dual_ratios, mu_dual,
                            mu_primal)
 from .factorable import bge_matrix, bge_steps
-from .sequences import WeightSequence, build_weights
+from .sequences import WeightSequence, averaged, build_weights
 
 RATIO_TOL = 1e-10  # LHS/RHS ratios above 1 + RATIO_TOL are violations
 
 BRANCHES = ("copson_prefix", "copson_tail", "leindler_prefix", "leindler_tail")
 
-_PREFIX_INNER = {"copson_prefix": True, "copson_tail": False,
-                 "leindler_prefix": True, "leindler_tail": False}
-_PREFIX_WEIGHT = {"copson_prefix": True, "copson_tail": True,
-                  "leindler_prefix": False, "leindler_tail": False}
+# (sum direction, partials) of each branch's inner average: copson
+# branches average against the prefix partials (so copson_tail divides a
+# tail sum by Lam_n), leindler branches against the tail partials (so
+# leindler_prefix divides a prefix sum by Lam*_n).
+_BRANCH_SUMS = {"copson_prefix": ("prefix", "partials"),
+                "copson_tail": ("suffix", "partials"),
+                "leindler_prefix": ("prefix", "tails"),
+                "leindler_tail": ("suffix", "tails")}
 _NEEDS_C_ABOVE_1 = {"copson_prefix": True, "copson_tail": False,
                     "leindler_prefix": False, "leindler_tail": True}
 
@@ -238,54 +242,44 @@ def branch_parts(w: WeightSequence, X: np.ndarray, branch: str, p: float,
     inner[j, n] is the branch's averaged quantity for trial row j, and
     u_n = lam_n Lam_n^(p-c) or lam_n Lam*_n^(p-c) as the branch demands.
     """
-    lam = w.values
-    # copson branches average against the prefix partials (so copson_tail
-    # divides a tail sum by Lam_n); leindler branches against the tail
-    # partials (so leindler_prefix divides a prefix sum by Lam*_n).
-    base = w.partials if _PREFIX_WEIGHT[branch] else w.tails
-    xl = X * lam
-    if _PREFIX_INNER[branch]:
-        sums = np.cumsum(xl, axis=-1)
-    else:
-        sums = suffix_sums(xl)
-    inner = sums / base
-    u = lam * base ** (p - c)
-    return inner, u
+    direction, base = _BRANCH_SUMS[branch]
+    return averaged(w, X, direction, base), _branch_weights(w, branch, p, c)
 
 
-def _branch_ratios(w: WeightSequence, X: np.ndarray, branch: str, p: float,
-                   c: float) -> np.ndarray:
-    """Per-trial LHS/RHS ratios of the p-th power branch inequality."""
-    K = branch_constant(branch, p, c)
-    X = X / np.max(X, axis=-1, keepdims=True)
-    inner, u = branch_parts(w, X, branch, p, c)
-    lhs = np.sum(u * inner ** p, axis=-1)
-    rhs = K ** p * np.sum(u * X ** p, axis=-1)
-    return lhs / rhs
+def _branch_weights(w: WeightSequence, branch: str, p: float,
+                    c: float) -> np.ndarray:
+    """u_n = lam_n B_n^(p-c), B the partials the branch averages against."""
+    return w.values * getattr(w, _BRANCH_SUMS[branch][1]) ** (p - c)
+
+
+def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
+    """Per-trial LHS/RHS ratios of the p-th power branch inequality, as a
+    function of the trial rows (which it rescales in place); K^p and u
+    are formed once."""
+    Kp = branch_constant(branch, p, c) ** p  # validates branch and c
+    direction, base = _BRANCH_SUMS[branch]
+    u = _branch_weights(w, branch, p, c)
+
+    def ratios(X):
+        X /= np.max(X, axis=-1, keepdims=True)
+        lhs = np.sum(u * averaged(w, X, direction, base) ** p, axis=-1)
+        return lhs / (Kp * np.sum(u * X ** p, axis=-1))
+
+    return ratios
 
 
 def _trial_report(w: WeightSequence, branch: str, p: float,
                   c_or_alpha: float, trials: int, seed: int,
                   ratios_of) -> BranchReport:
-    """Max of ratios_of(X) over seeded trial rows, log-uniform entries in
-    [1e-3, 1e3], drawn and evaluated in chunks of about 2e6 entries."""
-    rng = np.random.default_rng(seed)
-    chunk = max(1, int(2_000_000 // max(w.N, 1)))
-    best = -math.inf
-    best_trial = 0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        X = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, w.N))
-        ratios = ratios_of(X)
-        j = int(np.argmax(ratios))
-        if float(ratios[j]) > best:
-            best = float(ratios[j])
-            best_trial = done + j + 1
-        done += m
+    """Max of ratios_of over seeded trial rows with log-uniform entries
+    in [1e-3, 1e3], drawn and evaluated a block at a time by trial_rows;
+    argmin is the first row attaining it."""
+    ratios = trial_rows(w.N, trials, seed, ratios_of)
+    j = int(np.argmax(ratios))
+    best = float(ratios[j])
     return BranchReport(branch=branch, p=p, c_or_alpha=c_or_alpha, N=w.N,
                         trials=trials, max_ratio=best,
-                        min_margin=1.0 - best, argmin=best_trial,
+                        min_margin=1.0 - best, argmin=j + 1,
                         passed=best <= 1.0 + RATIO_TOL)
 
 
@@ -298,9 +292,8 @@ def check_copson_branch(w: WeightSequence, p: float, c: float, branch: str,
         raise ValueError("need p > 1")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    branch_constant(branch, p, c)  # validates branch and c domain
     return _trial_report(w, branch, p, c, trials, seed,
-                         lambda X: _branch_ratios(w, X, branch, p, c))
+                         _branch_ratios(w, branch, p, c))
 
 
 def near_extremal_ratio(p: float, c: float, N: int,
@@ -314,7 +307,7 @@ def near_extremal_ratio(p: float, c: float, N: int,
     w = build_weights("constant", N)
     n = np.arange(1, N + 1, dtype=np.float64)
     x = n ** (-1.0 / p - offset)
-    return float(_branch_ratios(w, x[None, :], "copson_prefix", p, c)[0])
+    return float(_branch_ratios(w, "copson_prefix", p, c)(x[None, :])[0])
 
 
 def near_extremal_schedule(p: float, c: float, n_start: int = 64,
@@ -370,12 +363,12 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
     lam = w.values
     K = (alpha * p + 1.0) ** p
     wa = w.partials ** alpha
+    lwa = lam * wa ** p
 
     def ratios(X):
         X /= np.max(X, axis=-1, keepdims=True)
         lhs = np.sum(lam * suffix_sums(wa * X) ** p, axis=-1)
-        rhs = K * np.sum(lam * wa ** p * suffix_sums(X) ** p, axis=-1)
-        return lhs / rhs
+        return lhs / (K * np.sum(lwa * suffix_sums(X) ** p, axis=-1))
 
     return _trial_report(w, "bge", p, alpha, trials, seed, ratios)
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import PASS_RTOL, first_bad, margin_ok, suffix_sums
+from ._num import PASS_RTOL, first_bad, margin_ok, suffix_sums, trial_rows
 from .certificates import MuTrace
 
 N_MAX_DEFAULT = 100_000
@@ -343,15 +343,17 @@ def search_c(p: float, n0_max: int = 10_000) -> ShiftSearch:
 
 def _shift_scan(p: float, trace: MuTrace, n0_max: int) -> ShiftSearch:
     """The first n0 of the dual trace at which (n0, c_max) is feasible."""
-    k = trace.mu.shape[0]
+    mu = trace.mu
+    # the scan ends before the first n0 >= 2 with mu_{n0} <= 0 (or NaN)
+    dead = np.flatnonzero(~(mu[1:] > 0.0))
+    k = int(dead[0]) + 1 if dead.size else mu.shape[0]
     slope = (1.0 / p - 1.0) ** (1.0 / (p - 1.0))
-    for n0 in range(1, k + 1):
-        if n0 >= 2 and not (trace.mu[n0 - 1] > 0.0):
-            break
-        c_max = float(trace.mu[n0 - 1]) / slope - n0
-        lower = max(-1.0 / (2.0 * p), -float(n0))
-        if not (c_max > lower):
-            continue
+    n = np.arange(1, k + 1, dtype=np.float64)
+    c_maxes = mu[:k] / slope - n
+    lowers = np.maximum(-1.0 / (2.0 * p), -n)
+    # only n0 with c_max > lower go on to the scalar shift-gap checks
+    for i in np.flatnonzero(c_maxes > lowers):
+        n0, c_max, lower = int(i) + 1, float(c_maxes[i]), float(lowers[i])
         if shift_gap(1.0 / n0, p, c_max) < 0.0:
             continue
         lo, hi = lower, c_max
@@ -399,6 +401,20 @@ def probe_primal(p: float, s: float, N: int) -> float:
     return float(np.sum(inner ** p) / np.sum(x ** p))
 
 
+def _dual_ratios(p: float, X: np.ndarray) -> np.ndarray:
+    """probe_dual's ratio for each row of X, which it rescales in place."""
+    if not (0.0 < p < 1.0):
+        raise ValueError("need 0 < p < 1")
+    if X.shape[-1] == 0 or not np.all(X > 0.0) or not np.all(np.isfinite(X)):
+        raise ValueError("x must be a nonempty positive finite vector")
+    X /= np.max(X, axis=-1, keepdims=True)
+    q = p / (p - 1.0)
+    n = np.arange(1, X.shape[-1] + 1, dtype=np.float64)
+    y = np.cumsum(X / n, axis=-1)
+    lhs = np.sum(y ** q, axis=-1)
+    return lhs / ((p / (1.0 - p)) ** q * np.sum(X ** q, axis=-1))
+
+
 def probe_dual(p: float, x) -> float:
     """LHS/RHS ratio of the dual inequality on one positive vector.
 
@@ -406,18 +422,25 @@ def probe_dual(p: float, x) -> float:
     rescaled by their maximum first (the ratio is scale invariant) to
     keep negative powers of partial sums in range.
     """
-    if not (0.0 < p < 1.0):
-        raise ValueError("need 0 < p < 1")
-    arr = np.asarray(x, dtype=np.float64).reshape(-1)
-    if arr.size == 0 or not np.all(arr > 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("x must be a nonempty positive finite vector")
-    arr = arr / np.max(arr)
-    q = p / (p - 1.0)
-    n = np.arange(1, arr.shape[0] + 1, dtype=np.float64)
-    y = np.cumsum(arr / n)
-    lhs = np.sum(y ** q)
-    rhs = (p / (1.0 - p)) ** q * np.sum(arr ** q)
-    return float(lhs / rhs)
+    X = np.array(x, dtype=np.float64).reshape(1, -1)
+    return float(_dual_ratios(p, X)[0])
+
+
+# log-uniform entries exp(u) in [1e-3, 1e3], u uniform in log space
+_EXP_UNIFORM = (np.log(1e-3), np.log(1e3), lambda u: np.exp(u, out=u))
+
+
+def probe_dual_trials(p: float, N: int, trials: int, seed: int = 0) -> float:
+    """Largest probe_dual ratio over `trials` seeded positive vectors of
+    length N with log-uniform entries in [1e-3, 1e3], or -inf for none.
+
+    The vectors are one default_rng(seed) stream, evaluated a block at a
+    time by trial_rows; as in a loop of max(worst, probe_dual(p, x)), a
+    NaN ratio never becomes the maximum.
+    """
+    ratios = trial_rows(N, trials, seed, lambda X: _dual_ratios(p, X),
+                        draw=_EXP_UNIFORM)
+    return float(np.fmax.reduce(ratios, initial=-np.inf))
 
 
 def certify_report(p: float, method: str = "direct",
@@ -442,5 +465,5 @@ __all__ = [
     "DirectCertificate", "certify_direct", "direct_floor_margin",
     "threshold_margin", "bracket_threshold", "mu_dual", "shift_gap",
     "DualFeasibility", "dual_feasible", "ShiftSearch", "search_c",
-    "probe_primal", "probe_dual", "certify_report",
+    "probe_primal", "probe_dual", "probe_dual_trials", "certify_report",
 ]

@@ -11,7 +11,10 @@ x are used throughout the package:
     dual_tail[n]   = lam_n * sum_{k<=n} x_k / Lam*_k
 
 All tail sums are truncated at N; there is no extrapolation.  Partial sums
-of the weights use compensated summation (see _num.comp_cumsum).
+of the weights use compensated summation (see _num.comp_cumsum).  Every
+averaged transform in the package, these four and the crossed ones of the
+Copson and Leindler branches, is one call of `averaged`, row-wise over a
+batch of input vectors.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import comp_cumsum
+from ._num import comp_cumsum, suffix_sums
 
 WEIGHT_KINDS = ("constant", "power", "geometric", "explicit")
 
@@ -67,6 +70,10 @@ def _finish(kind: str, lam: np.ndarray, label: str) -> WeightSequence:
     if np.any(lam <= 0.0):
         raise ValueError("weights must be positive")
     partials = comp_cumsum(lam)
+    idx = np.flatnonzero(~np.isfinite(partials))
+    if idx.size:
+        raise ValueError(f"{label} partial sums overflow from n = "
+                         f"{idx[0] + 1}; lower N")
     tails = comp_cumsum(lam[::-1])[::-1]
     return WeightSequence(kind=kind, values=lam, partials=partials,
                           tails=tails, label=label)
@@ -151,6 +158,22 @@ class AveragesBundle:
     dual_tail: np.ndarray
 
 
+def averaged(w: WeightSequence, X, direction: str, base: str,
+             dual: bool = False) -> np.ndarray:
+    """One averaged transform of x, row-wise along the last axis of X.
+
+    direction "prefix" sums over k <= n and "suffix" over k >= n
+    (truncated at N); base "partials" is B = Lam and "tails" is B = Lam*.
+    The mean form is (1/B_n) sum lam_k x_k, the dual form
+    lam_n sum x_k / B_k.
+    """
+    lam, B = w.values, getattr(w, base)
+    summed = X / B if dual else X * lam
+    sums = suffix_sums(summed) if direction == "suffix" else np.cumsum(
+        summed, axis=-1)
+    return lam * sums if dual else sums / B
+
+
 def averages(w: WeightSequence, x) -> AveragesBundle:
     """Compute all four averaged transforms of x against w (O(N) each)."""
     x = np.asarray(x, dtype=np.float64)
@@ -158,11 +181,8 @@ def averages(w: WeightSequence, x) -> AveragesBundle:
         raise ValueError(f"x must have shape ({w.N},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    lam = w.values
-    lx = lam * x
-    prefix_mean = np.cumsum(lx) / w.partials
-    tail_mean = np.cumsum(lx[::-1])[::-1] / w.tails
-    dual_prefix = lam * np.cumsum((x / w.partials)[::-1])[::-1]
-    dual_tail = lam * np.cumsum(x / w.tails)
-    return AveragesBundle(x=x, prefix_mean=prefix_mean, tail_mean=tail_mean,
-                          dual_prefix=dual_prefix, dual_tail=dual_tail)
+    return AveragesBundle(
+        x=x, prefix_mean=averaged(w, x, "prefix", "partials"),
+        tail_mean=averaged(w, x, "suffix", "tails"),
+        dual_prefix=averaged(w, x, "suffix", "partials", dual=True),
+        dual_tail=averaged(w, x, "prefix", "tails", dual=True))

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import first_bad, margin_ok, suffix_sums
+from ._num import first_bad, margin_ok, trial_rows
 from .certificates import cartlidge_constant
-from .copson import RATIO_TOL, branch_parts
-from .sequences import WeightSequence
+from .copson import _BRANCH_SUMS, RATIO_TOL, _branch_weights
+from .sequences import WeightSequence, averaged
 
 KINDS = ("cartlidge", "cartlidge_tail", "dual", "dual_tail",
          "copson_prefix", "copson_tail", "leindler_prefix", "leindler_tail")
@@ -48,6 +48,13 @@ _COPSON_KINDS = ("copson_prefix", "copson_tail", "leindler_prefix",
                  "leindler_tail")
 
 MU_CHOICES = ("cartlidge", "copson", "leindler", "dual")
+
+# (sum direction, partials, dual form) of each kind's inner transform
+_CASE_SUMS = {"cartlidge": ("prefix", "partials", False),
+              "cartlidge_tail": ("suffix", "tails", False),
+              "dual": ("suffix", "partials", True),
+              "dual_tail": ("prefix", "tails", True),
+              **{k: (*v, False) for k, v in _BRANCH_SUMS.items()}}
 
 
 def tail_cartlidge_constant(w: WeightSequence) -> float:
@@ -146,53 +153,62 @@ class StrengthenedReport:
                 "argmax": self.argmax, "pass": self.passed, "note": self.note}
 
 
-def _case_parts(case: StrengthenedCase, w: WeightSequence,
-                X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inner transform rows, summation weights u) for the case."""
-    lam, Lam, Lt = w.values, w.partials, w.tails
+def _case_ratios(case: StrengthenedCase, w: WeightSequence):
+    """(L, ratios): ratios(X) gives, per trial row of X, the first-power
+    LHS/RHS ratio and its Holder corollary's as an (m, 2) array.
+
+    L, K, K^p and the summation weights u are formed once; each row is
+    checked to be positive and finite, then rescaled (in place) by its
+    maximum.  The non-Copson kinds sum with u = 1, so they skip it.
+    """
+    p = case.p
+    L = case.effective_L(w)
+    K = case.constant(L)
+    Kp = K ** p
+    direction, base, dual = _CASE_SUMS[case.kind]
     if case.kind in _COPSON_KINDS:
-        return branch_parts(w, X, case.kind, case.p, case.c)
-    ones = np.ones_like(lam)
-    if case.kind == "cartlidge":
-        return np.cumsum(X * lam, axis=-1) / Lam, ones
-    if case.kind == "cartlidge_tail":
-        return suffix_sums(X * lam) / Lt, ones
-    if case.kind == "dual":
-        return lam * suffix_sums(X / Lam), ones
-    return lam * np.cumsum(X / Lt, axis=-1), ones
+        u = _branch_weights(w, case.kind, p, case.c)
+        weigh = (lambda a: u * a)
+    else:
+        weigh = (lambda a: a)
+
+    def ratios(X):
+        if X.shape[-1] != w.N:
+            raise ValueError(f"x has length {X.shape[-1]}, weights have {w.N}")
+        if not np.all(X > 0.0) or not np.all(np.isfinite(X)):
+            raise ValueError("trial vectors must be positive and finite")
+        X /= np.max(X, axis=-1, keepdims=True)
+        inner = averaged(w, X, direction, base, dual)
+        ip = inner ** (p - 1.0)
+        lhs = np.sum(weigh(inner) * ip, axis=-1)
+        first = lhs / (K * np.sum(weigh(X) * ip, axis=-1))
+        corollary = lhs / (Kp * np.sum(weigh(X ** p), axis=-1))
+        return np.stack([first, corollary], axis=-1)
+
+    return L, ratios
+
+
+def _report(case: StrengthenedCase, w: WeightSequence, L: float | None,
+            R: np.ndarray, note: str) -> StrengthenedReport:
+    """The report of per-row (first, corollary) ratios R; argmax is the
+    first row of largest first-power ratio."""
+    j = int(np.argmax(R[:, 0]))
+    max_ratio = float(R[j, 0])
+    cor_max = float(np.max(R[:, 1]))
+    ok = max_ratio <= 1.0 + RATIO_TOL and cor_max <= 1.0 + RATIO_TOL
+    return StrengthenedReport(
+        which=case.kind, p=case.p, c=case.c, L=L, N=w.N, trials=R.shape[0],
+        max_ratio=max_ratio, min_margin=1.0 - max_ratio,
+        corollary_max_ratio=cor_max, argmax=j + 1, passed=ok, note=note)
 
 
 def check_strengthened(case: StrengthenedCase, w: WeightSequence,
                        x) -> StrengthenedReport:
     """Evaluate one positive vector against the case's first-power
     inequality and its p-th power corollary."""
-    X = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return _check_rows(case, w, X, note="single vector")
-
-
-def _check_rows(case: StrengthenedCase, w: WeightSequence, X: np.ndarray,
-                note: str = "") -> StrengthenedReport:
-    if X.shape[-1] != w.N:
-        raise ValueError(f"x has length {X.shape[-1]}, weights have {w.N}")
-    if not np.all(X > 0.0) or not np.all(np.isfinite(X)):
-        raise ValueError("trial vectors must be positive and finite")
-    p = case.p
-    L = case.effective_L(w)
-    K = case.constant(L)
-    X = X / np.max(X, axis=-1, keepdims=True)
-    inner, u = _case_parts(case, w, X)
-    ip = inner ** (p - 1.0)
-    lhs = np.sum(u * inner * ip, axis=-1)
-    first = lhs / (K * np.sum(u * X * ip, axis=-1))
-    corollary = lhs / (K ** p * np.sum(u * X ** p, axis=-1))
-    j = int(np.argmax(first))
-    max_ratio = float(first[j])
-    cor_max = float(np.max(corollary))
-    ok = max_ratio <= 1.0 + RATIO_TOL and cor_max <= 1.0 + RATIO_TOL
-    return StrengthenedReport(
-        which=case.kind, p=p, c=case.c, L=L, N=w.N, trials=X.shape[0],
-        max_ratio=max_ratio, min_margin=1.0 - max_ratio,
-        corollary_max_ratio=cor_max, argmax=j + 1, passed=ok, note=note)
+    X = np.array(x, dtype=np.float64).reshape(1, -1)
+    L, ratios = _case_ratios(case, w)
+    return _report(case, w, L, ratios(X), note="single vector")
 
 
 def _deterministic_profiles(N: int) -> np.ndarray:
@@ -206,7 +222,13 @@ def _deterministic_profiles(N: int) -> np.ndarray:
     for s in (0.6, 1.1, 2.0):
         rows.append(n ** (-s))
     rows.append(n ** 0.5)
-    return np.unique(np.stack(rows), axis=0)
+    # the distinct rows in lexicographic order, as np.unique(axis=0) gives
+    # them, without its sort over a structured dtype of N fields
+    keys = [r.tolist() for r in rows]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keep = [i for j, i in enumerate(order)
+            if j == 0 or keys[i] != keys[order[j - 1]]]
+    return np.stack([rows[i] for i in keep])
 
 
 def strengthened_trials(case: StrengthenedCase, w: WeightSequence,
@@ -215,14 +237,14 @@ def strengthened_trials(case: StrengthenedCase, w: WeightSequence,
     worst (largest) ratios over the whole batch."""
     if trials < 1:
         raise ValueError("need trials >= 1")
+    L, ratios = _case_ratios(case, w)
     det = _deterministic_profiles(w.N)
-    n_rand = max(trials - det.shape[0], 0)
-    blocks = [det[:trials]]
-    if n_rand:
-        rng = np.random.default_rng(seed)
-        blocks.append(10.0 ** rng.uniform(-3.0, 3.0, size=(n_rand, w.N)))
-    X = np.concatenate(blocks, axis=0)
-    return _check_rows(case, w, X, note=f"{det.shape[0]} deterministic profiles")
+    R = ratios(det[:trials])
+    n_rand = trials - det.shape[0]
+    if n_rand > 0:
+        R = np.concatenate([R, trial_rows(w.N, n_rand, seed, ratios)])
+    return _report(case, w, L, R,
+                   note=f"{det.shape[0]} deterministic profiles")
 
 
 # ----------------------------------------------------------------------

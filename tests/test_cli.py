@@ -105,6 +105,10 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
       "--N", "1000", "--p", "2", "--L", "1.99"],
      "(a_n/b_n)^p or (a_(n-1)/b_n)^(p/(p-1)) leaves the binary64 range "
      "at n = 512"),
+    # 2^1023 fits, Lam_1023 = 2^1024 - 2 does not
+    (["certify", "--method", "mu-dual", "--weights", "geometric:2",
+      "--N", "1023", "--p", "2", "--L", "1"],
+     "geometric:2 partial sums overflow from n = 1023; lower N"),
 ])
 def test_out_of_range_inputs_are_domain_errors(argv, message, capsys):
     assert run(argv) == 2

@@ -133,12 +133,18 @@ def test_comp_cumsum_is_bitwise_the_neumaier_loop(vals):
 
 def test_overflowing_partials_emit_no_warning():
     # 2^1023 is finite, but the last partial sums overflow (to nan, as
-    # in the loop: inf plus a compensation of inf - inf)
+    # in the loop: inf plus a compensation of inf - inf); build_weights
+    # names that index instead of returning them
+    lam = 2.0 ** np.arange(1, 1024, dtype=np.float64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = build_weights("geometric", 1023, ratio=2.0)
-    assert not np.isfinite(w.partials[-1])
-    assert w.partials.tobytes() == neumaier_loop(w.values).tobytes()
+        partials = comp_cumsum(lam)
+        with pytest.raises(ValueError,
+                           match="geometric:2 partial sums overflow from "
+                                 "n = 1023; lower N"):
+            build_weights("geometric", 1023, ratio=2.0)
+    assert not np.isfinite(partials[-1])
+    assert partials.tobytes() == neumaier_loop(lam).tobytes()
 
 
 def test_underflowing_geometric_weights_name_the_index():

@@ -1,0 +1,325 @@
+"""The one random-trial evaluator against the unblocked loops it replaced.
+
+`_num.trial_rows` draws every trial batch (Copson branches, the blocked
+tail inequality, strengthened cases, the HLP dual probe) a cache-sized
+block at a time from one seeded stream and evaluates the blocks on a
+thread pool.  The reference functions below are the evaluators it
+replaced, written out again here: each draws its rows in one piece (or
+in chunks of 2e6 entries, as the branch loop did) and evaluates them on
+the calling thread.  Every report must equal the reference bit for bit,
+whatever the block size and the THREADS value.
+"""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lpcert import (BRANCHES, KINDS, StrengthenedCase, build_weights,
+                    check_bge, check_copson_branch, cli, probe_dual_trials,
+                    strengthened_trials)
+from lpcert import _num
+from lpcert.copson import RATIO_TOL, BranchReport, branch_constant
+from lpcert.strengthened import StrengthenedReport, _deterministic_profiles
+
+# ----------------------------------------------------------------------
+# Reference evaluators: whole batches, one thread
+
+
+def ref_suffix(a):
+    return np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
+
+
+def ref_branch_parts(w, X, branch, p, c):
+    lam = w.values
+    base = w.partials if branch.startswith("copson") else w.tails
+    xl = X * lam
+    if branch.endswith("prefix"):
+        sums = np.cumsum(xl, axis=-1)
+    else:
+        sums = ref_suffix(xl)
+    return sums / base, lam * base ** (p - c)
+
+
+def ref_branch_ratios(w, X, branch, p, c):
+    K = branch_constant(branch, p, c)
+    X = X / np.max(X, axis=-1, keepdims=True)
+    inner, u = ref_branch_parts(w, X, branch, p, c)
+    lhs = np.sum(u * inner ** p, axis=-1)
+    rhs = K ** p * np.sum(u * X ** p, axis=-1)
+    return lhs / rhs
+
+
+def ref_trial_report(w, branch, p, c_or_alpha, trials, seed, ratios_of):
+    rng = np.random.default_rng(seed)
+    chunk = max(1, int(2_000_000 // max(w.N, 1)))
+    best, best_trial, done = -math.inf, 0, 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        X = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, w.N))
+        ratios = ratios_of(X)
+        j = int(np.argmax(ratios))
+        if float(ratios[j]) > best:
+            best = float(ratios[j])
+            best_trial = done + j + 1
+        done += m
+    return BranchReport(branch=branch, p=p, c_or_alpha=c_or_alpha, N=w.N,
+                        trials=trials, max_ratio=best,
+                        min_margin=1.0 - best, argmin=best_trial,
+                        passed=best <= 1.0 + RATIO_TOL)
+
+
+def ref_check_copson_branch(w, p, c, branch, trials, seed):
+    branch_constant(branch, p, c)
+    return ref_trial_report(w, branch, p, c, trials, seed,
+                            lambda X: ref_branch_ratios(w, X, branch, p, c))
+
+
+def ref_check_bge(w, p, alpha, trials, seed):
+    lam = w.values
+    K = (alpha * p + 1.0) ** p
+    wa = w.partials ** alpha
+
+    def ratios(X):
+        X /= np.max(X, axis=-1, keepdims=True)
+        lhs = np.sum(lam * ref_suffix(wa * X) ** p, axis=-1)
+        rhs = K * np.sum(lam * wa ** p * ref_suffix(X) ** p, axis=-1)
+        return lhs / rhs
+
+    return ref_trial_report(w, "bge", p, alpha, trials, seed, ratios)
+
+
+def ref_case_parts(case, w, X):
+    lam, Lam, Lt = w.values, w.partials, w.tails
+    if case.kind in BRANCHES:
+        return ref_branch_parts(w, X, case.kind, case.p, case.c)
+    ones = np.ones_like(lam)
+    if case.kind == "cartlidge":
+        return np.cumsum(X * lam, axis=-1) / Lam, ones
+    if case.kind == "cartlidge_tail":
+        return ref_suffix(X * lam) / Lt, ones
+    if case.kind == "dual":
+        return lam * ref_suffix(X / Lam), ones
+    return lam * np.cumsum(X / Lt, axis=-1), ones
+
+
+def ref_strengthened_trials(case, w, trials, seed):
+    det = _deterministic_profiles(w.N)
+    n_rand = max(trials - det.shape[0], 0)
+    blocks = [det[:trials]]
+    if n_rand:
+        rng = np.random.default_rng(seed)
+        blocks.append(10.0 ** rng.uniform(-3.0, 3.0, size=(n_rand, w.N)))
+    X = np.concatenate(blocks, axis=0)
+    p = case.p
+    L = case.effective_L(w)
+    K = case.constant(L)
+    X = X / np.max(X, axis=-1, keepdims=True)
+    inner, u = ref_case_parts(case, w, X)
+    ip = inner ** (p - 1.0)
+    lhs = np.sum(u * inner * ip, axis=-1)
+    first = lhs / (K * np.sum(u * X * ip, axis=-1))
+    corollary = lhs / (K ** p * np.sum(u * X ** p, axis=-1))
+    j = int(np.argmax(first))
+    max_ratio = float(first[j])
+    cor_max = float(np.max(corollary))
+    ok = max_ratio <= 1.0 + RATIO_TOL and cor_max <= 1.0 + RATIO_TOL
+    return StrengthenedReport(
+        which=case.kind, p=p, c=case.c, L=L, N=w.N, trials=X.shape[0],
+        max_ratio=max_ratio, min_margin=1.0 - max_ratio,
+        corollary_max_ratio=cor_max, argmax=j + 1, passed=ok,
+        note=f"{det.shape[0]} deterministic profiles")
+
+
+def ref_probe_dual(p, x):
+    arr = np.asarray(x, dtype=np.float64).reshape(-1)
+    arr = arr / np.max(arr)
+    q = p / (p - 1.0)
+    n = np.arange(1, arr.shape[0] + 1, dtype=np.float64)
+    y = np.cumsum(arr / n)
+    lhs = np.sum(y ** q)
+    rhs = (p / (1.0 - p)) ** q * np.sum(arr ** q)
+    return float(lhs / rhs)
+
+
+def ref_dual_probe(p, N, trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    for _ in range(trials):
+        x = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=N))
+        worst = max(worst, ref_probe_dual(p, x))
+    return worst
+
+
+# ----------------------------------------------------------------------
+# Every path as (library call, reference call) on (weights, trials)
+
+P = 2.5
+C_ABOVE, C_BELOW = 2.0, 0.25
+
+
+def _case(kind):
+    c = {"copson_prefix": C_ABOVE, "leindler_tail": C_ABOVE,
+         "copson_tail": C_BELOW, "leindler_prefix": C_BELOW}.get(kind)
+    return StrengthenedCase(kind=kind, p=P, c=c)
+
+
+def _weights(N):
+    return build_weights("power", N, exponent=0.7)
+
+
+def _dual_probe_stdout(p, N, trials, seed, capsys):
+    assert cli.main(["hlp", "dual-probe", "--p", repr(p), "--N", str(N),
+                     "--trials", str(trials), "--seed", str(seed)]) == 0
+    return capsys.readouterr().out
+
+
+PATHS = ([f"branch:{b}" for b in BRANCHES] + ["bge"]
+         + [f"strengthened:{k}" for k in KINDS] + ["dual-probe"])
+
+
+def _outcome(fn):
+    """to_dict() with floats as hex (so bits are compared), or the error."""
+    try:
+        out = fn()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in out.to_dict().items()}
+
+
+def _pair(path, N, trials, capsys):
+    """(library outcome, reference outcome) of one path."""
+    w = _weights(N)
+    seed = 7 * N + trials
+    if path.startswith("branch:"):
+        b = path.split(":")[1]
+        c = C_ABOVE if b in ("copson_prefix", "leindler_tail") else C_BELOW
+        return (_outcome(lambda: check_copson_branch(w, P, c, b, trials,
+                                                     seed)),
+                _outcome(lambda: ref_check_copson_branch(w, P, c, b, trials,
+                                                         seed)))
+    if path == "bge":
+        return (_outcome(lambda: check_bge(w, P, 0.9, trials, seed)),
+                _outcome(lambda: ref_check_bge(w, P, 0.9, trials, seed)))
+    if path.startswith("strengthened:"):
+        case = _case(path.split(":")[1])
+        return (_outcome(lambda: strengthened_trials(case, w, trials, seed)),
+                _outcome(lambda: ref_strengthened_trials(case, w, trials,
+                                                         seed)))
+    p = 0.31
+    worst = ref_dual_probe(p, N, trials, seed)
+    ref = cli.render_json({"method": "probe-dual", "p": p, "N": N,
+                           "trials": trials, "max_ratio": worst,
+                           "pass": worst <= 1.0 + 1e-10})
+    return _dual_probe_stdout(p, N, trials, seed, capsys), ref
+
+
+@pytest.mark.parametrize("trials", [1, 7, 300])
+@pytest.mark.parametrize("N", [1, 37])
+@pytest.mark.parametrize("path", PATHS)
+def test_reports_equal_the_unblocked_reference(path, N, trials, monkeypatch,
+                                               capsys):
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("THREADS", threads)
+        got, ref = _pair(path, N, trials, capsys)
+        assert got == ref, f"THREADS={threads}"
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_tiny_blocks_keep_row_order(path, monkeypatch, capsys):
+    # two rows per block: 150 blocks for 300 trials, many in flight
+    monkeypatch.setattr(_num, "_BLOCK_ELEMS", 80)
+    monkeypatch.setenv("THREADS", "3")
+    got, ref = _pair(path, 37, 300, capsys)
+    assert got == ref
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+@pytest.mark.parametrize("path", PATHS)
+def test_large_rows_equal_the_reference(path, trials, monkeypatch, capsys):
+    # at N = 2e4 a block holds 6 rows, so 7 trials take two blocks
+    monkeypatch.setenv("THREADS", "2")
+    got, ref = _pair(path, 20_000, trials, capsys)
+    assert got == ref
+
+
+@pytest.mark.parametrize("path", ["branch:copson_prefix", "bge",
+                                  "strengthened:dual",
+                                  "strengthened:copson_tail", "dual-probe"])
+def test_full_batches_equal_the_reference(path, monkeypatch, capsys):
+    # 300 x 2e4, the sweep's batch size: 50 blocks
+    monkeypatch.setenv("THREADS", "3")
+    got, ref = _pair(path, 20_000, 300, capsys)
+    assert got == ref
+
+
+def test_dual_probe_without_trials_reports_minus_infinity(capsys):
+    # no vector is evaluated, so not even p is checked (as in the loop)
+    assert probe_dual_trials(2.0, 30, 0) == -math.inf
+    assert json.loads(_dual_probe_stdout(0.3, 37, 0, 0, capsys))[
+        "max_ratio"] == -math.inf
+
+
+def test_evaluator_errors_reach_the_caller(monkeypatch):
+    monkeypatch.setenv("THREADS", "2")
+    with pytest.raises(ValueError, match="need 0 < p < 1"):
+        probe_dual_trials(2.0, 30, 5000)
+    with pytest.raises(FloatingPointError):
+        with np.errstate(over="raise"):
+            _num.trial_rows(10, 5000, 0, lambda X: X * 1e306)
+
+
+# ----------------------------------------------------------------------
+# Memory of one batch, counted by tracemalloc
+
+
+@pytest.mark.parametrize("name", ["branch", "bge", "strengthened",
+                                  "dual-probe"])
+def test_trial_batch_peak_memory(name, monkeypatch):
+    # at 300 x 2e4 one unblocked temporary is 46 MiB; the unblocked
+    # strengthened batch peaked at 326 MiB
+    monkeypatch.setenv("THREADS", "2")
+    w = _weights(20_000)
+    run = {"branch": lambda: check_copson_branch(w, P, C_ABOVE,
+                                                 "copson_prefix", 300, 1),
+           "bge": lambda: check_bge(w, P, 0.9, 300, 1),
+           "strengthened": lambda: strengthened_trials(_case("dual"), w,
+                                                       300, 1),
+           "dual-probe": lambda: probe_dual_trials(0.31, 20_000, 300, 1)}
+    tracemalloc.start()
+    try:
+        run[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("N", [*range(1, 40), 4097, 20_000])
+def test_deterministic_profiles_are_np_unique_rows(N):
+    # strengthened reports index into these rows, so their order is
+    # np.unique's lexicographic one
+    n = np.arange(1, N + 1, dtype=np.float64)
+    rows = [np.ones(N)]
+    for pos in (0, N // 2, N - 1):
+        spike = np.full(N, 1e-6)
+        spike[pos] = 1.0
+        rows.append(spike)
+    rows += [n ** -0.6, n ** -1.1, n ** -2.0, n ** 0.5]
+    ref = np.unique(np.stack(rows), axis=0)
+    got = _deterministic_profiles(N)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_nan_ratios_fail_the_batch():
+    # at p = 150 both sides of every trial overflow, so each ratio is
+    # inf/inf; the whole-batch argmax reports that NaN as a failure
+    # (the chunked loop skipped such chunks and reported a pass at -inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check_bge(build_weights("constant", 1000), 150.0, 0.6,
+                        trials=30)
+    assert math.isnan(rep.max_ratio) and not rep.passed
+    assert rep.argmin == 1
