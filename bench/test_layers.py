@@ -4,8 +4,12 @@ Times the compensated partial sums (`comp_cumsum`) and weight
 construction (`build_weights`, two compensated sums plus the family's
 values) at N = 1e3, 1e5, 1e6 and 1e7, and the mu recurrences and the
 HLP n0 searches at N = 1e3, 1e5 and 1e6: `mu_primal` and
-`certificates.mu_dual` on the weighted mean of lam_n = n^0.5 at p = 2
-(both traces pass), `hlp.certify_direct` at p = 0.35 (certified at
+`certificates.mu_dual` on the weighted mean of lam_n = n^0.5 at p = 2,
+`mu_dual_copson` (c = 1.5) and the dual route of `mu_bge`
+(alpha = 0.8) on the same weights at p = 2, and `hlp.mu_direct` and
+`hlp.mu_dual` at p = 0.355 (every trace passes or, for the two `hlp`
+ones, runs to N); each mu trace also records the tracemalloc peak of
+one untimed call in `extra_info`.  `hlp.certify_direct` at p = 0.35 (certified at
 n0 = 4) and 0.355 (uncertified, the whole trace), and `hlp.search_c` at
 p = 0.345 (feasible at n0 = 3) and 0.355 (infeasible), each with
 n0_max = N.  The random-trial batches run at N = 1e3, 2e4 and 1e5 with
@@ -14,7 +18,8 @@ n0_max = N.  The random-trial batches run at N = 1e3, 2e4 and 1e5 with
 (alpha = 0.85) and `strengthened_trials` (the dual case); `hlp
 dual-probe` runs through the CLI entry point at p = 0.31 with 1000
 trials of N = 256 (the large-n call) and with 300 trials at the same N
-as the others.  Run from the repository root:
+as the others.  `copson_root` is timed at p = 1.5, 3 and 40.  Run from
+the repository root:
 
     PYTHONPATH=src python -m pytest bench/test_layers.py \\
         --benchmark-json=OUT.json
@@ -25,14 +30,16 @@ such runs of a change and of its parent side by side.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lpcert import (BoundParams, StrengthenedCase, build_weights,
                     certify_direct, check_bge, check_copson_branch, cli,
-                    comp_cumsum, copson_threshold, mu_dual, mu_primal,
-                    search_c, strengthened_trials, weighted_mean)
+                    comp_cumsum, copson_root, copson_threshold, hlp,
+                    mu_bge, mu_dual, mu_dual_copson, mu_primal, search_c,
+                    strengthened_trials, weighted_mean)
 
 # Fewer rounds at large N keep a run of the sequential loop this
 # replaced (about 5 s per sum at N = 1e7) within a few minutes.
@@ -59,16 +66,45 @@ def test_build_weights(benchmark, N):
     assert w.N == N
 
 
-@pytest.mark.parametrize("N", sorted(TRACE_ROUNDS))
-@pytest.mark.parametrize("route", ["mu_primal", "mu_dual"])
-def test_mu_trace(benchmark, route, N):
-    spec = weighted_mean(build_weights("power", N, exponent=0.5))
+def _mu_call(route, N):
+    """(function, args) of one mu trace of length N."""
+    w = build_weights("power", N, exponent=0.5)
     params = BoundParams(2.0, 1.0)
-    fn, arg = {"mu_primal": (mu_primal, params.lam_p),
-               "mu_dual": (mu_dual, params.U_p)}[route]
-    trace = benchmark.pedantic(fn, args=(spec, 2.0, arg),
-                               rounds=TRACE_ROUNDS[N], warmup_rounds=1)
-    assert trace.passed and trace.n_evaluated == N
+    return {"mu_primal": (mu_primal, (weighted_mean(w), 2.0, params.lam_p)),
+            "mu_dual": (mu_dual, (weighted_mean(w), 2.0, params.U_p)),
+            "mu_dual_copson": (mu_dual_copson, (w, 2.0, 1.5)),
+            "mu_bge": (mu_bge, (w, 2.0, 0.8)),
+            "hlp.mu_direct": (hlp.mu_direct, (0.355, N)),
+            "hlp.mu_dual": (hlp.mu_dual, (0.355, N))}[route]
+
+
+def _tracemalloc_peak(fn, args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("N", sorted(TRACE_ROUNDS))
+@pytest.mark.parametrize("route", ["mu_primal", "mu_dual", "mu_dual_copson",
+                                   "mu_bge", "hlp.mu_direct", "hlp.mu_dual"])
+def test_mu_trace(benchmark, route, N):
+    fn, args = _mu_call(route, N)
+    benchmark.extra_info["tracemalloc_peak_bytes"] = _tracemalloc_peak(
+        fn, args)
+    trace = benchmark.pedantic(fn, args=args, rounds=TRACE_ROUNDS[N],
+                               warmup_rounds=1)
+    assert trace.n_evaluated == N
+    assert trace.passed or route.startswith("hlp")
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 40.0])
+def test_copson_root(benchmark, p):
+    res = benchmark.pedantic(copson_root, args=(p,), rounds=200,
+                             warmup_rounds=1)
+    assert res.root < 0.0
 
 
 @pytest.mark.parametrize("N", sorted(TRACE_ROUNDS))

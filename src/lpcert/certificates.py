@@ -24,6 +24,8 @@ Checkers, from weakest hypothesis to most specialized:
 
 mu_primal and mu_dual run the recurrences behind these certificates
 directly; a completed trace is itself a certificate at truncation N.
+Their scalar loops write each trace into a float64 array a chunk of
+steps at a time (_TraceBuffer), never holding it as a list of floats.
 Products are accumulated in log space; sums of positive terms inside the
 product conditions use a running log-sum-exp.
 """
@@ -40,7 +42,38 @@ from ._num import first_bad, margin_ok
 from .factorable import FactorableSpec, _require_normalized
 from .sequences import WeightSequence
 
-_ROW_CHUNK = 1 << 14  # rows per float-list conversion in _scalar_rows
+# rows per float-list conversion in _scalar_rows, and steps per chunk a
+# scalar mu loop hands to its _TraceBuffer
+_ROW_CHUNK = 1 << 14
+
+
+class _TraceBuffer:
+    """A float64 trace of at most n_max values, filled a chunk at a time.
+
+    A scalar loop appends each step to a chunk list of at most _ROW_CHUNK
+    floats and hands it to extend, so the trace is never held whole as a
+    list of Python floats (about 32 bytes a step, against 8 here).  While
+    a chunk is open, len(trace) + len(chunk) counts the values so far:
+    it is n on the step that forms mu_(n+1).
+    """
+
+    def __init__(self, n_max: int, *head: float):
+        self._buf = np.empty(n_max, dtype=np.float64)
+        self._k = 0
+        self.extend(head)
+
+    def __len__(self) -> int:
+        return self._k
+
+    def extend(self, chunk) -> None:
+        self._buf[self._k:self._k + len(chunk)] = chunk
+        self._k += len(chunk)
+
+    def array(self) -> np.ndarray:
+        """The values so far; a copy unless they fill the buffer."""
+        if self._k == self._buf.shape[0]:
+            return self._buf
+        return self._buf[:self._k].copy()
 
 
 @dataclass(frozen=True)
@@ -334,31 +367,39 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
         raise ValueError("need lam_p in (0, 1)")
     _require_normalized(spec, "primal recurrence")
     e1 = 1.0 / (p - 1.0)
-    mu = [1.0]
+    trace = _TraceBuffer(spec.N, 1.0)
+    rows = _primal_rows(spec, p)
     prev = 1.0
     violation = None
-    try:
-        for n, (rp, cross) in enumerate(_primal_rows(spec, p), start=1):
-            base = prev ** e1 if prev > 0.0 else 0.0
-            denom = (base + cross) ** (p - 1.0)
-            if denom <= 0.0 or not math.isfinite(denom):
-                violation = n
-                break
-            t = rp * prev / denom
-            nxt = t - lam_p
-            if nxt < 0.0:
-                if margin_ok(nxt, max(t, lam_p)):
-                    nxt = 0.0
-                else:
-                    mu.append(nxt)
-                    violation = n + 1
+    while violation is None:
+        chunk = []
+        step = chunk.append
+        try:
+            for rp, cross in itertools.islice(rows, _ROW_CHUNK):
+                base = prev ** e1 if prev > 0.0 else 0.0
+                denom = (base + cross) ** (p - 1.0)
+                if denom <= 0.0 or not math.isfinite(denom):
+                    violation = len(trace) + len(chunk)
                     break
-            mu.append(nxt)
-            prev = nxt
-    except OverflowError:
-        raise ValueError("(mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) "
-                         f"leaves the binary64 range at n = {n}") from None
-    arr = np.array(mu, dtype=np.float64)
+                t = rp * prev / denom
+                nxt = t - lam_p
+                if nxt < 0.0:
+                    if margin_ok(nxt, max(t, lam_p)):
+                        nxt = 0.0
+                    else:
+                        step(nxt)
+                        violation = len(trace) + len(chunk)
+                        break
+                step(nxt)
+                prev = nxt
+        except OverflowError:
+            raise ValueError(
+                "(mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) leaves the "
+                f"binary64 range at n = {len(trace) + len(chunk)}") from None
+        trace.extend(chunk)
+        if len(chunk) < _ROW_CHUNK:
+            break
+    arr = trace.array()
     return MuTrace(mu=arr, constraint="mu >= 0", margins=arr.copy(),
                    first_violation=violation)
 
@@ -452,27 +493,34 @@ def _mu_dual_ratios(r: np.ndarray, cross: np.ndarray, p: float,
         ceilings = r ** q
         r_eq = r[:-1] ** eq
         cross_q = cross ** q
-    mu = [mu_1]
+    trace = _TraceBuffer(r.shape[0], mu_1)
+    rows = _scalar_rows(ceilings[:-1], r_eq, cross_q)
     prev = mu_1
     violation = None
-    rows = _scalar_rows(ceilings[:-1], r_eq, cross_q)
-    try:
-        for n, (ceiling, rp, cq) in enumerate(rows, start=1):
-            if not (ceiling - prev > 0.0):
-                violation = n
-                break
-            inner = rp * prev ** (-e1) - 1.0
-            if inner <= 0.0 or not math.isfinite(inner):
-                violation = n
-                break
-            prev = mu_1 + cq / inner ** (q - 1.0)
-            mu.append(prev)
-    except (OverflowError, ZeroDivisionError):
-        # the power overflowed or underflowed to 0; either way the next
-        # mu is not known in binary64, so no verdict is given
-        raise ValueError("((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) leaves the "
-                         f"binary64 range at n = {n}") from None
-    arr = np.array(mu, dtype=np.float64)
+    while violation is None:
+        chunk = []
+        step = chunk.append
+        try:
+            for ceiling, rp, cq in itertools.islice(rows, _ROW_CHUNK):
+                if not (ceiling - prev > 0.0):
+                    violation = len(trace) + len(chunk)
+                    break
+                inner = rp * prev ** (-e1) - 1.0
+                if inner <= 0.0 or not math.isfinite(inner):
+                    violation = len(trace) + len(chunk)
+                    break
+                prev = mu_1 + cq / inner ** (q - 1.0)
+                step(prev)
+        except (OverflowError, ZeroDivisionError):
+            # the power overflowed or underflowed to 0; either way the
+            # next mu is not known in binary64, so no verdict is given
+            raise ValueError("((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) leaves the "
+                             f"binary64 range at n = {len(trace) + len(chunk)}"
+                             ) from None
+        trace.extend(chunk)
+        if len(chunk) < _ROW_CHUNK:
+            break
+    arr = trace.array()
     margins = ceilings[:arr.shape[0]] - arr
     if violation is None and not (margins[-1] > 0.0):
         violation = arr.shape[0]

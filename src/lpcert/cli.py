@@ -219,7 +219,9 @@ def search_smallest_L(method: str, w: WeightSequence, p: float,
     """Bisect for the smallest L in (0, p) the certificate accepts.
 
     Assumes pass is monotone in L (a larger L claims a weaker bound);
-    returns None when even L just under p fails.
+    returns None when even L just under p fails.  Stops early once the
+    midpoint rounds to lo or hi: every later step would re-run a known
+    verdict and leave the bracket as it is.
     """
     hi = p * (1.0 - 1e-9)
     if not run_certificate(method, w, p, hi).passed:
@@ -229,6 +231,8 @@ def search_smallest_L(method: str, w: WeightSequence, p: float,
         return lo
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if run_certificate(method, w, p, mid).passed:
             hi = mid
         else:

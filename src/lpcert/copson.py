@@ -85,11 +85,69 @@ def _threshold_gap(c: float, p: float) -> float:
     return (1.0 + t) ** (1.0 - p) - t
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> tuple[float, int]:
+    """(root, iterations) of f on the sign-changing bracket [xa, xb].
+
+    Brent's method (Brent, "Algorithms for Minimization without
+    Derivatives", 1973, ch. 4) as scipy.optimize.brentq runs it, step
+    for step, so it returns the same binary64 root after the same
+    number of iterations: inverse quadratic interpolation or a secant
+    step when it shrinks the bracket fast enough, bisection otherwise,
+    stopping once half the bracket is below (xtol + rtol |x|) / 2.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f must change sign on the bracket")
+    for i in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, i
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry      # good short step
+            else:
+                spre = scur = sbis           # bisect
+        else:
+            spre = scur = sbis               # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise ValueError(f"Brent's method did not converge in {maxiter} "
+                     "iterations")
+
+
 def copson_root(p: float) -> RootResult:
     """Solve (1 + (1-c)/p)^(1-p) = (1-c)/p for the unique c < 0.
 
     Brackets on (-50, 0), widening the left end up to -1e6 if the sign
-    change is not yet inside, then runs a safeguarded bracketing solver.
+    change is not yet inside, then runs Brent's method (_brentq).
     """
     if not (p > 1.0):
         raise ValueError("need p > 1")
@@ -100,14 +158,10 @@ def copson_root(p: float) -> RootResult:
             raise ValueError("no sign change down to c = -1e6")
     if _threshold_gap(hi, p) <= 0.0:
         raise ValueError("threshold function not positive at c = 0")
-    # Imported here: scipy costs more start-up than any other module, and
-    # this is its only use.
-    from scipy.optimize import brentq
-    root, info = brentq(_threshold_gap, lo, hi, args=(p,),
-                        xtol=1e-15, rtol=8.9e-16, full_output=True)
-    return RootResult(root=float(root),
-                      residual=float(_threshold_gap(root, p)),
-                      iterations=int(info.iterations))
+    root, iterations = _brentq(lambda c: _threshold_gap(c, p), lo, hi,
+                               xtol=1e-15, rtol=8.9e-16)
+    return RootResult(root=root, residual=_threshold_gap(root, p),
+                      iterations=iterations)
 
 
 def copson_threshold(p: float) -> float:
@@ -256,7 +310,8 @@ def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
     """Per-trial LHS/RHS ratios of the p-th power branch inequality, as a
     function of the trial rows (which it rescales in place); K^p and u
     are formed once."""
-    Kp = branch_constant(branch, p, c) ** p  # validates branch and c
+    # branch_constant validates branch and c
+    Kp = _binary64_pow(branch_constant(branch, p, c), p, "K^p")
     direction, base = _BRANCH_SUMS[branch]
     u = _branch_weights(w, branch, p, c)
 
@@ -361,7 +416,7 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
     if trials < 1:
         raise ValueError("need trials >= 1")
     lam = w.values
-    K = (alpha * p + 1.0) ** p
+    K = _binary64_pow(alpha * p + 1.0, p, "K^p = (alpha p + 1)^p")
     wa = w.partials ** alpha
     lwa = lam * wa ** p
 

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._num import PASS_RTOL, first_bad, margin_ok, suffix_sums, trial_rows
-from .certificates import MuTrace
+from .certificates import _ROW_CHUNK, MuTrace, _TraceBuffer
 
 N_MAX_DEFAULT = 100_000
 # Trace length the n0 searches try before the full n0_max.  Certifying n0
@@ -96,24 +96,32 @@ def mu_direct(p: float, N: int) -> MuTrace:
     base = ((1.0 - p) / p) ** p
     ep = p / (p - 1.0)
     e1 = 1.0 / (1.0 - p)
-    mu = [base]
-    margins = []
+    mu = _TraceBuffer(N, base)
+    margins = _TraceBuffer(N)
+    prev = base
     violation = None
-    for n in range(1, N + 1):
-        m = mu[-1] - float(n) ** p
-        margins.append(m)
-        if not (m > 0.0):
-            violation = n
+    for lo in range(0, N, _ROW_CHUNK):
+        mus, ms = [], []
+        for n in range(lo + 1, min(lo + _ROW_CHUNK, N) + 1):
+            m = prev - float(n) ** p
+            ms.append(m)
+            if not (m > 0.0):
+                violation = n
+                break
+            if n == N:
+                break
+            inner = float(n) ** ep * prev ** e1 - 1.0
+            if inner <= 0.0 or not math.isfinite(inner):
+                violation = n
+                break
+            prev = float(n + 1) ** p * inner ** (1.0 - p) + base
+            mus.append(prev)
+        mu.extend(mus)
+        margins.extend(ms)
+        if violation is not None:
             break
-        if n == N:
-            break
-        inner = float(n) ** ep * mu[-1] ** e1 - 1.0
-        if inner <= 0.0 or not math.isfinite(inner):
-            violation = n
-            break
-        mu.append(float(n + 1) ** p * inner ** (1.0 - p) + base)
-    return MuTrace(mu=np.array(mu), constraint="mu > n^p",
-                   margins=np.array(margins), first_violation=violation)
+    return MuTrace(mu=mu.array(), constraint="mu > n^p",
+                   margins=margins.array(), first_violation=violation)
 
 
 @dataclass(frozen=True)
@@ -225,25 +233,30 @@ def mu_dual(p: float, N: int) -> MuTrace:
         raise ValueError("need N >= 1")
     shift = (1.0 / p - 1.0) ** (p / (p - 1.0))
     e1 = 1.0 / (1.0 - p)
-    mu = [0.0]
-    margins = [math.inf]        # n = 1 is unconstrained (mu_1 = 0 by design)
+    mu = _TraceBuffer(N, 0.0)
+    prev = 0.0
     violation = None
-    for n in range(1, N + 1):
-        if n >= 2:
-            m = mu[-1]
-            margins.append(m)
-            if not (m > 0.0):
-                violation = n
+    for lo in range(1, N, _ROW_CHUNK):
+        chunk = []
+        step = chunk.append
+        for n in range(lo, min(lo + _ROW_CHUNK, N)):
+            prev = (float(n) ** (-p) + prev ** (1.0 - p)) ** e1 - shift
+            step(prev)
+            if not (prev > 0.0):
+                violation = n + 1
                 break
-        if n == N:
+        mu.extend(chunk)
+        if violation is not None:
             break
-        nxt = (float(n) ** (-p) + mu[-1] ** (1.0 - p)) ** e1 - shift
-        mu.append(nxt)
-    arr = np.array(mu)
+    arr = mu.array()
+    # the margin at n >= 2 is mu_n itself; n = 1 is unconstrained
+    # (mu_1 = 0 by design)
+    margins = arr.copy()
+    margins[0] = math.inf
     k = arr.shape[0]
     aux = arr - np.arange(1, k + 1, dtype=np.float64) ** p
     return MuTrace(mu=arr, constraint="mu > 0 (n >= 2)",
-                   margins=np.array(margins), first_violation=violation,
+                   margins=margins, first_violation=violation,
                    aux_constraint="mu - n^p (informational)", aux_margins=aux)
 
 
@@ -435,12 +448,13 @@ def probe_dual_trials(p: float, N: int, trials: int, seed: int = 0) -> float:
     length N with log-uniform entries in [1e-3, 1e3], or -inf for none.
 
     The vectors are one default_rng(seed) stream, evaluated a block at a
-    time by trial_rows; as in a loop of max(worst, probe_dual(p, x)), a
-    NaN ratio never becomes the maximum.
+    time by trial_rows.  A NaN ratio (inf/inf, when both sides leave the
+    binary64 range) makes the maximum NaN, which fails the probe, as in
+    the other trial batches.
     """
     ratios = trial_rows(N, trials, seed, lambda X: _dual_ratios(p, X),
                         draw=_EXP_UNIFORM)
-    return float(np.fmax.reduce(ratios, initial=-np.inf))
+    return float(np.max(ratios, initial=-np.inf))
 
 
 def certify_report(p: float, method: str = "direct",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,21 +32,28 @@ WEIGHT_KINDS = ("constant", "power", "geometric", "explicit")
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """A positive weight sequence with precomputed partial and tail sums."""
+    """A positive weight sequence with its partial sums; the tail sums
+    are summed on first use."""
 
     kind: str
     values: np.ndarray    # lam_1..lam_N
     partials: np.ndarray  # Lam_n
-    tails: np.ndarray     # Lam*_n, truncated at N
     label: str = ""
 
     def __post_init__(self):
-        for arr in (self.values, self.partials, self.tails):
+        for arr in (self.values, self.partials):
             arr.setflags(write=False)
 
     @property
     def N(self) -> int:
         return int(self.values.shape[0])
+
+    @cached_property
+    def tails(self) -> np.ndarray:
+        """Lam*_n, truncated at N; read-only, summed on first read."""
+        tails = comp_cumsum(self.values[::-1])[::-1]
+        tails.setflags(write=False)
+        return tails
 
     @property
     def ratios(self) -> np.ndarray:
@@ -74,9 +82,8 @@ def _finish(kind: str, lam: np.ndarray, label: str) -> WeightSequence:
     if idx.size:
         raise ValueError(f"{label} partial sums overflow from n = "
                          f"{idx[0] + 1}; lower N")
-    tails = comp_cumsum(lam[::-1])[::-1]
     return WeightSequence(kind=kind, values=lam, partials=partials,
-                          tails=tails, label=label)
+                          label=label)
 
 
 def build_weights(kind: str, N: int, *, exponent: float | None = None,

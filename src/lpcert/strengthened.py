@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._num import first_bad, margin_ok, trial_rows
-from .certificates import cartlidge_constant
+from .certificates import _binary64_pow, cartlidge_constant
 from .copson import _BRANCH_SUMS, RATIO_TOL, _branch_weights
 from .sequences import WeightSequence, averaged
 
@@ -164,7 +164,7 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
     p = case.p
     L = case.effective_L(w)
     K = case.constant(L)
-    Kp = K ** p
+    Kp = _binary64_pow(K, p, "K^p")
     direction, base, dual = _CASE_SUMS[case.kind]
     if case.kind in _COPSON_KINDS:
         u = _branch_weights(w, case.kind, p, case.c)

@@ -6,6 +6,7 @@ weight-spec parsing including file loading and truncation.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -109,6 +110,12 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
     (["certify", "--method", "mu-dual", "--weights", "geometric:2",
       "--N", "1023", "--p", "2", "--L", "1"],
      "geometric:2 partial sums overflow from n = 1023; lower N"),
+    # K^p = (p/(c-1))^p is about 10^600, (alpha p + 1)^p about 10^600
+    (["copson", "branch", "--branch", "copson_prefix", "--c", "1.0001",
+      "--p", "100", "--N", "1000", "--trials", "30"],
+     "K^p leaves the binary64 range"),
+    (["bge", "--p", "200", "--alpha", "5", "--N", "500", "--trials", "20"],
+     "K^p = (alpha p + 1)^p leaves the binary64 range"),
 ])
 def test_out_of_range_inputs_are_domain_errors(argv, message, capsys):
     assert run(argv) == 2
@@ -128,8 +135,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert res.stdout.strip() == "[]"
 
 
+def test_cp_root_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(lpcert.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lpcert import cli; "
+         "assert cli.main(['copson', 'cp-root', '--p', '3', '--out', "
+         f"{os.devnull!r}]) == 0; "
+         "print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert res.stdout.strip() == "[]"
+
+
 def test_cp_root_report_is_unchanged(capsys):
-    # brentq stays the solver, so its iteration count is part of the report
+    # the Brent port takes scipy's brentq steps, so the iteration count
+    # of the report is unchanged
     assert run(["copson", "cp-root", "--p", "3"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["iterations"] == 7
@@ -275,6 +299,43 @@ def test_search_L_finds_boundary(tmp_path):
     assert rep["L"] == pytest.approx(1.0, abs=1e-8)
 
 
+def _bisect_60_steps(method, w, p):
+    """search_smallest_L as a fixed 60-step bisection."""
+    hi = p * (1.0 - 1e-9)
+    if not cli.run_certificate(method, w, p, hi).passed:
+        return None
+    lo = p * 1e-9
+    if cli.run_certificate(method, w, p, lo).passed:
+        return lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if cli.run_certificate(method, w, p, mid).passed:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("method", ["cartlidge", "ratio", "product",
+                                    "mu-primal", "mu-dual"])
+@pytest.mark.parametrize("weights", ["constant", "power:0.5", "power:-0.5",
+                                     "geometric:1.01"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_search_L_stops_once_the_bisection_stalls(method, weights, p,
+                                                  monkeypatch):
+    w = cli.parse_weights(weights, 200)
+    ref = _bisect_60_steps(method, w, p)
+    probes = []
+    certify = cli.run_certificate
+    monkeypatch.setattr(cli, "run_certificate",
+                        lambda m, w, p, L: probes.append(L) or certify(
+                            m, w, p, L))
+    got = cli.search_smallest_L(method, w, p)
+    assert got == ref
+    # no L is probed twice, and at most 2 + 60 are probed in all
+    assert len(probes) == len(set(probes)) <= 62
+
+
 def test_compare_report_fields(tmp_path):
     out = tmp_path / "r.json"
     assert run(["compare", "--methods", "cartlidge,ratio", "--p", "2",
@@ -298,6 +359,12 @@ def test_hlp_subcommands(tmp_path):
                 "--N", "500", "--out", str(out)]) == 0
     assert run(["hlp", "dual-probe", "--p", "0.35", "--N", "32",
                 "--trials", "20", "--out", str(out)]) == 0
+    # at p = 0.999 every ratio is inf/inf: a NaN maximum, and a failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["hlp", "dual-probe", "--p", "0.999", "--N", "3000",
+                    "--trials", "50", "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert math.isnan(rep["max_ratio"]) and rep["pass"] is False
     # infeasible search is a valid negative outcome: exit 1
     assert run(["hlp", "search", "--p", "0.45", "--nmax", "500",
                 "--out", str(out)]) == 1

@@ -33,6 +33,22 @@ def test_copson_root_matches_pinned_values(p, root):
     assert abs(res.residual) <= 1e-13
 
 
+def test_copson_root_matches_scipy_brentq():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    from lpcert.copson import _threshold_gap
+    ps = np.concatenate([1.0 + np.geomspace(1e-6, 1e3, 400),
+                         np.linspace(1.01, 20.0, 200)])
+    for p in ps.tolist():
+        lo = -50.0
+        while _threshold_gap(lo, p) >= 0.0:
+            lo *= 10.0
+        root, info = scipy_optimize.brentq(
+            _threshold_gap, lo, 0.0, args=(p,), xtol=1e-15, rtol=8.9e-16,
+            full_output=True)
+        res = copson_root(p)
+        assert (res.root, res.iterations) == (root, info.iterations), p
+
+
 def test_copson_root_p2_closed_form():
     # at p = 2 the defining equation reduces to a quadratic with root
     # 2 - sqrt(5)

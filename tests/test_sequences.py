@@ -208,3 +208,18 @@ def test_weight_file_rejects_nonpositive(tmp_path):
     path.write_text("1.0\n-2.0\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_weight_file(str(path))
+
+
+@pytest.mark.parametrize("kind,extra", [("constant", {}),
+                                        ("power", {"exponent": 0.5}),
+                                        ("geometric", {"ratio": 1.01})])
+def test_tails_are_summed_on_first_read(kind, extra):
+    w = build_weights(kind, 500, **extra)
+    assert "tails" not in w.__dict__
+    tails = w.tails
+    assert "tails" in w.__dict__ and w.tails is tails
+    assert not tails.flags.writeable
+    with pytest.raises(ValueError):
+        tails[0] = 1.0
+    ref = comp_cumsum(w.values[::-1])[::-1]
+    assert tails.tobytes() == ref.tobytes()

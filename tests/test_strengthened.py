@@ -86,6 +86,14 @@ def test_case_validation():
         StrengthenedCase(kind="cartlidge", p=1.0)
 
 
+def test_out_of_range_constant_power_is_a_domain_error():
+    # K^p = (100/0.0001)^100 leaves binary64: a domain error, not an
+    # OverflowError
+    case = StrengthenedCase(kind="copson_prefix", p=100.0, c=1.0001)
+    with pytest.raises(ValueError, match=r"K\^p leaves the binary64 range"):
+        strengthened_trials(case, build_weights("constant", 100), trials=5)
+
+
 def test_first_power_implies_power_corollary_on_same_data():
     # whenever the first-power ratio is <= 1 the p-th power ratio is
     # too; both are reported from the same batch

@@ -1,0 +1,294 @@
+"""The four scalar mu loops against the list-based loops they replaced.
+
+`certificates.mu_primal`, `certificates._mu_dual_ratios` (behind
+`mu_dual`, `mu_dual_copson` and the dual route of `mu_bge`),
+`hlp.mu_direct` and `hlp.mu_dual` write each trace into a float64
+array a chunk of steps at a time.  The reference functions below are the
+loops they replaced, written out again here: each keeps the whole trace
+as a list of Python floats and converts it at the end.  Every trace must
+equal its reference bit for bit, including traces that die next to a
+chunk boundary, and must peak at far less memory.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lpcert import BoundParams, FactorableSpec, build_weights, hlp
+from lpcert import certificates, weighted_mean
+from lpcert._num import margin_ok
+from lpcert.certificates import (_ROW_CHUNK, MuTrace, _binary64_pow,
+                                 _primal_rows, _scalar_rows, mu_dual,
+                                 mu_primal)
+
+# ----------------------------------------------------------------------
+# Reference loops: whole-trace lists
+
+
+def ref_mu_primal(spec, p, lam_p):
+    e1 = 1.0 / (p - 1.0)
+    mu = [1.0]
+    prev = 1.0
+    violation = None
+    try:
+        for n, (rp, cross) in enumerate(_primal_rows(spec, p), start=1):
+            base = prev ** e1 if prev > 0.0 else 0.0
+            denom = (base + cross) ** (p - 1.0)
+            if denom <= 0.0 or not math.isfinite(denom):
+                violation = n
+                break
+            t = rp * prev / denom
+            nxt = t - lam_p
+            if nxt < 0.0:
+                if margin_ok(nxt, max(t, lam_p)):
+                    nxt = 0.0
+                else:
+                    mu.append(nxt)
+                    violation = n + 1
+                    break
+            mu.append(nxt)
+            prev = nxt
+    except OverflowError:
+        raise ValueError("(mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) "
+                         f"leaves the binary64 range at n = {n}") from None
+    arr = np.array(mu, dtype=np.float64)
+    return MuTrace(mu=arr, constraint="mu >= 0", margins=arr.copy(),
+                   first_violation=violation)
+
+
+def ref_mu_dual(spec, p, U_p):
+    q = p / (p - 1.0)
+    a, b = spec.a, spec.b
+    mu_1 = _binary64_pow(U_p, -q / p, "mu_1 = U_p^(-q/p)")
+    r, cross = a / b, a[:-1] / b[1:]
+    eq = q / (q - 1.0)
+    e1 = 1.0 / (q - 1.0)
+    _binary64_pow(mu_1, -e1, "U_p")
+    with np.errstate(over="ignore"):
+        ceilings = r ** q
+        r_eq = r[:-1] ** eq
+        cross_q = cross ** q
+    mu = [mu_1]
+    prev = mu_1
+    violation = None
+    rows = _scalar_rows(ceilings[:-1], r_eq, cross_q)
+    try:
+        for n, (ceiling, rp, cq) in enumerate(rows, start=1):
+            if not (ceiling - prev > 0.0):
+                violation = n
+                break
+            inner = rp * prev ** (-e1) - 1.0
+            if inner <= 0.0 or not math.isfinite(inner):
+                violation = n
+                break
+            prev = mu_1 + cq / inner ** (q - 1.0)
+            mu.append(prev)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) leaves the "
+                         f"binary64 range at n = {n}") from None
+    arr = np.array(mu, dtype=np.float64)
+    margins = ceilings[:arr.shape[0]] - arr
+    if violation is None and not (margins[-1] > 0.0):
+        violation = arr.shape[0]
+    return MuTrace(mu=arr, constraint="mu < (a_n/b_n)^q", margins=margins,
+                   first_violation=violation)
+
+
+def ref_hlp_mu_direct(p, N):
+    base = ((1.0 - p) / p) ** p
+    ep = p / (p - 1.0)
+    e1 = 1.0 / (1.0 - p)
+    mu = [base]
+    margins = []
+    violation = None
+    for n in range(1, N + 1):
+        m = mu[-1] - float(n) ** p
+        margins.append(m)
+        if not (m > 0.0):
+            violation = n
+            break
+        if n == N:
+            break
+        inner = float(n) ** ep * mu[-1] ** e1 - 1.0
+        if inner <= 0.0 or not math.isfinite(inner):
+            violation = n
+            break
+        mu.append(float(n + 1) ** p * inner ** (1.0 - p) + base)
+    return MuTrace(mu=np.array(mu), constraint="mu > n^p",
+                   margins=np.array(margins), first_violation=violation)
+
+
+def ref_hlp_mu_dual(p, N):
+    shift = (1.0 / p - 1.0) ** (p / (p - 1.0))
+    e1 = 1.0 / (1.0 - p)
+    mu = [0.0]
+    margins = [math.inf]
+    violation = None
+    for n in range(1, N + 1):
+        if n >= 2:
+            m = mu[-1]
+            margins.append(m)
+            if not (m > 0.0):
+                violation = n
+                break
+        if n == N:
+            break
+        nxt = (float(n) ** (-p) + mu[-1] ** (1.0 - p)) ** e1 - shift
+        mu.append(nxt)
+    arr = np.array(mu)
+    k = arr.shape[0]
+    aux = arr - np.arange(1, k + 1, dtype=np.float64) ** p
+    return MuTrace(mu=arr, constraint="mu > 0 (n >= 2)",
+                   margins=np.array(margins), first_violation=violation,
+                   aux_constraint="mu - n^p (informational)", aux_margins=aux)
+
+
+# ----------------------------------------------------------------------
+# Bitwise comparison
+
+
+def _bits(x):
+    return None if x is None else (x.dtype.str, x.shape, x.tobytes())
+
+
+def _outcome(fn, *args):
+    """Every field of the trace, arrays as bytes, or the error message."""
+    try:
+        t = fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return (_bits(t.mu), t.constraint, _bits(t.margins), t.first_violation,
+            t.aux_constraint, _bits(t.aux_margins))
+
+
+def _assert_same(lib, ref, *args):
+    got = _outcome(lib, *args)
+    assert got == _outcome(ref, *args)
+    return got
+
+
+NS = [1, 2, _ROW_CHUNK, _ROW_CHUNK + 1, 40_000]
+# rows n = K - 2 .. K + 2 around the first chunk boundary K = _ROW_CHUNK
+DEATHS = [_ROW_CHUNK + d for d in (-2, -1, 0, 1, 2)]
+
+
+def _dying_cesaro(N, row):
+    """The Cesaro matrix with a_n/b_n = n/1e6 at n = row: both traces
+    die on that row, mu_dual at n = row and mu_primal at n = row + 1."""
+    b = np.ones(N)
+    b[row - 1] = 1e6
+    return FactorableSpec(kind="dying", a=np.arange(1.0, N + 1.0), b=b)
+
+
+@pytest.mark.parametrize("N", NS)
+@pytest.mark.parametrize("p,L", [(2.0, 1.0), (1.95, 1.0), (3.0, 0.5)])
+def test_certificate_loops_match_list_loops(N, p, L):
+    spec = weighted_mean(build_weights("power", N, exponent=0.5))
+    params = BoundParams(p, L)
+    _assert_same(mu_primal, ref_mu_primal, spec, p, params.lam_p)
+    _assert_same(mu_dual, ref_mu_dual, spec, p, params.U_p)
+
+
+@pytest.mark.parametrize("row", DEATHS)
+def test_certificate_loops_dying_at_a_chunk_boundary(row):
+    spec = _dying_cesaro(40_000, row)
+    primal = _assert_same(mu_primal, ref_mu_primal, spec, 2.0, 0.25)
+    dual = _assert_same(mu_dual, ref_mu_dual, spec, 2.0, 4.0)
+    assert primal[3] == row + 1 and dual[3] == row
+    # the failing primal value is recorded
+    assert np.frombuffer(primal[0][2])[-1] < 0.0
+
+
+@pytest.mark.parametrize("N", [row + 1 for row in DEATHS])
+def test_certificate_loops_dying_on_the_last_row(N):
+    spec = _dying_cesaro(N, N - 1)
+    assert _assert_same(mu_primal, ref_mu_primal, spec, 2.0, 0.25)[3] == N
+    assert _assert_same(mu_dual, ref_mu_dual, spec, 2.0, 4.0)[3] == N - 1
+
+
+@pytest.mark.parametrize("row", DEATHS)
+def test_primal_domain_error_at_a_chunk_boundary(row):
+    # (a_n/b_n)^2 overflows on that row, which the trace reaches
+    b = np.ones(40_000)
+    b[row - 1] = 1e-300
+    spec = FactorableSpec(kind="overflow", a=np.arange(1.0, 40_001.0), b=b)
+    got = _assert_same(mu_primal, ref_mu_primal, spec, 2.0, 0.25)
+    assert got == f"ValueError: (a_n/b_n)^p or (a_(n-1)/b_n)^(p/(p-1)) " \
+                  f"leaves the binary64 range at n = {row}"
+
+
+def test_dual_domain_error_matches():
+    # ((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) underflows to 0 at p = 1.01
+    spec = weighted_mean(build_weights("constant", 100))
+    got = _assert_same(mu_dual, ref_mu_dual, spec, 1.01,
+                       BoundParams(1.01, 1e-5).U_p)
+    assert got.startswith("ValueError: ((a_n/b_n)^p")
+
+
+@pytest.mark.parametrize("N", NS)
+@pytest.mark.parametrize("p", [0.34, 0.35, 0.355, 0.4, 0.6, 0.9])
+def test_hlp_loops_match_list_loops(N, p):
+    _assert_same(hlp.mu_direct, ref_hlp_mu_direct, p, N)
+    _assert_same(hlp.mu_dual, ref_hlp_mu_dual, p, N)
+
+
+# p at which each trace dies at n = 16383 .. 16386 at N = 40000 (the
+# death index falls as p rises; any index would still be compared)
+HLP_DEATHS = {
+    "mu_direct": [0.3865242322248547, 0.3865240616071652,
+                  0.3865238910017129, 0.3865237204083251],
+    "mu_dual": [0.38652440285473294, 0.3865242322249171,
+                0.3865240616072047, 0.38652389100170587],
+}
+
+
+@pytest.mark.parametrize("route", sorted(HLP_DEATHS))
+def test_hlp_loops_dying_near_a_chunk_boundary(route):
+    lib = getattr(hlp, route)
+    ref = {"mu_direct": ref_hlp_mu_direct, "mu_dual": ref_hlp_mu_dual}[route]
+    deaths = [_assert_same(lib, ref, p, 40_000)[3]
+              for p in HLP_DEATHS[route]]
+    assert all(d is not None and abs(d - _ROW_CHUNK) <= 3 for d in deaths)
+
+
+def test_chunk_size_does_not_change_a_trace(monkeypatch):
+    spec = weighted_mean(build_weights("power", 3000, exponent=0.5))
+    params = BoundParams(2.0, 1.0)
+    whole = [_outcome(mu_primal, spec, 2.0, params.lam_p),
+             _outcome(mu_dual, spec, 2.0, params.U_p),
+             _outcome(hlp.mu_direct, 0.355, 3000),
+             _outcome(hlp.mu_dual, 0.355, 3000)]
+    for chunk in (1, 7):
+        monkeypatch.setattr(certificates, "_ROW_CHUNK", chunk)
+        monkeypatch.setattr(hlp, "_ROW_CHUNK", chunk)
+        assert [_outcome(mu_primal, spec, 2.0, params.lam_p),
+                _outcome(mu_dual, spec, 2.0, params.U_p),
+                _outcome(hlp.mu_direct, 0.355, 3000),
+                _outcome(hlp.mu_dual, 0.355, 3000)] == whole
+
+
+# ----------------------------------------------------------------------
+# Memory
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mu_dual_peak_memory_is_below_the_list_loop():
+    N = 200_000
+    spec = weighted_mean(build_weights("power", N, exponent=1.0))
+    U_p = BoundParams(1.95, 1.0).U_p
+    ref, got = _peak(ref_mu_dual, spec, 1.95, U_p), _peak(
+        mu_dual, spec, 1.95, U_p)
+    # the ratios, the per-index powers, the trace and its margins (seven
+    # arrays of 1.6 MB, about 11 MiB) stay; the list of 2e5 floats (about
+    # 6 MiB more) is gone
+    assert got < 14 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
