@@ -9,10 +9,10 @@ HLP n0 searches at N = 1e3, 1e5 and 1e6: `mu_primal` and
 (alpha = 0.8) on the same weights at p = 2, and `hlp.mu_direct` and
 `hlp.mu_dual` at p = 0.355 (every trace passes or, for the two `hlp`
 ones, runs to N); each mu trace also records the tracemalloc peak of
-one untimed call in `extra_info`.  `hlp.certify_direct` at p = 0.35 (certified at
-n0 = 4) and 0.355 (uncertified, the whole trace), and `hlp.search_c` at
-p = 0.345 (feasible at n0 = 3) and 0.355 (infeasible), each with
-n0_max = N.  The random-trial batches run at N = 1e3, 2e4 and 1e5 with
+one untimed call in `extra_info`.  The searches are
+`hlp.certify_direct` at p = 0.35 (certified at n0 = 4) and 0.355
+(uncertified, the whole trace), and `hlp.search_c` at p = 0.345
+(feasible at n0 = 3) and 0.355 (infeasible), each with n0_max = N.  The random-trial batches run at N = 1e3, 2e4 and 1e5 with
 300 trials on lam_n = n^0.8 weights at p = 2: `check_copson_branch`
 (copson_prefix, c at 60% of the admissible range), `check_bge`
 (alpha = 0.85) and `strengthened_trials` (the dual case); `hlp
