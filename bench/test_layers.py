@@ -9,7 +9,11 @@ HLP n0 searches at N = 1e3, 1e5 and 1e6: `mu_primal` and
 (alpha = 0.8) on the same weights at p = 2, and `hlp.mu_direct` and
 `hlp.mu_dual` at p = 0.355 (every trace passes or, for the two `hlp`
 ones, runs to N); each mu trace also records the tracemalloc peak of
-one untimed call in `extra_info`.  The searches are
+one untimed call in `extra_info`.  `mu_dual` is also timed on a claim
+that dies at n = 4 (power:1 weights, p = 2, L = 0.25, N = 1e6), with
+its peak, and `cli.search_smallest_L` on the product condition on a
+seeded random-monotone list (0.05 plus a running sum of U(0, 1)) at
+N = 1e3 and 1e5, p = 2.  The searches are
 `hlp.certify_direct` at p = 0.35 (certified at n0 = 4) and 0.355
 (uncertified, the whole trace), and `hlp.search_c` at p = 0.345
 (feasible at n0 = 3) and 0.355 (infeasible), each with n0_max = N.  The random-trial batches run at N = 1e3, 2e4 and 1e5 with
@@ -98,6 +102,26 @@ def test_mu_trace(benchmark, route, N):
                                warmup_rounds=1)
     assert trace.n_evaluated == N
     assert trace.passed or route.startswith("hlp")
+
+
+def test_mu_dual_early_death(benchmark):
+    spec = weighted_mean(build_weights("power", 10**6, exponent=1.0))
+    args = (spec, 2.0, BoundParams(2.0, 0.25).U_p)
+    benchmark.extra_info["tracemalloc_peak_bytes"] = _tracemalloc_peak(
+        mu_dual, args)
+    trace = benchmark.pedantic(mu_dual, args=args, rounds=20,
+                               warmup_rounds=1)
+    assert trace.first_violation == 4
+
+
+@pytest.mark.parametrize("N", [10**3, 10**5])
+def test_search_L(benchmark, N):
+    rng = np.random.default_rng(1)
+    w = build_weights("explicit", N,
+                      values=0.05 + np.cumsum(rng.uniform(size=N)))
+    L = benchmark.pedantic(cli.search_smallest_L, args=("product", w, 2.0),
+                           rounds=TRACE_ROUNDS[N], warmup_rounds=1)
+    assert L is not None
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0, 40.0])

@@ -42,8 +42,9 @@ from ._num import first_bad, margin_ok
 from .factorable import FactorableSpec, _require_normalized
 from .sequences import WeightSequence
 
-# rows per float-list conversion in _scalar_rows, and steps per chunk a
-# scalar mu loop hands to its _TraceBuffer
+# rows per float-list conversion in _scalar_rows, rows of ratios a dual
+# trace forms at a time, and steps per chunk a scalar mu loop hands to its
+# _TraceBuffer
 _ROW_CHUNK = 1 << 14
 
 
@@ -69,11 +70,19 @@ class _TraceBuffer:
         self._buf[self._k:self._k + len(chunk)] = chunk
         self._k += len(chunk)
 
+    def view(self, lo: int, hi: int) -> np.ndarray:
+        """The values at indices lo <= i < hi, of those so far."""
+        return self._buf[lo:min(hi, self._k)]
+
     def array(self) -> np.ndarray:
         """The values so far; a copy unless they fill the buffer."""
-        if self._k == self._buf.shape[0]:
-            return self._buf
-        return self._buf[:self._k].copy()
+        return _prefix(self._buf[:self._k], self._buf.shape[0])
+
+
+def _prefix(values: np.ndarray, n_max: int) -> np.ndarray:
+    """values, a leading slice of an n_max buffer: the buffer itself when
+    they fill it, else a copy, so a short trace does not pin the buffer."""
+    return values if values.shape[0] == n_max else values.copy()
 
 
 @dataclass(frozen=True)
@@ -462,8 +471,9 @@ def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
                      / ((a_n/b_n)^(q/(q-1)) mu_n^(-1/(q-1)) - 1)^(q-1).
 
     The ceiling is strict: a zero margin is a violation (e.g. U_p = 1 on a
-    normalized spec dies immediately at n = 1).  The per-index powers are
-    computed up front; only scalar float steps run in the loop.
+    normalized spec dies immediately at n = 1).  The ratios are sliced
+    from a and b one _ROW_CHUNK at a time, so a trace that dies early
+    forms few of them; only scalar float steps run in the loop.
     """
     if not (p > 1.0):
         raise ValueError("need p > 1")
@@ -471,17 +481,29 @@ def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
         raise ValueError("need U_p > 0")
     q = p / (p - 1.0)
     a, b = spec.a, spec.b
-    return _mu_dual_ratios(a / b, a[:-1] / b[1:], p,
+
+    def ratios(lo, hi):
+        nxt = b[lo + 1:hi + 1]
+        return a[lo:hi] / b[lo:hi], a[lo:lo + nxt.shape[0]] / nxt
+
+    return _mu_dual_ratios(ratios, spec.N, p,
                            _binary64_pow(U_p, -q / p, "mu_1 = U_p^(-q/p)"))
 
 
-def _mu_dual_ratios(r: np.ndarray, cross: np.ndarray, p: float,
-                    mu_1: float) -> MuTrace:
-    """mu_dual's recurrence driven by the ratios alone: r_n = a_n/b_n,
-    cross_n = a_n/b_{n+1} and mu_1 = U_p^(-q/p).
+def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
+    """mu_dual's recurrence on N rows, driven by the ratios alone:
+    ratios(lo, hi) returns r_n = a_n/b_n for the 0-based rows
+    lo <= i < hi and cross_n = a_n/b_{n+1} for lo <= i < min(hi, N - 1),
+    as contiguous arrays, and mu_1 = U_p^(-q/p).
 
     A family whose a_n, b_n overflow while these ratios stay moderate
     (large partial sums) passes them in closed form instead of a spec.
+    The ratios and their powers are formed one _ROW_CHUNK at a time.
+    The scalar loop runs the recurrence and its domain test alone; the
+    strict ceiling mu_n < r_n^q is checked with numpy over each chunk,
+    and the first index failing either test is the violation.  When
+    the loop leaves the binary64 range, the chunk's ceilings are checked
+    first, so a ceiling the trace crossed earlier is still the verdict.
     """
     q = p / (p - 1.0)
     eq = q / (q - 1.0)           # equals p
@@ -489,42 +511,51 @@ def _mu_dual_ratios(r: np.ndarray, cross: np.ndarray, p: float,
     # mu_1^(-e1) recovers U_p; since every mu_n >= mu_1 it is also the
     # largest power the loop forms, so one check covers every step.
     _binary64_pow(mu_1, -e1, "U_p")
-    with np.errstate(over="ignore"):
-        ceilings = r ** q
-        r_eq = r[:-1] ** eq
-        cross_q = cross ** q
-    trace = _TraceBuffer(r.shape[0], mu_1)
-    rows = _scalar_rows(ceilings[:-1], r_eq, cross_q)
+    trace = _TraceBuffer(N, mu_1)
+    margins = np.empty(N, dtype=np.float64)
+    inf, ne1, qm1 = math.inf, -e1, q - 1.0
     prev = mu_1
     violation = None
-    while violation is None:
+    for lo in range(0, N, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, N)
+        r, cross = ratios(lo, hi)
+        steps = cross.shape[0]
+        with np.errstate(over="ignore"):
+            ceilings = r ** q
+            rows = zip((r[:steps] ** eq).tolist(), (cross ** q).tolist())
         chunk = []
         step = chunk.append
+        overflow = False
         try:
-            for ceiling, rp, cq in itertools.islice(rows, _ROW_CHUNK):
-                if not (ceiling - prev > 0.0):
-                    violation = len(trace) + len(chunk)
+            for rp, cq in rows:
+                inner = rp * prev ** ne1 - 1.0
+                if not (0.0 < inner < inf):
                     break
-                inner = rp * prev ** (-e1) - 1.0
-                if inner <= 0.0 or not math.isfinite(inner):
-                    violation = len(trace) + len(chunk)
-                    break
-                prev = mu_1 + cq / inner ** (q - 1.0)
+                prev = mu_1 + cq / inner ** qm1
                 step(prev)
         except (OverflowError, ZeroDivisionError):
             # the power overflowed or underflowed to 0; either way the
             # next mu is not known in binary64, so no verdict is given
-            raise ValueError("((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) leaves the "
-                             f"binary64 range at n = {len(trace) + len(chunk)}"
-                             ) from None
+            overflow = True
         trace.extend(chunk)
-        if len(chunk) < _ROW_CHUNK:
+        k = len(trace)           # mu_1..mu_k are known
+        top = min(k, hi)
+        m = margins[lo:top]
+        np.subtract(ceilings[:top - lo], trace.view(lo, top), out=m)
+        bad = np.flatnonzero(~(m > 0.0))
+        if bad.size:
+            violation = lo + int(bad[0]) + 1
             break
-    arr = trace.array()
-    margins = ceilings[:arr.shape[0]] - arr
-    if violation is None and not (margins[-1] > 0.0):
-        violation = arr.shape[0]
-    return MuTrace(mu=arr, constraint="mu < (a_n/b_n)^q", margins=margins,
+        if overflow:
+            raise ValueError("((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) leaves the "
+                             f"binary64 range at n = {k}")
+        if k < lo + steps + 1:   # the domain test failed on the step at k
+            violation = k
+            break
+    k = len(trace) if violation is None else violation
+    return MuTrace(mu=_prefix(trace.view(0, k), N),
+                   constraint="mu < (a_n/b_n)^q",
+                   margins=_prefix(margins[:k], N),
                    first_violation=violation)
 
 

@@ -52,6 +52,8 @@ CSV_COLUMNS = ("method", "p", "L", "c", "alpha", "N", "pass", "first_fail",
 CERTIFY_METHODS = ("cartlidge", "ratio", "product", "factorable-product",
                    "stepwise", "stepwise-p2", "mu-primal", "mu-dual")
 TRACE_DENSE = 1000
+# weights on which search_smallest_L settles a probe before the whole list
+_HEAD = 1024
 
 
 # ----------------------------------------------------------------------
@@ -222,18 +224,33 @@ def search_smallest_L(method: str, w: WeightSequence, p: float,
     returns None when even L just under p fails.  Stops early once the
     midpoint rounds to lo or hi: every later step would re-run a known
     verdict and leave the bracket as it is.
+
+    Each probe is settled on the first _HEAD weights before the whole
+    sequence is checked.  Every run_certificate method is prefix-causal:
+    its margins at n <= m depend only on lam_1..lam_m, bit for bit (the
+    partial sums, cumulative sums and mu steps all run forward), so a
+    probe that fails on the head fails on the whole sequence at the same
+    index.  The probed L values and the result are those of checking the
+    whole sequence each time; a probe whose head passes runs that check.
     """
+    head = w.head(min(w.N, _HEAD))
+
+    def passes(L):
+        if head is not w and not run_certificate(method, head, p, L).passed:
+            return False
+        return run_certificate(method, w, p, L).passed
+
     hi = p * (1.0 - 1e-9)
-    if not run_certificate(method, w, p, hi).passed:
+    if not passes(hi):
         return None
     lo = p * 1e-9
-    if run_certificate(method, w, p, lo).passed:
+    if passes(lo):
         return lo
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if run_certificate(method, w, p, mid).passed:
+        if passes(mid):
             hi = mid
         else:
             lo = mid

@@ -45,8 +45,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._num import first_bad, margin_ok, suffix_sums, trial_rows
-from .certificates import (MuTrace, _binary64_pow, _mu_dual_ratios, mu_dual,
-                           mu_primal)
+from .certificates import (_ROW_CHUNK, MuTrace, _binary64_pow,
+                           _mu_dual_ratios, mu_dual, mu_primal)
 from .factorable import bge_matrix, bge_steps
 from .sequences import WeightSequence, averaged, build_weights
 
@@ -370,13 +370,13 @@ def near_extremal_schedule(p: float, c: float, n_start: int = 64,
     """
     if not (1 <= n_start <= n_stop):
         raise ValueError("need 1 <= n_start <= n_stop")
-    K = branch_constant("copson_prefix", p, c)
+    Kp = _binary64_pow(branch_constant("copson_prefix", p, c), p, "K^p")
     w = build_weights("constant", n_stop)
     n = np.arange(1, n_stop + 1, dtype=np.float64)
     x = n ** (-1.0 / p - offset)
     inner, u = branch_parts(w, x[None, :], "copson_prefix", p, c)
     num = np.cumsum(u * inner[0] ** p)
-    den = K ** p * np.cumsum(u * x ** p)
+    den = Kp * np.cumsum(u * x ** p)
     schedule = []
     N = n_start
     while N < n_stop:
@@ -427,24 +427,25 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
 # Mu recurrences of the two families: mu_dual plus an analytic envelope
 
 
-def _head(w: WeightSequence, N: int | None) -> WeightSequence:
-    """w itself, or its first N weights (same partials) when N < len(w)."""
-    n_stop = w.N if N is None else int(N)
-    if not (1 <= n_stop <= w.N):
-        raise ValueError("need 1 <= N <= len(weights)")
-    if n_stop == w.N:
-        return w
-    return build_weights("explicit", n_stop, values=w.values[:n_stop])
+def _with_envelope(trace: MuTrace, constraint: str, targets) -> MuTrace:
+    """trace relabelled, with margins against an envelope mu_n <= target_n.
 
-
-def _with_envelope(trace: MuTrace, constraint: str,
-                   targets: np.ndarray) -> MuTrace:
-    """trace relabelled, with margins against an envelope mu_n <= targets."""
-    t_margins = targets - trace.mu
-    t_bad = first_bad(t_margins, np.maximum(np.abs(targets),
-                                            np.abs(trace.mu)))
+    targets(lo, hi) returns the envelope at the 0-based rows
+    lo <= i < hi; the margins are filled one _ROW_CHUNK at a time.
+    """
+    k = trace.n_evaluated
+    t_margins = np.empty(k, dtype=np.float64)
+    t_bad = None
+    for lo in range(0, k, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, k)
+        t, mu = targets(lo, hi), trace.mu[lo:hi]
+        np.subtract(t, mu, out=t_margins[lo:hi])
+        if t_bad is None:
+            bad = first_bad(t_margins[lo:hi],
+                            np.maximum(np.abs(t), np.abs(mu)))
+            t_bad = None if bad is None else lo + bad + 1
     return replace(trace, constraint=constraint, target_margins=t_margins,
-                   target_violation=None if t_bad is None else t_bad + 1)
+                   target_violation=t_bad)
 
 
 def mu_dual_copson(w: WeightSequence, p: float, c: float,
@@ -470,16 +471,23 @@ def mu_dual_copson(w: WeightSequence, p: float, c: float,
         raise ValueError("need p > 1")
     if not (c > 1.0):
         raise ValueError("need c > 1")
-    w = _head(w, N)
+    w = w if N is None else w.head(int(N))
     lam, Lam = w.values, w.partials
     q = p / (p - 1.0)
-    R = Lam / lam
-    cross = (R[:-1] * (lam[:-1] / lam[1:]) ** (1.0 - 1.0 / p)
-             * (Lam[1:] / Lam[:-1]) ** (1.0 - c / p))
-    trace = _mu_dual_ratios(R, cross, p,
+
+    def ratios(lo, hi):
+        R = Lam[lo:hi] / lam[lo:hi]
+        lam_n, Lam_n = lam[lo + 1:hi + 1], Lam[lo + 1:hi + 1]
+        m = lam_n.shape[0]
+        return R, (R[:m] * (lam[lo:lo + m] / lam_n) ** (1.0 - 1.0 / p)
+                   * (Lam_n / Lam[lo:lo + m]) ** (1.0 - c / p))
+
+    def targets(lo, hi):
+        R = Lam[lo:hi] / lam[lo:hi]
+        return R * (1.0 / R + p / (c - 1.0)) ** (1.0 - q)
+
+    trace = _mu_dual_ratios(ratios, w.N, p,
                             _binary64_pow((c - 1.0) / p, q, "mu_1 = ((c-1)/p)^q"))
-    R = R[:trace.n_evaluated]
-    targets = R * (1.0 / R + p / (c - 1.0)) ** (1.0 - q)
     return _with_envelope(trace, "mu < (Lam_n/lam_n)^q", targets)
 
 
@@ -511,7 +519,7 @@ def mu_bge(w: WeightSequence, p: float, alpha: float, route: str = "dual",
         raise ValueError("need alpha > 0")
     if route not in ("dual", "primal"):
         raise ValueError("route must be 'dual' or 'primal'")
-    w = _head(w, N)
+    w = w if N is None else w.head(int(N))
     lam = w.values
     Lam = w.partials
     q = p / (p - 1.0)
@@ -520,10 +528,13 @@ def mu_bge(w: WeightSequence, p: float, alpha: float, route: str = "dual",
     if route == "dual":
         trace = mu_dual(bge_matrix(w, p, alpha), p,
                         _binary64_pow(alpha * p / (p - 1.0), p, "U_p"))
-        k = trace.n_evaluated
         A = alpha ** q * q ** (q - 1.0)
-        targets = (s[:k] ** (q / (q - 1.0))
-                   + (A * lam[:k] / Lam[:k]) ** (1.0 / (q - 1.0))) ** (1.0 - q)
+
+        def targets(lo, hi):
+            return (s[lo:hi] ** (q / (q - 1.0))
+                    + (A * lam[lo:hi] / Lam[lo:hi]) ** (1.0 / (q - 1.0))
+                    ) ** (1.0 - q)
+
         return _with_envelope(trace, "mu < s_n^(-q)", targets)
 
     lam_p = ((p - 1.0) / (alpha * p)) ** p

@@ -55,6 +55,17 @@ class WeightSequence:
         tails.setflags(write=False)
         return tails
 
+    def head(self, n: int) -> WeightSequence:
+        """The first n weights: self when n = N, else the leading slices
+        of the values and partial sums, since the compensated partial
+        sums of lam_1..lam_n are those of the whole list, bit for bit."""
+        if not (1 <= n <= self.N):
+            raise ValueError("need 1 <= N <= len(weights)")
+        if n == self.N:
+            return self
+        return WeightSequence(kind=self.kind, values=self.values[:n],
+                              partials=self.partials[:n], label=self.label)
+
     @property
     def ratios(self) -> np.ndarray:
         """Lam_n / lam_n."""

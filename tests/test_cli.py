@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import lpcert
-from lpcert import cli
+from lpcert import build_weights, cli
 
 CSV_HEADER = "method,p,L,c,alpha,N,pass,first_fail,worst_margin,bound"
 
@@ -334,6 +334,47 @@ def test_search_L_stops_once_the_bisection_stalls(method, weights, p,
     assert got == ref
     # no L is probed twice, and at most 2 + 60 are probed in all
     assert len(probes) == len(set(probes)) <= 62
+
+
+def _random_monotone(N, seed=3):
+    """Corpus-style weights: 0.05 plus a running sum of U(0, 1)."""
+    rng = np.random.default_rng(seed)
+    return build_weights("explicit", N,
+                         values=0.05 + np.cumsum(rng.uniform(size=N)))
+
+
+@pytest.mark.parametrize("method", cli.CERTIFY_METHODS)
+@pytest.mark.parametrize("weights", ["constant", "power:0.5", "power:-0.5",
+                                     "geometric:1.001", "random-monotone"])
+@pytest.mark.parametrize("N", [1500, 5000])
+def test_search_L_probes_the_head_first(method, weights, N, monkeypatch):
+    assert N > cli._HEAD
+    w = (_random_monotone(N) if weights == "random-monotone"
+         else cli.parse_weights(weights, N))
+    certify = cli.run_certificate
+    for p in ([2.0] if method == "stepwise-p2" else [1.5, 2.0, 3.0]):
+        ref = _bisect_60_steps(method, w, p)
+        calls = []
+
+        def counted(m, v, p, L):
+            rep = certify(m, v, p, L)
+            calls.append((v.N, L, rep.passed))
+            return rep
+
+        monkeypatch.setattr(cli, "run_certificate", counted)
+        assert cli.search_smallest_L(method, w, p) == ref
+        monkeypatch.setattr(cli, "run_certificate", certify)
+        # each probe checks the head first; a probe whose head fails
+        # makes that one call, any other one more call on all N weights
+        head_failures = 0
+        while calls:
+            n, L, passed = calls.pop(0)
+            assert n == cli._HEAD
+            if passed:
+                assert calls.pop(0)[:2] == (N, L)
+            else:
+                head_failures += 1
+        assert head_failures >= 1
 
 
 def test_compare_report_fields(tmp_path):

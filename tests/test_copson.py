@@ -170,6 +170,16 @@ def test_near_extremal_schedule_monotone_toward_one():
         ratios[-1], rel=1e-12)
 
 
+def test_near_extremal_schedule_names_an_out_of_range_K_p():
+    # K = p/(c-1) = 1e6, so K^p = 1e600; the branch trials give the same
+    # domain error for this K^p
+    with pytest.raises(ValueError, match=r"^K\^p leaves the binary64 range$"):
+        near_extremal_schedule(100.0, 1.0001, n_stop=1000)
+    w = build_weights("constant", 1000)
+    with pytest.raises(ValueError, match=r"^K\^p leaves the binary64 range$"):
+        check_copson_branch(w, 100.0, 1.0001, "copson_prefix", trials=1)
+
+
 def test_bge_spike_hand_value():
     # constant weights, alpha = 1, p = 2, N = 2, x = (0, 1):
     # LHS = (Lam_2)^2 + (Lam_2)^2 = 8, RHS = 9 (1 + 4) = 45

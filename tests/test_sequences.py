@@ -223,3 +223,19 @@ def test_tails_are_summed_on_first_read(kind, extra):
         tails[0] = 1.0
     ref = comp_cumsum(w.values[::-1])[::-1]
     assert tails.tobytes() == ref.tobytes()
+
+
+@given(st.lists(st.floats(min_value=1e-30, max_value=1e30), min_size=1,
+                max_size=64), st.integers(min_value=1, max_value=64))
+@settings(max_examples=200, deadline=None)
+def test_head_is_the_weights_built_from_a_prefix(vals, n):
+    w = build_weights("explicit", len(vals), values=np.array(vals))
+    n = min(n, w.N)
+    head = w.head(n)
+    ref = build_weights("explicit", n, values=np.array(vals[:n]))
+    assert head.values.tobytes() == ref.values.tobytes()
+    assert head.partials.tobytes() == ref.partials.tobytes()
+    assert head.tails.tobytes() == ref.tails.tobytes()
+    assert (head is w) == (n == w.N)
+    with pytest.raises(ValueError):
+        w.head(w.N + 1)

@@ -5,23 +5,29 @@
 `hlp.mu_direct` and `hlp.mu_dual` write each trace into a float64
 array a chunk of steps at a time.  The reference functions below are the
 loops they replaced, written out again here: each keeps the whole trace
-as a list of Python floats and converts it at the end.  Every trace must
-equal its reference bit for bit, including traces that die next to a
-chunk boundary, and must peak at far less memory.
+as a list of Python floats and converts it at the end.  The dual
+references also form every ratio, power, ceiling and envelope target as
+a whole array before the loop and test the ceiling inside it, where the
+library forms them a chunk at a time and tests the ceiling with numpy.
+Every trace must equal its reference bit for bit, including traces that
+die next to a chunk boundary, and must peak at far less memory.
 """
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lpcert import BoundParams, FactorableSpec, build_weights, hlp
-from lpcert import certificates, weighted_mean
-from lpcert._num import margin_ok
+from lpcert import certificates, copson, weighted_mean
+from lpcert._num import first_bad, margin_ok
 from lpcert.certificates import (_ROW_CHUNK, MuTrace, _binary64_pow,
-                                 _primal_rows, _scalar_rows, mu_dual,
-                                 mu_primal)
+                                 _mu_dual_ratios, _primal_rows, _scalar_rows,
+                                 mu_dual, mu_primal)
+from lpcert.copson import _with_envelope, mu_bge, mu_dual_copson
+from lpcert.factorable import bge_matrix, bge_steps
 
 # ----------------------------------------------------------------------
 # Reference loops: whole-trace lists
@@ -62,7 +68,12 @@ def ref_mu_dual(spec, p, U_p):
     q = p / (p - 1.0)
     a, b = spec.a, spec.b
     mu_1 = _binary64_pow(U_p, -q / p, "mu_1 = U_p^(-q/p)")
-    r, cross = a / b, a[:-1] / b[1:]
+    return ref_mu_dual_ratios(a / b, a[:-1] / b[1:], p, mu_1)
+
+
+def ref_mu_dual_ratios(r, cross, p, mu_1):
+    """The dual loop on whole ratio arrays, ceiling tested in the loop."""
+    q = p / (p - 1.0)
     eq = q / (q - 1.0)
     e1 = 1.0 / (q - 1.0)
     _binary64_pow(mu_1, -e1, "U_p")
@@ -94,6 +105,40 @@ def ref_mu_dual(spec, p, U_p):
         violation = arr.shape[0]
     return MuTrace(mu=arr, constraint="mu < (a_n/b_n)^q", margins=margins,
                    first_violation=violation)
+
+
+def ref_with_envelope(trace, constraint, targets):
+    t_margins = targets - trace.mu
+    t_bad = first_bad(t_margins, np.maximum(np.abs(targets),
+                                            np.abs(trace.mu)))
+    return replace(trace, constraint=constraint, target_margins=t_margins,
+                   target_violation=None if t_bad is None else t_bad + 1)
+
+
+def ref_mu_dual_copson(w, p, c):
+    lam, Lam = w.values, w.partials
+    q = p / (p - 1.0)
+    R = Lam / lam
+    cross = (R[:-1] * (lam[:-1] / lam[1:]) ** (1.0 - 1.0 / p)
+             * (Lam[1:] / Lam[:-1]) ** (1.0 - c / p))
+    trace = ref_mu_dual_ratios(R, cross, p, _binary64_pow(
+        (c - 1.0) / p, q, "mu_1 = ((c-1)/p)^q"))
+    R = R[:trace.n_evaluated]
+    targets = R * (1.0 / R + p / (c - 1.0)) ** (1.0 - q)
+    return ref_with_envelope(trace, "mu < (Lam_n/lam_n)^q", targets)
+
+
+def ref_mu_bge_dual(w, p, alpha):
+    lam, Lam = w.values, w.partials
+    q = p / (p - 1.0)
+    s = bge_steps(w, alpha)
+    trace = ref_mu_dual(bge_matrix(w, p, alpha), p,
+                        _binary64_pow(alpha * p / (p - 1.0), p, "U_p"))
+    k = trace.n_evaluated
+    A = alpha ** q * q ** (q - 1.0)
+    targets = (s[:k] ** (q / (q - 1.0))
+               + (A * lam[:k] / Lam[:k]) ** (1.0 / (q - 1.0))) ** (1.0 - q)
+    return ref_with_envelope(trace, "mu < s_n^(-q)", targets)
 
 
 def ref_hlp_mu_direct(p, N):
@@ -160,6 +205,7 @@ def _outcome(fn, *args):
     except ValueError as exc:
         return f"ValueError: {exc}"
     return (_bits(t.mu), t.constraint, _bits(t.margins), t.first_violation,
+            _bits(t.target_margins), t.target_violation,
             t.aux_constraint, _bits(t.aux_margins))
 
 
@@ -228,6 +274,88 @@ def test_dual_domain_error_matches():
 
 
 @pytest.mark.parametrize("N", NS)
+@pytest.mark.parametrize("p,c,alpha", [(2.0, 1.5, 0.8), (1.5, 1.6, 0.7),
+                                       (3.0, 2.5, 1.2)])
+def test_copson_routes_match_whole_array_loops(N, p, c, alpha):
+    for w in (build_weights("power", N, exponent=0.5),
+              build_weights("geometric", N, ratio=1.0001)):
+        _assert_same(mu_dual_copson, ref_mu_dual_copson, w, p, c)
+        _assert_same(mu_bge, ref_mu_bge_dual, w, p, alpha)
+
+
+# c (copson, p = 1.5) and alpha (bge, p = 2) at which each dual trace on
+# constant weights crosses its ceiling at n = 16382 .. 16386 at N = 40000
+# (any index would still be compared)
+COPSON_DEATHS = [1.8836624145507814, 1.8836616516113283, 1.8836612701416016,
+                 1.883660888671875, 1.883660125732422]
+BGE_DEATHS = [0.631923370361328, 0.6319235038757323, 0.6319236373901365,
+              0.6319239044189451, 0.6319241714477537]
+
+
+def test_copson_routes_dying_near_a_chunk_boundary():
+    w = build_weights("constant", 40_000)
+    deaths = [_assert_same(mu_dual_copson, ref_mu_dual_copson, w, 1.5, c)
+              for c in COPSON_DEATHS]
+    deaths += [_assert_same(mu_bge, ref_mu_bge_dual, w, 2.0, alpha)
+               for alpha in BGE_DEATHS]
+    for got in deaths:
+        assert abs(got[3] - _ROW_CHUNK) <= 3
+        # the ceiling margin of the last row is the violation
+        assert np.frombuffer(got[2][2])[-1] <= 0.0
+
+
+@pytest.mark.parametrize("row", DEATHS)
+def test_envelope_violation_at_a_chunk_boundary(row):
+    w = build_weights("power", 40_000, exponent=0.5)
+    trace = mu_dual_copson(w, 2.0, 1.5)
+    R = w.partials / w.values
+    targets = R * (1.0 / R + 4.0) ** -1.0
+    # pull the envelope just under the trace on that row
+    targets[row - 1] = trace.mu[row - 1] * (1.0 - 1e-9)
+    got = _with_envelope(trace, "env", lambda lo, hi: targets[lo:hi])
+    ref = ref_with_envelope(trace, "env", targets)
+    assert _outcome(lambda: got) == _outcome(lambda: ref)
+    assert got.target_violation == row and not got.passed
+
+
+def _ceiling_meets_trace_on(row, N, p):
+    """Ratios whose ceiling r^q equals mu on that row while the domain
+    test there still rounds above 0: every cross ratio before it is 0, so
+    mu_n stays mu_1, and r there is chosen with r^q = mu_1."""
+    q = p / (p - 1.0)
+    eq, e1 = q / (q - 1.0), 1.0 / (q - 1.0)   # the loop's exponents
+    for k in range(1000):
+        r0 = np.array([1.1 + 1e-3 * k])
+        mu_1 = float((r0 ** q)[0])
+        if float((r0 ** eq)[0]) * mu_1 ** (-e1) - 1.0 > 0.0:
+            break
+    else:
+        raise AssertionError("no ratio found")
+    r = np.full(N, 2.0 * r0[0])
+    r[row - 1] = r0[0]
+    cross = np.zeros(N - 1)
+    cross[row - 1:] = 1.0
+    return r, cross, mu_1
+
+
+@pytest.mark.parametrize("row", [1, 6] + DEATHS)
+@pytest.mark.parametrize("p", [1.04, 3.0])
+def test_dual_ceiling_comes_before_a_later_failure(row, p):
+    # the domain test rounds to 2^-52 on that row: at p = 1.04 its power
+    # (q - 1 = 25) underflows to 0, which would be a domain error; at
+    # p = 3 the next mu is near 7e7 and the domain test fails on the row
+    # after
+    N = 40_000
+    r, cross, mu_1 = _ceiling_meets_trace_on(row, N, p)
+    got = _outcome(_mu_dual_ratios,
+                   lambda lo, hi: (r[lo:hi], cross[lo:min(hi, N - 1)]),
+                   N, p, mu_1)
+    assert got == _outcome(ref_mu_dual_ratios, r, cross, p, mu_1)
+    assert got[3] == row
+    assert np.frombuffer(got[2][2])[-1] == 0.0
+
+
+@pytest.mark.parametrize("N", NS)
 @pytest.mark.parametrize("p", [0.34, 0.35, 0.355, 0.4, 0.6, 0.9])
 def test_hlp_loops_match_list_loops(N, p):
     _assert_same(hlp.mu_direct, ref_hlp_mu_direct, p, N)
@@ -269,6 +397,19 @@ def test_chunk_size_does_not_change_a_trace(monkeypatch):
                 _outcome(hlp.mu_dual, 0.355, 3000)] == whole
 
 
+def test_chunk_size_does_not_change_a_copson_trace(monkeypatch):
+    w = build_weights("power", 3000, exponent=0.5)
+    # a passing trace of each route, and one that dies on its ceiling
+    calls = [(mu_dual_copson, w, 2.0, 1.5), (mu_bge, w, 2.0, 0.8),
+             (mu_dual_copson, w, 1.5, 2.2), (mu_bge, w, 2.0, 0.62)]
+    whole = [_outcome(*call) for call in calls]
+    assert whole[2][3] is not None and whole[3][3] is not None
+    for chunk in (1, 7):
+        monkeypatch.setattr(certificates, "_ROW_CHUNK", chunk)
+        monkeypatch.setattr(copson, "_ROW_CHUNK", chunk)
+        assert [_outcome(*call) for call in calls] == whole
+
+
 # ----------------------------------------------------------------------
 # Memory
 
@@ -288,7 +429,20 @@ def test_mu_dual_peak_memory_is_below_the_list_loop():
     U_p = BoundParams(1.95, 1.0).U_p
     ref, got = _peak(ref_mu_dual, spec, 1.95, U_p), _peak(
         mu_dual, spec, 1.95, U_p)
-    # the ratios, the per-index powers, the trace and its margins (seven
-    # arrays of 1.6 MB, about 11 MiB) stay; the list of 2e5 floats (about
-    # 6 MiB more) is gone
-    assert got < 14 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
+    # the trace and its margins (two arrays of 1.6 MB) and one chunk of
+    # ratios and powers stay; the whole-length ratios and powers (five
+    # more arrays) and the list of 2e5 floats (about 6 MiB) are gone
+    assert got < 8 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
+
+
+def test_early_dual_death_peaks_at_its_two_buffers():
+    # L = 0.25 is below the Cartlidge constant 0.5 of power:1 weights:
+    # the trace dies at n = 4, so it needs the trace and margin buffers
+    # (two arrays of 8 MB) and one chunk of ratios, not every power
+    N = 1_000_000
+    spec = weighted_mean(build_weights("power", N, exponent=1.0))
+    U_p = BoundParams(2.0, 0.25).U_p
+    assert mu_dual(spec, 2.0, U_p).first_violation == 4
+    ref, got = _peak(ref_mu_dual, spec, 2.0, U_p), _peak(
+        mu_dual, spec, 2.0, U_p)
+    assert got < 20 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
