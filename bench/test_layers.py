@@ -10,8 +10,9 @@ HLP n0 searches at N = 1e3, 1e5 and 1e6: `mu_primal` and
 `hlp.mu_dual` at p = 0.355 (every trace passes or, for the two `hlp`
 ones, runs to N); each mu trace also records the tracemalloc peak of
 one untimed call in `extra_info`.  `mu_dual` is also timed on a claim
-that dies at n = 4 (power:1 weights, p = 2, L = 0.25, N = 1e6), with
-its peak, and `cli.search_smallest_L` on the product condition on a
+that dies at n = 4 (power:1 weights, p = 2, L = 0.25, N = 1e6), and
+`mu_primal` on a claim that dies at n = 3 (the Cesaro matrix, p = 2,
+lam_p = 0.9, N = 1e6), each with its peak, and `cli.search_smallest_L` on the product condition on a
 seeded random-monotone list (0.05 plus a running sum of U(0, 1)) at
 N = 1e3 and 1e5, p = 2.  The searches are
 `hlp.certify_direct` at p = 0.35 (certified at n0 = 4) and 0.355
@@ -40,8 +41,8 @@ import numpy as np
 import pytest
 
 from lpcert import (BoundParams, StrengthenedCase, build_weights,
-                    certify_direct, check_bge, check_copson_branch, cli,
-                    comp_cumsum, copson_root, copson_threshold, hlp,
+                    certify_direct, cesaro, check_bge, check_copson_branch,
+                    cli, comp_cumsum, copson_root, copson_threshold, hlp,
                     mu_bge, mu_dual, mu_dual_copson, mu_primal, search_c,
                     strengthened_trials, weighted_mean)
 
@@ -112,6 +113,15 @@ def test_mu_dual_early_death(benchmark):
     trace = benchmark.pedantic(mu_dual, args=args, rounds=20,
                                warmup_rounds=1)
     assert trace.first_violation == 4
+
+
+def test_mu_primal_early_death(benchmark):
+    args = (cesaro(10**6), 2.0, 0.9)
+    benchmark.extra_info["tracemalloc_peak_bytes"] = _tracemalloc_peak(
+        mu_primal, args)
+    trace = benchmark.pedantic(mu_primal, args=args, rounds=20,
+                               warmup_rounds=1)
+    assert trace.first_violation == 3
 
 
 @pytest.mark.parametrize("N", [10**3, 10**5])

@@ -21,8 +21,8 @@ truncation.
 
 from ._num import PASS_RTOL, comp_cumsum, margin_ok, suffix_sums
 from .certificates import (BoundParams, CertificateReport, MuTrace,
-                           cartlidge_constant, cartlidge_profile,
-                           check_cartlidge, check_factorable_product,
+                           cartlidge_constant, check_cartlidge,
+                           check_factorable_product,
                            check_factorable_stepwise, check_product_condition,
                            check_ratio_condition, check_stepwise_p2, mu_dual,
                            mu_primal, trace_report)
@@ -34,7 +34,7 @@ from .copson import (BRANCHES, RATIO_TOL, BranchReport, KernelReport,
                      near_extremal_schedule)
 from .corpus import builtin_corpus, comparability_pair, weights_from_ratios
 from .factorable import (FactorableSpec, bge_matrix, cesaro, copson_matrix,
-                         hlp_dual_matrix, norm_upper_hardy, weighted_mean)
+                         hlp_dual_matrix, weighted_mean)
 from .hlp import (DirectCertificate, DualFeasibility, ShiftSearch,
                   bracket_threshold, certify_direct, certify_report,
                   direct_floor, direct_floor_margin, dual_feasible,
@@ -56,10 +56,10 @@ __all__ = [
     "WeightSequence", "AveragesBundle", "build_weights", "load_weight_file",
     "averages",
     "FactorableSpec", "weighted_mean", "copson_matrix", "bge_matrix",
-    "hlp_dual_matrix", "cesaro", "norm_upper_hardy",
+    "hlp_dual_matrix", "cesaro",
     "NormEstimate", "power_lower_bound", "ratio_at",
     "BoundParams", "MuTrace", "CertificateReport", "cartlidge_constant",
-    "cartlidge_profile", "check_cartlidge", "check_ratio_condition",
+    "check_cartlidge", "check_ratio_condition",
     "check_product_condition", "check_factorable_product",
     "check_factorable_stepwise", "check_stepwise_p2", "mu_primal", "mu_dual",
     "trace_report",

@@ -59,17 +59,18 @@ def suffix_sums(values) -> np.ndarray:
     return np.cumsum(arr[..., ::-1], axis=-1)[..., ::-1]
 
 
-def margin_ok(margin: float, scale: float, rtol: float = PASS_RTOL) -> bool:
-    """Pass test for `margin >= 0` with relative slack against `scale`."""
+def margin_ok(margin: float, scale: float) -> bool:
+    """Pass test for `margin >= 0` with relative slack PASS_RTOL against
+    `scale`."""
     if not math.isfinite(margin):
         return False
-    return margin >= -rtol * max(abs(scale), 1.0)
+    return margin >= -PASS_RTOL * max(abs(scale), 1.0)
 
 
-def first_bad(margins: np.ndarray, scales: np.ndarray, rtol: float = PASS_RTOL):
+def first_bad(margins: np.ndarray, scales: np.ndarray):
     """Index (0-based) of the first margin failing `margin_ok`, or None."""
     scales = np.maximum(np.abs(scales), 1.0)
-    bad = ~(margins >= -rtol * scales)
+    bad = ~(margins >= -PASS_RTOL * scales)
     bad |= ~np.isfinite(margins)
     idx = np.flatnonzero(bad)
     return int(idx[0]) if idx.size else None

@@ -24,15 +24,16 @@ Checkers, from weakest hypothesis to most specialized:
 
 mu_primal and mu_dual run the recurrences behind these certificates
 directly; a completed trace is itself a certificate at truncation N.
-Their scalar loops write each trace into a float64 array a chunk of
-steps at a time (_TraceBuffer), never holding it as a list of floats.
+Both form their per-index ratios and powers with numpy one _ROW_CHUNK of
+rows at a time, run the recurrence over that chunk as scalar float
+steps, and write each trace into a float64 array a chunk of steps at a
+time (_TraceBuffer), never holding it as a list of floats.
 Products are accumulated in log space; sums of positive terms inside the
 product conditions use a running log-sum-exp.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,9 +43,8 @@ from ._num import first_bad, margin_ok
 from .factorable import FactorableSpec, _require_normalized
 from .sequences import WeightSequence
 
-# rows per float-list conversion in _scalar_rows, rows of ratios a dual
-# trace forms at a time, and steps per chunk a scalar mu loop hands to its
-# _TraceBuffer
+# rows of ratios and powers a mu trace forms at a time, and steps per
+# chunk a scalar mu loop hands to its _TraceBuffer
 _ROW_CHUNK = 1 << 14
 
 
@@ -132,13 +132,9 @@ class MuTrace:
     first_violation: int | None
     target_margins: np.ndarray | None = None
     target_violation: int | None = None
-    aux_constraint: str = ""
-    aux_margins: np.ndarray | None = None
 
     @property
     def passed(self) -> bool:
-        """Hard constraint and analytic target only; aux margins are
-        informational and never gate the verdict."""
         return self.first_violation is None and self.target_violation is None
 
     @property
@@ -179,15 +175,28 @@ class CertificateReport:
 
 
 def _report(method: str, params: BoundParams, N: int, margins: np.ndarray,
-            scales: np.ndarray, note: str = "", offset: int = 1,
-            **extra) -> CertificateReport:
-    """Assemble a report from margin/scale arrays indexed from `offset`."""
+            scales: np.ndarray, note: str = "") -> CertificateReport:
+    """Assemble a report from margin/scale arrays indexed from n = 1."""
     bad = first_bad(margins, scales)
     worst = float(np.min(margins)) if margins.size else math.inf
     return CertificateReport(
         method=method, p=params.p, L=params.L, N=N, passed=bad is None,
-        first_fail=None if bad is None else bad + offset,
-        worst_margin=worst, bound=params.bound, note=note, **extra)
+        first_fail=None if bad is None else bad + 1,
+        worst_margin=worst, bound=params.bound, note=note)
+
+
+def _nonpositive_report(values: np.ndarray, method: str, params: BoundParams,
+                        N: int, what: str) -> CertificateReport | None:
+    """The failing report at the first n with values[n-1] <= 0 (margins 0
+    before it, NaN on it), or None when every value is positive."""
+    bad = np.flatnonzero(values <= 0.0)
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    margins = np.full(k + 1, np.nan)
+    margins[:k] = 0.0
+    return _report(method, params, N, margins, np.ones_like(margins),
+                   note=f"{what} at n={k + 1}")
 
 
 # ----------------------------------------------------------------------
@@ -200,22 +209,6 @@ def cartlidge_constant(w: WeightSequence) -> float:
         raise ValueError("need at least two weights")
     r = w.ratios
     return float(np.max(np.diff(r)))
-
-
-def cartlidge_profile(w: WeightSequence) -> tuple[float, int, bool]:
-    """(L, attaining index n, tail-still-increasing flag).
-
-    The flag warns that the last tenth of the differences is strictly
-    increasing, so the truncated maximum may undershoot the true sup.
-    """
-    if w.N < 2:
-        raise ValueError("need at least two weights")
-    diffs = np.diff(w.ratios)
-    arg = int(np.argmax(diffs))
-    tail_len = max(2, diffs.shape[0] // 10)
-    tail = diffs[-tail_len:]
-    increasing = bool(tail.shape[0] >= 2 and np.all(np.diff(tail) > 0.0))
-    return float(diffs[arg]), arg + 1, increasing
 
 
 def check_cartlidge(w: WeightSequence, p: float, L: float) -> CertificateReport:
@@ -255,15 +248,11 @@ def _product_condition(a: np.ndarray, b: np.ndarray, params: BoundParams,
 
         (1/a_n) sum_{k<=n} b_k prod_{i=k..n} factor_i^(1/(p-1)) <= p/(p-L).
     """
-    p = params.p
-    ratios = a / b
-    if np.any(factors_num <= 0.0):
-        bad = int(np.flatnonzero(factors_num <= 0.0)[0])
-        margins = np.full(bad + 1, np.nan)
-        margins[:bad] = 0.0
-        return _report(method, params, N, margins, np.ones_like(margins),
-                       note=f"nonpositive product factor at n={bad + 1}")
-    lnf = (np.log(factors_num) - np.log(ratios[:-1])) / (p - 1.0)
+    failed = _nonpositive_report(factors_num, method, params, N,
+                                 "nonpositive product factor")
+    if failed is not None:
+        return failed
+    lnf = (np.log(factors_num) - np.log((a / b)[:-1])) / (params.p - 1.0)
     C = np.cumsum(lnf)                      # C[i] = sum_{j<=i+1} ln factor_j^(1/(p-1))
     Cprev = np.concatenate(([0.0], C[:-1]))
     terms = np.log(b[:-1]) - Cprev          # ln b_k - C_{k-1}, k = 1..N-1
@@ -319,12 +308,10 @@ def check_factorable_stepwise(spec: FactorableSpec, p: float, L: float) -> Certi
     x, y = r[:-1], r[1:]
     cross = spec.a[:-1] / spec.b[1:]
     g = A * x + B
-    if np.any(g <= 0.0):
-        bad = int(np.flatnonzero(g <= 0.0)[0])
-        margins = np.full(bad + 1, np.nan)
-        margins[:bad] = 0.0
-        return _report("stepwise", params, spec.N, margins, np.ones_like(margins),
-                       note=f"floor constant A*r_n+B nonpositive at n={bad + 1}")
+    failed = _nonpositive_report(g, "stepwise", params, spec.N,
+                                 "floor constant A*r_n+B nonpositive")
+    if failed is not None:
+        return failed
     e1 = 1.0 / (p - 1.0)
     ep = p / (p - 1.0)
     lhs = (A * y + 1.0 - A) ** e1 * (g ** e1 + cross ** ep)
@@ -367,30 +354,41 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
 
     Constraint: mu_n >= 0.  Values within -1e-12 (relative) of zero are
     clamped to zero and the run continues; anything lower stops the trace.
-    The per-index powers come from _primal_rows; only scalar float steps
-    run in the loop.
+    The rows n = 1..N-1 are taken one _ROW_CHUNK at a time: their powers
+    (a_n/b_n)^p and (a_(n-1)/b_n)^(p/(p-1)) are formed with numpy over the
+    chunk, so a trace that dies early forms few of them, and only scalar
+    float steps run in the loop.  A power that leaves the binary64 range
+    is a domain error once the trace reaches its row.
     """
     if not (p > 1.0):
         raise ValueError("need p > 1")
     if not (0.0 < lam_p < 1.0):
         raise ValueError("need lam_p in (0, 1)")
     _require_normalized(spec, "primal recurrence")
-    e1 = 1.0 / (p - 1.0)
+    a, b = spec.a, spec.b
+    e1, ep = 1.0 / (p - 1.0), p / (p - 1.0)
+    rows = spec.N - 1
     trace = _TraceBuffer(spec.N, 1.0)
-    rows = _primal_rows(spec, p)
     prev = 1.0
     violation = None
-    while violation is None:
+    for lo in range(0, rows, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, rows)
+        a_prev = a[lo - 1:hi - 1] if lo else np.concatenate(([0.0], a[:hi - 1]))
+        with np.errstate(over="ignore"):
+            rp = (a[lo:hi] / b[lo:hi]) ** p
+            cross = (a_prev / b[lo:hi]) ** ep
+        bad = np.flatnonzero(np.isinf(rp) | np.isinf(cross))
+        stop = int(bad[0]) if bad.size else hi - lo
         chunk = []
         step = chunk.append
         try:
-            for rp, cross in itertools.islice(rows, _ROW_CHUNK):
+            for r, c in zip(rp[:stop].tolist(), cross[:stop].tolist()):
                 base = prev ** e1 if prev > 0.0 else 0.0
-                denom = (base + cross) ** (p - 1.0)
+                denom = (base + c) ** (p - 1.0)
                 if denom <= 0.0 or not math.isfinite(denom):
                     violation = len(trace) + len(chunk)
                     break
-                t = rp * prev / denom
+                t = r * prev / denom
                 nxt = t - lam_p
                 if nxt < 0.0:
                     if margin_ok(nxt, max(t, lam_p)):
@@ -406,47 +404,14 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
                 "(mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) leaves the "
                 f"binary64 range at n = {len(trace) + len(chunk)}") from None
         trace.extend(chunk)
-        if len(chunk) < _ROW_CHUNK:
+        if violation is not None:
             break
-    arr = trace.array()
-    return MuTrace(mu=arr, constraint="mu >= 0", margins=arr.copy(),
-                   first_violation=violation)
-
-
-def _primal_rows(spec: FactorableSpec, p: float):
-    """((a_n/b_n)^p, (a_(n-1)/b_n)^(p/(p-1))) for n = 1..N-1, a_0 = 0, as
-    Python floats.
-
-    The powers are formed with numpy one _ROW_CHUNK at a time, so a trace
-    that dies early forms few of them.  A power that leaves the binary64
-    range raises a domain error when the trace reaches its row.
-    """
-    a, b = spec.a, spec.b
-    rows = spec.N - 1
-    a_prev = np.concatenate(([0.0], a[:-2]))
-    for lo in range(0, rows, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, rows)
-        with np.errstate(over="ignore"):
-            rp = (a[lo:hi] / b[lo:hi]) ** p
-            cross = (a_prev[lo:hi] / b[lo:hi]) ** (p / (p - 1.0))
-        bad = np.flatnonzero(np.isinf(rp) | np.isinf(cross))
-        stop = bad[0] if bad.size else hi - lo
-        yield from _scalar_rows(rp[:stop], cross[:stop])
         if bad.size:
             raise ValueError("(a_n/b_n)^p or (a_(n-1)/b_n)^(p/(p-1)) leaves "
                              f"the binary64 range at n = {lo + stop + 1}")
-
-
-def _scalar_rows(*arrays: np.ndarray):
-    """Iterate the arrays in lockstep as tuples of Python floats.
-
-    Rows are converted a chunk at a time, so a scalar loop pays neither
-    numpy-scalar arithmetic nor a full-length list per array.
-    """
-    n = arrays[0].shape[0]
-    return itertools.chain.from_iterable(
-        zip(*(x[lo:lo + _ROW_CHUNK].tolist() for x in arrays))
-        for lo in range(0, n, _ROW_CHUNK))
+    arr = trace.array()
+    return MuTrace(mu=arr, constraint="mu >= 0", margins=arr.copy(),
+                   first_violation=violation)
 
 
 def _binary64_pow(base: float, expo: float, name: str) -> float:
@@ -571,7 +536,7 @@ def trace_report(trace: MuTrace, method: str, params: BoundParams,
 
 __all__ = [
     "BoundParams", "MuTrace", "CertificateReport",
-    "cartlidge_constant", "cartlidge_profile", "check_cartlidge",
+    "cartlidge_constant", "check_cartlidge",
     "check_ratio_condition", "check_product_condition",
     "check_factorable_product", "check_factorable_stepwise",
     "check_stepwise_p2", "mu_primal", "mu_dual", "trace_report",

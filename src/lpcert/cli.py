@@ -150,16 +150,17 @@ def decimate_trace(values) -> list[list[float]]:
 
 
 def parse_weights(text: str, N: int | None) -> WeightSequence:
+    n = 1000 if N is None else N
     if text == "constant":
-        return build_weights("constant", N or 1000)
+        return build_weights("constant", n)
     head, sep, tail = text.partition(":")
     if not sep:
         raise ValueError(f"bad weight spec {text!r}: expected constant, "
                          "power:A, geometric:R, or file:PATH")
     if head == "power":
-        return build_weights("power", N or 1000, exponent=float(tail))
+        return build_weights("power", n, exponent=float(tail))
     if head == "geometric":
-        return build_weights("geometric", N or 1000, ratio=float(tail))
+        return build_weights("geometric", n, ratio=float(tail))
     if head == "file":
         w = load_weight_file(tail)
         if N is not None and N != w.N:
@@ -179,8 +180,6 @@ def mu_trace_dict(trace, method: str, p: float, N: int, **params) -> dict:
            "worst_margin": trace.worst_margin,
            "n_evaluated": trace.n_evaluated,
            "trace": decimate_trace(trace.mu)}
-    if trace.aux_constraint:
-        out["aux_constraint"] = trace.aux_constraint
     out.update(params)
     return out
 
@@ -216,14 +215,22 @@ def run_certificate(method: str, w: WeightSequence, p: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-def search_smallest_L(method: str, w: WeightSequence, p: float,
-                      iters: int = 60) -> float | None:
-    """Bisect for the smallest L in (0, p) the certificate accepts.
+def search_smallest_L(method: str, w: WeightSequence,
+                      p: float) -> float | None:
+    """Bisect for the smallest L in (0, p) the certificate accepts, or
+    None when even L just under p fails (see _smallest_passing)."""
+    rep = _smallest_passing(method, w, p)
+    return None if rep is None else rep.L
 
-    Assumes pass is monotone in L (a larger L claims a weaker bound);
-    returns None when even L just under p fails.  Stops early once the
-    midpoint rounds to lo or hi: every later step would re-run a known
-    verdict and leave the bracket as it is.
+
+def _smallest_passing(method: str, w: WeightSequence,
+                      p: float) -> CertificateReport | None:
+    """The whole-sequence report at the smallest passing L of a 60-step
+    bisection, or None when even L just under p fails.
+
+    Assumes pass is monotone in L (a larger L claims a weaker bound).
+    Stops early once the midpoint rounds to lo or hi: every later step
+    would re-run a known verdict and leave the bracket as it is.
 
     Each probe is settled on the first _HEAD weights before the whole
     sequence is checked.  Every run_certificate method is prefix-causal:
@@ -235,26 +242,30 @@ def search_smallest_L(method: str, w: WeightSequence, p: float,
     """
     head = w.head(min(w.N, _HEAD))
 
-    def passes(L):
+    def passing(L):
+        """The whole-sequence report at L if it passes, else None."""
         if head is not w and not run_certificate(method, head, p, L).passed:
-            return False
-        return run_certificate(method, w, p, L).passed
+            return None
+        rep = run_certificate(method, w, p, L)
+        return rep if rep.passed else None
 
-    hi = p * (1.0 - 1e-9)
-    if not passes(hi):
+    lo, hi = p * 1e-9, p * (1.0 - 1e-9)
+    best = passing(hi)
+    if best is None:
         return None
-    lo = p * 1e-9
-    if passes(lo):
-        return lo
-    for _ in range(iters):
+    low = passing(lo)
+    if low is not None:
+        return low
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if passes(mid):
-            hi = mid
+        rep = passing(mid)
+        if rep is not None:
+            hi, best = mid, rep
         else:
             lo = mid
-    return hi
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +281,7 @@ def _need_p(args) -> float:
 def cmd_norm(args) -> tuple[dict, bool | None]:
     _need_p(args)
     w = parse_weights(args.weights, args.N)
-    est = power_lower_bound(weighted_mean(w), args.p, tol=args.tol or 1e-10)
+    est = power_lower_bound(weighted_mean(w), args.p, tol=args.tol)
     report = est.to_dict()
     report["method"] = "norm-probe"
     report["pass"] = est.converged
@@ -288,12 +299,12 @@ def cmd_certify(args) -> tuple[dict, bool | None]:
         raise ValueError("--p is required")
     w = parse_weights(args.weights, args.N)
     if args.search_L:
-        found = search_smallest_L(args.method, w, p)
+        found = _smallest_passing(args.method, w, p)
         if found is None:
             report = {"method": args.method, "p": p, "L": None, "N": w.N,
                       "pass": False, "note": "no L in (0, p) passes"}
             return report, False
-        rep = run_certificate(args.method, w, p, found).to_dict()
+        rep = found.to_dict()
         rep["note"] = "smallest passing L found by bisection"
         return rep, rep["pass"]
     L = args.L if args.L is not None else cartlidge_constant(w)
@@ -401,7 +412,7 @@ def cmd_compare(args) -> tuple[dict, bool | None]:
     for m in methods:
         if m not in CERTIFY_METHODS:
             raise ValueError(f"unknown method {m!r}")
-    corpus = builtin_corpus(N=args.N or 256, seed=args.seed)
+    corpus = builtin_corpus(N=args.N, seed=args.seed)
     for path in args.weights_file or []:
         corpus.append(load_weight_file(path))
     p = args.p
@@ -421,7 +432,7 @@ def cmd_compare(args) -> tuple[dict, bool | None]:
     a, b = methods
     differs = [r["label"] for r in rows if r[a] != r[b]]
     report = {"method": "compare", "methods": methods, "p": p, "L": args.L,
-              "N": args.N or 256, "rows": rows, "differs": differs,
+              "N": args.N, "rows": rows, "differs": differs,
               f"{a}_implies_{b}": all(r[b] for r in rows if r[a]),
               f"{b}_implies_{a}": all(r[a] for r in rows if r[b])}
     return report, None
@@ -455,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = ap.add_subparsers(dest="command", required=True)
 
     norm = subs.add_parser("norm", help="power-iteration norm lower bound")
-    norm.add_argument("--tol", type=float, default=None,
+    norm.add_argument("--tol", type=float, default=1e-10,
                       help="override the power-iteration tolerance")
     _add_common(norm)
 
@@ -544,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="extra weight file to include (repeatable)")
     comp.add_argument("--seed", type=int, default=7)
     _add_common(comp, weights=False)
-    comp.add_argument("--N", type=int, default=None)
+    comp.add_argument("--N", type=int, default=256)
 
     return ap
 

@@ -65,6 +65,11 @@ _BRANCH_SUMS = {"copson_prefix": ("prefix", "partials"),
 _NEEDS_C_ABOVE_1 = {"copson_prefix": True, "copson_tail": False,
                     "leindler_prefix": False, "leindler_tail": True}
 
+# points of the uniform grid on [0, 1] behind check_kernel_inequality
+_KERNEL_GRID = 4096
+# x_n = n^(-1/p - _OFFSET) in the near-extremal probes
+_OFFSET = 0.01
+
 
 # ----------------------------------------------------------------------
 # Negative root, admissible exponents, kernel inequality
@@ -201,16 +206,16 @@ def _kernel_margin(y: np.ndarray | float, p: float, c: float):
     return inner ** (1.0 - p) - lhs
 
 
-def check_kernel_inequality(p: float, c: float, grid: int = 4096) -> KernelReport:
+def check_kernel_inequality(p: float, c: float) -> KernelReport:
     """Scan the kernel inequality on [0, 1]; equality holds at y = 0.
 
-    A uniform grid locates the minimum margin, then a golden-section
-    refinement narrows around it; pass means min margin >= -1e-12.
+    A uniform grid of _KERNEL_GRID steps locates the minimum margin, then
+    a golden-section refinement narrows around it; pass means min margin
+    >= -1e-12.
     """
     if not (p > 1.0 and c > 1.0):
         raise ValueError("need p > 1 and c > 1")
-    if grid < 1000:
-        raise ValueError("need grid resolution >= 1000")
+    grid = _KERNEL_GRID
     y = np.linspace(0.0, 1.0, grid + 1)
     m = _kernel_margin(y, p, c)
     i = int(np.argmin(m))
@@ -346,23 +351,21 @@ def check_copson_branch(w: WeightSequence, p: float, c: float, branch: str,
                          _branch_ratios(w, branch, p, c))
 
 
-def near_extremal_ratio(p: float, c: float, N: int,
-                        offset: float = 0.01) -> float:
-    """copson_prefix ratio for constant weights and x_n = n^(-1/p-offset).
+def near_extremal_ratio(p: float, c: float, N: int) -> float:
+    """copson_prefix ratio for constant weights and x_n = n^(-1/p-0.01).
 
     As N grows (the schedule doubles N) the ratio increases toward the
-    best-possible-constant limit; the fixed offset keeps the p-th power
-    sums convergent so the climb is monotone.
+    best-possible-constant limit; the fixed offset 0.01 keeps the p-th
+    power sums convergent so the climb is monotone.
     """
     w = build_weights("constant", N)
     n = np.arange(1, N + 1, dtype=np.float64)
-    x = n ** (-1.0 / p - offset)
+    x = n ** (-1.0 / p - _OFFSET)
     return float(_branch_ratios(w, "copson_prefix", p, c)(x[None, :])[0])
 
 
 def near_extremal_schedule(p: float, c: float, n_start: int = 64,
-                           n_stop: int = 100_000,
-                           offset: float = 0.01) -> list[tuple[int, float]]:
+                           n_stop: int = 100_000) -> list[tuple[int, float]]:
     """(N, ratio) along a doubling schedule n_start, 2 n_start, ..., n_stop.
 
     All truncations reuse one prefix-sum pass at n_stop, since the inner
@@ -373,7 +376,7 @@ def near_extremal_schedule(p: float, c: float, n_start: int = 64,
     Kp = _binary64_pow(branch_constant("copson_prefix", p, c), p, "K^p")
     w = build_weights("constant", n_stop)
     n = np.arange(1, n_stop + 1, dtype=np.float64)
-    x = n ** (-1.0 / p - offset)
+    x = n ** (-1.0 / p - _OFFSET)
     inner, u = branch_parts(w, x[None, :], "copson_prefix", p, c)
     num = np.cumsum(u * inner[0] ** p)
     den = Kp * np.cumsum(u * x ** p)
@@ -448,8 +451,7 @@ def _with_envelope(trace: MuTrace, constraint: str, targets) -> MuTrace:
                    target_violation=t_bad)
 
 
-def mu_dual_copson(w: WeightSequence, p: float, c: float,
-                   N: int | None = None) -> MuTrace:
+def mu_dual_copson(w: WeightSequence, p: float, c: float) -> MuTrace:
     """Dual recurrence for the prefix branch with constant (p/(c-1))^p.
 
     This is mu_dual on copson_matrix(w, p, c) with U_p = (p/(c-1))^p, fed
@@ -471,7 +473,6 @@ def mu_dual_copson(w: WeightSequence, p: float, c: float,
         raise ValueError("need p > 1")
     if not (c > 1.0):
         raise ValueError("need c > 1")
-    w = w if N is None else w.head(int(N))
     lam, Lam = w.values, w.partials
     q = p / (p - 1.0)
 
@@ -491,8 +492,8 @@ def mu_dual_copson(w: WeightSequence, p: float, c: float,
     return _with_envelope(trace, "mu < (Lam_n/lam_n)^q", targets)
 
 
-def mu_bge(w: WeightSequence, p: float, alpha: float, route: str = "dual",
-           N: int | None = None) -> MuTrace:
+def mu_bge(w: WeightSequence, p: float, alpha: float,
+           route: str = "dual") -> MuTrace:
     """Mu recurrences for the blocked tail inequality, either route.
 
     dual route: mu_dual on bge_matrix(w, p, alpha), whose diagonal ratios
@@ -519,7 +520,6 @@ def mu_bge(w: WeightSequence, p: float, alpha: float, route: str = "dual",
         raise ValueError("need alpha > 0")
     if route not in ("dual", "primal"):
         raise ValueError("route must be 'dual' or 'primal'")
-    w = w if N is None else w.head(int(N))
     lam = w.values
     Lam = w.partials
     q = p / (p - 1.0)

@@ -26,7 +26,6 @@ fast-growing weights where those ratios stay moderate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,14 +69,6 @@ class FactorableSpec:
         """Diagonal ratios a_n / b_n."""
         return self.a / self.b
 
-    def entry(self, n: int, k: int) -> float:
-        """Matrix entry at 1-based position (n, k)."""
-        if not (1 <= k and 1 <= n <= self.N and k <= self.N):
-            raise IndexError(f"indices out of range: ({n}, {k})")
-        if k > n:
-            return 0.0
-        return float(self.b[k - 1] / self.a[n - 1])
-
     def apply(self, x) -> np.ndarray:
         """y_n = (1/a_n) sum_{k<=n} b_k x_k via one running prefix sum."""
         x = np.asarray(x, dtype=np.float64)
@@ -98,24 +89,6 @@ class FactorableSpec:
             raise ValueError(f"refusing to materialize N={self.N} > {_DENSE_LIMIT}")
         m = np.tril(np.outer(1.0 / self.a, self.b))
         return m
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "a": [repr(float(v)) for v in self.a],
-            "b": [repr(float(v)) for v in self.b],
-            "N": self.N,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "FactorableSpec":
-        payload = json.loads(text)
-        a = np.array([float(v) for v in payload["a"]], dtype=np.float64)
-        b = np.array([float(v) for v in payload["b"]], dtype=np.float64)
-        if int(payload["N"]) != a.shape[0]:
-            raise ValueError("N does not match sequence length")
-        return FactorableSpec(kind=str(payload["kind"]), a=a, b=b)
 
 
 def weighted_mean(w: WeightSequence) -> FactorableSpec:
@@ -181,13 +154,6 @@ def cesaro(N: int) -> FactorableSpec:
     return FactorableSpec(kind="cesaro", a=a, b=b)
 
 
-def norm_upper_hardy(p: float, L: float) -> float:
-    """The certified bound p/(p-L) that every certificate here targets."""
-    if not (p > 1.0 and 0.0 < L < p):
-        raise ValueError("need p > 1 and 0 < L < p")
-    return p / (p - L)
-
-
 def _require_normalized(spec: FactorableSpec, what: str):
     if not spec.normalized:
         raise ValueError(f"{what} needs a normalized spec (a_1 = b_1); "
@@ -196,5 +162,5 @@ def _require_normalized(spec: FactorableSpec, what: str):
 
 __all__ = [
     "FactorableSpec", "weighted_mean", "copson_matrix", "bge_steps",
-    "bge_matrix", "hlp_dual_matrix", "cesaro", "norm_upper_hardy",
+    "bge_matrix", "hlp_dual_matrix", "cesaro",
 ]

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import PASS_RTOL, first_bad, margin_ok, suffix_sums, trial_rows
+from ._num import PASS_RTOL, margin_ok, suffix_sums, trial_rows
 from .certificates import _ROW_CHUNK, MuTrace, _TraceBuffer
 
 N_MAX_DEFAULT = 100_000
@@ -221,12 +221,8 @@ def bracket_threshold(lo: float = 0.346, hi: float = 0.35,
 
 
 def mu_dual(p: float, N: int) -> MuTrace:
-    """Dual-route trace; the certificate needs mu_n > 0 for n >= 2.
-
-    The stronger comparison mu_n - n^p is reported as an informational
-    margin only (it is what a linear-floor argument would eventually
-    give, but the certificate itself does not require it).
-    """
+    """Dual-route trace; the certificate needs mu_n > 0 for n >= 2, and
+    the margins are mu_n itself (n = 1 is unconstrained)."""
     if not (1.0 / 3.0 <= p < 1.0):
         raise ValueError("need 1/3 <= p < 1")
     if N < 1:
@@ -253,11 +249,8 @@ def mu_dual(p: float, N: int) -> MuTrace:
     # (mu_1 = 0 by design)
     margins = arr.copy()
     margins[0] = math.inf
-    k = arr.shape[0]
-    aux = arr - np.arange(1, k + 1, dtype=np.float64) ** p
     return MuTrace(mu=arr, constraint="mu > 0 (n >= 2)",
-                   margins=margins, first_violation=violation,
-                   aux_constraint="mu - n^p (informational)", aux_margins=aux)
+                   margins=margins, first_violation=violation)
 
 
 def shift_gap(y: float, p: float, c: float) -> float:

@@ -36,16 +36,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import first_bad, margin_ok, trial_rows
+from ._num import first_bad, trial_rows
 from .certificates import _binary64_pow, cartlidge_constant
-from .copson import _BRANCH_SUMS, RATIO_TOL, _branch_weights
+from .copson import (_BRANCH_SUMS, BRANCHES, RATIO_TOL, _branch_weights,
+                     branch_constant)
 from .sequences import WeightSequence, averaged
 
 KINDS = ("cartlidge", "cartlidge_tail", "dual", "dual_tail",
          "copson_prefix", "copson_tail", "leindler_prefix", "leindler_tail")
 
-_COPSON_KINDS = ("copson_prefix", "copson_tail", "leindler_prefix",
-                 "leindler_tail")
+_COPSON_KINDS = BRANCHES
 
 MU_CHOICES = ("cartlidge", "copson", "leindler", "dual")
 
@@ -95,11 +95,7 @@ class StrengthenedCase:
         if self.kind in _COPSON_KINDS:
             if self.c is None:
                 raise ValueError(f"kind {self.kind} needs c")
-            if self.kind in ("copson_prefix", "leindler_tail"):
-                if not (1.0 < self.c <= self.p):
-                    raise ValueError(f"kind {self.kind} needs 1 < c <= p")
-            elif not (0.0 <= self.c < 1.0):
-                raise ValueError(f"kind {self.kind} needs 0 <= c < 1")
+            branch_constant(self.kind, self.p, self.c)   # checks c
         elif self.c is not None:
             raise ValueError(f"kind {self.kind} takes no c")
 
@@ -123,9 +119,7 @@ class StrengthenedCase:
                 raise ValueError(
                     f"kind {self.kind} needs 0 < L < p/(p-1), got L={L}")
             return p / (p - (p - 1.0) * L)
-        if self.kind in ("copson_prefix", "leindler_tail"):
-            return p / (self.c - 1.0)
-        return p / (1.0 - self.c)
+        return branch_constant(self.kind, p, self.c)
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from lpcert import (BRANCHES, StrengthenedCase, admissible_alpha,
-                    admissible_c, bracket_threshold, build_weights,
-                    builtin_corpus, cartlidge_constant, certify_direct,
-                    cesaro, check_bge, check_cartlidge, check_copson_branch,
-                    check_factorable_stepwise, check_kernel_inequality,
-                    check_product_condition, check_ratio_condition,
-                    check_stepwise_p2, copson_root, direct_floor_margin,
-                    dual_feasible, hlp_constant, mu_dual, mu_primal,
-                    near_extremal_schedule, norm_upper_hardy,
+from lpcert import (BRANCHES, BoundParams, StrengthenedCase,
+                    admissible_alpha, admissible_c, bracket_threshold,
+                    build_weights, builtin_corpus, cartlidge_constant,
+                    certify_direct, cesaro, check_bge, check_cartlidge,
+                    check_copson_branch, check_factorable_stepwise,
+                    check_kernel_inequality, check_product_condition,
+                    check_ratio_condition, check_stepwise_p2, copson_root,
+                    direct_floor_margin, dual_feasible, hlp_constant,
+                    mu_dual, mu_primal, near_extremal_schedule,
                     power_lower_bound, probe_dual, probe_primal, search_c,
                     strengthened_trials, threshold_margin, verify_mu_choice,
                     weighted_mean)
@@ -65,7 +65,7 @@ def test_criterion_01_norm_sandwich():
     t0 = time.perf_counter()
     w = build_weights("constant", 256)
     L = cartlidge_constant(w)
-    bound = norm_upper_hardy(2.0, L)
+    bound = BoundParams(2.0, L).bound
     lbs = {N: power_lower_bound(cesaro(N), 2.0).lower_bound
            for N in NORM_CLIMB_P2}
     seq = [lbs[N] for N in sorted(lbs)]

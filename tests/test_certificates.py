@@ -1,6 +1,7 @@
 """Norm-bound certificates: conditions, implications, and mu traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpcert import (BoundParams, FactorableSpec, build_weights,
-                    cartlidge_constant, cartlidge_profile, cesaro,
+                    cartlidge_constant, cesaro,
                     check_cartlidge,
                     check_factorable_product, check_factorable_stepwise,
                     check_product_condition, check_ratio_condition,
@@ -32,12 +33,6 @@ def test_cartlidge_constant_closed_forms():
     # lam_n = 2^n: ratios (2 - 2^{1-n}), first increment 1/2 is the largest
     assert cartlidge_constant(
         build_weights("geometric", 20, ratio=2.0)) == pytest.approx(0.5, abs=1e-13)
-
-
-def test_cartlidge_profile_flags_tail_growth():
-    L, argmax, tail_up = cartlidge_profile(build_weights("constant", 100))
-    assert L == 1.0 and argmax == 1
-    assert not tail_up
 
 
 def test_check_cartlidge_constant_weights_pass_and_bound():
@@ -250,13 +245,17 @@ def test_mu_primal_forms_its_powers_a_chunk_at_a_time(monkeypatch):
     whole = mu_primal(spec, 2.5, lam_p)
     monkeypatch.setattr(certificates, "_ROW_CHUNK", 7)
     assert mu_primal(spec, 2.5, lam_p).mu.tobytes() == whole.mu.tobytes()
-    # an over-claimed bound dies in the first chunk and forms no other
-    formed = []
-    rows = certificates._scalar_rows
-    monkeypatch.setattr(certificates, "_scalar_rows",
-                        lambda *xs: formed.append(len(xs[0])) or rows(*xs))
-    assert mu_primal(cesaro(5000), 2.0, 0.9).first_violation <= 7
-    assert formed == [7]
+    monkeypatch.undo()
+    # an over-claimed bound dies by n = 7: it needs the trace buffer
+    # (8 MB) and one chunk of powers, not N-length powers or a_(n-1)
+    spec = cesaro(10 ** 6)
+    tracemalloc.start()
+    try:
+        assert mu_primal(spec, 2.0, 0.9).first_violation <= 7
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak / 2 ** 20
 
 
 def test_mu_primal_out_of_range_power_is_a_domain_error():

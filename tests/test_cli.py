@@ -116,6 +116,11 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
      "K^p leaves the binary64 range"),
     (["bge", "--p", "200", "--alpha", "5", "--N", "500", "--trials", "20"],
      "K^p = (alpha p + 1)^p leaves the binary64 range"),
+    # --N 0 is a truncation of its own, not the default
+    (["certify", "--method", "ratio", "--N", "0", "--p", "2", "--L", "1"],
+     "truncation N must be a positive integer, got 0"),
+    (["compare", "--methods", "ratio,product", "--p", "2", "--N", "0"],
+     "need N >= 2"),
 ])
 def test_out_of_range_inputs_are_domain_errors(argv, message, capsys):
     assert run(argv) == 2
@@ -168,6 +173,14 @@ def test_tol_is_a_norm_option_only(tmp_path):
     assert exc.value.code == 2
     assert run(["norm", "--p", "2", "--N", "64", "--tol", "1e-3",
                 "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_norm_tol_0_runs_every_iteration(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["norm", "--p", "2", "--N", "16", "--tol", "0",
+                "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["iterations"] == 10000 and rep["converged"] is False
 
 
 def test_stepwise_p2_defaults_p(tmp_path):
@@ -334,6 +347,36 @@ def test_search_L_stops_once_the_bisection_stalls(method, weights, p,
     assert got == ref
     # no L is probed twice, and at most 2 + 60 are probed in all
     assert len(probes) == len(set(probes)) <= 62
+
+
+@pytest.mark.parametrize("method", cli.CERTIFY_METHODS)
+def test_search_L_emits_the_report_the_bisection_checked(method, capsys,
+                                                         monkeypatch):
+    argv = ["certify", "--method", method, "--weights", "power:0.5",
+            "--N", "1500", "--p", "2", "--search-L"]
+    events = []
+    certify, search = cli.run_certificate, cli._smallest_passing
+
+    def searched(*args):
+        found = search(*args)
+        events.append("end of search")
+        return found
+
+    monkeypatch.setattr(cli, "run_certificate",
+                        lambda *args: events.append("check") or certify(*args))
+    monkeypatch.setattr(cli, "_smallest_passing", searched)
+    rc = run(argv)
+    out = capsys.readouterr().out
+    # the search checked the whole list; nothing runs after it
+    assert events.count("end of search") == 1 and events[-1] == "end of search"
+    assert events.count("check") > 2
+    monkeypatch.undo()
+    # the report is the one a fresh check at the found L gives
+    w = cli.parse_weights("power:0.5", 1500)
+    L = cli.search_smallest_L(method, w, 2.0)
+    want = cli.run_certificate(method, w, 2.0, L).to_dict()
+    want["note"] = "smallest passing L found by bisection"
+    assert (rc, out) == (0, cli.render_json(want))
 
 
 def _random_monotone(N, seed=3):

@@ -1,4 +1,4 @@
-"""Factorable matrix constructors, dense agreement, and serialization."""
+"""Factorable matrix constructors and dense agreement."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpcert import (FactorableSpec, bge_matrix, build_weights, cesaro,
-                    copson_matrix, hlp_dual_matrix, norm_upper_hardy,
-                    weighted_mean)
+                    copson_matrix, hlp_dual_matrix, weighted_mean)
 
 weight_arrays = st.lists(
     st.floats(min_value=1e-2, max_value=1e2, allow_nan=False,
@@ -107,38 +106,9 @@ def test_hlp_dual_matrix_columns():
         assert np.allclose(col, 1.0 / (k + 1), rtol=1e-15)
 
 
-def test_entry_matches_dense():
-    w = build_weights("geometric", 7, ratio=1.3)
-    spec = weighted_mean(w)
-    dense = dense_oracle(spec)
-    for i in range(7):
-        for k in range(7):
-            want = dense[i, k] if k <= i else 0.0
-            assert spec.entry(i + 1, k + 1) == pytest.approx(want, rel=1e-12)
-
-
-def test_serialization_round_trip():
-    w = build_weights("power", 9, exponent=2.0)
-    spec = weighted_mean(w)
-    clone = FactorableSpec.from_json(spec.to_json())
-    assert clone.kind == spec.kind
-    assert np.array_equal(clone.a, spec.a)
-    assert np.array_equal(clone.b, spec.b)
-
-
 def test_to_dense_refuses_large():
     with pytest.raises(ValueError):
         cesaro(5000).to_dense()
-
-
-def test_norm_upper_hardy_values():
-    assert norm_upper_hardy(2.0, 1.0) == pytest.approx(2.0, rel=1e-15)
-    assert norm_upper_hardy(2.0, 0.5) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert norm_upper_hardy(3.0, 1.5) == pytest.approx(2.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        norm_upper_hardy(2.0, 2.0)
-    with pytest.raises(ValueError):
-        norm_upper_hardy(2.0, 0.0)
 
 
 def test_cesaro_is_weighted_mean_of_constant_weights():

@@ -5,10 +5,11 @@
 `hlp.mu_direct` and `hlp.mu_dual` write each trace into a float64
 array a chunk of steps at a time.  The reference functions below are the
 loops they replaced, written out again here: each keeps the whole trace
-as a list of Python floats and converts it at the end.  The dual
-references also form every ratio, power, ceiling and envelope target as
-a whole array before the loop and test the ceiling inside it, where the
-library forms them a chunk at a time and tests the ceiling with numpy.
+as a list of Python floats and converts it at the end.  The primal and
+dual references also form every ratio, power, ceiling and envelope
+target as a whole array before the loop (the dual ones test the ceiling
+inside it), where the library forms them a chunk at a time (and tests
+the ceiling with numpy).
 Every trace must equal its reference bit for bit, including traces that
 die next to a chunk boundary, and must peak at far less memory.
 """
@@ -24,8 +25,7 @@ from lpcert import BoundParams, FactorableSpec, build_weights, hlp
 from lpcert import certificates, copson, weighted_mean
 from lpcert._num import first_bad, margin_ok
 from lpcert.certificates import (_ROW_CHUNK, MuTrace, _binary64_pow,
-                                 _mu_dual_ratios, _primal_rows, _scalar_rows,
-                                 mu_dual, mu_primal)
+                                 _mu_dual_ratios, mu_dual, mu_primal)
 from lpcert.copson import _with_envelope, mu_bge, mu_dual_copson
 from lpcert.factorable import bge_matrix, bge_steps
 
@@ -34,12 +34,21 @@ from lpcert.factorable import bge_matrix, bge_steps
 
 
 def ref_mu_primal(spec, p, lam_p):
+    a, b = spec.a, spec.b
     e1 = 1.0 / (p - 1.0)
+    a_prev = np.concatenate(([0.0], a))[:spec.N - 1]     # a_0 = 0
+    with np.errstate(over="ignore"):
+        rps = (a[:-1] / b[:-1]) ** p
+        crosses = (a_prev / b[:-1]) ** (p / (p - 1.0))
     mu = [1.0]
     prev = 1.0
     violation = None
+    rows = zip(rps.tolist(), crosses.tolist())
     try:
-        for n, (rp, cross) in enumerate(_primal_rows(spec, p), start=1):
+        for n, (rp, cross) in enumerate(rows, start=1):
+            if math.isinf(rp) or math.isinf(cross):
+                raise ValueError("(a_n/b_n)^p or (a_(n-1)/b_n)^(p/(p-1)) "
+                                 f"leaves the binary64 range at n = {n}")
             base = prev ** e1 if prev > 0.0 else 0.0
             denom = (base + cross) ** (p - 1.0)
             if denom <= 0.0 or not math.isfinite(denom):
@@ -84,7 +93,7 @@ def ref_mu_dual_ratios(r, cross, p, mu_1):
     mu = [mu_1]
     prev = mu_1
     violation = None
-    rows = _scalar_rows(ceilings[:-1], r_eq, cross_q)
+    rows = zip(ceilings[:-1].tolist(), r_eq.tolist(), cross_q.tolist())
     try:
         for n, (ceiling, rp, cq) in enumerate(rows, start=1):
             if not (ceiling - prev > 0.0):
@@ -182,12 +191,8 @@ def ref_hlp_mu_dual(p, N):
             break
         nxt = (float(n) ** (-p) + mu[-1] ** (1.0 - p)) ** e1 - shift
         mu.append(nxt)
-    arr = np.array(mu)
-    k = arr.shape[0]
-    aux = arr - np.arange(1, k + 1, dtype=np.float64) ** p
-    return MuTrace(mu=arr, constraint="mu > 0 (n >= 2)",
-                   margins=np.array(margins), first_violation=violation,
-                   aux_constraint="mu - n^p (informational)", aux_margins=aux)
+    return MuTrace(mu=np.array(mu), constraint="mu > 0 (n >= 2)",
+                   margins=np.array(margins), first_violation=violation)
 
 
 # ----------------------------------------------------------------------
@@ -205,8 +210,7 @@ def _outcome(fn, *args):
     except ValueError as exc:
         return f"ValueError: {exc}"
     return (_bits(t.mu), t.constraint, _bits(t.margins), t.first_violation,
-            _bits(t.target_margins), t.target_violation,
-            t.aux_constraint, _bits(t.aux_margins))
+            _bits(t.target_margins), t.target_violation)
 
 
 def _assert_same(lib, ref, *args):
