@@ -27,7 +27,8 @@ directly; a completed trace is itself a certificate at truncation N.
 Both form their per-index ratios and powers with numpy one _ROW_CHUNK of
 rows at a time, run the recurrence over that chunk as scalar float
 steps, and write each trace into a float64 array a chunk of steps at a
-time (_TraceBuffer), never holding it as a list of floats.
+time (_TraceBuffer), never holding it as a list of floats; of the
+margins, each keeps only their running minimum (MuTrace).
 Products are accumulated in log space; sums of positive terms inside the
 product conditions use a running log-sum-exp.
 """
@@ -118,19 +119,19 @@ class BoundParams:
 
 @dataclass
 class MuTrace:
-    """A mu recurrence trace with its hard constraint margins.
+    """A mu recurrence trace and its verdict.
 
-    margins[i] is the constraint margin at 1-based index n = i+1; the
-    trace stops at the first violation.  Dual traces with an analytic
-    target additionally carry target margins (reported, also gating for
-    the pass verdict when present).
+    The trace stops at the first violation of its hard constraint.
+    worst_margin is its smallest margin (NaN if any is NaN), reduced a
+    chunk at a time as the margins are formed; no margin array is kept.
+    Traces with an analytic target fold in its smallest margin and record
+    its first violation, which also gates the pass verdict.
     """
 
     mu: np.ndarray
     constraint: str
-    margins: np.ndarray
+    worst_margin: float
     first_violation: int | None
-    target_margins: np.ndarray | None = None
     target_violation: int | None = None
 
     @property
@@ -138,15 +139,15 @@ class MuTrace:
         return self.first_violation is None and self.target_violation is None
 
     @property
-    def n_evaluated(self) -> int:
-        return int(self.mu.shape[0])
+    def first_fail(self) -> int | None:
+        """The first violation of the constraint, else of the target."""
+        if self.first_violation is not None:
+            return self.first_violation
+        return self.target_violation
 
     @property
-    def worst_margin(self) -> float:
-        worst = float(np.min(self.margins)) if self.margins.size else math.inf
-        if self.target_margins is not None and self.target_margins.size:
-            worst = min(worst, float(np.min(self.target_margins)))
-        return worst
+    def n_evaluated(self) -> int:
+        return int(self.mu.shape[0])
 
 
 @dataclass(frozen=True)
@@ -410,8 +411,8 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
             raise ValueError("(a_n/b_n)^p or (a_(n-1)/b_n)^(p/(p-1)) leaves "
                              f"the binary64 range at n = {lo + stop + 1}")
     arr = trace.array()
-    return MuTrace(mu=arr, constraint="mu >= 0", margins=arr.copy(),
-                   first_violation=violation)
+    return MuTrace(mu=arr, constraint="mu >= 0",
+                   worst_margin=float(np.min(arr)), first_violation=violation)
 
 
 def _binary64_pow(base: float, expo: float, name: str) -> float:
@@ -466,7 +467,9 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
     The ratios and their powers are formed one _ROW_CHUNK at a time.
     The scalar loop runs the recurrence and its domain test alone; the
     strict ceiling mu_n < r_n^q is checked with numpy over each chunk,
-    and the first index failing either test is the violation.  When
+    and the first index failing either test is the violation.  Each
+    chunk's ceiling margins, up to and including a failing row, are
+    folded into a running minimum, the worst margin.  When
     the loop leaves the binary64 range, the chunk's ceilings are checked
     first, so a ceiling the trace crossed earlier is still the verdict.
     """
@@ -477,9 +480,9 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
     # largest power the loop forms, so one check covers every step.
     _binary64_pow(mu_1, -e1, "U_p")
     trace = _TraceBuffer(N, mu_1)
-    margins = np.empty(N, dtype=np.float64)
     inf, ne1, qm1 = math.inf, -e1, q - 1.0
     prev = mu_1
+    worst = inf
     violation = None
     for lo in range(0, N, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, N)
@@ -505,9 +508,9 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
         trace.extend(chunk)
         k = len(trace)           # mu_1..mu_k are known
         top = min(k, hi)
-        m = margins[lo:top]
-        np.subtract(ceilings[:top - lo], trace.view(lo, top), out=m)
+        m = ceilings[:top - lo] - trace.view(lo, top)
         bad = np.flatnonzero(~(m > 0.0))
+        worst = np.min(m[:bad[0] + 1] if bad.size else m, initial=worst)
         if bad.size:
             violation = lo + int(bad[0]) + 1
             break
@@ -519,8 +522,7 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
             break
     k = len(trace) if violation is None else violation
     return MuTrace(mu=_prefix(trace.view(0, k), N),
-                   constraint="mu < (a_n/b_n)^q",
-                   margins=_prefix(margins[:k], N),
+                   constraint="mu < (a_n/b_n)^q", worst_margin=float(worst),
                    first_violation=violation)
 
 
@@ -529,9 +531,8 @@ def trace_report(trace: MuTrace, method: str, params: BoundParams,
     """Wrap a mu trace as a CertificateReport."""
     return CertificateReport(
         method=method, p=params.p, L=params.L, N=N, passed=trace.passed,
-        first_fail=trace.first_violation if trace.first_violation is not None
-        else trace.target_violation,
-        worst_margin=trace.worst_margin, bound=params.bound)
+        first_fail=trace.first_fail, worst_margin=trace.worst_margin,
+        bound=params.bound)
 
 
 __all__ = [

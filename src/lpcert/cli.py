@@ -175,9 +175,7 @@ def parse_weights(text: str, N: int | None) -> WeightSequence:
 def mu_trace_dict(trace, method: str, p: float, N: int, **params) -> dict:
     out = {"method": method, "p": p, "N": N, "pass": trace.passed,
            "constraint": trace.constraint,
-           "first_fail": trace.first_violation
-           if trace.first_violation is not None else trace.target_violation,
-           "worst_margin": trace.worst_margin,
+           "first_fail": trace.first_fail, "worst_margin": trace.worst_margin,
            "n_evaluated": trace.n_evaluated,
            "trace": decimate_trace(trace.mu)}
     out.update(params)

@@ -430,24 +430,29 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
 # Mu recurrences of the two families: mu_dual plus an analytic envelope
 
 
-def _with_envelope(trace: MuTrace, constraint: str, targets) -> MuTrace:
-    """trace relabelled, with margins against an envelope mu_n <= target_n.
+def _with_envelope(trace: MuTrace, constraint: str, targets,
+                   floor: bool = False) -> MuTrace:
+    """trace relabelled and checked against an analytic envelope: an upper
+    one, mu_n <= target_n, or with floor a lower one, mu_n >= target_n
+    for n >= 2.
 
     targets(lo, hi) returns the envelope at the 0-based rows
-    lo <= i < hi; the margins are filled one _ROW_CHUNK at a time.
+    lo <= i < hi.  The envelope margins are formed one _ROW_CHUNK at a
+    time; their running minimum lowers the trace's worst margin, and
+    their first failing row is the target violation.
     """
     k = trace.n_evaluated
-    t_margins = np.empty(k, dtype=np.float64)
-    t_bad = None
-    for lo in range(0, k, _ROW_CHUNK):
+    worst, t_bad = math.inf, None
+    for lo in range(int(floor), k, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, k)
         t, mu = targets(lo, hi), trace.mu[lo:hi]
-        np.subtract(t, mu, out=t_margins[lo:hi])
+        m = mu - t if floor else t - mu
+        worst = np.min(m, initial=worst)
         if t_bad is None:
-            bad = first_bad(t_margins[lo:hi],
-                            np.maximum(np.abs(t), np.abs(mu)))
+            bad = first_bad(m, np.maximum(np.abs(t), np.abs(mu)))
             t_bad = None if bad is None else lo + bad + 1
-    return replace(trace, constraint=constraint, target_margins=t_margins,
+    return replace(trace, constraint=constraint,
+                   worst_margin=min(trace.worst_margin, float(worst)),
                    target_violation=t_bad)
 
 
@@ -523,11 +528,11 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
     lam = w.values
     Lam = w.partials
     q = p / (p - 1.0)
-    s = bge_steps(w, alpha)
 
     if route == "dual":
         trace = mu_dual(bge_matrix(w, p, alpha), p,
                         _binary64_pow(alpha * p / (p - 1.0), p, "U_p"))
+        s = bge_steps(w, alpha)
         A = alpha ** q * q ** (q - 1.0)
 
         def targets(lo, hi):
@@ -537,24 +542,20 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
 
         return _with_envelope(trace, "mu < s_n^(-q)", targets)
 
+    # bge_matrix rejects stalled partial sums before alpha is checked
+    spec = bge_matrix(w, p, alpha)
     lam_p = ((p - 1.0) / (alpha * p)) ** p
     if not (lam_p < 1.0):
         raise ValueError("primal route needs alpha > 1 - 1/p")
-    trace = mu_primal(bge_matrix(w, p, alpha), p, lam_p)
-    k = trace.mu.shape[0]
-    # The analytic floor only constrains n >= 2; n = 1 is recorded
-    # with an infinite margin and excluded from the violation scan.
-    t_margins = np.full(k, math.inf)
-    t_bad = None
-    if k > 1:
-        idx = np.arange(1, k)
-        floors = (lam[idx - 1] / Lam[idx - 1]) ** (p - 1.0) / (
-            (p / (p - 1.0)) ** (p - 1.0) * s[idx - 1] ** p)
-        t_margins[1:] = trace.mu[1:] - floors
-        scales = np.maximum(np.abs(trace.mu[1:]), np.abs(floors))
-        bad = first_bad(t_margins[1:], scales)
-        t_bad = None if bad is None else bad + 2
-    return replace(trace, target_margins=t_margins, target_violation=t_bad)
+    trace = mu_primal(spec, p, lam_p)
+    del spec                  # the floor needs s_n, not a_n and b_n
+    s = bge_steps(w, alpha)
+
+    def floors(lo, hi):
+        return (lam[lo - 1:hi - 1] / Lam[lo - 1:hi - 1]) ** (p - 1.0) / (
+            (p / (p - 1.0)) ** (p - 1.0) * s[lo - 1:hi - 1] ** p)
+
+    return _with_envelope(trace, trace.constraint, floors, floor=True)
 
 
 __all__ = [

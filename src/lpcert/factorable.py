@@ -92,8 +92,9 @@ class FactorableSpec:
 
 
 def weighted_mean(w: WeightSequence) -> FactorableSpec:
-    """Rows are weighted averages: entries lam_k / Lam_n."""
-    return FactorableSpec(kind="weighted_mean", a=w.partials.copy(), b=w.values.copy())
+    """Rows are weighted averages: entries lam_k / Lam_n.  The spec shares
+    the weights' read-only arrays."""
+    return FactorableSpec(kind="weighted_mean", a=w.partials, b=w.values)
 
 
 def copson_matrix(w: WeightSequence, p: float, c: float) -> FactorableSpec:

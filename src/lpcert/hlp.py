@@ -87,8 +87,9 @@ def direct_floor(p: float) -> tuple[float, float]:
 
 
 def mu_direct(p: float, N: int) -> MuTrace:
-    """Direct-route trace; margins are mu_n - n^p (strictly positive
-    keeps the recurrence inside its domain)."""
+    """Direct-route trace; the margins are mu_n - n^p (strictly positive
+    keeps the recurrence inside its domain), and the worst of them is
+    taken a chunk of steps at a time."""
     if not (1.0 / 3.0 <= p < 1.0):
         raise ValueError("need 1/3 <= p < 1")
     if N < 1:
@@ -97,8 +98,8 @@ def mu_direct(p: float, N: int) -> MuTrace:
     ep = p / (p - 1.0)
     e1 = 1.0 / (1.0 - p)
     mu = _TraceBuffer(N, base)
-    margins = _TraceBuffer(N)
     prev = base
+    worst = math.inf
     violation = None
     for lo in range(0, N, _ROW_CHUNK):
         mus, ms = [], []
@@ -117,11 +118,11 @@ def mu_direct(p: float, N: int) -> MuTrace:
             prev = float(n + 1) ** p * inner ** (1.0 - p) + base
             mus.append(prev)
         mu.extend(mus)
-        margins.extend(ms)
+        worst = np.min(ms, initial=worst)
         if violation is not None:
             break
     return MuTrace(mu=mu.array(), constraint="mu > n^p",
-                   margins=margins.array(), first_violation=violation)
+                   worst_margin=float(worst), first_violation=violation)
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,7 @@ def bracket_threshold(lo: float = 0.346, hi: float = 0.35,
 
 def mu_dual(p: float, N: int) -> MuTrace:
     """Dual-route trace; the certificate needs mu_n > 0 for n >= 2, and
-    the margins are mu_n itself (n = 1 is unconstrained)."""
+    the margins are mu_n itself (n = 1, mu_1 = 0, is unconstrained)."""
     if not (1.0 / 3.0 <= p < 1.0):
         raise ValueError("need 1/3 <= p < 1")
     if N < 1:
@@ -245,12 +246,9 @@ def mu_dual(p: float, N: int) -> MuTrace:
         if violation is not None:
             break
     arr = mu.array()
-    # the margin at n >= 2 is mu_n itself; n = 1 is unconstrained
-    # (mu_1 = 0 by design)
-    margins = arr.copy()
-    margins[0] = math.inf
     return MuTrace(mu=arr, constraint="mu > 0 (n >= 2)",
-                   margins=margins, first_violation=violation)
+                   worst_margin=float(np.min(arr[1:], initial=math.inf)),
+                   first_violation=violation)
 
 
 def shift_gap(y: float, p: float, c: float) -> float:

@@ -15,6 +15,7 @@ from lpcert import (BRANCHES, PASS_RTOL, admissible_alpha, admissible_c,
                     mu_bge, mu_dual_copson, near_extremal_ratio,
                     near_extremal_schedule)
 from lpcert.copson import branch_parts
+from lpcert.factorable import bge_steps
 
 # roots of (1 + (1-c)/p)^(1-p) = (1-c)/p pinned by an independent
 # high-precision solver (mpmath at 50 digits), frozen here
@@ -231,8 +232,11 @@ def test_mu_bge_routes_agree_with_hand_values():
     primal = mu_bge(w, 2.0, 1.0, route="primal")
     assert primal.mu[1] == pytest.approx(0.75, rel=1e-14)
     assert primal.passed
-    # the analytic floor is exactly met at n = 2 for these parameters
-    assert primal.target_margins[1] == pytest.approx(0.25, rel=1e-12)
+    # the analytic floor at n = 2 is 1/2 for these parameters, a margin
+    # of 1/4 under mu_2, and the worst margin is no larger
+    floor_2 = (w.values[0] / w.partials[0]) / (2.0 * bge_steps(w, 1.0)[0] ** 2)
+    assert primal.mu[1] - floor_2 == pytest.approx(0.25, rel=1e-12)
+    assert primal.worst_margin <= primal.mu[1] - floor_2
 
 
 def test_mu_bge_rejects_bad_routes_and_domains():
@@ -242,6 +246,10 @@ def test_mu_bge_rejects_bad_routes_and_domains():
     with pytest.raises(ValueError):
         mu_bge(w, 2.0, 0.4, route="primal")
     assert not mu_bge(w, 2.0, 0.3, route="dual").passed
+    # stalled partial sums are reported before a too small alpha
+    stalled = build_weights("geometric", 5000, ratio=0.99)
+    with pytest.raises(ValueError, match="power differences"):
+        mu_bge(stalled, 2.0, 0.4, route="primal")
 
 
 # Reference loops: the Copson and blocked-tail dual recurrences exactly

@@ -29,7 +29,9 @@ def test_mu_direct_hand_values():
     assert tr.mu[1] == pytest.approx(mu2, rel=1e-12)
     assert tr.constraint.startswith("mu >")
     # margins mu_n - n^p must stay strictly positive for the recurrence
-    assert np.all(tr.margins > 0.0)
+    n = np.arange(1, tr.n_evaluated + 1, dtype=np.float64)
+    assert np.all(tr.mu - n ** (1.0 / 3.0) > 0.0)
+    assert tr.worst_margin == float(np.min(tr.mu - n ** (1.0 / 3.0))) > 0.0
 
 
 def test_mu_direct_domain():
@@ -76,7 +78,7 @@ def test_mu_dual_hand_values():
     assert tr.mu[0] == 0.0
     assert tr.mu[1] == pytest.approx(1.0 - 2.0 ** -0.5, rel=1e-13)
     # first index is unconstrained; positivity holds afterwards
-    assert tr.margins[0] == math.inf
+    assert tr.worst_margin == float(np.min(tr.mu[1:]))
     assert np.all(tr.mu[1:] > 0.0)
     assert tr.first_violation is None
 

@@ -9,14 +9,17 @@ as a list of Python floats and converts it at the end.  The primal and
 dual references also form every ratio, power, ceiling and envelope
 target as a whole array before the loop (the dual ones test the ceiling
 inside it), where the library forms them a chunk at a time (and tests
-the ceiling with numpy).
-Every trace must equal its reference bit for bit, including traces that
+the ceiling with numpy).  The references keep every margin in an array
+and take the worst margin from those arrays, as the library once did;
+the library keeps only a running minimum.
+Every trace must equal its reference bit for bit (mu, constraint, the
+repr of the worst margin and both violations), including traces that
 die next to a chunk boundary, and must peak at far less memory.
 """
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -24,13 +27,37 @@ import pytest
 from lpcert import BoundParams, FactorableSpec, build_weights, hlp
 from lpcert import certificates, copson, weighted_mean
 from lpcert._num import first_bad, margin_ok
-from lpcert.certificates import (_ROW_CHUNK, MuTrace, _binary64_pow,
-                                 _mu_dual_ratios, mu_dual, mu_primal)
+from lpcert.certificates import (_ROW_CHUNK, _binary64_pow, _mu_dual_ratios,
+                                 mu_dual, mu_primal)
 from lpcert.copson import _with_envelope, mu_bge, mu_dual_copson
 from lpcert.factorable import bge_matrix, bge_steps
 
 # ----------------------------------------------------------------------
 # Reference loops: whole-trace lists
+
+
+@dataclass
+class RefTrace:
+    """A reference trace with its margin arrays; margins[i] is the
+    constraint margin at n = i + 1."""
+
+    mu: np.ndarray
+    constraint: str
+    margins: np.ndarray
+    first_violation: int | None
+    target_margins: np.ndarray | None = None
+    target_violation: int | None = None
+
+    @property
+    def n_evaluated(self):
+        return self.mu.shape[0]
+
+    @property
+    def worst_margin(self):
+        worst = float(np.min(self.margins)) if self.margins.size else math.inf
+        if self.target_margins is not None and self.target_margins.size:
+            worst = min(worst, float(np.min(self.target_margins)))
+        return worst
 
 
 def ref_mu_primal(spec, p, lam_p):
@@ -69,8 +96,8 @@ def ref_mu_primal(spec, p, lam_p):
         raise ValueError("(mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) "
                          f"leaves the binary64 range at n = {n}") from None
     arr = np.array(mu, dtype=np.float64)
-    return MuTrace(mu=arr, constraint="mu >= 0", margins=arr.copy(),
-                   first_violation=violation)
+    return RefTrace(mu=arr, constraint="mu >= 0", margins=arr.copy(),
+                    first_violation=violation)
 
 
 def ref_mu_dual(spec, p, U_p):
@@ -112,8 +139,8 @@ def ref_mu_dual_ratios(r, cross, p, mu_1):
     margins = ceilings[:arr.shape[0]] - arr
     if violation is None and not (margins[-1] > 0.0):
         violation = arr.shape[0]
-    return MuTrace(mu=arr, constraint="mu < (a_n/b_n)^q", margins=margins,
-                   first_violation=violation)
+    return RefTrace(mu=arr, constraint="mu < (a_n/b_n)^q", margins=margins,
+                    first_violation=violation)
 
 
 def ref_with_envelope(trace, constraint, targets):
@@ -150,6 +177,26 @@ def ref_mu_bge_dual(w, p, alpha):
     return ref_with_envelope(trace, "mu < s_n^(-q)", targets)
 
 
+def ref_mu_bge_primal(w, p, alpha):
+    lam, Lam = w.values, w.partials
+    s = bge_steps(w, alpha)
+    lam_p = ((p - 1.0) / (alpha * p)) ** p
+    if not (lam_p < 1.0):
+        raise ValueError("primal route needs alpha > 1 - 1/p")
+    trace = ref_mu_primal(bge_matrix(w, p, alpha), p, lam_p)
+    k = trace.n_evaluated
+    # the floor constrains n >= 2; n = 1 gets an infinite margin
+    t_margins = np.full(k, math.inf)
+    idx = np.arange(1, k)
+    floors = (lam[idx - 1] / Lam[idx - 1]) ** (p - 1.0) / (
+        (p / (p - 1.0)) ** (p - 1.0) * s[idx - 1] ** p)
+    t_margins[1:] = trace.mu[1:] - floors
+    bad = first_bad(t_margins[1:], np.maximum(np.abs(trace.mu[1:]),
+                                              np.abs(floors)))
+    return replace(trace, target_margins=t_margins,
+                   target_violation=None if bad is None else bad + 2)
+
+
 def ref_hlp_mu_direct(p, N):
     base = ((1.0 - p) / p) ** p
     ep = p / (p - 1.0)
@@ -170,8 +217,8 @@ def ref_hlp_mu_direct(p, N):
             violation = n
             break
         mu.append(float(n + 1) ** p * inner ** (1.0 - p) + base)
-    return MuTrace(mu=np.array(mu), constraint="mu > n^p",
-                   margins=np.array(margins), first_violation=violation)
+    return RefTrace(mu=np.array(mu), constraint="mu > n^p",
+                    margins=np.array(margins), first_violation=violation)
 
 
 def ref_hlp_mu_dual(p, N):
@@ -191,8 +238,8 @@ def ref_hlp_mu_dual(p, N):
             break
         nxt = (float(n) ** (-p) + mu[-1] ** (1.0 - p)) ** e1 - shift
         mu.append(nxt)
-    return MuTrace(mu=np.array(mu), constraint="mu > 0 (n >= 2)",
-                   margins=np.array(margins), first_violation=violation)
+    return RefTrace(mu=np.array(mu), constraint="mu > 0 (n >= 2)",
+                    margins=np.array(margins), first_violation=violation)
 
 
 # ----------------------------------------------------------------------
@@ -204,13 +251,14 @@ def _bits(x):
 
 
 def _outcome(fn, *args):
-    """Every field of the trace, arrays as bytes, or the error message."""
+    """The trace's mu as bytes, its constraint, the repr of its worst
+    margin and its two violations, or the error message."""
     try:
         t = fn(*args)
     except ValueError as exc:
         return f"ValueError: {exc}"
-    return (_bits(t.mu), t.constraint, _bits(t.margins), t.first_violation,
-            _bits(t.target_margins), t.target_violation)
+    return (_bits(t.mu), t.constraint, repr(t.worst_margin),
+            t.first_violation, t.target_violation)
 
 
 def _assert_same(lib, ref, *args):
@@ -285,6 +333,8 @@ def test_copson_routes_match_whole_array_loops(N, p, c, alpha):
               build_weights("geometric", N, ratio=1.0001)):
         _assert_same(mu_dual_copson, ref_mu_dual_copson, w, p, c)
         _assert_same(mu_bge, ref_mu_bge_dual, w, p, alpha)
+        _assert_same(lambda *args: mu_bge(*args, route="primal"),
+                     ref_mu_bge_primal, w, p, alpha)
 
 
 # c (copson, p = 1.5) and alpha (bge, p = 2) at which each dual trace on
@@ -305,21 +355,40 @@ def test_copson_routes_dying_near_a_chunk_boundary():
     for got in deaths:
         assert abs(got[3] - _ROW_CHUNK) <= 3
         # the ceiling margin of the last row is the violation
-        assert np.frombuffer(got[2][2])[-1] <= 0.0
+        assert float(got[2]) <= 0.0
 
 
 @pytest.mark.parametrize("row", DEATHS)
 def test_envelope_violation_at_a_chunk_boundary(row):
-    w = build_weights("power", 40_000, exponent=0.5)
-    trace = mu_dual_copson(w, 2.0, 1.5)
-    R = w.partials / w.values
-    targets = R * (1.0 / R + 4.0) ** -1.0
+    spec = weighted_mean(build_weights("power", 40_000, exponent=0.5))
+    U_p = BoundParams(2.0, 1.0).U_p
+    trace = mu_dual(spec, 2.0, U_p)
+    assert trace.passed
+    targets = 2.0 * trace.mu
     # pull the envelope just under the trace on that row
     targets[row - 1] = trace.mu[row - 1] * (1.0 - 1e-9)
     got = _with_envelope(trace, "env", lambda lo, hi: targets[lo:hi])
-    ref = ref_with_envelope(trace, "env", targets)
+    ref = ref_with_envelope(ref_mu_dual(spec, 2.0, U_p), "env", targets)
     assert _outcome(lambda: got) == _outcome(lambda: ref)
     assert got.target_violation == row and not got.passed
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_nan_envelope_margin_fails_but_is_not_the_worst(floor):
+    # a NaN target margin is a violation; folded into the worst margin
+    # with Python's min, it leaves the ceiling's worst margin in place
+    spec = weighted_mean(build_weights("power", 40_000, exponent=0.5))
+    U_p = BoundParams(2.0, 1.0).U_p
+    trace = mu_dual(spec, 2.0, U_p)
+    targets = (0.5 if floor else 2.0) * trace.mu
+    targets[_ROW_CHUNK + 1] = math.nan
+    got = _with_envelope(trace, "env", lambda lo, hi: targets[lo:hi], floor)
+    ref = ref_mu_dual(spec, 2.0, U_p)
+    t_margins = trace.mu - targets if floor else targets - trace.mu
+    ref = replace(ref, constraint="env", target_margins=t_margins[floor:],
+                  target_violation=_ROW_CHUNK + 2)
+    assert _outcome(lambda: got) == _outcome(lambda: ref)
+    assert got.worst_margin == trace.worst_margin
 
 
 def _ceiling_meets_trace_on(row, N, p):
@@ -356,7 +425,8 @@ def test_dual_ceiling_comes_before_a_later_failure(row, p):
                    N, p, mu_1)
     assert got == _outcome(ref_mu_dual_ratios, r, cross, p, mu_1)
     assert got[3] == row
-    assert np.frombuffer(got[2][2])[-1] == 0.0
+    # the ceiling margin is 0 on that row and positive before it
+    assert got[2] == repr(0.0)
 
 
 @pytest.mark.parametrize("N", NS)
@@ -405,7 +475,8 @@ def test_chunk_size_does_not_change_a_copson_trace(monkeypatch):
     w = build_weights("power", 3000, exponent=0.5)
     # a passing trace of each route, and one that dies on its ceiling
     calls = [(mu_dual_copson, w, 2.0, 1.5), (mu_bge, w, 2.0, 0.8),
-             (mu_dual_copson, w, 1.5, 2.2), (mu_bge, w, 2.0, 0.62)]
+             (mu_dual_copson, w, 1.5, 2.2), (mu_bge, w, 2.0, 0.62),
+             (mu_bge, w, 2.0, 0.8, "primal")]
     whole = [_outcome(*call) for call in calls]
     assert whole[2][3] is not None and whole[3][3] is not None
     for chunk in (1, 7):
@@ -433,20 +504,20 @@ def test_mu_dual_peak_memory_is_below_the_list_loop():
     U_p = BoundParams(1.95, 1.0).U_p
     ref, got = _peak(ref_mu_dual, spec, 1.95, U_p), _peak(
         mu_dual, spec, 1.95, U_p)
-    # the trace and its margins (two arrays of 1.6 MB) and one chunk of
-    # ratios and powers stay; the whole-length ratios and powers (five
-    # more arrays) and the list of 2e5 floats (about 6 MiB) are gone
-    assert got < 8 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
+    # the trace (1.6 MB) and one chunk of ratios and powers stay; the
+    # margins, the whole-length ratios and powers (six more arrays) and
+    # the list of 2e5 floats (about 6 MiB) are gone
+    assert got < 5 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
 
 
 def test_early_dual_death_peaks_at_its_two_buffers():
     # L = 0.25 is below the Cartlidge constant 0.5 of power:1 weights:
-    # the trace dies at n = 4, so it needs the trace and margin buffers
-    # (two arrays of 8 MB) and one chunk of ratios, not every power
+    # the trace dies at n = 4, so it needs the trace buffer (8 MB) and
+    # one chunk of ratios, not every power or a margin buffer
     N = 1_000_000
     spec = weighted_mean(build_weights("power", N, exponent=1.0))
     U_p = BoundParams(2.0, 0.25).U_p
     assert mu_dual(spec, 2.0, U_p).first_violation == 4
     ref, got = _peak(ref_mu_dual, spec, 2.0, U_p), _peak(
         mu_dual, spec, 2.0, U_p)
-    assert got < 20 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
+    assert got < 10 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
