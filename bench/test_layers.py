@@ -2,8 +2,13 @@
 
 Times the compensated partial sums (`comp_cumsum`) and weight
 construction (`build_weights`, two compensated sums plus the family's
-values) at N = 1e3, 1e5, 1e6 and 1e7, and the mu recurrences and the
-HLP n0 searches at N = 1e3, 1e5 and 1e6: `mu_primal` and
+values) at N = 1e3, 1e5, 1e6 and 1e7, and the factorable apply and
+adjoint, the power iteration, the mu recurrences and the HLP n0
+searches at N = 1e3, 1e5 and 1e6.  `FactorableSpec.apply` and
+`adjoint_apply` run on the weighted mean of lam_n = n^0.5 with
+x_n = n^(-0.6), and `power_lower_bound` on the same matrix at p = 2
+(default tolerance; its iteration count goes in `extra_info`).
+`mu_primal` and
 `certificates.mu_dual` on the weighted mean of lam_n = n^0.5 at p = 2,
 `mu_dual_copson` (c = 1.5) and the dual route of `mu_bge`
 (alpha = 0.8) on the same weights at p = 2, and `hlp.mu_direct` and
@@ -43,8 +48,9 @@ import pytest
 from lpcert import (BoundParams, StrengthenedCase, build_weights,
                     certify_direct, cesaro, check_bge, check_copson_branch,
                     cli, comp_cumsum, copson_root, copson_threshold, hlp,
-                    mu_bge, mu_dual, mu_dual_copson, mu_primal, search_c,
-                    strengthened_trials, weighted_mean)
+                    mu_bge, mu_dual, mu_dual_copson, mu_primal,
+                    power_lower_bound, search_c, strengthened_trials,
+                    weighted_mean)
 
 # Fewer rounds at large N keep a run of the sequential loop this
 # replaced (about 5 s per sum at N = 1e7) within a few minutes.
@@ -69,6 +75,25 @@ def test_build_weights(benchmark, N):
                            kwargs={"exponent": 1.0}, rounds=ROUNDS[N],
                            warmup_rounds=1)
     assert w.N == N
+
+
+@pytest.mark.parametrize("N", sorted(TRACE_ROUNDS))
+@pytest.mark.parametrize("op", ["apply", "adjoint_apply"])
+def test_factorable_apply(benchmark, op, N):
+    spec = weighted_mean(build_weights("power", N, exponent=0.5))
+    x = np.arange(1, N + 1, dtype=np.float64) ** -0.6
+    y = benchmark.pedantic(getattr(spec, op), args=(x,), rounds=ROUNDS[N],
+                           warmup_rounds=1)
+    assert y.shape == (N,)
+
+
+@pytest.mark.parametrize("N", sorted(TRACE_ROUNDS))
+def test_power_lower_bound(benchmark, N):
+    spec = weighted_mean(build_weights("power", N, exponent=0.5))
+    est = benchmark.pedantic(power_lower_bound, args=(spec, 2.0),
+                             rounds=TRACE_ROUNDS[N], warmup_rounds=1)
+    benchmark.extra_info["iterations"] = est.iterations
+    assert est.lower_bound > 1.0
 
 
 def _mu_call(route, N):

@@ -26,9 +26,10 @@ mu_primal and mu_dual run the recurrences behind these certificates
 directly; a completed trace is itself a certificate at truncation N.
 Both form their per-index ratios and powers with numpy one _ROW_CHUNK of
 rows at a time, run the recurrence over that chunk as scalar float
-steps, and write each trace into a float64 array a chunk of steps at a
-time (_TraceBuffer), never holding it as a list of floats; of the
-margins, each keeps only their running minimum (MuTrace).
+steps, and hand each chunk of steps to a growing array("d") trace (8
+bytes a value, viewed by numpy without a copy), never holding the trace
+as a list of floats or reserving N values for it; of the margins, each
+keeps only their running minimum (MuTrace).
 Products are accumulated in log space; sums of positive terms inside the
 product conditions use a running log-sum-exp.
 """
@@ -36,6 +37,7 @@ product conditions use a running log-sum-exp.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,45 +47,10 @@ from .factorable import FactorableSpec, _require_normalized
 from .sequences import WeightSequence
 
 # rows of ratios and powers a mu trace forms at a time, and steps per
-# chunk a scalar mu loop hands to its _TraceBuffer
+# chunk a scalar mu loop hands to its array("d") trace with fromlist.
+# No np.frombuffer view of a trace may outlive its statement before the
+# next fromlist, which would raise BufferError.
 _ROW_CHUNK = 1 << 14
-
-
-class _TraceBuffer:
-    """A float64 trace of at most n_max values, filled a chunk at a time.
-
-    A scalar loop appends each step to a chunk list of at most _ROW_CHUNK
-    floats and hands it to extend, so the trace is never held whole as a
-    list of Python floats (about 32 bytes a step, against 8 here).  While
-    a chunk is open, len(trace) + len(chunk) counts the values so far:
-    it is n on the step that forms mu_(n+1).
-    """
-
-    def __init__(self, n_max: int, *head: float):
-        self._buf = np.empty(n_max, dtype=np.float64)
-        self._k = 0
-        self.extend(head)
-
-    def __len__(self) -> int:
-        return self._k
-
-    def extend(self, chunk) -> None:
-        self._buf[self._k:self._k + len(chunk)] = chunk
-        self._k += len(chunk)
-
-    def view(self, lo: int, hi: int) -> np.ndarray:
-        """The values at indices lo <= i < hi, of those so far."""
-        return self._buf[lo:min(hi, self._k)]
-
-    def array(self) -> np.ndarray:
-        """The values so far; a copy unless they fill the buffer."""
-        return _prefix(self._buf[:self._k], self._buf.shape[0])
-
-
-def _prefix(values: np.ndarray, n_max: int) -> np.ndarray:
-    """values, a leading slice of an n_max buffer: the buffer itself when
-    they fill it, else a copy, so a short trace does not pin the buffer."""
-    return values if values.shape[0] == n_max else values.copy()
 
 
 @dataclass(frozen=True)
@@ -345,17 +312,32 @@ def check_stepwise_p2(w: WeightSequence, L: float) -> CertificateReport:
 
 
 def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
-    """Primal recurrence; a full nonnegative trace certifies the bound
-    lam_p^(-1/p) at truncation N.
+    """Primal recurrence; a nonnegative trace mu_1..mu_(N+1) certifies
+    the bound lam_p^(-1/p) at truncation N.
 
         mu_1 = 1,
         mu_{n+1} = (a_n/b_n)^p mu_n
                    / (mu_n^(1/(p-1)) + (a_{n-1}/b_n)^(p/(p-1)))^(p-1)
                    - lam_p,           with a_0 = 0.
 
+    Why N + 1: for x >= 0 put A_n = sum_{k<=n} b_k x_k, so that
+    x_n = (A_n - A_(n-1))/b_n.  For mu_n >= 0, the least value of
+    mu_n (A_(n-1)/a_(n-1))^p + x_n^p over 0 <= A_(n-1) <= A_n is
+    (mu_(n+1) + lam_p) (A_n/a_n)^p, so by induction on m
+
+        sum_{n<=m} x_n^p - lam_p sum_{n<=m} (A_n/a_n)^p
+            >= mu_(m+1) (A_m/a_m)^p.
+
+    At m = N the left side is the gap of the N-section claim, so the
+    certificate needs mu_(N+1) >= 0, the step of row n = N (a_N, b_N and
+    a_(N-1)).  A passing trace keeps mu_1..mu_N (n_evaluated = N); its
+    closing value mu_(N+1) still lowers the worst margin, and a failing
+    one is the violation at n = N + 1 and stays in the trace, as every
+    failing value does.
+
     Constraint: mu_n >= 0.  Values within -1e-12 (relative) of zero are
     clamped to zero and the run continues; anything lower stops the trace.
-    The rows n = 1..N-1 are taken one _ROW_CHUNK at a time: their powers
+    The rows n = 1..N are taken one _ROW_CHUNK at a time: their powers
     (a_n/b_n)^p and (a_(n-1)/b_n)^(p/(p-1)) are formed with numpy over the
     chunk, so a trace that dies early forms few of them, and only scalar
     float steps run in the loop.  A power that leaves the binary64 range
@@ -368,12 +350,12 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
     _require_normalized(spec, "primal recurrence")
     a, b = spec.a, spec.b
     e1, ep = 1.0 / (p - 1.0), p / (p - 1.0)
-    rows = spec.N - 1
-    trace = _TraceBuffer(spec.N, 1.0)
+    N = spec.N
+    trace = array("d", [1.0])
     prev = 1.0
     violation = None
-    for lo in range(0, rows, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, rows)
+    for lo in range(0, N, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, N)
         a_prev = a[lo - 1:hi - 1] if lo else np.concatenate(([0.0], a[:hi - 1]))
         with np.errstate(over="ignore"):
             rp = (a[lo:hi] / b[lo:hi]) ** p
@@ -404,15 +386,17 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
             raise ValueError(
                 "(mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) leaves the "
                 f"binary64 range at n = {len(trace) + len(chunk)}") from None
-        trace.extend(chunk)
+        trace.fromlist(chunk)
         if violation is not None:
             break
         if bad.size:
             raise ValueError("(a_n/b_n)^p or (a_(n-1)/b_n)^(p/(p-1)) leaves "
                              f"the binary64 range at n = {lo + stop + 1}")
-    arr = trace.array()
-    return MuTrace(mu=arr, constraint="mu >= 0",
-                   worst_margin=float(np.min(arr)), first_violation=violation)
+    worst = float(np.min(np.frombuffer(trace)))
+    if violation is None:
+        trace.pop()           # mu_(N+1) closes the certificate
+    return MuTrace(mu=np.frombuffer(trace), constraint="mu >= 0",
+                   worst_margin=worst, first_violation=violation)
 
 
 def _binary64_pow(base: float, expo: float, name: str) -> float:
@@ -479,7 +463,7 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
     # mu_1^(-e1) recovers U_p; since every mu_n >= mu_1 it is also the
     # largest power the loop forms, so one check covers every step.
     _binary64_pow(mu_1, -e1, "U_p")
-    trace = _TraceBuffer(N, mu_1)
+    trace = array("d", [mu_1])
     inf, ne1, qm1 = math.inf, -e1, q - 1.0
     prev = mu_1
     worst = inf
@@ -505,10 +489,10 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
             # the power overflowed or underflowed to 0; either way the
             # next mu is not known in binary64, so no verdict is given
             overflow = True
-        trace.extend(chunk)
+        trace.fromlist(chunk)
         k = len(trace)           # mu_1..mu_k are known
         top = min(k, hi)
-        m = ceilings[:top - lo] - trace.view(lo, top)
+        m = ceilings[:top - lo] - np.frombuffer(trace)[lo:top]
         bad = np.flatnonzero(~(m > 0.0))
         worst = np.min(m[:bad[0] + 1] if bad.size else m, initial=worst)
         if bad.size:
@@ -520,8 +504,9 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
         if k < lo + steps + 1:   # the domain test failed on the step at k
             violation = k
             break
-    k = len(trace) if violation is None else violation
-    return MuTrace(mu=_prefix(trace.view(0, k), N),
+    if violation is not None:
+        del trace[violation:]
+    return MuTrace(mu=np.frombuffer(trace),
                    constraint="mu < (a_n/b_n)^q", worst_margin=float(worst),
                    first_violation=violation)
 

@@ -58,12 +58,13 @@ inequality outright.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._num import PASS_RTOL, margin_ok, suffix_sums, trial_rows
-from .certificates import _ROW_CHUNK, MuTrace, _TraceBuffer
+from .certificates import _ROW_CHUNK, MuTrace
 
 N_MAX_DEFAULT = 100_000
 # Trace length the n0 searches try before the full n0_max.  Certifying n0
@@ -88,8 +89,9 @@ def direct_floor(p: float) -> tuple[float, float]:
 
 def mu_direct(p: float, N: int) -> MuTrace:
     """Direct-route trace; the margins are mu_n - n^p (strictly positive
-    keeps the recurrence inside its domain), and the worst of them is
-    taken a chunk of steps at a time."""
+    keeps the recurrence inside its domain), and the worst of them is a
+    running minimum.  Every margin before a failing one is positive, so a
+    failing margin (NaN included) is the worst margin."""
     if not (1.0 / 3.0 <= p < 1.0):
         raise ValueError("need 1/3 <= p < 1")
     if N < 1:
@@ -97,18 +99,20 @@ def mu_direct(p: float, N: int) -> MuTrace:
     base = ((1.0 - p) / p) ** p
     ep = p / (p - 1.0)
     e1 = 1.0 / (1.0 - p)
-    mu = _TraceBuffer(N, base)
+    mu = array("d", [base])
     prev = base
     worst = math.inf
     violation = None
     for lo in range(0, N, _ROW_CHUNK):
-        mus, ms = [], []
+        mus = []
         for n in range(lo + 1, min(lo + _ROW_CHUNK, N) + 1):
             m = prev - float(n) ** p
-            ms.append(m)
             if not (m > 0.0):
+                worst = m
                 violation = n
                 break
+            if m < worst:
+                worst = m
             if n == N:
                 break
             inner = float(n) ** ep * prev ** e1 - 1.0
@@ -117,12 +121,11 @@ def mu_direct(p: float, N: int) -> MuTrace:
                 break
             prev = float(n + 1) ** p * inner ** (1.0 - p) + base
             mus.append(prev)
-        mu.extend(mus)
-        worst = np.min(ms, initial=worst)
+        mu.fromlist(mus)
         if violation is not None:
             break
-    return MuTrace(mu=mu.array(), constraint="mu > n^p",
-                   worst_margin=float(worst), first_violation=violation)
+    return MuTrace(mu=np.frombuffer(mu), constraint="mu > n^p",
+                   worst_margin=worst, first_violation=violation)
 
 
 @dataclass(frozen=True)
@@ -230,7 +233,7 @@ def mu_dual(p: float, N: int) -> MuTrace:
         raise ValueError("need N >= 1")
     shift = (1.0 / p - 1.0) ** (p / (p - 1.0))
     e1 = 1.0 / (1.0 - p)
-    mu = _TraceBuffer(N, 0.0)
+    mu = array("d", [0.0])
     prev = 0.0
     violation = None
     for lo in range(1, N, _ROW_CHUNK):
@@ -242,10 +245,10 @@ def mu_dual(p: float, N: int) -> MuTrace:
             if not (prev > 0.0):
                 violation = n + 1
                 break
-        mu.extend(chunk)
+        mu.fromlist(chunk)
         if violation is not None:
             break
-    arr = mu.array()
+    arr = np.frombuffer(mu)
     return MuTrace(mu=arr, constraint="mu > 0 (n >= 2)",
                    worst_margin=float(np.min(arr[1:], initial=math.inf)),
                    first_violation=violation)

@@ -102,11 +102,11 @@ def test_product_condition_on_factorable_matches_weight_form():
     assert rep_w.passed == rep_f.passed
 
 
-def _seeded_weight_lists():
+def _seeded_weight_lists(sizes=(2, 3, 50, 200)):
     """Six seeded lists at each N: log-uniform positive weights in
     [0.1, 10] on even seeds, increasing ones (0.05 plus a running sum of
     U(0, 1)) on odd seeds."""
-    for N in (2, 3, 50, 200):
+    for N in sizes:
         for seed in range(6):
             rng = np.random.default_rng([N, seed])
             values = (10.0 ** rng.uniform(-1.0, 1.0, N) if seed % 2 == 0
@@ -114,11 +114,7 @@ def _seeded_weight_lists():
             yield build_weights("explicit", N, values=values)
 
 
-@pytest.mark.parametrize("method", [
-    pytest.param(m, marks=pytest.mark.xfail(
-        strict=True, reason="mu-primal certifies the (N-1)-section, not "
-                            "the N-section (first open item in ROADMAP.md)"))
-    if m == "mu-primal" else m for m in CERTIFY_METHODS])
+@pytest.mark.parametrize("method", CERTIFY_METHODS)
 def test_certificate_bounds_hold_against_norm_probe(method):
     # the bound certified at the smallest L the search accepts must
     # dominate the dense 2-norm and the power iteration's lower bound
@@ -132,6 +128,24 @@ def test_certificate_bounds_hold_against_norm_probe(method):
         norm = float(np.linalg.norm(spec.to_dense(), 2))
         assert bound >= norm * (1.0 - 1e-12), (w.N, L, bound, norm)
         assert power_lower_bound(spec, p).lower_bound <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.3, 3.5])
+@pytest.mark.parametrize("method", [m for m in CERTIFY_METHODS
+                                    if m != "stepwise-p2"])
+def test_certificate_bounds_hold_against_power_iteration(method, p):
+    # away from p = 2 there is no dense norm; the bound certified at the
+    # smallest L the search accepts must still dominate the power
+    # iteration's lower bound on ||M_N||_p
+    checked = 0
+    for w in _seeded_weight_lists(sizes=(50, 200)):
+        L = search_smallest_L(method, w, p)
+        if L is None:
+            continue
+        lower = power_lower_bound(weighted_mean(w), p).lower_bound
+        assert lower <= BoundParams(p, L).bound * (1.0 + 1e-12), (w.N, L)
+        checked += 1
+    assert checked
 
 
 def test_mu_primal_cesaro_hand_values():
@@ -217,11 +231,12 @@ def test_mu_dual_matches_scalar_reference(kind, param, p, L):
 
 def _mu_primal_reference(spec, p, lam_p):
     """mu_primal's docstring recurrence as a plain scalar loop with its
-    clamp and denominator guard: (first violation, mu values)."""
+    clamp and denominator guard, rows n = 1..N: (first violation, mu
+    values, without the closing mu_(N+1) of a passing trace)."""
     a, b = spec.a.tolist(), spec.b.tolist()
     e1, ep = 1.0 / (p - 1.0), p / (p - 1.0)
     mu = [1.0]
-    for n in range(1, spec.N):
+    for n in range(1, spec.N + 1):
         prev = mu[-1]
         anm1 = a[n - 2] if n >= 2 else 0.0
         base = prev ** e1 if prev > 0.0 else 0.0
@@ -238,7 +253,7 @@ def _mu_primal_reference(spec, p, lam_p):
                 mu.append(nxt)
                 return n + 1, mu
         mu.append(nxt)
-    return None, mu
+    return None, mu[:-1]
 
 
 @pytest.mark.parametrize("kind,param", [("constant", None), ("power", 0.7),
@@ -266,8 +281,8 @@ def test_mu_primal_forms_its_powers_a_chunk_at_a_time(monkeypatch):
     monkeypatch.setattr(certificates, "_ROW_CHUNK", 7)
     assert mu_primal(spec, 2.5, lam_p).mu.tobytes() == whole.mu.tobytes()
     monkeypatch.undo()
-    # an over-claimed bound dies by n = 7: it needs the trace buffer
-    # (8 MB) and one chunk of powers, not N-length powers or a_(n-1)
+    # an over-claimed bound dies by n = 7: it needs one chunk of powers
+    # (about 1.4 MiB), not N trace values, N-length powers or a_(n-1)
     spec = cesaro(10 ** 6)
     tracemalloc.start()
     try:
@@ -275,7 +290,7 @@ def test_mu_primal_forms_its_powers_a_chunk_at_a_time(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20, peak / 2 ** 20
+    assert peak < 3 * 2 ** 20, peak / 2 ** 20
 
 
 def test_mu_primal_out_of_range_power_is_a_domain_error():

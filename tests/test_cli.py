@@ -312,6 +312,17 @@ def test_search_L_finds_boundary(tmp_path):
     assert rep["L"] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_mu_primal_claim_below_the_norm_fails_on_the_closing_step(tmp_path):
+    # the 2 x 2 Cesaro matrix has 2-norm 1.1441: the bound 1.005 must
+    # fail, and the step mu_3 >= 0 of the last row n = 2 is where it does
+    out = tmp_path / "r.json"
+    assert run(["certify", "--method", "mu-primal", "--weights", "constant",
+                "--N", "2", "--p", "2", "--L", "0.01",
+                "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["pass"] is False and rep["first_fail"] == 3
+
+
 def _bisect_60_steps(method, w, p):
     """search_smallest_L as a fixed 60-step bisection."""
     hi = p * (1.0 - 1e-9)

@@ -2,10 +2,12 @@
 
 `certificates.mu_primal`, `certificates._mu_dual_ratios` (behind
 `mu_dual`, `mu_dual_copson` and the dual route of `mu_bge`),
-`hlp.mu_direct` and `hlp.mu_dual` write each trace into a float64
-array a chunk of steps at a time.  The reference functions below are the
-loops they replaced, written out again here: each keeps the whole trace
-as a list of Python floats and converts it at the end.  The primal and
+`hlp.mu_direct` and `hlp.mu_dual` hand each trace to a growing
+array("d") a chunk of steps at a time.  The reference functions below
+are the loops they replaced, written out again here (the primal one with
+the closing step mu_(N+1) that the N-section certificate needs): each
+keeps the whole trace as a list of Python floats and converts it at the
+end.  The primal and
 dual references also form every ratio, power, ceiling and envelope
 target as a whole array before the loop (the dual ones test the ceiling
 inside it), where the library forms them a chunk at a time (and tests
@@ -63,10 +65,10 @@ class RefTrace:
 def ref_mu_primal(spec, p, lam_p):
     a, b = spec.a, spec.b
     e1 = 1.0 / (p - 1.0)
-    a_prev = np.concatenate(([0.0], a))[:spec.N - 1]     # a_0 = 0
+    a_prev = np.concatenate(([0.0], a[:-1]))     # a_0 = 0
     with np.errstate(over="ignore"):
-        rps = (a[:-1] / b[:-1]) ** p
-        crosses = (a_prev / b[:-1]) ** (p / (p - 1.0))
+        rps = (a / b) ** p              # rows n = 1..N
+        crosses = (a_prev / b) ** (p / (p - 1.0))
     mu = [1.0]
     prev = 1.0
     violation = None
@@ -96,7 +98,9 @@ def ref_mu_primal(spec, p, lam_p):
         raise ValueError("(mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) "
                          f"leaves the binary64 range at n = {n}") from None
     arr = np.array(mu, dtype=np.float64)
-    return RefTrace(mu=arr, constraint="mu >= 0", margins=arr.copy(),
+    # a passing trace drops its closing value mu_(N+1), a margin still
+    return RefTrace(mu=arr if violation is not None else arr[:-1],
+                    constraint="mu >= 0", margins=arr.copy(),
                     first_violation=violation)
 
 
@@ -306,6 +310,15 @@ def test_certificate_loops_dying_on_the_last_row(N):
     assert _assert_same(mu_dual, ref_mu_dual, spec, 2.0, 4.0)[3] == N - 1
 
 
+@pytest.mark.parametrize("N", DEATHS)
+def test_primal_trace_dies_on_its_closing_step(N):
+    # the last row n = N drives mu_(N+1) below 0: the N-section claim
+    # fails at n = N + 1, and the trace keeps the failing value
+    got = _assert_same(mu_primal, ref_mu_primal, _dying_cesaro(N, N),
+                       2.0, 0.25)
+    assert got[3] == N + 1 and got[0][1] == (N + 1,)
+
+
 @pytest.mark.parametrize("row", DEATHS)
 def test_primal_domain_error_at_a_chunk_boundary(row):
     # (a_n/b_n)^2 overflows on that row, which the trace reaches
@@ -510,14 +523,15 @@ def test_mu_dual_peak_memory_is_below_the_list_loop():
     assert got < 5 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
 
 
-def test_early_dual_death_peaks_at_its_two_buffers():
+def test_early_dual_death_peaks_at_one_chunk():
     # L = 0.25 is below the Cartlidge constant 0.5 of power:1 weights:
-    # the trace dies at n = 4, so it needs the trace buffer (8 MB) and
-    # one chunk of ratios, not every power or a margin buffer
+    # the trace dies at n = 4, so it needs one chunk of ratios and
+    # powers (about 1.5 MiB), not N trace values, every power or a
+    # margin buffer
     N = 1_000_000
     spec = weighted_mean(build_weights("power", N, exponent=1.0))
     U_p = BoundParams(2.0, 0.25).U_p
     assert mu_dual(spec, 2.0, U_p).first_violation == 4
     ref, got = _peak(ref_mu_dual, spec, 2.0, U_p), _peak(
         mu_dual, spec, 2.0, U_p)
-    assert got < 10 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
+    assert got < 3 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
