@@ -23,9 +23,11 @@ N = 1e3 and 1e5, p = 2.  The searches are
 `hlp.certify_direct` at p = 0.35 (certified at n0 = 4) and 0.355
 (uncertified, the whole trace), and `hlp.search_c` at p = 0.345
 (feasible at n0 = 3) and 0.355 (infeasible), each with n0_max = N.  The random-trial batches run at N = 1e3, 2e4 and 1e5 with
-300 trials on lam_n = n^0.8 weights at p = 2: `check_copson_branch`
-(copson_prefix, c at 60% of the admissible range), `check_bge`
-(alpha = 0.85) and `strengthened_trials` (the dual case); `hlp
+300 trials on lam_n = n^0.8 weights at p = 1.5, 2 and 3:
+`check_copson_branch` (copson_prefix, c at 60% of the admissible
+range), `check_bge` (alpha = 0.85) and `strengthened_trials` (the dual
+case); p = 2 alone would hide the cost of `pow`, since numpy squares
+there without calling it; `hlp
 dual-probe` runs through the CLI entry point at p = 0.31 with 1000
 trials of N = 256 (the large-n call) and with 300 trials at the same N
 as the others.  `copson_root` is timed at p = 1.5, 3 and 40.  Run from
@@ -183,15 +185,16 @@ def test_search_c(benchmark, p, N):
 
 
 @pytest.mark.parametrize("N", sorted(TRIAL_ROUNDS))
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("kind", ["branch", "bge", "strengthened"])
-def test_trials(benchmark, kind, N):
+def test_trials(benchmark, kind, p, N):
     w = build_weights("power", N, exponent=0.8)
-    c = 1.0 + 0.6 * (copson_threshold(2.0) - 1.0)
-    fn = {"branch": lambda: check_copson_branch(w, 2.0, c, "copson_prefix",
+    c = 1.0 + 0.6 * (copson_threshold(p) - 1.0)
+    fn = {"branch": lambda: check_copson_branch(w, p, c, "copson_prefix",
                                                 trials=300, seed=1),
-          "bge": lambda: check_bge(w, 2.0, 0.85, trials=300, seed=1),
+          "bge": lambda: check_bge(w, p, 0.85, trials=300, seed=1),
           "strengthened": lambda: strengthened_trials(
-              StrengthenedCase(kind="dual", p=2.0), w, trials=300, seed=1)}
+              StrengthenedCase(kind="dual", p=p), w, trials=300, seed=1)}
     rep = benchmark.pedantic(fn[kind], rounds=TRIAL_ROUNDS[N],
                              warmup_rounds=1)
     assert rep.passed and rep.trials == 300

@@ -13,7 +13,9 @@ those errors, a second `np.cumsum`.  (Only a leading -0.0 total differs,
 as the loop starts from +0.0; adding the +0.0 compensation erases it.)
 
 Random trials all go through trial_rows: seeded rows drawn a block of
-about 2^17 entries at a time and evaluated on a thread pool.
+about 2^17 entries at a time and evaluated on a thread pool.  Their
+suffix sums come from suffix_sums in a C-contiguous array, not as a
+reversed view, so that the powers taken of them run numpy's SIMD `pow`.
 """
 
 from __future__ import annotations
@@ -50,13 +52,21 @@ def comp_cumsum(values) -> np.ndarray:
 
 
 def suffix_sums(values) -> np.ndarray:
-    """Plain vectorized suffix sums along the last axis.
+    """Plain vectorized suffix sums along the last axis, in a fresh
+    C-contiguous array.
 
     Used for bulk trial evaluation, whose reports were fixed on plain
-    sums; weight partials always go through comp_cumsum instead.
+    sums; weight partials always go through comp_cumsum instead.  The
+    sums are those of `np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]` bit
+    for bit, but written through a reversed view of the result, so the
+    result itself has positive strides: numpy runs its SIMD `pow` only
+    on positive strides, and on the negative-stride view falls back to
+    libm `pow`, about 5x slower and up to one ulp apart.
     """
     arr = np.asarray(values, dtype=np.float64)
-    return np.cumsum(arr[..., ::-1], axis=-1)[..., ::-1]
+    out = np.empty(arr.shape)
+    np.cumsum(arr[..., ::-1], axis=-1, out=out[..., ::-1])
+    return out
 
 
 def margin_ok(margin: float, scale: float) -> bool:

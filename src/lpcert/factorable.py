@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._num import suffix_sums
 from .sequences import WeightSequence
 
 _DENSE_LIMIT = 4096  # to_dense is a test/debug aid, not a compute path
@@ -81,7 +82,7 @@ class FactorableSpec:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.N,):
             raise ValueError(f"z must have shape ({self.N},), got {z.shape}")
-        return self.b * np.cumsum((z / self.a)[::-1])[::-1]
+        return self.b * suffix_sums(z / self.a)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the matrix; guarded, for small-N oracle checks only."""

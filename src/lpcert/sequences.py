@@ -146,7 +146,46 @@ def load_weight_file(path: str) -> WeightSequence:
 
     UTF-8 text, LF newlines, '#' starts a comment, blank lines ignored.
     Values are parsed exactly once; serialization round-trips use repr.
+    A file with no '#' and no whitespace but line breaks is parsed in
+    one pass; any other file, and every file the one pass rejects, goes
+    through the line loop, whose error messages name the line.
     """
+    vals = _plain_weights(path)
+    if vals is None:
+        vals = _weight_lines(path)
+    return build_weights("explicit", len(vals), values=vals, label=f"file:{path}")
+
+
+def _plain_weights(path: str):
+    """The weights of a file as a float64 array in one pass, or None when
+    the file needs the line loop: a '#', whitespace other than line
+    breaks, undecodable bytes, no values, or a value that is not a
+    positive finite decimal.  When the only whitespace is LF and CR, at
+    which the loop splits lines, each token is one of the loop's
+    stripped lines, and float parses it the same way."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if "#" in text:
+        return None
+    tokens = text.split()
+    if len(text) - sum(map(len, tokens)) != text.count("\n") + text.count("\r"):
+        return None
+    try:
+        vals = np.array(list(map(float, tokens)), dtype=np.float64)
+    except ValueError:
+        return None
+    if not vals.size or not np.all((vals > 0.0) & (vals < math.inf)):
+        return None
+    return vals
+
+
+def _weight_lines(path: str) -> list[float]:
+    """The weights of a file read one line at a time; raises on the
+    first bad line with its number."""
     vals: list[float] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -162,7 +201,7 @@ def load_weight_file(path: str) -> WeightSequence:
             vals.append(v)
     if not vals:
         raise ValueError(f"{path}: no weights found")
-    return build_weights("explicit", len(vals), values=vals, label=f"file:{path}")
+    return vals
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Weight sequence construction, partial sums, and tail identities."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpcert import build_weights, cli, comp_cumsum, load_weight_file, averages
+from lpcert import (averages, build_weights, cli, comp_cumsum,
+                    load_weight_file, sequences, suffix_sums)
 
 finite_weights = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False,
@@ -208,6 +210,113 @@ def test_weight_file_rejects_nonpositive(tmp_path):
     path.write_text("1.0\n-2.0\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_weight_file(str(path))
+
+
+def ref_weight_lines(path):
+    """The line loop load_weight_file ran on every file: its values, or
+    the type and message of the error it raised."""
+    vals = []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for ln, line in enumerate(fh, start=1):
+                body = line.split("#", 1)[0].strip()
+                if not body:
+                    continue
+                try:
+                    v = float(body)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{ln}: not a decimal number: "
+                                     f"{body!r}") from exc
+                if not math.isfinite(v) or v <= 0.0:
+                    raise ValueError(f"{path}:{ln}: weights must be "
+                                     f"positive and finite")
+                vals.append(v)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if not vals:
+        return ValueError, f"{path}: no weights found"
+    return np.array(vals, dtype=np.float64).tobytes()
+
+
+def _loaded(path):
+    try:
+        return load_weight_file(path).values.tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# (contents, whether the one pass parses it)
+WEIGHT_FILES = [
+    (b"1.5\n2.5\n4\n", True),
+    (b"1.5\r\n2.5\r\n4\r\n", True),
+    (b"1.5\r2.5\r4", True),
+    (b"\n\n1.5\n\n\r\n2.5\n\n", True),
+    (b"0.1\n1e-300\n1_000\n+7\n.5\n3.\n", True),
+    ("\u0661.5\n2\n".encode(), True),
+    (b"# header\n1.5\n\n2.5  # inline note\n4\n", False),
+    (b"1.5 # note\r\n# 2\r\n\r\n3\r\n", False),
+    (b"  1.5\n\t2.5 \n", False),
+    (b"1 2\n", False),
+    (b"1\t2\n", False),
+    (b"1\x0c2\n", False),
+    (b"1\n2 3\n", False),
+    (b"1.0\n-2.0\n", False),
+    (b"1.0\n0\n", False),
+    (b"1\nnan\n", False),
+    (b"1\ninf\n", False),
+    (b"1\n1e400\n", False),
+    (b"1\nabc\n", False),
+    (b"1\n0x10\n", False),
+    (b"\xef\xbb\xbf1\n", False),
+    (b"1\n\xff\n", False),
+    (b"", False),
+    (b"\n\r\n", False),
+    (b"# only a comment\n", False),
+]
+
+
+@pytest.mark.parametrize("data,plain", WEIGHT_FILES)
+def test_weight_file_matches_the_line_loop(tmp_path, data, plain):
+    path = tmp_path / "w.txt"
+    path.write_bytes(data)
+    assert _loaded(str(path)) == ref_weight_lines(str(path))
+    fast = sequences._plain_weights(str(path))
+    assert (fast is not None) == plain
+    if plain:
+        assert fast.tobytes() == ref_weight_lines(str(path))
+
+
+def test_large_weight_file_is_bitwise_the_line_loop(tmp_path):
+    # 0.05 plus a running sum of U(0, 1), as the corpus writes it; the
+    # partial sums are those of the loop's values too
+    vals = 0.05 + np.cumsum(np.random.default_rng(3).uniform(size=20_000))
+    text = "".join(repr(float(v)) + "\n" for v in vals)
+    for name, body in (("lf", text), ("crlf", text.replace("\n", "\r\n")),
+                       ("commented", "# seeded\n" + text)):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(body.encode())
+        w = load_weight_file(str(path))
+        ref = build_weights("explicit", vals.size, values=vals)
+        assert w.values.tobytes() == ref.values.tobytes() == vals.tobytes()
+        assert w.partials.tobytes() == ref.partials.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (5,), (7, 37), (6, 20_000)])
+def test_suffix_sums_are_contiguous_reversed_cumsums(shape):
+    # a negative-stride result would send every power of it to libm pow
+    a = np.random.default_rng(len(shape)).standard_normal(shape)
+    got = suffix_sums(a)
+    assert got.flags.c_contiguous and got.shape == a.shape
+    ref = np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_suffix_sums_of_a_list():
+    a = [0.1, 0.2, 0.3, 1e16, -1e16]
+    got = suffix_sums(a)
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    ref = np.cumsum(np.array(a)[::-1])[::-1]
+    assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("kind,extra", [("constant", {}),
