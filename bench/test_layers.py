@@ -17,9 +17,12 @@ ones, runs to N); each mu trace also records the tracemalloc peak of
 one untimed call in `extra_info`.  `mu_dual` is also timed on a claim
 that dies at n = 4 (power:1 weights, p = 2, L = 0.25, N = 1e6), and
 `mu_primal` on a claim that dies at n = 3 (the Cesaro matrix, p = 2,
-lam_p = 0.9, N = 1e6), each with its peak, and `cli.search_smallest_L` on the product condition on a
-seeded random-monotone list (0.05 plus a running sum of U(0, 1)) at
-N = 1e3 and 1e5, p = 2.  The searches are
+lam_p = 0.9, N = 1e6), each with its peak, and `cli.search_smallest_L`
+on the product condition at N = 1e3 and 1e5, p = 2, on a seeded
+random-monotone list (0.05 plus a running sum of U(0, 1)), which the
+first `cli._HEAD` weights decide, and on power:0.5 weights, which they
+do not; the number of whole-list and head-only checks of one untimed
+search goes in `extra_info`.  The HLP searches are
 `hlp.certify_direct` at p = 0.35 (certified at n0 = 4) and 0.355
 (uncertified, the whole trace), and `hlp.search_c` at p = 0.345
 (feasible at n0 = 3) and 0.355 (infeasible), each with n0_max = N.  The random-trial batches run at N = 1e3, 2e4 and 1e5 with
@@ -152,10 +155,21 @@ def test_mu_primal_early_death(benchmark):
 
 
 @pytest.mark.parametrize("N", [10**3, 10**5])
-def test_search_L(benchmark, N):
-    rng = np.random.default_rng(1)
-    w = build_weights("explicit", N,
-                      values=0.05 + np.cumsum(rng.uniform(size=N)))
+@pytest.mark.parametrize("weights", ["random-monotone", "power:0.5"])
+def test_search_L(benchmark, monkeypatch, weights, N):
+    if weights == "random-monotone":
+        rng = np.random.default_rng(1)
+        w = build_weights("explicit", N,
+                          values=0.05 + np.cumsum(rng.uniform(size=N)))
+    else:
+        w = build_weights("power", N, exponent=0.5)
+    certify, sizes = cli.run_certificate, []
+    monkeypatch.setattr(cli, "run_certificate", lambda m, v, p, L: (
+        sizes.append(v.N) or certify(m, v, p, L)))
+    cli.search_smallest_L("product", w, 2.0)
+    monkeypatch.undo()
+    benchmark.extra_info["whole_list_checks"] = sizes.count(N)
+    benchmark.extra_info["head_checks"] = len(sizes) - sizes.count(N)
     L = benchmark.pedantic(cli.search_smallest_L, args=("product", w, 2.0),
                            rounds=TRACE_ROUNDS[N], warmup_rounds=1)
     assert L is not None

@@ -425,19 +425,23 @@ def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
     from a and b one _ROW_CHUNK at a time, so a trace that dies early
     forms few of them; only scalar float steps run in the loop.
     """
-    if not (p > 1.0):
-        raise ValueError("need p > 1")
-    if not (U_p > 0.0):
-        raise ValueError("need U_p > 0")
-    q = p / (p - 1.0)
     a, b = spec.a, spec.b
 
     def ratios(lo, hi):
         nxt = b[lo + 1:hi + 1]
         return a[lo:hi] / b[lo:hi], a[lo:lo + nxt.shape[0]] / nxt
 
-    return _mu_dual_ratios(ratios, spec.N, p,
-                           _binary64_pow(U_p, -q / p, "mu_1 = U_p^(-q/p)"))
+    return _mu_dual_ratios(ratios, spec.N, p, _dual_mu_1(p, U_p))
+
+
+def _dual_mu_1(p: float, U_p: float) -> float:
+    """mu_1 = U_p^(-q/p) of the dual recurrence, with its domain checks."""
+    if not (p > 1.0):
+        raise ValueError("need p > 1")
+    if not (U_p > 0.0):
+        raise ValueError("need U_p > 0")
+    q = p / (p - 1.0)
+    return _binary64_pow(U_p, -q / p, "mu_1 = U_p^(-q/p)")
 
 
 def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:

@@ -52,7 +52,8 @@ CSV_COLUMNS = ("method", "p", "L", "c", "alpha", "N", "pass", "first_fail",
 CERTIFY_METHODS = ("cartlidge", "ratio", "product", "factorable-product",
                    "stepwise", "stepwise-p2", "mu-primal", "mu-dual")
 TRACE_DENSE = 1000
-# weights on which search_smallest_L settles a probe before the whole list
+# leading weights on which _smallest_passing bisects before it checks the
+# whole list at the answer (once, if the answer passes there)
 _HEAD = 1024
 
 
@@ -221,32 +222,14 @@ def search_smallest_L(method: str, w: WeightSequence,
     return None if rep is None else rep.L
 
 
-def _smallest_passing(method: str, w: WeightSequence,
-                      p: float) -> CertificateReport | None:
-    """The whole-sequence report at the smallest passing L of a 60-step
-    bisection, or None when even L just under p fails.
+def _bisect(passing, p: float):
+    """What passing returns at the smallest passing L of a 60-step
+    bisection on (0, p), or None when even L just under p fails.
 
-    Assumes pass is monotone in L (a larger L claims a weaker bound).
-    Stops early once the midpoint rounds to lo or hi: every later step
-    would re-run a known verdict and leave the bracket as it is.
-
-    Each probe is settled on the first _HEAD weights before the whole
-    sequence is checked.  Every run_certificate method is prefix-causal:
-    its margins at n <= m depend only on lam_1..lam_m, bit for bit (the
-    partial sums, cumulative sums and mu steps all run forward), so a
-    probe that fails on the head fails on the whole sequence at the same
-    index.  The probed L values and the result are those of checking the
-    whole sequence each time; a probe whose head passes runs that check.
+    passing(L) is None when L fails.  Stops early once the midpoint
+    rounds to lo or hi: every later step would re-run a known verdict
+    and leave the bracket as it is.
     """
-    head = w.head(min(w.N, _HEAD))
-
-    def passing(L):
-        """The whole-sequence report at L if it passes, else None."""
-        if head is not w and not run_certificate(method, head, p, L).passed:
-            return None
-        rep = run_certificate(method, w, p, L)
-        return rep if rep.passed else None
-
     lo, hi = p * 1e-9, p * (1.0 - 1e-9)
     best = passing(hi)
     if best is None:
@@ -258,12 +241,54 @@ def _smallest_passing(method: str, w: WeightSequence,
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        rep = passing(mid)
-        if rep is not None:
-            hi, best = mid, rep
+        found = passing(mid)
+        if found is not None:
+            hi, best = mid, found
         else:
             lo = mid
     return best
+
+
+def _smallest_passing(method: str, w: WeightSequence,
+                      p: float) -> CertificateReport | None:
+    """The whole-sequence report at the smallest passing L of a 60-step
+    bisection, or None when even L just under p fails.
+
+    Assumes pass is monotone in L: a larger L claims a weaker bound, so
+    a check that passes at L passes at every larger L.  The result is
+    that of the plain loop, which checks the whole sequence at every
+    probe, and the identity rests on this premise.
+
+    Every run_certificate method is prefix-causal: its margins at
+    n <= m depend only on lam_1..lam_m, bit for bit (the partial sums,
+    cumulative sums and mu steps all run forward), so a probe that fails
+    on the first _HEAD weights fails on the whole sequence.  The search
+    first bisects with every probe checked on the head alone, then
+    checks the whole sequence once, at the head's answer L_h.  If that
+    passes, so does every other probe whose head passed, since each of
+    them is at least L_h (hi only falls): the plain loop takes the same
+    path, and this is its report.  Otherwise the search replays the
+    loop with each probe settled on the head before the whole sequence,
+    reusing every verdict known so far: no check runs twice, and the
+    whole checks are those of the head-first loop plus at most the one
+    at L_h.
+    """
+    head = w.head(min(w.N, _HEAD))
+    known = {}     # (N, L) -> the report if it passes, else None
+
+    def passing(v: WeightSequence, L: float):
+        if (v.N, L) not in known:
+            rep = run_certificate(method, v, p, L)
+            known[v.N, L] = rep if rep.passed else None
+        return known[v.N, L]
+
+    L_h = _bisect(lambda L: L if passing(head, L) else None, p)
+    if L_h is None:
+        return None
+    found = passing(w, L_h)
+    if found is not None:
+        return found
+    return _bisect(lambda L: passing(head, L) and passing(w, L), p)
 
 
 # ----------------------------------------------------------------------

@@ -45,8 +45,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._num import first_bad, margin_ok, suffix_sums, trial_rows
-from .certificates import (_ROW_CHUNK, MuTrace, _binary64_pow,
-                           _mu_dual_ratios, mu_dual, mu_primal)
+from .certificates import (_ROW_CHUNK, MuTrace, _binary64_pow, _dual_mu_1,
+                           _mu_dual_ratios, mu_primal)
 from .factorable import bge_matrix, bge_steps
 from .sequences import WeightSequence, averaged, build_weights
 
@@ -503,7 +503,9 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
 
     dual route: mu_dual on bge_matrix(w, p, alpha), whose diagonal ratios
     are 1/s_n with s_n = 1 - (Lam_{n-1}/Lam_n)^alpha (bge_steps), and
-    U_p = (alpha p/(p-1))^p.  With q = p/(p-1) it reads
+    U_p = (alpha p/(p-1))^p.  The matrix's ratios a_n/b_n and
+    a_n/b_{n+1} are formed a chunk at a time, as mu_dual forms them, so
+    a and b are never held whole.  With q = p/(p-1) it reads
 
         mu_1 = ((p-1)/(alpha p))^q,
         mu_{n+1} = mu_1 + (lam_n/lam_{n+1})
@@ -530,9 +532,23 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
     q = p / (p - 1.0)
 
     if route == "dual":
-        trace = mu_dual(bge_matrix(w, p, alpha), p,
-                        _binary64_pow(alpha * p / (p - 1.0), p, "U_p"))
         s = bge_steps(w, alpha)
+        e = 1.0 - 1.0 / p
+        # bge_matrix's a_n = lam_n^e / s_n must be finite, as in the spec;
+        # with s_n >= 2^-53 it can overflow only where lam_n > 1e290
+        big = lam > 1e290
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(lam[big] ** e / s[big])):
+                raise ValueError("a and b must be finite")
+
+        def ratios(lo, hi):
+            # a_n/b_n and a_n/b_{n+1} of bge_matrix, b_n = lam_n^e
+            b = lam[lo:hi + 1] ** e
+            a = b[:hi - lo] / s[lo:hi]
+            return a / b[:hi - lo], a[:b.shape[0] - 1] / b[1:]
+
+        trace = _mu_dual_ratios(ratios, w.N, p, _dual_mu_1(
+            p, _binary64_pow(alpha * p / (p - 1.0), p, "U_p")))
         A = alpha ** q * q ** (q - 1.0)
 
         def targets(lo, hi):

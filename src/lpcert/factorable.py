@@ -135,8 +135,9 @@ def bge_matrix(w: WeightSequence, p: float, alpha: float) -> FactorableSpec:
     if not (alpha > 0.0):
         raise ValueError("bge_matrix needs alpha > 0")
     base = w.values ** (1.0 - 1.0 / p)
-    return FactorableSpec(kind=f"bge(p={p:g},alpha={alpha:g})",
-                          a=base / bge_steps(w, alpha), b=base)
+    with np.errstate(over="ignore"):   # the spec rejects an infinite a_n
+        a = base / bge_steps(w, alpha)
+    return FactorableSpec(kind=f"bge(p={p:g},alpha={alpha:g})", a=a, b=base)
 
 
 def hlp_dual_matrix(N: int) -> FactorableSpec:

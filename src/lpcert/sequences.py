@@ -50,8 +50,12 @@ class WeightSequence:
 
     @cached_property
     def tails(self) -> np.ndarray:
-        """Lam*_n, truncated at N; read-only, summed on first read."""
-        tails = comp_cumsum(self.values[::-1])[::-1]
+        """Lam*_n, truncated at N; read-only, summed on first read.
+
+        Held C-contiguous, so that the powers taken of it run numpy's
+        SIMD `pow` (see suffix_sums).
+        """
+        tails = np.ascontiguousarray(comp_cumsum(self.values[::-1])[::-1])
         tails.setflags(write=False)
         return tails
 

@@ -252,6 +252,16 @@ def test_mu_bge_rejects_bad_routes_and_domains():
         mu_bge(stalled, 2.0, 0.4, route="primal")
 
 
+@pytest.mark.parametrize("route", ["dual", "primal"])
+def test_mu_bge_rejects_an_overflowing_a_n_before_its_first_step(route):
+    # a_2 = lam_2^(1-1/p)/s_2 of bge_matrix is about 1.35 Lam_2 here,
+    # past the binary64 range, while U_p = (alpha p/(p-1))^p still fits
+    w = build_weights("explicit", 3, values=np.array([1.5e308, 2e295, 2e295]))
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="a and b must be finite"):
+            mu_bge(w, 100.0, 8.4e-4, route=route)
+
+
 # Reference loops: the Copson and blocked-tail dual recurrences exactly
 # as the mu_dual_copson / mu_bge docstrings state them, independent of
 # the factorable matrices the library runs them through.

@@ -327,7 +327,7 @@ def test_tails_are_summed_on_first_read(kind, extra):
     assert "tails" not in w.__dict__
     tails = w.tails
     assert "tails" in w.__dict__ and w.tails is tails
-    assert not tails.flags.writeable
+    assert not tails.flags.writeable and tails.flags.c_contiguous
     with pytest.raises(ValueError):
         tails[0] = 1.0
     ref = comp_cumsum(w.values[::-1])[::-1]
