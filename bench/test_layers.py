@@ -1,8 +1,9 @@
 """Layer timings with pytest-benchmark, outside the tier-1 suite.
 
 Times the compensated partial sums (`comp_cumsum`) and weight
-construction (`build_weights`, two compensated sums plus the family's
-values) at N = 1e3, 1e5, 1e6 and 1e7, and the factorable apply and
+construction (`build_weights`, the family's values and their compensated
+partial sums) at N = 1e3, 1e5, 1e6 and 1e7, each with the tracemalloc
+peak of one untimed call in `extra_info`, and the factorable apply and
 adjoint, the power iteration, the mu recurrences and the HLP n0
 searches at N = 1e3, 1e5 and 1e6.  `FactorableSpec.apply` and
 `adjoint_apply` run on the weighted mean of lam_n = n^0.5 with
@@ -33,8 +34,14 @@ case); p = 2 alone would hide the cost of `pow`, since numpy squares
 there without calling it; `hlp
 dual-probe` runs through the CLI entry point at p = 0.31 with 1000
 trials of N = 256 (the large-n call) and with 300 trials at the same N
-as the others.  `copson_root` is timed at p = 1.5, 3 and 40.  Run from
-the repository root:
+as the others.  `copson_root` is timed at p = 1.5, 3 and 40.  End to
+end, `test_cli_subprocess` runs four N = 1e6 CLI commands
+(`certify --method mu-dual`, passing and dying at once, `copson mu` and
+`copson bge-mu`) as `python -m lpcert.cli` grandchildren, each timed
+with the fresh interpreter that starts it, and records the `ru_maxrss`
+of every one (the warm-up one too) in `extra_info`; they inherit the
+environment, so PYTHONPATH must name `src`.  Run from the repository
+root:
 
     PYTHONPATH=src python -m pytest bench/test_layers.py \\
         --benchmark-json=OUT.json
@@ -45,6 +52,8 @@ such runs of a change and of its parent side by side.
 """
 
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -69,6 +78,8 @@ TRIAL_ROUNDS = {10**3: 30, 2 * 10**4: 10, 10**5: 3}
 @pytest.mark.parametrize("N", sorted(ROUNDS))
 def test_comp_cumsum(benchmark, N):
     vals = np.arange(1, N + 1, dtype=np.float64) ** -0.9
+    benchmark.extra_info["tracemalloc_peak_bytes"] = _tracemalloc_peak(
+        comp_cumsum, (vals,))
     out = benchmark.pedantic(comp_cumsum, args=(vals,), rounds=ROUNDS[N],
                              warmup_rounds=1)
     assert out.shape == (N,)
@@ -76,10 +87,58 @@ def test_comp_cumsum(benchmark, N):
 
 @pytest.mark.parametrize("N", sorted(ROUNDS))
 def test_build_weights(benchmark, N):
-    w = benchmark.pedantic(build_weights, args=("power", N),
-                           kwargs={"exponent": 1.0}, rounds=ROUNDS[N],
-                           warmup_rounds=1)
+    def build():
+        return build_weights("power", N, exponent=1.0)
+
+    benchmark.extra_info["tracemalloc_peak_bytes"] = _tracemalloc_peak(
+        build, ())
+    w = benchmark.pedantic(build, rounds=ROUNDS[N], warmup_rounds=1)
     assert w.N == N
+
+
+# The N = 1e6 commands whose peak resident memory the weights set, with
+# the exit code each must return: a passing dual trace, a claim below
+# the Cartlidge constant 0.5 of power:1 that dies within a few steps
+# (weights alone), and the two mu recurrences of the copson family.
+CLI_COMMANDS = {
+    "certify-mu-dual": (["certify", "--method", "mu-dual", "--weights",
+                         "power:1", "--N", "1000000", "--p", "2",
+                         "--L", "1.0"], 0),
+    "certify-mu-dual-early-fail": (["certify", "--method", "mu-dual",
+                                    "--weights", "power:1", "--N",
+                                    "1000000", "--p", "2", "--L", "0.25"], 1),
+    "copson-mu": (["copson", "mu", "--p", "2", "--c", "1.75",
+                   "--N", "1000000"], 0),
+    "copson-bge-mu": (["copson", "bge-mu", "--p", "2", "--alpha", "0.8",
+                       "--N", "1000000"], 0),
+}
+
+
+# A forked child starts from its parent's resident set, so its ru_maxrss
+# would count this test process (hundreds of MiB after the N = 1e7 sums);
+# a fresh interpreter forks the command instead and prints its exit code
+# and ru_maxrss.
+_MEASURE = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"""
+
+
+@pytest.mark.parametrize("command", list(CLI_COMMANDS))
+def test_cli_subprocess(benchmark, command):
+    argv, rc = CLI_COMMANDS[command]
+    argv = [sys.executable, "-c", _MEASURE, sys.executable, "-m",
+            "lpcert.cli", *argv, "--out", os.devnull]
+    rss_kib = []
+
+    def run():
+        out = subprocess.run(argv, capture_output=True, text=True,
+                             check=True).stdout.split()
+        rss_kib.append(int(out[1]))
+        return int(out[0])
+
+    assert benchmark.pedantic(run, rounds=3, warmup_rounds=1) == rc
+    benchmark.extra_info["ru_maxrss_kib"] = sorted(rss_kib)
 
 
 @pytest.mark.parametrize("N", sorted(TRACE_ROUNDS))

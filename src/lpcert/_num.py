@@ -9,8 +9,14 @@ Comput. 2005): the loop's running totals are an in-order sum, which
 `np.cumsum` reproduces; each step's rounding error is an elementwise
 Fast2Sum of a total and its predecessor, with the loop's own branch on
 the larger magnitude; and the loop's compensation is the in-order sum of
-those errors, a second `np.cumsum`.  (Only a leading -0.0 total differs,
-as the loop starts from +0.0; adding the +0.0 compensation erases it.)
+those errors, a second `np.cumsum`.  Both sums run one block of
+_ROW_CHUNK values at a time: each block's `np.cumsum` starts from the
+previous block's last total (or compensation), prepended to the block,
+so every total is still the previous total plus one value, in the same
+order as one whole-array sum, and the results are the same bit for bit
+while every temporary is one block long.  (The first block starts from
++0.0, as the loop does; a leading -0.0 total becomes +0.0 there, and
+adding the +0.0 compensation gives +0.0 from either.)
 
 Random trials all go through trial_rows: seeded rows drawn a block of
 about 2^17 entries at a time and evaluated on a thread pool.  Their
@@ -32,6 +38,13 @@ import numpy as np
 # Margins themselves are always reported raw.
 PASS_RTOL = 1e-12
 
+# Rows a blocked loop takes at a time: the values comp_cumsum sums per
+# block, and the rows of ratios and powers a mu trace forms at once
+# (also the steps a scalar mu loop hands to its array("d") trace with
+# fromlist).  No np.frombuffer view of a trace may outlive its statement
+# before the next fromlist, which would raise BufferError.
+_ROW_CHUNK = 1 << 14
+
 
 def comp_cumsum(values) -> np.ndarray:
     """Running sums of a 1-d array with Neumaier compensation.
@@ -39,16 +52,24 @@ def comp_cumsum(values) -> np.ndarray:
     Bitwise equal to the sequential loop that keeps a running total t and
     compensation c, adding ``(t - t') + v`` or ``(v - t') + t`` to c by
     whichever of |t|, |v| is larger, and emitting ``t' + c`` at each step.
+    The array is summed one _ROW_CHUNK block at a time, t and c carried
+    from block to block as the first entry of each block's cumsum; the
+    additions, and so the sums, are those of the whole-array cumsums.
     """
     arr = np.asarray(values, dtype=np.float64)
+    out = np.empty(arr.shape)
+    t = c = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.cumsum(arr)
-        prev = np.empty_like(total)
-        prev[:1] = 0.0
-        prev[1:] = total[:-1]
-        err = np.where(np.abs(prev) >= np.abs(arr),
-                       (prev - total) + arr, (arr - total) + prev)
-        return total + np.cumsum(err)
+        for lo in range(0, arr.shape[0], _ROW_CHUNK):
+            v = arr[lo:lo + _ROW_CHUNK]
+            run = np.cumsum(np.concatenate(([t], v)))
+            prev, total = run[:-1], run[1:]
+            err = np.where(np.abs(prev) >= np.abs(v),
+                           (prev - total) + v, (v - total) + prev)
+            comp = np.cumsum(np.concatenate(([c], err)))
+            np.add(total, comp[1:], out=out[lo:lo + _ROW_CHUNK])
+            t, c = run[-1], comp[-1]
+    return out
 
 
 def suffix_sums(values) -> np.ndarray:

@@ -42,15 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import first_bad, margin_ok
+from ._num import _ROW_CHUNK, first_bad, margin_ok
 from .factorable import FactorableSpec, _require_normalized
 from .sequences import WeightSequence
-
-# rows of ratios and powers a mu trace forms at a time, and steps per
-# chunk a scalar mu loop hands to its array("d") trace with fromlist.
-# No np.frombuffer view of a trace may outlive its statement before the
-# next fromlist, which would raise BufferError.
-_ROW_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -76,11 +70,14 @@ class BoundParams:
 
     @property
     def lam_p(self) -> float:
-        """(1 - L/p)^p, the reciprocal of the p-th power of the bound."""
-        return (1.0 - self.L / self.p) ** self.p
+        """(1 - L/p)^p, the reciprocal of the p-th power of the bound; a
+        domain error where it underflows to 0 (L near p at large p)."""
+        return _binary64_pow(1.0 - self.L / self.p, self.p,
+                             "lam_p = (1 - L/p)^p")
 
     @property
     def U_p(self) -> float:
+        """(p/(p-L))^p = 1/lam_p, a domain error where lam_p is."""
         return 1.0 / self.lam_p
 
 
@@ -269,7 +266,9 @@ def check_factorable_stepwise(spec: FactorableSpec, p: float, L: float) -> Certi
     """
     params = BoundParams(p, L)
     _require_normalized(spec, "stepwise certificate")
-    lam_p = params.lam_p
+    # not params.lam_p: a lam_p that underflows to 0 is still a floor
+    # (A = 0, B = 1), as its exact value would round
+    lam_p = (1.0 - L / p) ** p
     A = lam_p ** (1.0 - 1.0 / p)
     B = 1.0 - lam_p - A
     r = spec.row_ratios

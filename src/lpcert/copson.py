@@ -44,8 +44,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import first_bad, margin_ok, suffix_sums, trial_rows
-from .certificates import (_ROW_CHUNK, MuTrace, _binary64_pow, _dual_mu_1,
+from ._num import _ROW_CHUNK, first_bad, margin_ok, suffix_sums, trial_rows
+from .certificates import (MuTrace, _binary64_pow, _dual_mu_1,
                            _mu_dual_ratios, mu_primal)
 from .factorable import bge_matrix, bge_steps
 from .sequences import WeightSequence, averaged, build_weights
@@ -504,8 +504,10 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
     dual route: mu_dual on bge_matrix(w, p, alpha), whose diagonal ratios
     are 1/s_n with s_n = 1 - (Lam_{n-1}/Lam_n)^alpha (bge_steps), and
     U_p = (alpha p/(p-1))^p.  The matrix's ratios a_n/b_n and
-    a_n/b_{n+1} are formed a chunk at a time, as mu_dual forms them, so
-    a and b are never held whole.  With q = p/(p-1) it reads
+    a_n/b_{n+1}, the steps s_n and the envelope are formed a chunk at a
+    time, as mu_dual forms its ratios, so none of a, b and s is held
+    whole; the spec's checks on every row run first, a chunk at a time.
+    With q = p/(p-1) it reads
 
         mu_1 = ((p-1)/(alpha p))^q,
         mu_{n+1} = mu_1 + (lam_n/lam_{n+1})
@@ -532,19 +534,13 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
     q = p / (p - 1.0)
 
     if route == "dual":
-        s = bge_steps(w, alpha)
         e = 1.0 - 1.0 / p
-        # bge_matrix's a_n = lam_n^e / s_n must be finite, as in the spec;
-        # with s_n >= 2^-53 it can overflow only where lam_n > 1e290
-        big = lam > 1e290
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(lam[big] ** e / s[big])):
-                raise ValueError("a and b must be finite")
+        _check_bge_rows(w, alpha, e)
 
         def ratios(lo, hi):
             # a_n/b_n and a_n/b_{n+1} of bge_matrix, b_n = lam_n^e
             b = lam[lo:hi + 1] ** e
-            a = b[:hi - lo] / s[lo:hi]
+            a = b[:hi - lo] / bge_steps(w, alpha, lo, hi)
             return a / b[:hi - lo], a[:b.shape[0] - 1] / b[1:]
 
         trace = _mu_dual_ratios(ratios, w.N, p, _dual_mu_1(
@@ -552,7 +548,7 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
         A = alpha ** q * q ** (q - 1.0)
 
         def targets(lo, hi):
-            return (s[lo:hi] ** (q / (q - 1.0))
+            return (bge_steps(w, alpha, lo, hi) ** (q / (q - 1.0))
                     + (A * lam[lo:hi] / Lam[lo:hi]) ** (1.0 / (q - 1.0))
                     ) ** (1.0 - q)
 
@@ -565,13 +561,31 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
         raise ValueError("primal route needs alpha > 1 - 1/p")
     trace = mu_primal(spec, p, lam_p)
     del spec                  # the floor needs s_n, not a_n and b_n
-    s = bge_steps(w, alpha)
 
     def floors(lo, hi):
+        s = bge_steps(w, alpha, lo - 1, hi - 1)
         return (lam[lo - 1:hi - 1] / Lam[lo - 1:hi - 1]) ** (p - 1.0) / (
-            (p / (p - 1.0)) ** (p - 1.0) * s[lo - 1:hi - 1] ** p)
+            (p / (p - 1.0)) ** (p - 1.0) * s ** p)
 
     return _with_envelope(trace, trace.constraint, floors, floor=True)
+
+
+def _check_bge_rows(w: WeightSequence, alpha: float, e: float) -> None:
+    """The checks bge_matrix(w, p, alpha) makes on every row, in its
+    order, one _ROW_CHUNK at a time: no stalled partial sum (bge_steps
+    raises), then a finite a_n = lam_n^e / s_n.  With s_n >= 2^-53, a_n
+    can overflow only where lam_n > 1e290."""
+    lam, finite = w.values, True
+    for lo in range(0, w.N, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, w.N)
+        s = bge_steps(w, alpha, lo, hi)
+        big = lam[lo:hi] > 1e290
+        if finite and big.any():
+            with np.errstate(over="ignore"):
+                finite = bool(np.all(np.isfinite(lam[lo:hi][big] ** e
+                                                  / s[big])))
+    if not finite:
+        raise ValueError("a and b must be finite")
 
 
 __all__ = [

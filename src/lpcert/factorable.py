@@ -112,16 +112,21 @@ def copson_matrix(w: WeightSequence, p: float, c: float) -> FactorableSpec:
     return FactorableSpec(kind=f"copson(p={p:g},c={c:g})", a=a, b=b)
 
 
-def bge_steps(w: WeightSequence, alpha: float) -> np.ndarray:
+def bge_steps(w: WeightSequence, alpha: float, lo: int = 0,
+              hi: int | None = None) -> np.ndarray:
     """Relative power differences s_n = 1 - (Lam_{n-1}/Lam_n)^alpha, i.e.
-    (Lam_n^alpha - Lam_{n-1}^alpha)/Lam_n^alpha, with s_1 = 1.
+    (Lam_n^alpha - Lam_{n-1}^alpha)/Lam_n^alpha, with s_1 = 1, at the
+    0-based rows lo <= i < hi (by default every row).
 
     Formed from ratios, so large partial sums do not overflow; stalled
-    partial sums (s_n rounding to 0) are rejected.
+    partial sums (s_n rounding to 0) are rejected.  Each s_n is one
+    elementwise formula, so a range is the same slice of the whole array
+    bit for bit, and callers that go a chunk at a time hold one chunk.
     """
     Lam = w.partials
-    prev = np.concatenate(([0.0], Lam[:-1]))
-    s = 1.0 - (prev / Lam) ** alpha
+    hi = w.N if hi is None else hi
+    prev = Lam[lo - 1:hi - 1] if lo else np.concatenate(([0.0], Lam[:hi - 1]))
+    s = 1.0 - (prev / Lam[lo:hi]) ** alpha
     if np.any(s <= 0.0):
         raise ValueError("power differences must stay positive")
     return s

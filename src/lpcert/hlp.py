@@ -63,8 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import PASS_RTOL, margin_ok, suffix_sums, trial_rows
-from .certificates import _ROW_CHUNK, MuTrace
+from ._num import _ROW_CHUNK, PASS_RTOL, margin_ok, suffix_sums, trial_rows
+from .certificates import MuTrace
 
 N_MAX_DEFAULT = 100_000
 # Trace length the n0 searches try before the full n0_max.  Certifying n0

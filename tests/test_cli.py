@@ -121,6 +121,13 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
      "truncation N must be a positive integer, got 0"),
     (["compare", "--methods", "ratio,product", "--p", "2", "--N", "0"],
      "need N >= 2"),
+] + [
+    # lam_p = (1 - L/p)^p underflows to 0 for L this close to p (from
+    # p = 36 at the first --search-L probe, L = p (1 - 1e-9))
+    (["certify", "--method", method, "--weights", "constant", "--N", "3000",
+      "--p", p] + claim, "lam_p = (1 - L/p)^p underflows to 0")
+    for method in ("mu-dual", "mu-primal") for p in ("50", "100")
+    for claim in (["--L", str(float(p) - 1e-7)], ["--search-L"])
 ])
 def test_out_of_range_inputs_are_domain_errors(argv, message, capsys):
     assert run(argv) == 2

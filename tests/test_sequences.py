@@ -1,6 +1,7 @@
 """Weight sequence construction, partial sums, and tail identities."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from lpcert import (averages, build_weights, cli, comp_cumsum,
                     load_weight_file, sequences, suffix_sums)
+from lpcert._num import _ROW_CHUNK
 
 finite_weights = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False,
@@ -133,20 +135,62 @@ def test_comp_cumsum_is_bitwise_the_neumaier_loop(vals):
         assert comp_cumsum(seq).tobytes() == neumaier_loop(seq).tobytes()
 
 
+# comp_cumsum sums one _ROW_CHUNK block at a time; these lengths end
+# just before, on and just after the first block boundary, and three
+# blocks in
+BLOCK_LENGTHS = [_ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1,
+                 3 * _ROW_CHUNK + 5]
+
+
+@pytest.mark.parametrize("n", BLOCK_LENGTHS)
+def test_comp_cumsum_is_the_neumaier_loop_across_blocks(n):
+    rng = np.random.default_rng(n)
+    # slowly growing weights, wide positive ones, and mixed signs that
+    # cancel, so the carried compensation matters
+    for arr in (np.arange(1, n + 1, dtype=np.float64) ** -0.9,
+                rng.lognormal(0.0, 8.0, n),
+                rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)):
+        for seq in (arr, arr[::-1]):
+            assert comp_cumsum(seq).tobytes() == neumaier_loop(seq).tobytes()
+
+
 def test_overflowing_partials_emit_no_warning():
     # 2^1023 is finite, but the last partial sums overflow (to nan, as
     # in the loop: inf plus a compensation of inf - inf); build_weights
-    # names that index instead of returning them
+    # names that index instead of returning them.  The second list
+    # overflows in the second block of comp_cumsum.
     lam = 2.0 ** np.arange(1, 1024, dtype=np.float64)
+    late = np.ones(_ROW_CHUNK + 10)
+    late[_ROW_CHUNK + 2:] = 1e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         partials = comp_cumsum(lam)
+        late_partials = comp_cumsum(late)
         with pytest.raises(ValueError,
                            match="geometric:2 partial sums overflow from "
                                  "n = 1023; lower N"):
             build_weights("geometric", 1023, ratio=2.0)
+        with pytest.raises(ValueError,
+                           match="explicit partial sums overflow from "
+                                 f"n = {_ROW_CHUNK + 4}; lower N"):
+            build_weights("explicit", late.shape[0], values=late)
     assert not np.isfinite(partials[-1])
     assert partials.tobytes() == neumaier_loop(lam).tobytes()
+    assert late_partials.tobytes() == neumaier_loop(late).tobytes()
+
+
+def test_build_weights_holds_its_arrays_and_one_block():
+    # the partial sums are summed a block at a time: past lam and Lam,
+    # the temporaries are a few blocks of 2^14 values (128 KiB each), not
+    # five arrays of N (1.6 MB each here)
+    tracemalloc.start()
+    try:
+        w = build_weights("power", 200_000, exponent=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = w.values.nbytes + w.partials.nbytes
+    assert peak < held + 2 ** 20, (peak - held) / 2 ** 20
 
 
 def test_underflowing_geometric_weights_name_the_index():

@@ -350,6 +350,26 @@ def test_copson_routes_match_whole_array_loops(N, p, c, alpha):
                      ref_mu_bge_primal, w, p, alpha)
 
 
+def test_bge_steps_of_a_row_range_are_the_whole_array_formula():
+    N = 3 * _ROW_CHUNK + 5
+    w = build_weights("power", N, exponent=0.5)
+    Lam = w.partials
+    ranges = [(lo, min(lo + _ROW_CHUNK, N)) for lo in range(0, N, _ROW_CHUNK)]
+    ranges += [(0, 1), (1, 2), (_ROW_CHUNK - 1, _ROW_CHUNK + 2), (N - 1, N)]
+    for alpha in (0.62, 0.8, 1.2):
+        whole = 1.0 - (np.concatenate(([0.0], Lam[:-1])) / Lam) ** alpha
+        assert bge_steps(w, alpha).tobytes() == whole.tobytes()
+        for lo, hi in ranges:
+            assert (bge_steps(w, alpha, lo, hi).tobytes()
+                    == whole[lo:hi].tobytes())
+    # geometric:0.99 partial sums first stall at n = 3185; a range
+    # reports a stall only when it holds one
+    stalled = build_weights("geometric", 5000, ratio=0.99)
+    assert bge_steps(stalled, 0.8, 0, 3184).shape == (3184,)
+    with pytest.raises(ValueError, match="power differences"):
+        bge_steps(stalled, 0.8, 3184, 3185)
+
+
 # c (copson, p = 1.5) and alpha (bge, p = 2) at which each dual trace on
 # constant weights crosses its ceiling at n = 16382 .. 16386 at N = 40000
 # (any index would still be compared)
@@ -521,6 +541,19 @@ def test_mu_dual_peak_memory_is_below_the_list_loop():
     # margins, the whole-length ratios and powers (six more arrays) and
     # the list of 2e5 floats (about 6 MiB) are gone
     assert got < 5 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
+
+
+def test_mu_bge_dual_peak_is_its_trace_and_one_chunk():
+    # the steps s_n are formed a chunk at a time, like the ratios and the
+    # envelope: past the trace (1.6 MB), one chunk of ratios, powers and
+    # their lists of Python floats stays (about 2.6 MiB), where a whole
+    # s (1.6 MB more) would not fit
+    N = 200_000
+    w = build_weights("power", N, exponent=0.5)
+    trace = mu_bge(w, 2.0, 0.8)
+    assert trace.passed and trace.n_evaluated == N
+    got = _peak(mu_bge, w, 2.0, 0.8)
+    assert got < trace.mu.nbytes + 3.25 * 2 ** 20, got / 2 ** 20
 
 
 def test_early_dual_death_peaks_at_one_chunk():
