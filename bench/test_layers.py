@@ -34,7 +34,10 @@ case); p = 2 alone would hide the cost of `pow`, since numpy squares
 there without calling it; `hlp
 dual-probe` runs through the CLI entry point at p = 0.31 with 1000
 trials of N = 256 (the large-n call) and with 300 trials at the same N
-as the others.  `copson_root` is timed at p = 1.5, 3 and 40.  End to
+as the others; each batch records in `extra_info` the minor page faults
+(`ru_minflt`, all threads of the process) of one untimed call after a
+warm-up call, and the tracemalloc peak of another.  `copson_root` is
+timed at p = 1.5, 3 and 40.  End to
 end, `test_cli_subprocess` runs four N = 1e6 CLI commands
 (`certify --method mu-dual`, passing and dying at once, `copson mu` and
 `copson bge-mu`) as `python -m lpcert.cli` grandchildren, each timed
@@ -52,6 +55,7 @@ such runs of a change and of its parent side by side.
 """
 
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -181,6 +185,18 @@ def _tracemalloc_peak(fn, args) -> int:
         tracemalloc.stop()
 
 
+def _record_untimed_call(benchmark, fn, args):
+    """Put the minor page faults of one untimed call of fn (after one
+    warm-up call) and the tracemalloc peak of another in extra_info."""
+    fn(*args)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn(*args)
+    benchmark.extra_info["ru_minflt"] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    benchmark.extra_info["tracemalloc_peak_bytes"] = _tracemalloc_peak(
+        fn, args)
+
+
 @pytest.mark.parametrize("N", sorted(TRACE_ROUNDS))
 @pytest.mark.parametrize("route", ["mu_primal", "mu_dual", "mu_dual_copson",
                                    "mu_bge", "hlp.mu_direct", "hlp.mu_dual"])
@@ -268,6 +284,7 @@ def test_trials(benchmark, kind, p, N):
           "bge": lambda: check_bge(w, p, 0.85, trials=300, seed=1),
           "strengthened": lambda: strengthened_trials(
               StrengthenedCase(kind="dual", p=p), w, trials=300, seed=1)}
+    _record_untimed_call(benchmark, fn[kind], ())
     rep = benchmark.pedantic(fn[kind], rounds=TRIAL_ROUNDS[N],
                              warmup_rounds=1)
     assert rep.passed and rep.trials == 300
@@ -278,6 +295,7 @@ def test_trials(benchmark, kind, p, N):
 def test_dual_probe(benchmark, N, trials):
     argv = ["hlp", "dual-probe", "--p", "0.31", "--N", str(N), "--trials",
             str(trials), "--seed", "1", "--out", os.devnull]
+    _record_untimed_call(benchmark, cli.main, (argv,))
     rc = benchmark.pedantic(cli.main, args=(argv,),
                             rounds=TRIAL_ROUNDS.get(N, 30), warmup_rounds=1)
     assert rc == 0

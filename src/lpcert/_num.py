@@ -18,10 +18,15 @@ while every temporary is one block long.  (The first block starts from
 +0.0, as the loop does; a leading -0.0 total becomes +0.0 there, and
 adding the +0.0 compensation gives +0.0 from either.)
 
-Random trials all go through trial_rows: seeded rows drawn a block of
-about 2^17 entries at a time and evaluated on a thread pool.  Their
-suffix sums come from suffix_sums in a C-contiguous array, not as a
-reversed view, so that the powers taken of them run numpy's SIMD `pow`.
+Random trials all go through trial_rows: seeded rows of one
+default_rng(seed) stream, a block of about 2^16 entries at a time, each
+block drawn and evaluated on a worker thread in that worker's reused
+buffers.  A PCG64 stream can jump ahead (O'Neill, "PCG: A Family of
+Simple Fast Space-Efficient Statistically Good Algorithms for Random
+Number Generation", 2014), so every block draws its own rows from the
+seed's state advanced past the rows before it.  Suffix sums come from
+suffix_sums in a C-contiguous array, not as a reversed view, so that the
+powers taken of them run numpy's SIMD `pow`.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -72,9 +78,9 @@ def comp_cumsum(values) -> np.ndarray:
     return out
 
 
-def suffix_sums(values) -> np.ndarray:
-    """Plain vectorized suffix sums along the last axis, in a fresh
-    C-contiguous array.
+def suffix_sums(values, out=None) -> np.ndarray:
+    """Plain vectorized suffix sums along the last axis, in a C-contiguous
+    array: `out` (which may be `values` itself) or a fresh one.
 
     Used for bulk trial evaluation, whose reports were fixed on plain
     sums; weight partials always go through comp_cumsum instead.  The
@@ -85,7 +91,8 @@ def suffix_sums(values) -> np.ndarray:
     libm `pow`, about 5x slower and up to one ulp apart.
     """
     arr = np.asarray(values, dtype=np.float64)
-    out = np.empty(arr.shape)
+    if out is None:
+        out = np.empty(arr.shape)
     np.cumsum(arr[..., ::-1], axis=-1, out=out[..., ::-1])
     return out
 
@@ -120,47 +127,79 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-# Entries per trial block: 2^17 float64, so each temporary is 1 MiB.
-_BLOCK_ELEMS = 2 ** 17
+# Entries per trial block: 2^16 float64, so each buffer is 512 KiB (at
+# 2^15, N = 2e4 would give one row per block).
+_BLOCK_ELEMS = 2 ** 16
+
+
+def _pow10(u):
+    """10**u in place, with a contiguous row of 10s as the base: the bits
+    of np.power(10.0, u), but on numpy's SIMD `pow` (about twice as fast
+    as the scalar-base path)."""
+    return np.power(np.full(u.shape[-1], 10.0), u, out=u)
+
 
 # A trial draw (low, high, transform): the rows are transform(u) for u
 # drawn from rng.uniform(low, high); transform may overwrite u.  This
 # one gives log-uniform entries 10**u in [1e-3, 1e3].
-POW10_UNIFORM = (-3.0, 3.0, lambda u: np.power(10.0, u, out=u))
+POW10_UNIFORM = (-3.0, 3.0, _pow10)
+
+
+def workspace(shape) -> tuple[np.ndarray, np.ndarray]:
+    """Two scratch arrays of `shape`, the second argument of a trial
+    evaluator."""
+    return np.empty(shape), np.empty(shape)
 
 
 def trial_rows(N: int, trials: int, seed: int, evaluate,
                draw=POW10_UNIFORM) -> np.ndarray:
     """evaluate over `trials` seeded random rows of length N, in row order.
 
-    The rows are one default_rng(seed) stream, drawn on the calling
-    thread max(1, 2^17 // N) rows at a time: m rows of N drawn at once
-    are the same numbers as m draws of one row.  The blocks are
-    transformed and evaluated on a pool of thread_count() workers, with
-    at most two blocks per worker in flight, so memory stays near a few
-    MiB per worker whatever `trials` is.  evaluate must treat each row on
-    its own (cumsum along the last axis, sums along the last axis,
-    elementwise powers); its per-row results are then the same for any
-    block size or thread count.  The workers run under the caller's
-    np.errstate.  The results of the blocks are concatenated along their
-    first axis; no trials give an empty array.
+    The rows are one default_rng(seed) stream, max(1, 2^16 // N) rows to
+    a block.  Each block is drawn and evaluated on one of thread_count()
+    workers: the worker sets its own PCG64 to the seed's state advanced
+    by start * N draws (one draw per entry of the rows before the
+    block), so its rows are those of the one stream bit for bit, drawn
+    into a buffer the worker reuses for every block.  evaluate(X, work)
+    gets the block's rows X, which it may overwrite, and work, two
+    scratch arrays shaped like X that the worker also reuses; so memory
+    stays at three block buffers per worker whatever `trials` is.
+    evaluate must treat each row on its own (cumsum along the last
+    axis, sums along the last axis, elementwise powers); its per-row
+    results are then the same for any block size or thread count.  At
+    most two blocks per worker are in flight.  The workers run under the
+    caller's np.errstate.  The results of the blocks are concatenated
+    along their first axis; no trials give an empty array.
     """
     low, high, transform = draw
-    rng = np.random.default_rng(seed)
-    rows = max(1, _BLOCK_ELEMS // max(N, 1))
+    state = np.random.default_rng(seed).bit_generator.state
+    rows = max(1, min(_BLOCK_ELEMS // max(N, 1), trials))
     workers = thread_count()
+    local = threading.local()
     done: list[np.ndarray] = []
     pending: deque = deque()
 
-    def block(U):
-        return evaluate(transform(U))
+    def block(start):
+        if not hasattr(local, "rng"):
+            local.rows, local.work, local.rng = (
+                np.empty((rows, N)), workspace((rows, N)),
+                np.random.Generator(np.random.PCG64()))
+        m = min(rows, trials - start)
+        bits = local.rng.bit_generator
+        bits.state = state
+        bits.advance(start * N)
+        # uniform(low, high) is low + (high - low) * random(), rounded
+        # after each operation
+        U = local.rng.random(out=local.rows[:m])
+        U *= high - low
+        U += low
+        return evaluate(transform(U), tuple(a[:m] for a in local.work))
 
     with ThreadPoolExecutor(workers) as pool:
         for start in range(0, trials, rows):
-            U = rng.uniform(low, high, size=(min(rows, trials - start), N))
             # a copy of the caller's context carries its np.errstate
             pending.append(pool.submit(contextvars.copy_context().run,
-                                       block, U))
+                                       block, start))
             if len(pending) == 2 * workers:
                 done.append(pending.popleft().result())
         done.extend(f.result() for f in pending)

@@ -484,13 +484,17 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
         try:
             for rp, cq in rows:
                 inner = rp * prev ** ne1 - 1.0
-                if not (0.0 < inner < inf):
+                if not inner > 0.0:
                     break
+                if inner == inf:
+                    raise OverflowError
                 prev = mu_1 + cq / inner ** qm1
                 step(prev)
         except (OverflowError, ZeroDivisionError):
-            # the power overflowed or underflowed to 0; either way the
-            # next mu is not known in binary64, so no verdict is given
+            # a power or the product overflowed, or a power underflowed
+            # to 0; either way the next mu is not known in binary64, so
+            # no verdict is given (an inner above the binary64 range puts
+            # mu_n far below its ceiling, not across it)
             overflow = True
         trace.fromlist(chunk)
         k = len(trace)           # mu_1..mu_k are known

@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -217,22 +218,55 @@ def run_certificate(method: str, w: WeightSequence, p: float,
 def search_smallest_L(method: str, w: WeightSequence,
                       p: float) -> float | None:
     """Bisect for the smallest L in (0, p) the certificate accepts, or
-    None when even L just under p fails (see _smallest_passing)."""
+    None when even its first probe fails (see _smallest_passing)."""
     rep = _smallest_passing(method, w, p)
     return None if rep is None else rep.L
 
 
-def _bisect(passing, p: float):
-    """What passing returns at the smallest passing L of a 60-step
-    bisection on (0, p), or None when even L just under p fails.
+def _top_probe(method: str, p: float) -> float:
+    """The first L a search probes: p(1 - 1e-9), just under p.
 
-    passing(L) is None when L fails.  Stops early once the midpoint
-    rounds to lo or hi: every later step would re-run a known verdict
-    and leave the bracket as it is.
+    For the mu methods from p = 36 up, lam_p = (1 - L/p)^p underflows to
+    0 there (1e-9^p), a domain error; their searches start instead at
+    the largest L whose lam_p is still a normal float, just under
+    p(1 - 2^(-1022/p)).  lam_p falls as L grows, so stepping to the
+    neighbouring floats settles the rounding.
     """
-    lo, hi = p * 1e-9, p * (1.0 - 1e-9)
-    best = passing(hi)
-    if best is None:
+    hi = p * (1.0 - 1e-9)
+    if method not in ("mu-primal", "mu-dual") or (1.0 - hi / p) ** p != 0.0:
+        return hi
+
+    def normal(L):
+        return (1.0 - L / p) ** p >= sys.float_info.min
+
+    hi = -p * math.expm1(-1022.0 * math.log(2.0) / p)
+    while not normal(hi):
+        hi = math.nextafter(hi, 0.0)
+    while normal(math.nextafter(hi, p)):
+        hi = math.nextafter(hi, p)
+    return hi
+
+
+def _bisect(passing, p: float, hi: float):
+    """What passing returns at the smallest passing L of a 60-step
+    bisection on (0, p), probing hi (see _top_probe) first, or None when
+    even hi fails.
+
+    passing(L) is None when L fails, and raises ValueError when the
+    check leaves the binary64 range at L.  Only the first probe may do
+    so (a large p puts mu traces out of range near L = p, where U_p is
+    largest); the bisection then moves down from every probe that
+    raises, as from a pass, and raises the first error if no probe
+    passes.  Stops early once the midpoint rounds to lo or hi: every
+    later step would re-run a known verdict and leave the bracket as it
+    is.
+    """
+    lo = p * 1e-9
+    try:
+        best, error = passing(hi), None
+    except ValueError as exc:
+        best, error = None, exc
+    if best is None and error is None:
         return None
     low = passing(lo)
     if low is not None:
@@ -241,18 +275,27 @@ def _bisect(passing, p: float):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        found = passing(mid)
+        try:
+            found = passing(mid)
+        except ValueError:
+            if error is None:
+                raise
+            hi = mid
+            continue
         if found is not None:
             hi, best = mid, found
         else:
             lo = mid
+    if best is None:
+        raise error
     return best
 
 
 def _smallest_passing(method: str, w: WeightSequence,
                       p: float) -> CertificateReport | None:
     """The whole-sequence report at the smallest passing L of a 60-step
-    bisection, or None when even L just under p fails.
+    bisection, or None when even its first probe (see _top_probe) fails
+    (see _bisect for probes that leave the binary64 range).
 
     Assumes pass is monotone in L: a larger L claims a weaker bound, so
     a check that passes at L passes at every larger L.  The result is
@@ -271,24 +314,35 @@ def _smallest_passing(method: str, w: WeightSequence,
     loop with each probe settled on the head before the whole sequence,
     reusing every verdict known so far: no check runs twice, and the
     whole checks are those of the head-first loop plus at most the one
-    at L_h.
+    at L_h.  A check that leaves the binary64 range on the head does so
+    on the whole sequence too, and one that does at L_h sends the search
+    to the replay, where _bisect settles it as the plain loop would.
     """
     head = w.head(min(w.N, _HEAD))
-    known = {}     # (N, L) -> the report if it passes, else None
+    known = {}     # (N, L) -> the report if it passes, None, or the error
 
     def passing(v: WeightSequence, L: float):
         if (v.N, L) not in known:
-            rep = run_certificate(method, v, p, L)
-            known[v.N, L] = rep if rep.passed else None
+            try:
+                rep = run_certificate(method, v, p, L)
+                known[v.N, L] = rep if rep.passed else None
+            except ValueError as exc:
+                known[v.N, L] = exc
+        if isinstance(known[v.N, L], ValueError):
+            raise known[v.N, L]
         return known[v.N, L]
 
-    L_h = _bisect(lambda L: L if passing(head, L) else None, p)
+    hi = _top_probe(method, p)
+    L_h = _bisect(lambda L: L if passing(head, L) else None, p, hi)
     if L_h is None:
         return None
-    found = passing(w, L_h)
+    try:
+        found = passing(w, L_h)
+    except ValueError:
+        found = None      # the replay settles it
     if found is not None:
         return found
-    return _bisect(lambda L: passing(head, L) and passing(w, L), p)
+    return _bisect(lambda L: passing(head, L) and passing(w, L), p, hi)
 
 
 # ----------------------------------------------------------------------

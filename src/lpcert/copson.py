@@ -308,17 +308,22 @@ def _branch_weights(w: WeightSequence, branch: str, p: float,
 
 def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
     """Per-trial LHS/RHS ratios of the p-th power branch inequality, as a
-    function of the trial rows (which it rescales in place); K^p and u
-    are formed once."""
+    function of the trial rows (which it overwrites) and an optional
+    trial_rows workspace, whose first array holds the averages; K^p and
+    u are formed once."""
     # branch_constant validates branch and c
     Kp = _binary64_pow(branch_constant(branch, p, c), p, "K^p")
     direction, base = _BRANCH_SUMS[branch]
     u = _branch_weights(w, branch, p, c)
 
-    def ratios(X):
+    def ratios(X, work=None):
+        S = work[0] if work else np.empty(X.shape)
         X /= np.max(X, axis=-1, keepdims=True)
-        lhs = np.sum(u * averaged(w, X, direction, base) ** p, axis=-1)
-        return lhs / (Kp * np.sum(u * X ** p, axis=-1))
+        inner = averaged(w, X, direction, base, out=S)
+        inner **= p
+        lhs = np.sum(np.multiply(inner, u, out=inner), axis=-1)
+        X **= p
+        return lhs / (Kp * np.sum(np.multiply(X, u, out=X), axis=-1))
 
     return ratios
 
@@ -418,10 +423,14 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
     wa = w.partials ** alpha
     lwa = lam * wa ** p
 
-    def ratios(X):
+    def ratios(X, work):
         X /= np.max(X, axis=-1, keepdims=True)
-        lhs = np.sum(lam * suffix_sums(wa * X) ** p, axis=-1)
-        return lhs / (K * np.sum(lwa * suffix_sums(X) ** p, axis=-1))
+        S = suffix_sums(np.multiply(X, wa, out=work[0]), out=work[0])
+        S **= p
+        lhs = np.sum(np.multiply(S, lam, out=S), axis=-1)
+        suffix_sums(X, out=X)
+        X **= p
+        return lhs / (K * np.sum(np.multiply(X, lwa, out=X), axis=-1))
 
     return _trial_report(w, "bge", p, alpha, trials, seed, ratios)
 

@@ -408,8 +408,10 @@ def probe_primal(p: float, s: float, N: int) -> float:
     return float(np.sum(inner ** p) / np.sum(x ** p))
 
 
-def _dual_ratios(p: float, X: np.ndarray) -> np.ndarray:
-    """probe_dual's ratio for each row of X, which it rescales in place."""
+def _dual_ratios(p: float, X: np.ndarray, work=None) -> np.ndarray:
+    """probe_dual's ratio for each row of X, which it overwrites; the
+    partial sums go in the first array of work, a trial_rows workspace,
+    or a fresh one."""
     if not (0.0 < p < 1.0):
         raise ValueError("need 0 < p < 1")
     if X.shape[-1] == 0 or not np.all(X > 0.0) or not np.all(np.isfinite(X)):
@@ -417,9 +419,11 @@ def _dual_ratios(p: float, X: np.ndarray) -> np.ndarray:
     X /= np.max(X, axis=-1, keepdims=True)
     q = p / (p - 1.0)
     n = np.arange(1, X.shape[-1] + 1, dtype=np.float64)
-    y = np.cumsum(X / n, axis=-1)
-    lhs = np.sum(y ** q, axis=-1)
-    return lhs / ((p / (1.0 - p)) ** q * np.sum(X ** q, axis=-1))
+    y = np.divide(X, n, out=work[0] if work else None)
+    np.cumsum(y, axis=-1, out=y)
+    y **= q
+    X **= q
+    return np.sum(y, axis=-1) / ((p / (1.0 - p)) ** q * np.sum(X, axis=-1))
 
 
 def probe_dual(p: float, x) -> float:
@@ -446,7 +450,8 @@ def probe_dual_trials(p: float, N: int, trials: int, seed: int = 0) -> float:
     binary64 range) makes the maximum NaN, which fails the probe, as in
     the other trial batches.
     """
-    ratios = trial_rows(N, trials, seed, lambda X: _dual_ratios(p, X),
+    ratios = trial_rows(N, trials, seed,
+                        lambda X, work: _dual_ratios(p, X, work),
                         draw=_EXP_UNIFORM)
     return float(np.max(ratios, initial=-np.inf))
 

@@ -220,8 +220,10 @@ class AveragesBundle:
 
 
 def averaged(w: WeightSequence, X, direction: str, base: str,
-             dual: bool = False) -> np.ndarray:
-    """One averaged transform of x, row-wise along the last axis of X.
+             dual: bool = False, out=None) -> np.ndarray:
+    """One averaged transform of x, row-wise along the last axis of X,
+    written into `out` (an array of X's shape, which may be X itself)
+    or a fresh array.
 
     direction "prefix" sums over k <= n and "suffix" over k >= n
     (truncated at N); base "partials" is B = Lam and "tails" is B = Lam*.
@@ -229,10 +231,17 @@ def averaged(w: WeightSequence, X, direction: str, base: str,
     lam_n sum x_k / B_k.
     """
     lam, B = w.values, getattr(w, base)
-    summed = X / B if dual else X * lam
-    sums = suffix_sums(summed) if direction == "suffix" else np.cumsum(
-        summed, axis=-1)
-    return lam * sums if dual else sums / B
+    if dual:
+        summed = np.divide(X, B, out=out)
+    else:
+        summed = np.multiply(X, lam, out=out)
+    if direction == "suffix":
+        suffix_sums(summed, out=summed)
+    else:
+        np.cumsum(summed, axis=-1, out=summed)
+    if dual:
+        return np.multiply(summed, lam, out=summed)
+    return np.divide(summed, B, out=summed)
 
 
 def averages(w: WeightSequence, x) -> AveragesBundle:

@@ -31,12 +31,13 @@ is built around.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import first_bad, trial_rows
+from ._num import first_bad, trial_rows, workspace
 from .certificates import _binary64_pow, cartlidge_constant
 from .copson import (_BRANCH_SUMS, BRANCHES, RATIO_TOL, _branch_weights,
                      branch_constant)
@@ -148,36 +149,43 @@ class StrengthenedReport:
 
 
 def _case_ratios(case: StrengthenedCase, w: WeightSequence):
-    """(L, ratios): ratios(X) gives, per trial row of X, the first-power
-    LHS/RHS ratio and its Holder corollary's as an (m, 2) array.
+    """(L, ratios): ratios(X, work=None) gives, per trial row of X, the
+    first-power LHS/RHS ratio and its Holder corollary's as an (m, 2)
+    array.
 
     L, K, K^p and the summation weights u are formed once; each row is
     checked to be positive and finite, then rescaled (in place) by its
-    maximum.  The non-Copson kinds sum with u = 1, so they skip it.
+    maximum.  X is overwritten, and work, a trial_rows workspace (or two
+    fresh arrays), holds the averages and their (p-1)-th powers.  The
+    non-Copson kinds sum with u = 1, so they skip it.
     """
     p = case.p
     L = case.effective_L(w)
     K = case.constant(L)
     Kp = _binary64_pow(K, p, "K^p")
     direction, base, dual = _CASE_SUMS[case.kind]
+    # weigh(a, out) is u * a, written into out (a itself where u = 1)
     if case.kind in _COPSON_KINDS:
         u = _branch_weights(w, case.kind, p, case.c)
-        weigh = (lambda a: u * a)
+        weigh = (lambda a, out: np.multiply(a, u, out=out))
     else:
-        weigh = (lambda a: a)
+        weigh = (lambda a, out: a)
 
-    def ratios(X):
+    def ratios(X, work=None):
         if X.shape[-1] != w.N:
             raise ValueError(f"x has length {X.shape[-1]}, weights have {w.N}")
         if not np.all(X > 0.0) or not np.all(np.isfinite(X)):
             raise ValueError("trial vectors must be positive and finite")
+        S, ip = work or workspace(X.shape)
         X /= np.max(X, axis=-1, keepdims=True)
-        inner = averaged(w, X, direction, base, dual)
-        ip = inner ** (p - 1.0)
-        lhs = np.sum(weigh(inner) * ip, axis=-1)
-        first = lhs / (K * np.sum(weigh(X) * ip, axis=-1))
-        corollary = lhs / (Kp * np.sum(weigh(X ** p), axis=-1))
-        return np.stack([first, corollary], axis=-1)
+        inner = averaged(w, X, direction, base, dual, out=S)
+        np.copyto(ip, inner)
+        ip **= p - 1.0
+        lhs = np.sum(np.multiply(weigh(inner, inner), ip, out=inner), axis=-1)
+        rhs = np.sum(np.multiply(weigh(X, S), ip, out=S), axis=-1)
+        X **= p
+        rhs_p = np.sum(weigh(X, X), axis=-1)
+        return np.stack([lhs / (K * rhs), lhs / (Kp * rhs_p)], axis=-1)
 
     return L, ratios
 
@@ -217,11 +225,15 @@ def _deterministic_profiles(N: int) -> np.ndarray:
         rows.append(n ** (-s))
     rows.append(n ** 0.5)
     # the distinct rows in lexicographic order, as np.unique(axis=0) gives
-    # them, without its sort over a structured dtype of N fields
-    keys = [r.tolist() for r in rows]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
+    # them, without its sort over a structured dtype of N fields: two
+    # rows are ordered by the first entry where they differ
+    def cmp(i, j):
+        k = int(np.argmax(rows[i] != rows[j]))
+        return int(rows[i][k] > rows[j][k]) - int(rows[i][k] < rows[j][k])
+
+    order = sorted(range(len(rows)), key=functools.cmp_to_key(cmp))
     keep = [i for j, i in enumerate(order)
-            if j == 0 or keys[i] != keys[order[j - 1]]]
+            if j == 0 or cmp(order[j - 1], i) != 0]
     return np.stack([rows[i] for i in keep])
 
 

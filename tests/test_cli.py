@@ -123,11 +123,12 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
      "need N >= 2"),
 ] + [
     # lam_p = (1 - L/p)^p underflows to 0 for L this close to p (from
-    # p = 36 at the first --search-L probe, L = p (1 - 1e-9))
+    # p = 36 at L = p (1 - 1e-9), where --search-L starts below p = 36)
     (["certify", "--method", method, "--weights", "constant", "--N", "3000",
       "--p", p] + claim, "lam_p = (1 - L/p)^p underflows to 0")
     for method in ("mu-dual", "mu-primal") for p in ("50", "100")
-    for claim in (["--L", str(float(p) - 1e-7)], ["--search-L"])
+    for claim in (["--L", str(float(p) - 1e-7)],
+                  ["--L", repr(float(p) * (1.0 - 1e-9))])
 ])
 def test_out_of_range_inputs_are_domain_errors(argv, message, capsys):
     assert run(argv) == 2
@@ -451,16 +452,23 @@ def test_search_L_probes_the_head_first(method, weights, N, monkeypatch):
             assert len(whole) == 1
 
 
-def _plain_loop(method, w, p):
+def _plain_loop(method, w, p, hi=None):
     """_smallest_passing's report as the plain loop: the whole list is
-    checked at every probe, and the bisection stops once it stalls."""
+    checked at every probe, from hi (p (1 - 1e-9) if None) down, and the
+    bisection stops once it stalls.  If the first probe leaves the
+    binary64 range (raises), every probe that does moves the bracket
+    down, and with no pass the first error is raised."""
     def passing(L):
         rep = cli.run_certificate(method, w, p, L)
         return rep if rep.passed else None
 
-    lo, hi = p * 1e-9, p * (1.0 - 1e-9)
-    best = passing(hi)
-    if best is None:
+    lo, hi = p * 1e-9, p * (1.0 - 1e-9) if hi is None else hi
+    error = None
+    try:
+        best = passing(hi)
+    except ValueError as exc:
+        best, error = None, exc
+    if best is None and error is None:
         return None
     low = passing(lo)
     if low is not None:
@@ -469,11 +477,19 @@ def _plain_loop(method, w, p):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        rep = passing(mid)
+        try:
+            rep = passing(mid)
+        except ValueError:
+            if error is None:
+                raise
+            hi = mid
+            continue
         if rep is not None:
             hi, best = mid, rep
         else:
             lo = mid
+    if best is None:
+        raise error
     return best
 
 
@@ -502,6 +518,95 @@ def test_search_L_report_is_the_plain_loops_at_N_1e5(method):
     got = cli._smallest_passing(method, w, 2.0)
     assert got.passed
     assert _rendered(got) == _rendered(_plain_loop(method, w, 2.0))
+
+
+@pytest.mark.parametrize("p", [2.0, 35.0, 50.0, 100.0])
+@pytest.mark.parametrize("method", cli.CERTIFY_METHODS)
+def test_search_L_starts_where_lam_p_is_normal(method, p):
+    # below p = 36, and for the methods that form no lam_p, the search
+    # starts at p (1 - 1e-9) as before; the mu methods from p = 36 up,
+    # where lam_p = 1e-9^p underflows to 0 there, start at the largest L
+    # whose lam_p is a normal float
+    hi = cli._top_probe(method, p)
+    if p < 36.0 or method not in ("mu-dual", "mu-primal"):
+        assert hi == p * (1.0 - 1e-9)
+        return
+    assert (1.0 - hi / p) ** p >= sys.float_info.min
+    assert (1.0 - math.nextafter(hi, p) / p) ** p < sys.float_info.min
+
+
+@pytest.mark.parametrize("p", [50.0, 100.0])
+@pytest.mark.parametrize("method", ["mu-dual", "mu-primal"])
+def test_large_p_search_L_is_the_plain_loop_from_its_top(method, p, capsys,
+                                                         monkeypatch):
+    w = cli.parse_weights("constant", 3000)
+    try:
+        want = _plain_loop(method, w, p, cli._top_probe(method, p))
+    except ValueError as exc:
+        want = exc
+    certify, calls = cli.run_certificate, []
+
+    def counted(m, v, p, L):
+        calls.append((v.N, L))
+        return certify(m, v, p, L)
+
+    monkeypatch.setattr(cli, "run_certificate", counted)
+    rc = run(["certify", "--method", method, "--weights", "constant",
+              "--N", "3000", "--p", repr(p), "--search-L"])
+    monkeypatch.setattr(cli, "run_certificate", certify)
+    out, err = capsys.readouterr()
+    # a check that raised is not run again either
+    assert len(calls) == len(set(calls))
+    if isinstance(want, ValueError):
+        assert (rc, err) == (2, f"error: {want}\n")
+    elif want is None:
+        assert (rc, json.loads(out)["L"]) == (1, None)
+    else:
+        rep = want.to_dict()
+        rep["note"] = "smallest passing L found by bisection"
+        assert (rc, out) == (0, cli.render_json(rep))
+    # at p = 50 --L 2 passes, and so does the search, below 2 (the dual
+    # trace leaves the binary64 range at the top probe, at n = 5); at
+    # p = 100 the dual trace leaves the range at every L (n = 1210 at
+    # --L 2), so its search has no verdict
+    if p == 50.0:
+        assert run(["certify", "--method", method, "--weights", "constant",
+                    "--N", "3000", "--p", "50", "--L", "2"]) == 0
+        assert rc == 0 and json.loads(out)["L"] < 2.0
+    elif method == "mu-dual":
+        assert rc == 2 and "leaves the binary64 range" in err
+
+
+def _probes(verdicts):
+    """passing(L) for _bisect from a list of (L_from, outcome): the last
+    entry with L_from <= L decides; outcome "pass" returns L, "fail"
+    None, and "out" raises."""
+    def passing(L):
+        outcome = [o for L0, o in verdicts if L0 <= L][-1]
+        if outcome == "out":
+            raise ValueError(f"out of range at {L}")
+        return L if outcome == "pass" else None
+    return passing
+
+
+def test_bisect_moves_down_from_an_out_of_range_top():
+    p, hi = 1.0, 1.0 - 1e-9
+    # fail below 0.25, pass up to 0.75, out of range above
+    got = cli._bisect(_probes([(0.0, "fail"), (0.25, "pass"),
+                               (0.75, "out")]), p, hi)
+    assert 0.25 <= got < 0.25 + 1e-12
+    # in range at the top: the same search as before
+    assert cli._bisect(_probes([(0.0, "fail"), (0.25, "pass")]), p,
+                       hi) == got
+    # no pass anywhere: the top's error, not "no L passes"
+    with pytest.raises(ValueError, match=f"out of range at {hi}"):
+        cli._bisect(_probes([(0.0, "fail"), (0.75, "out")]), p, hi)
+    # a passing top fails as before, and a probe out of range below a
+    # passing top is still an error
+    assert cli._bisect(_probes([(0.0, "fail")]), p, hi) is None
+    with pytest.raises(ValueError):
+        cli._bisect(_probes([(0.0, "fail"), (0.25, "out"),
+                             (0.75, "pass")]), p, hi)
 
 
 def test_compare_report_fields(tmp_path):
