@@ -43,8 +43,15 @@ end, `test_cli_subprocess` runs four N = 1e6 CLI commands
 `copson bge-mu`) as `python -m lpcert.cli` grandchildren, each timed
 with the fresh interpreter that starts it, and records the `ru_maxrss`
 of every one (the warm-up one too) in `extra_info`; they inherit the
-environment, so PYTHONPATH must name `src`.  Run from the repository
-root:
+environment, so PYTHONPATH must name `src`.  Start-up is timed on a
+copy of lpcert's sources with no bytecode, under
+PYTHONDONTWRITEBYTECODE=1, as perfbench starts every command:
+`test_cli_import` runs `python -c "import lpcert.cli"` and
+`test_cli_startup` each `large-n` command shape at N = 1e3 (a 1000-line
+random-monotone file for the `file:` ones), where start-up is most of
+the call; each records in `extra_info` the `-X importtime` self time
+(median of three runs, in us) of every lpcert module it loads.  Run
+from the repository root:
 
     PYTHONPATH=src python -m pytest bench/test_layers.py \\
         --benchmark-json=OUT.json
@@ -56,13 +63,16 @@ such runs of a change and of its parent side by side.
 
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpcert
 from lpcert import (BoundParams, StrengthenedCase, build_weights,
                     certify_direct, cesaro, check_bge, check_copson_branch,
                     cli, comp_cumsum, copson_root, copson_threshold, hlp,
@@ -143,6 +153,100 @@ def test_cli_subprocess(benchmark, command):
 
     assert benchmark.pedantic(run, rounds=3, warmup_rounds=1) == rc
     benchmark.extra_info["ru_maxrss_kib"] = sorted(rss_kib)
+
+
+# Start-up.  perfbench runs every command from a fresh checkout under
+# PYTHONDONTWRITEBYTECODE=1, so each process compiles the lpcert modules
+# it imports; these cases run a copy of the package with no bytecode next
+# to it, in the same way.  The large-n command shapes run at N = 1e3 (a
+# 1000-line weight file for the file: ones), where start-up is most of
+# each call; the exit code each must return is given with it.
+STARTUP_ROUNDS = 20
+STARTUP_COMMANDS = {
+    "certify-mu-dual": (["certify", "--method", "mu-dual", "--weights",
+                         "power:1", "--N", "1000", "--p", "2", "--L", "1.0"],
+                        0),
+    "certify-mu-dual-early-fail": (["certify", "--method", "mu-dual",
+                                    "--weights", "power:1", "--N", "1000",
+                                    "--p", "2", "--L", "0.25"], 1),
+    "copson-mu": (["copson", "mu", "--p", "2", "--c", "1.75", "--N", "1000"],
+                  0),
+    "copson-bge-mu": (["copson", "bge-mu", "--p", "2", "--alpha", "0.8",
+                       "--N", "1000"], 0),
+    "hlp-certify": (["hlp", "certify", "--p", "0.35", "--nmax", "1000"], 0),
+    "hlp-certify-dual-shift": (["hlp", "certify", "--p", "0.345", "--method",
+                                "dual-shift", "--nmax", "1000"], 0),
+    "file-mu-primal": (["certify", "--method", "mu-primal", "--weights",
+                        "file:FILE", "--p", "2", "--L", "1.0"], 0),
+    "file-product-search-L": (["certify", "--method", "product", "--weights",
+                               "file:FILE", "--p", "2", "--search-L"], 0),
+    "file-norm": (["norm", "--weights", "file:FILE", "--p", "2", "--tol",
+                   "1e-6"], 0),
+    "compare": (["compare", "--methods", "ratio,product", "--p", "2",
+                 "--N", "256", "--seed", "1"], 0),
+    "hlp-dual-probe": (["hlp", "dual-probe", "--p", "0.32", "--trials",
+                        "1000", "--seed", "1"], 0),
+}
+
+
+@pytest.fixture(scope="module")
+def startup(tmp_path_factory):
+    """(environment, weight file) of the start-up cases: PYTHONPATH names
+    a copy of lpcert's sources alone, and bytecode is not written."""
+    root = tmp_path_factory.mktemp("startup")
+    pkg = root / "src" / "lpcert"
+    pkg.mkdir(parents=True)
+    for path in Path(lpcert.__file__).parent.glob("*.py"):
+        shutil.copy(path, pkg / path.name)
+    rng = np.random.default_rng(1)
+    weights = root / "random-monotone.txt"
+    weights.write_text("\n".join(
+        map(repr, (0.05 + np.cumsum(rng.uniform(size=1000))).tolist())))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    return env, str(weights)
+
+
+def _import_self_us(env, code: str) -> dict[str, int]:
+    """Median `-X importtime` self time (us) of each lpcert module that
+    `python -c code` imports, over three runs."""
+    runs: dict[str, list[int]] = {}
+    for _ in range(3):
+        err = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
+                             env=env, capture_output=True, text=True,
+                             check=True).stderr
+        for line in err.splitlines():
+            parts = line.split("|")
+            if len(parts) == 3 and parts[2].strip().startswith("lpcert"):
+                runs.setdefault(parts[2].strip(), []).append(
+                    int(parts[0].split(":")[1]))
+    return {mod: int(np.median(us)) for mod, us in sorted(runs.items())}
+
+
+def test_cli_import(benchmark, startup):
+    env, _ = startup
+    argv = [sys.executable, "-c", "import lpcert.cli"]
+    benchmark.extra_info["import_self_us"] = _import_self_us(
+        env, "import lpcert.cli")
+    benchmark.pedantic(subprocess.run, args=(argv,),
+                       kwargs={"env": env, "check": True},
+                       rounds=STARTUP_ROUNDS, warmup_rounds=1)
+
+
+@pytest.mark.parametrize("command", list(STARTUP_COMMANDS))
+def test_cli_startup(benchmark, startup, command):
+    env, weights = startup
+    args, rc = STARTUP_COMMANDS[command]
+    args = [a.replace("FILE", weights) for a in args] + ["--out", os.devnull]
+    benchmark.extra_info["import_self_us"] = _import_self_us(
+        env, f"from lpcert.cli import main; main({args!r})")
+
+    def run():
+        return subprocess.run([sys.executable, "-m", "lpcert.cli", *args],
+                              env=env).returncode
+
+    assert benchmark.pedantic(run, rounds=STARTUP_ROUNDS // 2,
+                              warmup_rounds=1) == rc
 
 
 @pytest.mark.parametrize("N", sorted(TRACE_ROUNDS))

@@ -17,65 +17,78 @@ Every checker either evaluates an exact finite instance of its
 inequality (ratios must stay below 1 + 1e-10) or runs a recurrence
 certificate whose per-index constraints imply the bound at that
 truncation.
+
+The package namespace is lazy (PEP 562): `import lpcert` loads none of
+the modules above, and a name in __all__ imports its module on first
+access, so a process loads only what it uses.  `import lpcert.cli`
+loads the parser and its option lists; each subcommand then imports
+the modules it runs.
 """
 
-from ._num import PASS_RTOL, comp_cumsum, margin_ok, suffix_sums
-from .certificates import (BoundParams, CertificateReport, MuTrace,
-                           cartlidge_constant, check_cartlidge,
-                           check_factorable_product,
-                           check_factorable_stepwise, check_product_condition,
-                           check_ratio_condition, check_stepwise_p2, mu_dual,
-                           mu_primal, trace_report)
-from .copson import (BRANCHES, RATIO_TOL, BranchReport, KernelReport,
-                     RootResult, admissible_alpha, admissible_c,
-                     branch_constant, check_bge, check_copson_branch,
-                     check_kernel_inequality, copson_root, copson_threshold,
-                     mu_bge, mu_dual_copson, near_extremal_ratio,
-                     near_extremal_schedule)
-from .corpus import builtin_corpus, comparability_pair, weights_from_ratios
-from .factorable import (FactorableSpec, bge_matrix, cesaro, copson_matrix,
-                         hlp_dual_matrix, weighted_mean)
-from .hlp import (DirectCertificate, DualFeasibility, ShiftSearch,
-                  bracket_threshold, certify_direct, certify_report,
-                  direct_floor, direct_floor_margin, dual_feasible,
-                  hlp_constant, mu_direct, probe_dual, probe_dual_trials,
-                  probe_primal, search_c, shift_gap, threshold_margin)
-from .hlp import mu_dual as mu_dual_hlp
-from .norm_probe import NormEstimate, power_lower_bound, ratio_at
-from .sequences import (AveragesBundle, WeightSequence, averages,
-                        build_weights, load_weight_file)
-from .strengthened import (KINDS, MU_CHOICES, MuChoiceReport,
-                           StrengthenedCase, StrengthenedReport,
-                           check_strengthened, strengthened_trials,
-                           tail_cartlidge_constant, verify_mu_choice)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PASS_RTOL", "RATIO_TOL", "comp_cumsum", "margin_ok", "suffix_sums",
-    "WeightSequence", "AveragesBundle", "build_weights", "load_weight_file",
-    "averages",
-    "FactorableSpec", "weighted_mean", "copson_matrix", "bge_matrix",
-    "hlp_dual_matrix", "cesaro",
-    "NormEstimate", "power_lower_bound", "ratio_at",
-    "BoundParams", "MuTrace", "CertificateReport", "cartlidge_constant",
-    "check_cartlidge", "check_ratio_condition",
-    "check_product_condition", "check_factorable_product",
-    "check_factorable_stepwise", "check_stepwise_p2", "mu_primal", "mu_dual",
-    "trace_report",
-    "BRANCHES", "RootResult", "KernelReport", "BranchReport", "copson_root",
-    "copson_threshold", "admissible_c", "check_kernel_inequality",
-    "branch_constant", "check_copson_branch", "near_extremal_ratio",
-    "near_extremal_schedule", "admissible_alpha", "check_bge",
-    "mu_dual_copson", "mu_bge",
-    "KINDS", "MU_CHOICES", "StrengthenedCase", "StrengthenedReport",
-    "MuChoiceReport", "tail_cartlidge_constant", "check_strengthened",
-    "strengthened_trials", "verify_mu_choice",
-    "hlp_constant", "direct_floor", "mu_direct", "DirectCertificate",
-    "certify_direct", "direct_floor_margin", "threshold_margin",
-    "bracket_threshold", "mu_dual_hlp", "shift_gap", "DualFeasibility",
-    "dual_feasible", "ShiftSearch", "search_c", "probe_primal", "probe_dual",
-    "probe_dual_trials", "certify_report",
-    "builtin_corpus", "comparability_pair", "weights_from_ratios",
-    "__version__",
-]
+# exported name -> the submodule defining it ("module.attr" where the
+# export is renamed), in __all__ order
+_EXPORTS = {
+    "PASS_RTOL": "_num", "RATIO_TOL": "copson", "comp_cumsum": "_num",
+    "margin_ok": "_num", "suffix_sums": "_num",
+    "WeightSequence": "sequences", "AveragesBundle": "sequences",
+    "build_weights": "sequences", "load_weight_file": "sequences",
+    "averages": "sequences",
+    "FactorableSpec": "factorable", "weighted_mean": "factorable",
+    "copson_matrix": "factorable", "bge_matrix": "factorable",
+    "hlp_dual_matrix": "factorable", "cesaro": "factorable",
+    "NormEstimate": "norm_probe", "power_lower_bound": "norm_probe",
+    "ratio_at": "norm_probe",
+    "BoundParams": "certificates", "MuTrace": "_num",
+    "CertificateReport": "certificates",
+    "cartlidge_constant": "certificates", "check_cartlidge": "certificates",
+    "check_ratio_condition": "certificates",
+    "check_product_condition": "certificates",
+    "check_factorable_product": "certificates",
+    "check_factorable_stepwise": "certificates",
+    "check_stepwise_p2": "certificates", "mu_primal": "certificates",
+    "mu_dual": "certificates", "trace_report": "certificates",
+    "BRANCHES": "_options", "RootResult": "copson", "KernelReport": "copson",
+    "BranchReport": "copson", "copson_root": "copson",
+    "copson_threshold": "copson", "admissible_c": "copson",
+    "check_kernel_inequality": "copson", "branch_constant": "copson",
+    "check_copson_branch": "copson", "near_extremal_ratio": "copson",
+    "near_extremal_schedule": "copson", "admissible_alpha": "copson",
+    "check_bge": "copson", "mu_dual_copson": "copson", "mu_bge": "copson",
+    "KINDS": "_options", "MU_CHOICES": "_options",
+    "StrengthenedCase": "strengthened", "StrengthenedReport": "strengthened",
+    "MuChoiceReport": "strengthened",
+    "tail_cartlidge_constant": "strengthened",
+    "check_strengthened": "strengthened",
+    "strengthened_trials": "strengthened", "verify_mu_choice": "strengthened",
+    "hlp_constant": "hlp", "direct_floor": "hlp", "mu_direct": "hlp",
+    "DirectCertificate": "hlp", "certify_direct": "hlp",
+    "direct_floor_margin": "hlp", "threshold_margin": "hlp",
+    "bracket_threshold": "hlp", "mu_dual_hlp": "hlp.mu_dual",
+    "shift_gap": "hlp", "DualFeasibility": "hlp", "dual_feasible": "hlp",
+    "ShiftSearch": "hlp", "search_c": "hlp", "probe_primal": "hlp",
+    "probe_dual": "hlp", "probe_dual_trials": "hlp", "certify_report": "hlp",
+    "builtin_corpus": "corpus", "comparability_pair": "corpus",
+    "weights_from_ratios": "corpus",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    """Import the submodule behind an exported name on first access and
+    keep the value in the package namespace."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, _, attr = _EXPORTS[name].partition(".")
+    value = getattr(importlib.import_module(f".{module}", __name__),
+                    attr or name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

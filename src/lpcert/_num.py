@@ -27,16 +27,18 @@ Number Generation", 2014), so every block draws its own rows from the
 seed's state advanced past the rows before it.  Suffix sums come from
 suffix_sums in a C-contiguous array, not as a reversed view, so that the
 powers taken of them run numpy's SIMD `pow`.
+
+MuTrace, the result of every mu recurrence, is defined here rather than
+in certificates, so that the hlp recurrences load none of the weighted-
+mean modules (certificates, factorable, sequences).
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +52,40 @@ PASS_RTOL = 1e-12
 # fromlist).  No np.frombuffer view of a trace may outlive its statement
 # before the next fromlist, which would raise BufferError.
 _ROW_CHUNK = 1 << 14
+
+
+@dataclass
+class MuTrace:
+    """A mu recurrence trace and its verdict, as every mu recurrence
+    (certificates, copson, hlp) returns it.
+
+    The trace stops at the first violation of its hard constraint.
+    worst_margin is its smallest margin (NaN if any is NaN), reduced a
+    chunk at a time as the margins are formed; no margin array is kept.
+    Traces with an analytic target fold in its smallest margin and record
+    its first violation, which also gates the pass verdict.
+    """
+
+    mu: np.ndarray
+    constraint: str
+    worst_margin: float
+    first_violation: int | None
+    target_violation: int | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.first_violation is None and self.target_violation is None
+
+    @property
+    def first_fail(self) -> int | None:
+        """The first violation of the constraint, else of the target."""
+        if self.first_violation is not None:
+            return self.first_violation
+        return self.target_violation
+
+    @property
+    def n_evaluated(self) -> int:
+        return int(self.mu.shape[0])
 
 
 def comp_cumsum(values) -> np.ndarray:
@@ -169,8 +205,14 @@ def trial_rows(N: int, trials: int, seed: int, evaluate,
     results are then the same for any block size or thread count.  At
     most two blocks per worker are in flight.  The workers run under the
     caller's np.errstate.  The results of the blocks are concatenated
-    along their first axis; no trials give an empty array.
+    along their first axis; no trials give an empty array.  The thread
+    pool's modules are imported here, on the first batch, so that a
+    process that draws no trials never loads them.
     """
+    import contextvars
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
     low, high, transform = draw
     state = np.random.default_rng(seed).bit_generator.state
     rows = max(1, min(_BLOCK_ELEMS // max(N, 1), trials))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import _ROW_CHUNK, first_bad, margin_ok
+from ._num import _ROW_CHUNK, MuTrace, first_bad, margin_ok
 from .factorable import FactorableSpec, _require_normalized
 from .sequences import WeightSequence
 
@@ -79,39 +79,6 @@ class BoundParams:
     def U_p(self) -> float:
         """(p/(p-L))^p = 1/lam_p, a domain error where lam_p is."""
         return 1.0 / self.lam_p
-
-
-@dataclass
-class MuTrace:
-    """A mu recurrence trace and its verdict.
-
-    The trace stops at the first violation of its hard constraint.
-    worst_margin is its smallest margin (NaN if any is NaN), reduced a
-    chunk at a time as the margins are formed; no margin array is kept.
-    Traces with an analytic target fold in its smallest margin and record
-    its first violation, which also gates the pass verdict.
-    """
-
-    mu: np.ndarray
-    constraint: str
-    worst_margin: float
-    first_violation: int | None
-    target_violation: int | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.first_violation is None and self.target_violation is None
-
-    @property
-    def first_fail(self) -> int | None:
-        """The first violation of the constraint, else of the target."""
-        if self.first_violation is not None:
-            return self.first_violation
-        return self.target_violation
-
-    @property
-    def n_evaluated(self) -> int:
-        return int(self.mu.shape[0])
 
 
 @dataclass(frozen=True)
@@ -340,7 +307,9 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
     (a_n/b_n)^p and (a_(n-1)/b_n)^(p/(p-1)) are formed with numpy over the
     chunk, so a trace that dies early forms few of them, and only scalar
     float steps run in the loop.  A power that leaves the binary64 range
-    is a domain error once the trace reaches its row.
+    is a domain error once the trace reaches its row, and so is a step
+    whose value does (mu_(n+1) = inf would read as a violation at the
+    next row, though every margin before it is positive).
     """
     if not (p > 1.0):
         raise ValueError("need p > 1")
@@ -368,7 +337,8 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
                 base = prev ** e1 if prev > 0.0 else 0.0
                 denom = (base + c) ** (p - 1.0)
                 if denom <= 0.0 or not math.isfinite(denom):
-                    violation = len(trace) + len(chunk)
+                    if prev != math.inf:   # else the step before overflowed
+                        violation = len(trace) + len(chunk)
                     break
                 t = r * prev / denom
                 nxt = t - lam_p
@@ -388,6 +358,11 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
         trace.fromlist(chunk)
         if violation is not None:
             break
+        if prev == math.inf:
+            # tested once a chunk, off the per-step path
+            raise ValueError(
+                "(a_n/b_n)^p mu_n / (mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))"
+                f"^(p-1) leaves the binary64 range at n = {len(trace) - 1}")
         if bad.size:
             raise ValueError("(a_n/b_n)^p or (a_(n-1)/b_n)^(p/(p-1)) leaves "
                              f"the binary64 range at n = {lo + stop + 1}")

@@ -19,6 +19,11 @@ output.  Exit codes: 0 pass/success, 1 certificate failure (a valid
 negative outcome), 2 usage or domain error.  The THREADS environment
 variable caps the corpus-comparison thread pool and the pool that
 evaluates random-trial blocks.
+
+Importing this module loads no lpcert module but the option lists the
+parser needs (`_options`); each handler imports the modules its
+subcommand runs, so a `certify` call never loads the Copson, strengthened
+or hlp code, nor a `copson` call the hlp code.
 """
 
 from __future__ import annotations
@@ -29,24 +34,15 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import copson as cop
-from . import hlp
-from ._num import thread_count
-from .certificates import (BoundParams, CertificateReport, cartlidge_constant,
-                           check_cartlidge, check_factorable_product,
-                           check_factorable_stepwise, check_product_condition,
-                           check_ratio_condition, check_stepwise_p2, mu_dual,
-                           mu_primal, trace_report)
-from .corpus import builtin_corpus
-from .factorable import weighted_mean
-from .norm_probe import power_lower_bound
-from .sequences import WeightSequence, build_weights, load_weight_file
-from .strengthened import (KINDS, MU_CHOICES, StrengthenedCase,
-                           strengthened_trials, verify_mu_choice)
+from ._options import BRANCHES, KINDS, MU_CHOICES, N_MAX_DEFAULT
+
+if TYPE_CHECKING:
+    from .certificates import CertificateReport
+    from .sequences import WeightSequence
 
 CSV_COLUMNS = ("method", "p", "L", "c", "alpha", "N", "pass", "first_fail",
                "worst_margin", "bound")
@@ -152,6 +148,8 @@ def decimate_trace(values) -> list[list[float]]:
 
 
 def parse_weights(text: str, N: int | None) -> WeightSequence:
+    from .sequences import build_weights, load_weight_file
+
     n = 1000 if N is None else N
     if text == "constant":
         return build_weights("constant", n)
@@ -190,6 +188,14 @@ def mu_trace_dict(trace, method: str, p: float, N: int, **params) -> dict:
 
 def run_certificate(method: str, w: WeightSequence, p: float,
                     L: float) -> CertificateReport:
+    from .certificates import (BoundParams, check_cartlidge,
+                               check_factorable_product,
+                               check_factorable_stepwise,
+                               check_product_condition, check_ratio_condition,
+                               check_stepwise_p2, mu_dual, mu_primal,
+                               trace_report)
+    from .factorable import weighted_mean
+
     if method == "cartlidge":
         return check_cartlidge(w, p, L)
     if method == "ratio":
@@ -356,6 +362,10 @@ def _need_p(args) -> float:
 
 
 def cmd_norm(args) -> tuple[dict, bool | None]:
+    from .certificates import cartlidge_constant
+    from .factorable import weighted_mean
+    from .norm_probe import power_lower_bound
+
     _need_p(args)
     w = parse_weights(args.weights, args.N)
     est = power_lower_bound(weighted_mean(w), args.p, tol=args.tol)
@@ -370,6 +380,8 @@ def cmd_norm(args) -> tuple[dict, bool | None]:
 
 
 def cmd_certify(args) -> tuple[dict, bool | None]:
+    from .certificates import cartlidge_constant
+
     p = args.p if args.p is not None else (2.0 if args.method == "stepwise-p2"
                                            else None)
     if p is None:
@@ -394,6 +406,8 @@ def cmd_certify(args) -> tuple[dict, bool | None]:
 
 
 def cmd_copson(args) -> tuple[dict, bool | None]:
+    from . import copson as cop
+
     _need_p(args)
     if args.copson_cmd == "cp-root":
         res = cop.copson_root(args.p)
@@ -423,14 +437,19 @@ def cmd_copson(args) -> tuple[dict, bool | None]:
 
 
 def cmd_bge(args) -> tuple[dict, bool | None]:
+    from .copson import check_bge
+
     _need_p(args)
     w = parse_weights(args.weights, args.N)
-    rep = cop.check_bge(w, args.p, args.alpha, trials=args.trials,
-                        seed=args.seed)
+    rep = check_bge(w, args.p, args.alpha, trials=args.trials,
+                    seed=args.seed)
     return rep.to_dict(), rep.passed
 
 
 def cmd_strengthened(args) -> tuple[dict, bool | None]:
+    from .strengthened import (StrengthenedCase, strengthened_trials,
+                               verify_mu_choice)
+
     _need_p(args)
     w = parse_weights(args.weights, args.N)
     if args.str_cmd == "check":
@@ -446,6 +465,8 @@ def cmd_strengthened(args) -> tuple[dict, bool | None]:
 
 
 def cmd_hlp(args) -> tuple[dict, bool | None]:
+    from . import hlp
+
     if args.hlp_cmd == "threshold" and args.bracket:
         lo, hi = hlp.bracket_threshold()
         return {"method": "threshold-bracket", "lo": lo, "hi": hi,
@@ -482,6 +503,13 @@ def cmd_hlp(args) -> tuple[dict, bool | None]:
 
 
 def cmd_compare(args) -> tuple[dict, bool | None]:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from ._num import thread_count
+    from .certificates import cartlidge_constant
+    from .corpus import builtin_corpus
+    from .sequences import load_weight_file
+
     _need_p(args)
     methods = [m.strip() for m in args.methods.split(",")]
     if len(methods) != 2:
@@ -566,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel.add_argument("--c", type=float, required=True)
     _add_common(kernel, weights=False)
     branch = csubs.add_parser("branch", help="random trials of one branch")
-    branch.add_argument("--branch", choices=cop.BRANCHES, required=True)
+    branch.add_argument("--branch", choices=BRANCHES, required=True)
     branch.add_argument("--c", type=float, required=True)
     _add_common(branch, trials=True)
     cmu = csubs.add_parser("mu", help="dual mu recurrence for the prefix "
@@ -602,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     hcert = hsubs.add_parser("certify", help="find a certifying n0")
     hcert.add_argument("--method", choices=("direct", "dual-shift"),
                        default="direct")
-    hcert.add_argument("--nmax", type=int, default=hlp.N_MAX_DEFAULT)
+    hcert.add_argument("--nmax", type=int, default=N_MAX_DEFAULT)
     _add_common(hcert, weights=False)
     hthr = hsubs.add_parser("threshold", help="closed-form n0 = 2 margin")
     hthr.add_argument("--bracket", action="store_true",

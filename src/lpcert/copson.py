@@ -44,15 +44,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import _ROW_CHUNK, first_bad, margin_ok, suffix_sums, trial_rows
-from .certificates import (MuTrace, _binary64_pow, _dual_mu_1,
-                           _mu_dual_ratios, mu_primal)
+from ._num import (_ROW_CHUNK, MuTrace, first_bad, margin_ok, suffix_sums,
+                   trial_rows)
+from ._options import BRANCHES
+from .certificates import _binary64_pow, _dual_mu_1, _mu_dual_ratios, mu_primal
 from .factorable import bge_matrix, bge_steps
 from .sequences import WeightSequence, averaged, build_weights
 
 RATIO_TOL = 1e-10  # LHS/RHS ratios above 1 + RATIO_TOL are violations
-
-BRANCHES = ("copson_prefix", "copson_tail", "leindler_prefix", "leindler_tail")
 
 # (sum direction, partials) of each branch's inner average: copson
 # branches average against the prefix partials (so copson_tail divides a

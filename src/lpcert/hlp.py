@@ -63,10 +63,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import _ROW_CHUNK, PASS_RTOL, margin_ok, suffix_sums, trial_rows
-from .certificates import MuTrace
+from ._num import (_ROW_CHUNK, PASS_RTOL, MuTrace, margin_ok, suffix_sums,
+                   trial_rows)
+from ._options import N_MAX_DEFAULT
 
-N_MAX_DEFAULT = 100_000
 # Trace length the n0 searches try before the full n0_max.  Certifying n0
 # are small (4 at p = 0.35 on the direct route, 5 on the dual one), and
 # the extra prefix costs an uncertified full search about 0.1% at 1e6.

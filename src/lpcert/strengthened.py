@@ -37,18 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import first_bad, trial_rows, workspace
+from ._num import _BLOCK_ELEMS, first_bad, trial_rows, workspace
+from ._options import BRANCHES, KINDS, MU_CHOICES
 from .certificates import _binary64_pow, cartlidge_constant
-from .copson import (_BRANCH_SUMS, BRANCHES, RATIO_TOL, _branch_weights,
-                     branch_constant)
+from .copson import _BRANCH_SUMS, RATIO_TOL, _branch_weights, branch_constant
 from .sequences import WeightSequence, averaged
 
-KINDS = ("cartlidge", "cartlidge_tail", "dual", "dual_tail",
-         "copson_prefix", "copson_tail", "leindler_prefix", "leindler_tail")
-
 _COPSON_KINDS = BRANCHES
-
-MU_CHOICES = ("cartlidge", "copson", "leindler", "dual")
 
 # (sum direction, partials, dual form) of each kind's inner transform
 _CASE_SUMS = {"cartlidge": ("prefix", "partials", False),
@@ -237,6 +232,25 @@ def _deterministic_profiles(N: int) -> np.ndarray:
     return np.stack([rows[i] for i in keep])
 
 
+def _profile_ratios(ratios, N: int, trials: int):
+    """(ratios of the first `trials` deterministic profiles, the number
+    of profiles).
+
+    The profiles are evaluated max(1, _BLOCK_ELEMS // N) rows at a time
+    in one reused workspace, as trial_rows evaluates its blocks, so they
+    add two block-sized scratch arrays, not two (8, N) ones; the profiles
+    and the workspace are freed before any random trial is drawn."""
+    det = _deterministic_profiles(N)
+    n_det = min(trials, det.shape[0])
+    rows = max(1, _BLOCK_ELEMS // N)
+    work = workspace((min(rows, n_det), N))
+    parts = []
+    for lo in range(0, n_det, rows):
+        X = det[lo:min(lo + rows, n_det)]
+        parts.append(ratios(X, tuple(a[:X.shape[0]] for a in work)))
+    return np.concatenate(parts), det.shape[0]
+
+
 def strengthened_trials(case: StrengthenedCase, w: WeightSequence,
                         trials: int = 200, seed: int = 0) -> StrengthenedReport:
     """Deterministic profiles plus seeded log-uniform trials; reports the
@@ -244,13 +258,10 @@ def strengthened_trials(case: StrengthenedCase, w: WeightSequence,
     if trials < 1:
         raise ValueError("need trials >= 1")
     L, ratios = _case_ratios(case, w)
-    det = _deterministic_profiles(w.N)
-    R = ratios(det[:trials])
-    n_rand = trials - det.shape[0]
-    if n_rand > 0:
-        R = np.concatenate([R, trial_rows(w.N, n_rand, seed, ratios)])
-    return _report(case, w, L, R,
-                   note=f"{det.shape[0]} deterministic profiles")
+    R, n_det = _profile_ratios(ratios, w.N, trials)
+    if trials > n_det:
+        R = np.concatenate([R, trial_rows(w.N, trials - n_det, seed, ratios)])
+    return _report(case, w, L, R, note=f"{n_det} deterministic profiles")
 
 
 # ----------------------------------------------------------------------

@@ -129,39 +129,93 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
     for method in ("mu-dual", "mu-primal") for p in ("50", "100")
     for claim in (["--L", str(float(p) - 1e-7)],
                   ["--L", repr(float(p) * (1.0 - 1e-9))])
+] + [
+    # at p = 100 on constant weights r_n = n^100 still fits at n = 1130,
+    # but r_n mu_n does not: the primal step overflows (it used to store
+    # mu_1131 = inf and report a violation at n = 1131 with every margin
+    # positive), and the dual step a little later
+    (["certify", "--method", "mu-primal", "--weights", "constant",
+      "--N", "3000", "--p", "100", "--L", "2"],
+     "(a_n/b_n)^p mu_n / (mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) "
+     "leaves the binary64 range at n = 1130"),
+    # the same overflow on the last row, with no next row to trip on
+    (["certify", "--method", "mu-primal", "--weights", "constant",
+      "--N", "1130", "--p", "100", "--L", "2"],
+     "(a_n/b_n)^p mu_n / (mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) "
+     "leaves the binary64 range at n = 1130"),
+    (["certify", "--method", "mu-dual", "--weights", "constant",
+      "--N", "3000", "--p", "100", "--L", "2"],
+     "((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) leaves the binary64 range "
+     "at n = 1210"),
+    # no probe of the search gets past the overflow, so it has no verdict
+    # (it used to report "no L in (0, p) passes")
+    (["certify", "--method", "mu-primal", "--weights", "constant",
+      "--N", "3000", "--p", "100", "--search-L"],
+     "(a_n/b_n)^p mu_n / (mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) "
+     "leaves the binary64 range at n = 1128"),
 ])
 def test_out_of_range_inputs_are_domain_errors(argv, message, capsys):
     assert run(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _loaded(code: str) -> list[str]:
+    """The modules loaded after `code` runs in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(lpcert.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys, lpcert.cli; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
+         f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert res.stdout.strip() == "[]"
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def _after_main(argv: list[str]) -> list[str]:
+    """The modules loaded after a passing `lpcert argv` in a fresh
+    interpreter."""
+    return _loaded("from lpcert import cli\n"
+                   f"assert cli.main({argv + ['--out', os.devnull]!r}) == 0")
+
+
+def _ours(modules: list[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "lpcert"}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert not [m for m in _loaded("import lpcert.cli")
+                if m.split(".")[0] == "scipy"]
 
 
 def test_cp_root_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(lpcert.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from lpcert import cli; "
-         "assert cli.main(['copson', 'cp-root', '--p', '3', '--out', "
-         f"{os.devnull!r}]) == 0; "
-         "print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert res.stdout.strip() == "[]"
+    assert not [m for m in _after_main(["copson", "cp-root", "--p", "3"])
+                if m.split(".")[0] == "scipy"]
+
+
+def test_cli_import_loads_no_compute_module():
+    # the parser needs only the option lists; every handler imports the
+    # modules it runs, and the trial pool its own thread pool
+    loaded = _loaded("import lpcert.cli")
+    assert _ours(loaded) == {"lpcert", "lpcert._options", "lpcert.cli"}
+    assert "concurrent.futures" not in loaded
+    assert _ours(_loaded("import lpcert")) == {"lpcert"}
+
+
+@pytest.mark.parametrize("argv, used, unused", [
+    (["certify", "--method", "mu-dual", "--weights", "power:1", "--N", "1000",
+      "--p", "2", "--L", "1.0"], {"certificates", "factorable", "sequences"},
+     {"copson", "hlp", "strengthened", "norm_probe", "corpus"}),
+    # MuTrace lives in _num, so the hlp recurrences skip the weighted-mean
+    # modules too
+    (["hlp", "certify", "--p", "0.35"], {"hlp"},
+     {"copson", "strengthened", "norm_probe", "corpus", "certificates",
+      "factorable", "sequences"}),
+])
+def test_a_subcommand_loads_only_what_it_runs(argv, used, unused):
+    loaded = _ours(_after_main(argv))
+    assert {f"lpcert.{m}" for m in used} <= loaded
+    assert not loaded & {f"lpcert.{m}" for m in unused}
 
 
 def test_cp_root_report_is_unchanged(capsys):
@@ -567,13 +621,13 @@ def test_large_p_search_L_is_the_plain_loop_from_its_top(method, p, capsys,
         assert (rc, out) == (0, cli.render_json(rep))
     # at p = 50 --L 2 passes, and so does the search, below 2 (the dual
     # trace leaves the binary64 range at the top probe, at n = 5); at
-    # p = 100 the dual trace leaves the range at every L (n = 1210 at
-    # --L 2), so its search has no verdict
+    # p = 100 both traces leave the range at every L (at n = 1210 and
+    # 1130 at --L 2), so neither search has a verdict
     if p == 50.0:
         assert run(["certify", "--method", method, "--weights", "constant",
                     "--N", "3000", "--p", "50", "--L", "2"]) == 0
         assert rc == 0 and json.loads(out)["L"] < 2.0
-    elif method == "mu-dual":
+    else:
         assert rc == 2 and "leaves the binary64 range" in err
 
 

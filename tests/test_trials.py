@@ -330,28 +330,33 @@ def test_pow10_with_a_row_of_tens_is_np_power(shape):
 # Memory of one batch, counted by tracemalloc
 
 
-@pytest.mark.parametrize("name", ["branch", "bge", "strengthened",
-                                  "dual-probe"])
-def test_trial_batch_peak_memory(name, monkeypatch):
+@pytest.mark.parametrize("name, N, mib", [
+    *(pytest.param(name, 20_000, 6, id=name)
+      for name in ("branch", "bge", "strengthened", "dual-probe")),
+    pytest.param("strengthened", 100_000, 14, id="strengthened-100000")])
+def test_trial_batch_peak_memory(name, N, mib, monkeypatch):
     # at 300 x 2e4 one unblocked temporary is 46 MiB; the unblocked
     # strengthened batch peaked at 326 MiB, and blocks drawn on the
     # calling thread and evaluated in fresh temporaries at 7.7-10.4 MiB;
-    # each of the two workers now holds three buffers of 3 x 2e4
+    # each of the two workers now holds three buffers of 3 x 2e4.  At
+    # 300 x 1e5 the strengthened profiles, evaluated as one (8, N) block
+    # in two fresh (8, N) arrays, peaked at 18.3 MiB; a block at a time
+    # the peak is building the profiles themselves
     monkeypatch.setenv("THREADS", "2")
-    w = _weights(20_000)
+    w = _weights(N)
     run = {"branch": lambda: check_copson_branch(w, P, C_ABOVE,
                                                  "copson_prefix", 300, 1),
            "bge": lambda: check_bge(w, P, 0.9, 300, 1),
            "strengthened": lambda: strengthened_trials(_case("dual"), w,
                                                        300, 1),
-           "dual-probe": lambda: probe_dual_trials(0.31, 20_000, 300, 1)}
+           "dual-probe": lambda: probe_dual_trials(0.31, N, 300, 1)}
     tracemalloc.start()
     try:
         run[name]()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert peak < mib * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 @pytest.mark.parametrize("N", [*range(1, 40), 4097, 20_000])
