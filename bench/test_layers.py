@@ -11,7 +11,7 @@ x_n = n^(-0.6), and `power_lower_bound` on the same matrix at p = 2
 (default tolerance; its iteration count goes in `extra_info`).
 `mu_primal` and
 `certificates.mu_dual` on the weighted mean of lam_n = n^0.5 at p = 2,
-`mu_dual_copson` (c = 1.5) and the dual route of `mu_bge`
+`mu_dual_copson` (c = 1.5) and both routes of `mu_bge`
 (alpha = 0.8) on the same weights at p = 2, and `hlp.mu_direct` and
 `hlp.mu_dual` at p = 0.355 (every trace passes or, for the two `hlp`
 ones, runs to N); each mu trace also records the tracemalloc peak of
@@ -38,9 +38,10 @@ as the others; each batch records in `extra_info` the minor page faults
 (`ru_minflt`, all threads of the process) of one untimed call after a
 warm-up call, and the tracemalloc peak of another.  `copson_root` is
 timed at p = 1.5, 3 and 40.  End to
-end, `test_cli_subprocess` runs four N = 1e6 CLI commands
+end, `test_cli_subprocess` runs five N = 1e6 CLI commands
 (`certify --method mu-dual`, passing and dying at once, `copson mu` and
-`copson bge-mu`) as `python -m lpcert.cli` grandchildren, each timed
+`copson bge-mu` on either route) as `python -m lpcert.cli`
+grandchildren, each timed
 with the fresh interpreter that starts it, and records the `ru_maxrss`
 of every one (the warm-up one too) in `extra_info`; they inherit the
 environment, so PYTHONPATH must name `src`.  Start-up is timed on a
@@ -113,7 +114,8 @@ def test_build_weights(benchmark, N):
 # The N = 1e6 commands whose peak resident memory the weights set, with
 # the exit code each must return: a passing dual trace, a claim below
 # the Cartlidge constant 0.5 of power:1 that dies within a few steps
-# (weights alone), and the two mu recurrences of the copson family.
+# (weights alone), and the mu recurrences of the copson family (both
+# routes of bge-mu).
 CLI_COMMANDS = {
     "certify-mu-dual": (["certify", "--method", "mu-dual", "--weights",
                          "power:1", "--N", "1000000", "--p", "2",
@@ -125,6 +127,9 @@ CLI_COMMANDS = {
                    "--N", "1000000"], 0),
     "copson-bge-mu": (["copson", "bge-mu", "--p", "2", "--alpha", "0.8",
                        "--N", "1000000"], 0),
+    "copson-bge-mu-primal": (["copson", "bge-mu", "--p", "2", "--alpha",
+                              "0.8", "--N", "1000000", "--route", "primal"],
+                             0),
 }
 
 
@@ -276,6 +281,7 @@ def _mu_call(route, N):
             "mu_dual": (mu_dual, (weighted_mean(w), 2.0, params.U_p)),
             "mu_dual_copson": (mu_dual_copson, (w, 2.0, 1.5)),
             "mu_bge": (mu_bge, (w, 2.0, 0.8)),
+            "mu_bge_primal": (mu_bge, (w, 2.0, 0.8, "primal")),
             "hlp.mu_direct": (hlp.mu_direct, (0.355, N)),
             "hlp.mu_dual": (hlp.mu_dual, (0.355, N))}[route]
 
@@ -303,7 +309,8 @@ def _record_untimed_call(benchmark, fn, args):
 
 @pytest.mark.parametrize("N", sorted(TRACE_ROUNDS))
 @pytest.mark.parametrize("route", ["mu_primal", "mu_dual", "mu_dual_copson",
-                                   "mu_bge", "hlp.mu_direct", "hlp.mu_dual"])
+                                   "mu_bge", "mu_bge_primal", "hlp.mu_direct",
+                                   "hlp.mu_dual"])
 def test_mu_trace(benchmark, route, N):
     fn, args = _mu_call(route, N)
     benchmark.extra_info["tracemalloc_peak_bytes"] = _tracemalloc_peak(

@@ -24,12 +24,14 @@ Checkers, from weakest hypothesis to most specialized:
 
 mu_primal and mu_dual run the recurrences behind these certificates
 directly; a completed trace is itself a certificate at truncation N.
-Both form their per-index ratios and powers with numpy one _ROW_CHUNK of
-rows at a time, run the recurrence over that chunk as scalar float
-steps, and hand each chunk of steps to a growing array("d") trace (8
-bytes a value, viewed by numpy without a copy), never holding the trace
-as a list of floats or reserving N values for it; of the margins, each
-keeps only their running minimum (MuTrace).
+Both read a spec's rows a _ROW_CHUNK at a time from one row source
+(_spec_ratios: a_n/b_n and a_n/b_(n+1), the primal a_(n-1)/b_n being
+the row before's a_n/b_(n+1)), form their powers with numpy over the
+chunk, run the recurrence over it as scalar float steps, and hand each
+chunk of steps to a growing array("d") trace (8 bytes a value, viewed
+by numpy without a copy), never holding the trace as a list of floats
+or reserving N values for it; of the margins, each keeps only their
+running minimum (MuTrace).
 Products are accumulated in log space; sums of positive terms inside the
 product conditions use a running log-sum-exp.
 """
@@ -238,9 +240,8 @@ def check_factorable_stepwise(spec: FactorableSpec, p: float, L: float) -> Certi
     lam_p = (1.0 - L / p) ** p
     A = lam_p ** (1.0 - 1.0 / p)
     B = 1.0 - lam_p - A
-    r = spec.row_ratios
+    r, cross = _spec_ratios(spec)(0, spec.N)
     x, y = r[:-1], r[1:]
-    cross = spec.a[:-1] / spec.b[1:]
     g = A * x + B
     failed = _nonpositive_report(g, "stepwise", params, spec.N,
                                  "floor constant A*r_n+B nonpositive")
@@ -303,7 +304,8 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
 
     Constraint: mu_n >= 0.  Values within -1e-12 (relative) of zero are
     clamped to zero and the run continues; anything lower stops the trace.
-    The rows n = 1..N are taken one _ROW_CHUNK at a time: their powers
+    The rows n = 1..N come from the spec's row source one _ROW_CHUNK at a
+    time (a_(n-1)/b_n is the cross ratio of row n - 1): their powers
     (a_n/b_n)^p and (a_(n-1)/b_n)^(p/(p-1)) are formed with numpy over the
     chunk, so a trace that dies early forms few of them, and only scalar
     float steps run in the loop.  A power that leaves the binary64 range
@@ -311,23 +313,41 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
     whose value does (mu_(n+1) = inf would read as a violation at the
     next row, though every margin before it is positive).
     """
+    _require_normalized(spec, "primal recurrence")
+    return _mu_primal_ratios(_spec_ratios(spec), spec.N, p, lam_p)
+
+
+def _spec_ratios(spec: FactorableSpec):
+    """The row source of a spec: ratios(lo, hi) as _mu_dual_ratios and
+    _mu_primal_ratios take it, each value one division of a by b."""
+    a, b = spec.a, spec.b
+
+    def ratios(lo, hi):
+        nxt = b[lo + 1:hi + 1]
+        return a[lo:hi] / b[lo:hi], a[lo:lo + nxt.shape[0]] / nxt
+
+    return ratios
+
+
+def _mu_primal_ratios(ratios, N: int, p: float, lam_p: float) -> MuTrace:
+    """mu_primal's recurrence on N rows, driven by the ratios alone
+    (ratios(lo, hi) as for _mu_dual_ratios); a_0/b_1 = 0 on row 1."""
     if not (p > 1.0):
         raise ValueError("need p > 1")
     if not (0.0 < lam_p < 1.0):
         raise ValueError("need lam_p in (0, 1)")
-    _require_normalized(spec, "primal recurrence")
-    a, b = spec.a, spec.b
     e1, ep = 1.0 / (p - 1.0), p / (p - 1.0)
-    N = spec.N
     trace = array("d", [1.0])
     prev = 1.0
     violation = None
+    carry = np.zeros(1)          # a_0/b_1
     for lo in range(0, N, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, N)
-        a_prev = a[lo - 1:hi - 1] if lo else np.concatenate(([0.0], a[:hi - 1]))
+        r, cross = ratios(lo, hi)
+        cross, carry = np.concatenate((carry, cross)), cross[hi - lo - 1:]
         with np.errstate(over="ignore"):
-            rp = (a[lo:hi] / b[lo:hi]) ** p
-            cross = (a_prev / b[lo:hi]) ** ep
+            rp = r ** p
+            cross = cross[:hi - lo] ** ep
         bad = np.flatnonzero(np.isinf(rp) | np.isinf(cross))
         stop = int(bad[0]) if bad.size else hi - lo
         chunk = []
@@ -395,17 +415,11 @@ def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
                      / ((a_n/b_n)^(q/(q-1)) mu_n^(-1/(q-1)) - 1)^(q-1).
 
     The ceiling is strict: a zero margin is a violation (e.g. U_p = 1 on a
-    normalized spec dies immediately at n = 1).  The ratios are sliced
-    from a and b one _ROW_CHUNK at a time, so a trace that dies early
+    normalized spec dies immediately at n = 1).  The spec's row source
+    gives the ratios one _ROW_CHUNK at a time, so a trace that dies early
     forms few of them; only scalar float steps run in the loop.
     """
-    a, b = spec.a, spec.b
-
-    def ratios(lo, hi):
-        nxt = b[lo + 1:hi + 1]
-        return a[lo:hi] / b[lo:hi], a[lo:lo + nxt.shape[0]] / nxt
-
-    return _mu_dual_ratios(ratios, spec.N, p, _dual_mu_1(p, U_p))
+    return _mu_dual_ratios(_spec_ratios(spec), spec.N, p, _dual_mu_1(p, U_p))
 
 
 def _dual_mu_1(p: float, U_p: float) -> float:

@@ -32,9 +32,10 @@ The blocked tail inequality checked by check_bge is, for p >= 1, alpha > 0,
 with admissible_alpha giving the proven range alpha >= 1 - 1/(2p).
 
 mu_dual_copson and mu_bge add no recurrence of their own: they run the
-generic mu_dual recurrence (or mu_primal) on copson_matrix/bge_matrix,
-which has the hard domain ceiling, and check the trace against the
-analytic envelope that the admissibility proofs provide.
+drivers of mu_dual (or mu_primal) on the row ratios of
+copson_matrix/bge_matrix, formed a chunk at a time without either
+matrix, and check the trace against the analytic envelope that the
+admissibility proofs provide.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ import numpy as np
 from ._num import (_ROW_CHUNK, MuTrace, first_bad, margin_ok, suffix_sums,
                    trial_rows)
 from ._options import BRANCHES
-from .certificates import _binary64_pow, _dual_mu_1, _mu_dual_ratios, mu_primal
-from .factorable import bge_matrix, bge_steps
+from .certificates import (_binary64_pow, _dual_mu_1, _mu_dual_ratios,
+                           _mu_primal_ratios)
+from .factorable import bge_steps
 from .sequences import WeightSequence, averaged, build_weights
 
 RATIO_TOL = 1e-10  # LHS/RHS ratios above 1 + RATIO_TOL are violations
@@ -509,12 +511,13 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
            route: str = "dual") -> MuTrace:
     """Mu recurrences for the blocked tail inequality, either route.
 
-    dual route: mu_dual on bge_matrix(w, p, alpha), whose diagonal ratios
-    are 1/s_n with s_n = 1 - (Lam_{n-1}/Lam_n)^alpha (bge_steps), and
-    U_p = (alpha p/(p-1))^p.  The matrix's ratios a_n/b_n and
-    a_n/b_{n+1}, the steps s_n and the envelope are formed a chunk at a
-    time, as mu_dual forms its ratios, so none of a, b and s is held
-    whole; the spec's checks on every row run first, a chunk at a time.
+    dual route: mu_dual on the rows of bge_matrix(w, p, alpha), whose
+    diagonal ratios are 1/s_n with s_n = 1 - (Lam_{n-1}/Lam_n)^alpha
+    (bge_steps), and U_p = (alpha p/(p-1))^p.  The matrix's ratios
+    a_n/b_n and a_n/b_{n+1}, which both routes read from one row source,
+    the steps s_n and the envelope are formed a chunk at a time, so none
+    of a, b and s is held whole; the spec's checks on every row run
+    first, a chunk at a time.
     With q = p/(p-1) it reads
 
         mu_1 = ((p-1)/(alpha p))^q,
@@ -525,9 +528,9 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
     mu_n <= (s_n^(q/(q-1)) + (A lam_n/Lam_n)^(1/(q-1)))^(1-q) with
     A = alpha^q q^(q-1).
 
-    primal route (needs alpha > 1 - 1/p): the generic primal recurrence on
-    the blocked-tail factorable matrix with lam_p = ((p-1)/(alpha p))^p,
-    plus the analytic floor for n >= 2
+    primal route (needs alpha > 1 - 1/p, tested before lam_p is formed):
+    mu_primal on the same rows with lam_p = ((p-1)/(alpha p))^p, plus
+    the analytic floor for n >= 2
 
         mu_n >= (lam_{n-1}/Lam_{n-1})^(p-1) / ((p/(p-1))^(p-1) s_{n-1}^p).
     """
@@ -540,17 +543,16 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
     lam = w.values
     Lam = w.partials
     q = p / (p - 1.0)
+    e = 1.0 - 1.0 / p
+    _check_bge_rows(w, alpha, e)
+
+    def ratios(lo, hi):
+        # a_n/b_n and a_n/b_{n+1} of bge_matrix, b_n = lam_n^e
+        b = lam[lo:hi + 1] ** e
+        a = b[:hi - lo] / bge_steps(w, alpha, lo, hi)
+        return a / b[:hi - lo], a[:b.shape[0] - 1] / b[1:]
 
     if route == "dual":
-        e = 1.0 - 1.0 / p
-        _check_bge_rows(w, alpha, e)
-
-        def ratios(lo, hi):
-            # a_n/b_n and a_n/b_{n+1} of bge_matrix, b_n = lam_n^e
-            b = lam[lo:hi + 1] ** e
-            a = b[:hi - lo] / bge_steps(w, alpha, lo, hi)
-            return a / b[:hi - lo], a[:b.shape[0] - 1] / b[1:]
-
         trace = _mu_dual_ratios(ratios, w.N, p, _dual_mu_1(
             p, _binary64_pow(alpha * p / (p - 1.0), p, "U_p")))
         A = alpha ** q * q ** (q - 1.0)
@@ -562,13 +564,11 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
 
         return _with_envelope(trace, "mu < s_n^(-q)", targets)
 
-    # bge_matrix rejects stalled partial sums before alpha is checked
-    spec = bge_matrix(w, p, alpha)
-    lam_p = ((p - 1.0) / (alpha * p)) ** p
-    if not (lam_p < 1.0):
+    base = (p - 1.0) / (alpha * p)
+    if not (base < 1.0):
         raise ValueError("primal route needs alpha > 1 - 1/p")
-    trace = mu_primal(spec, p, lam_p)
-    del spec                  # the floor needs s_n, not a_n and b_n
+    trace = _mu_primal_ratios(ratios, w.N, p, _binary64_pow(
+        base, p, "lam_p = ((p-1)/(alpha p))^p"))
 
     def floors(lo, hi):
         s = bge_steps(w, alpha, lo - 1, hi - 1)

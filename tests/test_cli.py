@@ -153,6 +153,13 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
       "--N", "3000", "--p", "100", "--search-L"],
      "(a_n/b_n)^p mu_n / (mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) "
      "leaves the binary64 range at n = 1128"),
+    # ((p-1)/(alpha p))^p is about 10^2000: alpha is tested on the base
+    # before the power is taken (it used to be an OverflowError traceback)
+    (["copson", "bge-mu", "--p", "2000", "--alpha", "0.1", "--route",
+      "primal", "--N", "10"], "primal route needs alpha > 1 - 1/p"),
+    # ((p-1)/(alpha p))^p is about 10^-396
+    (["copson", "bge-mu", "--p", "5000", "--alpha", "1.2", "--route",
+      "primal", "--N", "10"], "lam_p = ((p-1)/(alpha p))^p underflows to 0"),
 ])
 def test_out_of_range_inputs_are_domain_errors(argv, message, capsys):
     assert run(argv) == 2

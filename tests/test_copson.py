@@ -250,6 +250,14 @@ def test_mu_bge_rejects_bad_routes_and_domains():
     stalled = build_weights("geometric", 5000, ratio=0.99)
     with pytest.raises(ValueError, match="power differences"):
         mu_bge(stalled, 2.0, 0.4, route="primal")
+    # alpha is tested before lam_p = ((p-1)/(alpha p))^p is formed, so a
+    # power above the binary64 range is no OverflowError, and a lam_p
+    # that underflows is named
+    with pytest.raises(ValueError, match="primal route needs alpha > 1 - 1/p"):
+        mu_bge(w, 2000.0, 0.1, route="primal")
+    with pytest.raises(ValueError,
+                       match=r"lam_p = \(\(p-1\)/\(alpha p\)\)\^p underflows"):
+        mu_bge(build_weights("constant", 50), 5000.0, 1.2, route="primal")
 
 
 @pytest.mark.parametrize("route", ["dual", "primal"])

@@ -1,7 +1,8 @@
 """The four scalar mu loops against the list-based loops they replaced.
 
-`certificates.mu_primal`, `certificates._mu_dual_ratios` (behind
-`mu_dual`, `mu_dual_copson` and the dual route of `mu_bge`),
+`certificates._mu_primal_ratios` (behind `mu_primal` and the primal
+route of `mu_bge`), `certificates._mu_dual_ratios` (behind `mu_dual`,
+`mu_dual_copson` and the dual route of `mu_bge`),
 `hlp.mu_direct` and `hlp.mu_dual` hand each trace to a growing
 array("d") a chunk of steps at a time.  The reference functions below
 are the loops they replaced, written out again here (the primal one with
@@ -543,16 +544,18 @@ def test_mu_dual_peak_memory_is_below_the_list_loop():
     assert got < 5 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
 
 
-def test_mu_bge_dual_peak_is_its_trace_and_one_chunk():
-    # the steps s_n are formed a chunk at a time, like the ratios and the
-    # envelope: past the trace (1.6 MB), one chunk of ratios, powers and
-    # their lists of Python floats stays (about 2.6 MiB), where a whole
-    # s (1.6 MB more) would not fit
+@pytest.mark.parametrize("route", ["dual", "primal"])
+def test_mu_bge_peak_is_its_trace_and_one_chunk(route):
+    # both routes read the same row source: the steps s_n are formed a
+    # chunk at a time, like the ratios and the envelope or floor; past
+    # the trace (1.6 MB), one chunk of ratios, powers and their lists of
+    # Python floats stays (about 2.6 MiB), where a whole s (1.6 MB more),
+    # or a whole bge_matrix, would not fit
     N = 200_000
     w = build_weights("power", N, exponent=0.5)
-    trace = mu_bge(w, 2.0, 0.8)
+    trace = mu_bge(w, 2.0, 0.8, route)
     assert trace.passed and trace.n_evaluated == N
-    got = _peak(mu_bge, w, 2.0, 0.8)
+    got = _peak(mu_bge, w, 2.0, 0.8, route)
     assert got < trace.mu.nbytes + 3.25 * 2 ** 20, got / 2 ** 20
 
 
