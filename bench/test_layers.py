@@ -23,7 +23,11 @@ on the product condition at N = 1e3 and 1e5, p = 2, on a seeded
 random-monotone list (0.05 plus a running sum of U(0, 1)), which the
 first `cli._HEAD` weights decide, and on power:0.5 weights, which they
 do not; the number of whole-list and head-only checks of one untimed
-search goes in `extra_info`.  The HLP searches are
+search goes in `extra_info`.  Each of the six vectorized `certify`
+checkers (`cartlidge`, `ratio`, `product`, `factorable-product`,
+`stepwise`, `stepwise-p2`) is timed through `cli.run_certificate`, as a
+command runs it, on power:0.5 weights at N = 1e5, p = 2 and L = 1, where
+every one passes.  The HLP searches are
 `hlp.certify_direct` at p = 0.35 (certified at n0 = 4) and 0.355
 (uncertified, the whole trace), and `hlp.search_c` at p = 0.345
 (feasible at n0 = 3) and 0.355 (infeasible), each with n0_max = N.  The random-trial batches run at N = 1e3, 2e4 and 1e5 with
@@ -338,6 +342,16 @@ def test_mu_primal_early_death(benchmark):
     trace = benchmark.pedantic(mu_primal, args=args, rounds=20,
                                warmup_rounds=1)
     assert trace.first_violation == 3
+
+
+@pytest.mark.parametrize("method", ["cartlidge", "ratio", "product",
+                                    "factorable-product", "stepwise",
+                                    "stepwise-p2"])
+def test_checker(benchmark, method):
+    w = build_weights("power", 10**5, exponent=0.5)
+    rep = benchmark.pedantic(cli.run_certificate, args=(method, w, 2.0, 1.0),
+                             rounds=50, warmup_rounds=1)
+    assert rep.passed
 
 
 @pytest.mark.parametrize("N", [10**3, 10**5])

@@ -32,14 +32,13 @@ __version__ = "0.1.0"
 # exported name -> the submodule defining it ("module.attr" where the
 # export is renamed), in __all__ order
 _EXPORTS = {
-    "PASS_RTOL": "_num", "RATIO_TOL": "copson", "comp_cumsum": "_num",
+    "PASS_RTOL": "_num", "RATIO_TOL": "_num", "comp_cumsum": "_num",
     "margin_ok": "_num", "suffix_sums": "_num",
-    "WeightSequence": "sequences", "AveragesBundle": "sequences",
-    "build_weights": "sequences", "load_weight_file": "sequences",
-    "averages": "sequences",
+    "WeightSequence": "sequences", "build_weights": "sequences",
+    "load_weight_file": "sequences",
     "FactorableSpec": "factorable", "weighted_mean": "factorable",
     "copson_matrix": "factorable", "bge_matrix": "factorable",
-    "hlp_dual_matrix": "factorable", "cesaro": "factorable",
+    "cesaro": "factorable",
     "NormEstimate": "norm_probe", "power_lower_bound": "norm_probe",
     "ratio_at": "norm_probe",
     "BoundParams": "certificates", "MuTrace": "_num",
@@ -55,8 +54,8 @@ _EXPORTS = {
     "BranchReport": "copson", "copson_root": "copson",
     "copson_threshold": "copson", "admissible_c": "copson",
     "check_kernel_inequality": "copson", "branch_constant": "copson",
-    "check_copson_branch": "copson", "near_extremal_ratio": "copson",
-    "near_extremal_schedule": "copson", "admissible_alpha": "copson",
+    "check_copson_branch": "copson", "near_extremal_schedule": "copson",
+    "admissible_alpha": "copson",
     "check_bge": "copson", "mu_dual_copson": "copson", "mu_bge": "copson",
     "KINDS": "_options", "MU_CHOICES": "_options",
     "StrengthenedCase": "strengthened", "StrengthenedReport": "strengthened",

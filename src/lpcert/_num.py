@@ -42,9 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative slack used when a certificate condition is tested for pass/fail.
-# Margins themselves are always reported raw.
+# Every pass/fail slack; margins themselves are always reported raw.
+# A certificate margin passes down to -PASS_RTOL times its scale,
 PASS_RTOL = 1e-12
+# and a trial's LHS/RHS ratio up to 1 + RATIO_TOL.
+RATIO_TOL = 1e-10
 
 # Rows a blocked loop takes at a time: the values comp_cumsum sums per
 # block, and the rows of ratios and powers a mu trace forms at once
@@ -141,12 +143,15 @@ def margin_ok(margin: float, scale: float) -> bool:
     return margin >= -PASS_RTOL * max(abs(scale), 1.0)
 
 
+def margins_ok(margins: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """`margin_ok` elementwise: True where the margin passes."""
+    scales = np.maximum(np.abs(scales), 1.0)
+    return (margins >= -PASS_RTOL * scales) & np.isfinite(margins)
+
+
 def first_bad(margins: np.ndarray, scales: np.ndarray):
     """Index (0-based) of the first margin failing `margin_ok`, or None."""
-    scales = np.maximum(np.abs(scales), 1.0)
-    bad = ~(margins >= -PASS_RTOL * scales)
-    bad |= ~np.isfinite(margins)
-    idx = np.flatnonzero(bad)
+    idx = np.flatnonzero(~margins_ok(margins, scales))
     return int(idx[0]) if idx.size else None
 
 

@@ -9,7 +9,8 @@ Checkers, from weakest hypothesis to most specialized:
 
   check_product_condition    weighted mean matrices; for every n,
       sum_{k<=n} (lam_k/Lam_n) prod_{i=k..n} ((R_{i+1} - L/p)/R_i)^(1/(p-1))
-      <= p/(p-L),  where R_n = Lam_n/lam_n.
+      <= p/(p-L),  where R_n = Lam_n/lam_n: check_factorable_product on
+      weighted_mean(w), the one evaluator of every product condition.
   check_ratio_condition      weighted mean matrices; per-index test
       R_{n+1} <= R_n (1 - L lam_n/(p Lam_n))^(1-p) + L/p.
   cartlidge_constant         L = sup_n (R_{n+1} - R_n); the classical
@@ -20,7 +21,10 @@ Checkers, from weakest hypothesis to most specialized:
   check_factorable_stepwise  consecutive-pair condition equivalent to one
       step of the primal mu recurrence staying above a linear floor.
   check_stepwise_p2          weighted mean, p = 2 specialization of the
-      stepwise condition in terms of the ratio differences.
+      stepwise condition in terms of the ratio differences; the accurate
+      p = 2 verdict: its margins, in units of R_{n+1} - R_n, are within
+      about 4e-14 of exact, while the general form's slack scales with
+      its product (about R_n^3), so it passes L up to 2e-9 too small.
 
 mu_primal and mu_dual run the recurrences behind these certificates
 directly; a completed trace is itself a certificate at truncation N.
@@ -40,12 +44,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._num import _ROW_CHUNK, MuTrace, first_bad, margin_ok
-from .factorable import FactorableSpec, _require_normalized
+from .factorable import FactorableSpec, _require_normalized, weighted_mean
 from .sequences import WeightSequence
 
 
@@ -95,14 +99,12 @@ class CertificateReport:
     worst_margin: float
     bound: float | None
     L: float | None = None
-    c: float | None = None
-    alpha: float | None = None
     note: str = ""
 
     def to_dict(self) -> dict:
         return {
-            "method": self.method, "p": self.p, "L": self.L, "c": self.c,
-            "alpha": self.alpha, "N": self.N, "pass": self.passed,
+            "method": self.method, "p": self.p, "L": self.L, "c": None,
+            "alpha": None, "N": self.N, "pass": self.passed,
             "first_fail": self.first_fail, "worst_margin": self.worst_margin,
             "bound": self.bound, "note": self.note,
         }
@@ -121,16 +123,16 @@ def _report(method: str, params: BoundParams, N: int, margins: np.ndarray,
 
 def _nonpositive_report(values: np.ndarray, method: str, params: BoundParams,
                         N: int, what: str) -> CertificateReport | None:
-    """The failing report at the first n with values[n-1] <= 0 (margins 0
-    before it, NaN on it), or None when every value is positive."""
+    """The failing report at the first n with values[n-1] <= 0 (its worst
+    margin NaN), or None when every value is positive."""
     bad = np.flatnonzero(values <= 0.0)
     if not bad.size:
         return None
-    k = int(bad[0])
-    margins = np.full(k + 1, np.nan)
-    margins[:k] = 0.0
-    return _report(method, params, N, margins, np.ones_like(margins),
-                   note=f"{what} at n={k + 1}")
+    n = int(bad[0]) + 1
+    return CertificateReport(
+        method=method, p=params.p, L=params.L, N=N, passed=False,
+        first_fail=n, worst_margin=math.nan, bound=params.bound,
+        note=f"{what} at n={n}")
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +157,7 @@ def check_cartlidge(w: WeightSequence, p: float, L: float) -> CertificateReport:
 
 
 # ----------------------------------------------------------------------
-# Ratio and product conditions for weighted mean matrices
+# Ratio and product conditions
 
 
 def check_ratio_condition(w: WeightSequence, p: float, L: float) -> CertificateReport:
@@ -173,45 +175,37 @@ def check_ratio_condition(w: WeightSequence, p: float, L: float) -> CertificateR
     return _report("ratio", params, w.N, margins, scales)
 
 
-def _product_condition(a: np.ndarray, b: np.ndarray, params: BoundParams,
-                       factors_num: np.ndarray, method: str, N: int) -> CertificateReport:
-    """Shared log-space evaluator for the product conditions.
+def check_factorable_product(spec: FactorableSpec, p: float, L: float) -> CertificateReport:
+    """Product condition for a normalized factorable matrix, checked in
+    log space for 1 <= n <= N-1:
 
-    factors_num[i] is the factor numerator at math index i+1; the factor is
-    factors_num[i] / (a_i/b_i).  Condition at n (1 <= n <= N-1):
-
-        (1/a_n) sum_{k<=n} b_k prod_{i=k..n} factor_i^(1/(p-1)) <= p/(p-L).
+        (1/a_n) sum_{k<=n} b_k prod_{i=k..n} f_i^(1/(p-1)) <= p/(p-L),
+        f_i = (a_i/b_{i+1} + 1 - L/p) / (a_i/b_i).
     """
-    failed = _nonpositive_report(factors_num, method, params, N,
+    params = BoundParams(p, L)
+    _require_normalized(spec, "product certificate")
+    a, b = spec.a, spec.b
+    nums = a[:-1] / b[1:] + 1.0 - L / p
+    failed = _nonpositive_report(nums, "factorable-product", params, spec.N,
                                  "nonpositive product factor")
     if failed is not None:
         return failed
-    lnf = (np.log(factors_num) - np.log((a / b)[:-1])) / (params.p - 1.0)
-    C = np.cumsum(lnf)                      # C[i] = sum_{j<=i+1} ln factor_j^(1/(p-1))
+    lnf = (np.log(nums) - np.log((a / b)[:-1])) / (p - 1.0)
+    C = np.cumsum(lnf)                      # C[i] = sum_{j<=i+1} ln f_j^(1/(p-1))
     Cprev = np.concatenate(([0.0], C[:-1]))
     terms = np.log(b[:-1]) - Cprev          # ln b_k - C_{k-1}, k = 1..N-1
     S = np.logaddexp.accumulate(terms)
     lhs = np.exp(C + S - np.log(a[:-1]))
     margins = params.bound - lhs
     scales = np.maximum(lhs, params.bound)
-    return _report(method, params, N, margins, scales)
+    return _report("factorable-product", params, spec.N, margins, scales)
 
 
 def check_product_condition(w: WeightSequence, p: float, L: float) -> CertificateReport:
-    """Weighted mean product condition, checked for n <= N-1."""
-    params = BoundParams(p, L)
-    r = w.ratios
-    nums = r[1:] - L / p
-    return _product_condition(w.partials, w.values, params, nums, "product", w.N)
-
-
-def check_factorable_product(spec: FactorableSpec, p: float, L: float) -> CertificateReport:
-    """Product condition for a normalized factorable matrix, n <= N-1."""
-    params = BoundParams(p, L)
-    _require_normalized(spec, "product certificate")
-    nums = spec.a[:-1] / spec.b[1:] + 1.0 - L / p
-    return _product_condition(spec.a, spec.b, params, nums,
-                              "factorable-product", spec.N)
+    """Weighted mean product condition, n <= N-1: the factorable one on
+    weighted_mean(w), whose factor numerator is R_{n+1} - L/p."""
+    return replace(check_factorable_product(weighted_mean(w), p, L),
+                   method="product")
 
 
 # ----------------------------------------------------------------------

@@ -110,8 +110,6 @@ def csv_rows(report: dict) -> list[dict]:
     if "c_or_alpha" in report:
         key = "alpha" if report.get("branch") == "bge" else "c"
         row[key] = report["c_or_alpha"]
-    if row.get("first_fail") is None:
-        row["first_fail"] = report.get("argmin", report.get("argmax", ""))
     if row.get("worst_margin") is None:
         row["worst_margin"] = report.get("min_margin",
                                          report.get("margin", ""))
@@ -466,6 +464,7 @@ def cmd_strengthened(args) -> tuple[dict, bool | None]:
 
 def cmd_hlp(args) -> tuple[dict, bool | None]:
     from . import hlp
+    from ._num import RATIO_TOL
 
     if args.hlp_cmd == "threshold" and args.bracket:
         lo, hi = hlp.bracket_threshold()
@@ -483,13 +482,13 @@ def cmd_hlp(args) -> tuple[dict, bool | None]:
     if args.hlp_cmd == "probe":
         ratio = hlp.probe_primal(args.p, args.s, args.N)
         floor = hlp.hlp_constant(args.p)
-        ok = ratio >= floor - 1e-9
+        ok = ratio >= floor - hlp.PROBE_SLACK
         return ({"method": "probe-primal", "p": args.p, "s": args.s,
                  "N": args.N, "ratio": ratio, "constant": floor,
                  "pass": ok}, ok)
     if args.hlp_cmd == "dual-probe":
         worst = hlp.probe_dual_trials(args.p, args.N, args.trials, args.seed)
-        ok = worst <= 1.0 + 1e-10
+        ok = worst <= 1.0 + RATIO_TOL
         return ({"method": "probe-dual", "p": args.p, "N": args.N,
                  "trials": args.trials, "max_ratio": worst, "pass": ok}, ok)
     if args.hlp_cmd == "search":

@@ -45,15 +45,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import (_ROW_CHUNK, MuTrace, first_bad, margin_ok, suffix_sums,
-                   trial_rows)
+from ._num import (_ROW_CHUNK, RATIO_TOL, MuTrace, first_bad, margin_ok,
+                   suffix_sums, trial_rows)
 from ._options import BRANCHES
 from .certificates import (_binary64_pow, _dual_mu_1, _mu_dual_ratios,
                            _mu_primal_ratios)
 from .factorable import bge_steps
 from .sequences import WeightSequence, averaged, build_weights
-
-RATIO_TOL = 1e-10  # LHS/RHS ratios above 1 + RATIO_TOL are violations
 
 # (sum direction, partials) of each branch's inner average: copson
 # branches average against the prefix partials (so copson_tail divides a
@@ -68,7 +66,7 @@ _NEEDS_C_ABOVE_1 = {"copson_prefix": True, "copson_tail": False,
 
 # points of the uniform grid on [0, 1] behind check_kernel_inequality
 _KERNEL_GRID = 4096
-# x_n = n^(-1/p - _OFFSET) in the near-extremal probes
+# x_n = n^(-1/p - _OFFSET) in near_extremal_schedule
 _OFFSET = 0.01
 
 
@@ -309,18 +307,17 @@ def _branch_weights(w: WeightSequence, branch: str, p: float,
 
 def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
     """Per-trial LHS/RHS ratios of the p-th power branch inequality, as a
-    function of the trial rows (which it overwrites) and an optional
-    trial_rows workspace, whose first array holds the averages; K^p and
-    u are formed once."""
+    function of the trial rows (which it overwrites) and a trial_rows
+    workspace, whose first array holds the averages; K^p and u are
+    formed once."""
     # branch_constant validates branch and c
     Kp = _binary64_pow(branch_constant(branch, p, c), p, "K^p")
     direction, base = _BRANCH_SUMS[branch]
     u = _branch_weights(w, branch, p, c)
 
-    def ratios(X, work=None):
-        S = work[0] if work else np.empty(X.shape)
+    def ratios(X, work):
         X /= np.max(X, axis=-1, keepdims=True)
-        inner = averaged(w, X, direction, base, out=S)
+        inner = averaged(w, X, direction, base, out=work[0])
         inner **= p
         lhs = np.sum(np.multiply(inner, u, out=inner), axis=-1)
         X **= p
@@ -355,19 +352,6 @@ def check_copson_branch(w: WeightSequence, p: float, c: float, branch: str,
         raise ValueError("need trials >= 1")
     return _trial_report(w, branch, p, c, trials, seed,
                          _branch_ratios(w, branch, p, c))
-
-
-def near_extremal_ratio(p: float, c: float, N: int) -> float:
-    """copson_prefix ratio for constant weights and x_n = n^(-1/p-0.01).
-
-    As N grows (the schedule doubles N) the ratio increases toward the
-    best-possible-constant limit; the fixed offset 0.01 keeps the p-th
-    power sums convergent so the climb is monotone.
-    """
-    w = build_weights("constant", N)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    x = n ** (-1.0 / p - _OFFSET)
-    return float(_branch_ratios(w, "copson_prefix", p, c)(x[None, :])[0])
 
 
 def near_extremal_schedule(p: float, c: float, n_start: int = 64,
@@ -597,9 +581,9 @@ def _check_bge_rows(w: WeightSequence, alpha: float, e: float) -> None:
 
 
 __all__ = [
-    "RATIO_TOL", "BRANCHES", "RootResult", "copson_root", "copson_threshold",
+    "BRANCHES", "RootResult", "copson_root", "copson_threshold",
     "admissible_c", "KernelReport", "check_kernel_inequality",
     "BranchReport", "branch_constant", "branch_parts", "check_copson_branch",
-    "near_extremal_ratio", "near_extremal_schedule", "admissible_alpha",
+    "near_extremal_schedule", "admissible_alpha",
     "check_bge", "mu_dual_copson", "mu_bge",
 ]

@@ -15,7 +15,6 @@ Constructors cover the families the certificates target:
     bge_matrix(w, p, alpha): a_n = lam_n^(1-1/p) / s_n,
                              b_k = lam_k^(1-1/p),
                              s_n = 1 - (Lam_{n-1}/Lam_n)^alpha
-    hlp_dual_matrix(N):      a_n = 1, b_k = 1/k
 
 weighted_mean with constant weights is the Cesaro matrix (entries 1/n).
 copson_matrix and bge_matrix are normalized (a_1 = b_1) for every weight
@@ -145,16 +144,6 @@ def bge_matrix(w: WeightSequence, p: float, alpha: float) -> FactorableSpec:
     return FactorableSpec(kind=f"bge(p={p:g},alpha={alpha:g})", a=a, b=base)
 
 
-def hlp_dual_matrix(N: int) -> FactorableSpec:
-    """Prefix sums of x_k/k: the transpose companion of the harmonic kernel
-    used on the 0 < p < 1 side (probed there with negative exponents)."""
-    if not isinstance(N, int) or N < 1:
-        raise ValueError("N must be a positive integer")
-    a = np.ones(N, dtype=np.float64)
-    b = 1.0 / np.arange(1, N + 1, dtype=np.float64)
-    return FactorableSpec(kind="hlp_dual", a=a, b=b)
-
-
 def cesaro(N: int) -> FactorableSpec:
     """Convenience: the Cesaro matrix, entries 1/n for k <= n."""
     a = np.arange(1, N + 1, dtype=np.float64)
@@ -170,5 +159,5 @@ def _require_normalized(spec: FactorableSpec, what: str):
 
 __all__ = [
     "FactorableSpec", "weighted_mean", "copson_matrix", "bge_steps",
-    "bge_matrix", "hlp_dual_matrix", "cesaro",
+    "bge_matrix", "cesaro",
 ]

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import (_ROW_CHUNK, PASS_RTOL, MuTrace, margin_ok, suffix_sums,
+from ._num import (_ROW_CHUNK, MuTrace, margin_ok, margins_ok, suffix_sums,
                    trial_rows)
 from ._options import N_MAX_DEFAULT
 
@@ -71,6 +71,9 @@ from ._options import N_MAX_DEFAULT
 # are small (4 at p = 0.35 on the direct route, 5 on the dual one), and
 # the extra prefix costs an uncertified full search about 0.1% at 1e6.
 _PREFIX = 1024
+
+# probe_primal's ratio passes down to C_p - PROBE_SLACK (absolute)
+PROBE_SLACK = 1e-9
 
 
 def hlp_constant(p: float) -> float:
@@ -169,8 +172,7 @@ def _floor_scan(p: float, trace: MuTrace, n0_max: int) -> DirectCertificate:
     floors = a * n + b
     slack = trace.mu - floors
     scales = np.maximum(np.abs(trace.mu), np.abs(floors))
-    ok = slack >= -PASS_RTOL * np.maximum(scales, 1.0)
-    idx = np.flatnonzero(ok)
+    idx = np.flatnonzero(margins_ok(slack, scales))
     if idx.size == 0:
         return DirectCertificate(p=p, n0=None, margin=float(np.max(slack)),
                                  n0_max=n0_max, trace=trace)
@@ -394,7 +396,9 @@ def probe_primal(p: float, s: float, N: int) -> float:
 
     Tail truncation only lowers the LHS, so any return below C_p would
     contradict the inequality; values approach C_p from above as
-    s -> (1/p)+ and N grows.
+    s -> (1/p)+ and N grows.  The probe passes when the ratio is at
+    least C_p - PROBE_SLACK (absolute, 1e-9), which absorbs the rounding
+    of the two sums.
     """
     if not (0.0 < p < 1.0):
         raise ValueError("need 0 < p < 1")

@@ -208,17 +208,6 @@ def _weight_lines(path: str) -> list[float]:
     return vals
 
 
-@dataclass(frozen=True)
-class AveragesBundle:
-    """The four averaged transforms of one input vector."""
-
-    x: np.ndarray
-    prefix_mean: np.ndarray
-    tail_mean: np.ndarray
-    dual_prefix: np.ndarray
-    dual_tail: np.ndarray
-
-
 def averaged(w: WeightSequence, X, direction: str, base: str,
              dual: bool = False, out=None) -> np.ndarray:
     """One averaged transform of x, row-wise along the last axis of X,
@@ -243,16 +232,3 @@ def averaged(w: WeightSequence, X, direction: str, base: str,
         return np.multiply(summed, lam, out=summed)
     return np.divide(summed, B, out=summed)
 
-
-def averages(w: WeightSequence, x) -> AveragesBundle:
-    """Compute all four averaged transforms of x against w (O(N) each)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (w.N,):
-        raise ValueError(f"x must have shape ({w.N},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    return AveragesBundle(
-        x=x, prefix_mean=averaged(w, x, "prefix", "partials"),
-        tail_mean=averaged(w, x, "suffix", "tails"),
-        dual_prefix=averaged(w, x, "suffix", "partials", dual=True),
-        dual_tail=averaged(w, x, "prefix", "tails", dual=True))

@@ -37,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import _BLOCK_ELEMS, first_bad, trial_rows, workspace
+from ._num import _BLOCK_ELEMS, RATIO_TOL, first_bad, trial_rows, workspace
 from ._options import BRANCHES, KINDS, MU_CHOICES
 from .certificates import _binary64_pow, cartlidge_constant
-from .copson import _BRANCH_SUMS, RATIO_TOL, _branch_weights, branch_constant
+from .copson import _BRANCH_SUMS, _branch_weights, branch_constant
 from .sequences import WeightSequence, averaged
 
 _COPSON_KINDS = BRANCHES

@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,14 +96,6 @@ def test_comparability_pair_separates_the_two_tests():
     assert check_ratio_condition(b, 2.0, 1.0).passed
 
 
-def test_product_condition_on_factorable_matches_weight_form():
-    w = build_weights("power", 30, exponent=0.5)
-    L = cartlidge_constant(w)
-    rep_w = check_product_condition(w, 2.0, L)
-    rep_f = check_factorable_product(weighted_mean(w), 2.0, L)
-    assert rep_w.passed == rep_f.passed
-
-
 def _seeded_weight_lists(sizes=(2, 3, 50, 200)):
     """Six seeded lists at each N: log-uniform positive weights in
     [0.1, 10] on even seeds, increasing ones (0.05 plus a running sum of
@@ -112,6 +106,46 @@ def _seeded_weight_lists(sizes=(2, 3, 50, 200)):
             values = (10.0 ** rng.uniform(-1.0, 1.0, N) if seed % 2 == 0
                       else 0.05 + np.cumsum(rng.uniform(0.0, 1.0, N)))
             yield build_weights("explicit", N, values=values)
+
+
+def test_product_condition_on_factorable_matches_weight_form():
+    # one evaluator: the weight form is the factorable report on
+    # weighted_mean(w), digit for digit, under its own method name
+    for w in _seeded_weight_lists():
+        for p in (1.5, 2.0, 3.0):
+            for L in (0.1 * p, 0.5 * p, 0.9 * p):
+                rep_w = check_product_condition(w, p, L)
+                rep_f = check_factorable_product(weighted_mean(w), p, L)
+                assert rep_w.method == "product"
+                assert rep_w == replace(rep_f, method="product"), (w.N, p, L)
+
+
+def _exact_stepwise_p2_worst_margin(w, L: float) -> Fraction:
+    """check_stepwise_p2's smallest margin, evaluated exactly from the
+    binary64 weights and partial sums."""
+    L = Fraction(L)
+    k = L * L / 4 * (1 + L / 2) / (1 - L / 2)
+    R = [Fraction(s) / Fraction(v) for s, v in zip(w.partials.tolist(),
+                                                   w.values.tolist())]
+    return min(L + k / (R1 + L / 2) - (R1 - R0) for R0, R1 in zip(R, R[1:]))
+
+
+@pytest.mark.parametrize("kind, param", [
+    ("constant", None), ("power", 0.5), ("power", 1.0), ("power", 2.0),
+    ("geometric", 1.1)])
+def test_stepwise_p2_margins_are_accurate(kind, param):
+    # the reason check_stepwise_p2 is kept beside check_factorable_stepwise:
+    # at the smallest L it accepts, its worst margin, in units of
+    # R_{n+1} - R_n, is the exact one to within 1e-13 (measured: 1.7e-14
+    # at most); the general form's margins are products of size up to
+    # about R_n^3, whose 1e-12 relative pass slack admits a smaller L
+    opts = ({"exponent": param} if kind == "power"
+            else {"ratio": param} if kind == "geometric" else {})
+    w = build_weights(kind, 200, **opts)
+    L = search_smallest_L("stepwise-p2", w, 2.0)
+    got = check_stepwise_p2(w, L).worst_margin
+    exact = _exact_stepwise_p2_worst_margin(w, L)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-13), (got, float(exact))
 
 
 @pytest.mark.parametrize("method", CERTIFY_METHODS)

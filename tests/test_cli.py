@@ -311,6 +311,17 @@ def test_csv_root_report(tmp_path):
     assert float(cells[9]) == pytest.approx(np.sqrt(5.0), abs=1e-12)
 
 
+def test_csv_branch_report_leaves_first_fail_empty(tmp_path):
+    # a trial batch has no failing index: its argmin is the trial that
+    # came closest, which stays in the JSON report only
+    out = tmp_path / "r.csv"
+    assert run(["copson", "branch", "--branch", "copson_prefix", "--p", "2",
+                "--c", "2", "--N", "100", "--trials", "20", "--format", "csv",
+                "--out", str(out)]) == 0
+    cells = out.read_text().splitlines()[1].split(",")
+    assert cells[6:8] == ["true", ""]
+
+
 def test_csv_compare_rows(tmp_path):
     out = tmp_path / "r.csv"
     assert run(["compare", "--methods", "cartlidge,ratio", "--p", "2",

@@ -12,8 +12,7 @@ from lpcert import (BRANCHES, PASS_RTOL, admissible_alpha, admissible_c,
                     branch_constant, build_weights, check_bge,
                     check_copson_branch,
                     check_kernel_inequality, copson_root, copson_threshold,
-                    mu_bge, mu_dual_copson, near_extremal_ratio,
-                    near_extremal_schedule)
+                    mu_bge, mu_dual_copson, near_extremal_schedule)
 from lpcert.copson import branch_parts
 from lpcert.factorable import bge_steps
 
@@ -167,8 +166,6 @@ def test_near_extremal_schedule_monotone_toward_one():
     ratios = [r for _, r in sched]
     assert all(b >= a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] < 1.0
-    assert near_extremal_ratio(2.0, 2.0, 4096) == pytest.approx(
-        ratios[-1], rel=1e-12)
 
 
 def test_near_extremal_schedule_names_an_out_of_range_K_p():

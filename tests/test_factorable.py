@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpcert import (FactorableSpec, bge_matrix, build_weights, cesaro,
-                    copson_matrix, hlp_dual_matrix, weighted_mean)
+                    copson_matrix, weighted_mean)
 
 weight_arrays = st.lists(
     st.floats(min_value=1e-2, max_value=1e2, allow_nan=False,
@@ -96,14 +96,6 @@ def test_bge_matrix_stays_finite_on_large_partial_sums():
     prev = np.concatenate(([0.0], Lam[:-1]))
     power_form = lam ** 0.5 * Lam ** 1.5 / (Lam ** 1.5 - prev ** 1.5)
     assert np.allclose(spec.a[:200], power_form, rtol=1e-12, atol=0.0)
-
-
-def test_hlp_dual_matrix_columns():
-    spec = hlp_dual_matrix(4)
-    dense = dense_oracle(spec)
-    for k in range(4):
-        col = dense[k:, k]
-        assert np.allclose(col, 1.0 / (k + 1), rtol=1e-15)
 
 
 def test_to_dense_refuses_large():

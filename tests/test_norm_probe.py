@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpcert import (build_weights, cesaro, hlp_dual_matrix, power_lower_bound,
+from lpcert import (FactorableSpec, build_weights, cesaro, power_lower_bound,
                     ratio_at, weighted_mean)
 
 
@@ -81,10 +81,12 @@ def test_lower_bound_monotone_in_truncation():
 
 
 def test_negative_exponent_norm_on_small_dual_matrix():
-    # for the dual matrix with N = 2 and exponent -1, the all-ones
+    # for the dual matrix (a_n = 1, b_k = 1/k, the prefix sums of x_k/k)
+    # with N = 2 and exponent -1, the all-ones
     # vector gives means (1, 3/2) entrywise summed as harmonic ratios:
     # ||y||/-1 / ||x||_-1 = (3/5)/(1/2) = 1.2, computable by hand
-    spec = hlp_dual_matrix(2)
+    spec = FactorableSpec(kind="hlp_dual", a=np.ones(2),
+                          b=np.array([1.0, 0.5]))
     got = ratio_at(spec, -1.0, np.ones(2))
     assert got == pytest.approx(1.2, rel=1e-13)
 

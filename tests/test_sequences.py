@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpcert import (averages, build_weights, cli, comp_cumsum,
-                    load_weight_file, sequences, suffix_sums)
+from lpcert import (build_weights, cli, comp_cumsum, load_weight_file,
+                    sequences, suffix_sums)
+from lpcert.sequences import averaged
 from lpcert._num import _ROW_CHUNK
 
 finite_weights = st.lists(
@@ -222,10 +223,13 @@ def test_comp_cumsum_beats_naive_on_adversarial_input():
     assert out[-1] == 2.0
 
 
-def test_averages_bundle_matches_direct_sums():
+def test_four_averaged_transforms_match_direct_sums():
     w = build_weights("power", 5, exponent=1.0)
     x = np.array([2.0, 0.5, 1.0, 3.0, 0.25])
-    b = averages(w, x)
+    prefix_mean = averaged(w, x, "prefix", "partials")
+    tail_mean = averaged(w, x, "suffix", "tails")
+    dual_prefix = averaged(w, x, "suffix", "partials", dual=True)
+    dual_tail = averaged(w, x, "prefix", "tails", dual=True)
     lam = w.values
     direct_prefix = [float(np.sum(lam[:n] * x[:n]) / w.partials[n - 1])
                      for n in range(1, 6)]
@@ -236,10 +240,10 @@ def test_averages_bundle_matches_direct_sums():
                           for n in range(1, 6)]
     direct_dual_tail = [float(lam[n - 1] * np.sum(x[:n] / w.tails[:n]))
                         for n in range(1, 6)]
-    assert np.allclose(b.prefix_mean, direct_prefix, rtol=1e-13)
-    assert np.allclose(b.tail_mean, direct_tail, rtol=1e-13)
-    assert np.allclose(b.dual_prefix, direct_dual_prefix, rtol=1e-13)
-    assert np.allclose(b.dual_tail, direct_dual_tail, rtol=1e-13)
+    assert np.allclose(prefix_mean, direct_prefix, rtol=1e-13)
+    assert np.allclose(tail_mean, direct_tail, rtol=1e-13)
+    assert np.allclose(dual_prefix, direct_dual_prefix, rtol=1e-13)
+    assert np.allclose(dual_tail, direct_dual_tail, rtol=1e-13)
 
 
 def test_weight_file_parsing(tmp_path):

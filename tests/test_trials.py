@@ -22,7 +22,8 @@ from lpcert import (BRANCHES, KINDS, StrengthenedCase, build_weights,
                     check_bge, check_copson_branch, cli, probe_dual_trials,
                     strengthened_trials)
 from lpcert import _num, hlp
-from lpcert.copson import RATIO_TOL, BranchReport, branch_constant
+from lpcert._num import RATIO_TOL
+from lpcert.copson import BranchReport, branch_constant
 from lpcert.strengthened import StrengthenedReport, _deterministic_profiles
 
 # ----------------------------------------------------------------------
