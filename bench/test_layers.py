@@ -18,16 +18,20 @@ ones, runs to N); each mu trace also records the tracemalloc peak of
 one untimed call in `extra_info`.  `mu_dual` is also timed on a claim
 that dies at n = 4 (power:1 weights, p = 2, L = 0.25, N = 1e6), and
 `mu_primal` on a claim that dies at n = 3 (the Cesaro matrix, p = 2,
-lam_p = 0.9, N = 1e6), each with its peak, and `cli.search_smallest_L`
-on the product condition at N = 1e3 and 1e5, p = 2, on a seeded
-random-monotone list (0.05 plus a running sum of U(0, 1)), which the
-first `cli._HEAD` weights decide, and on power:0.5 weights, which they
-do not; the number of whole-list and head-only checks of one untimed
-search goes in `extra_info`.  Each of the six vectorized `certify`
-checkers (`cartlidge`, `ratio`, `product`, `factorable-product`,
-`stepwise`, `stepwise-p2`) is timed through `cli.run_certificate`, as a
-command runs it, on power:0.5 weights at N = 1e5, p = 2 and L = 1, where
-every one passes.  The HLP searches are
+lam_p = 0.9, N = 1e6), each with its peak.  `test_step_loops` times
+`mu_primal` and `mu_dual` at N = 1e6, p = 2 (the weights above) with the
+compiled step loops of `lpcert._kernel` and with the Python ones
+(skipping the compiled case where no compiler is present), and
+`test_kernel_build` one cold build of the kernel library.
+`cli.search_smallest_L` is timed on the product condition at N = 1e3 and
+1e5, p = 2, on a seeded random-monotone list (0.05 plus a running sum of
+U(0, 1)), which the first `cli._HEAD` weights decide, and on power:0.5
+weights, which they do not; the number of whole-list and head-only
+checks of one untimed search goes in `extra_info`.  Each of the six
+vectorized `certify` checkers (`cartlidge`, `ratio`, `product`,
+`factorable-product`, `stepwise`, `stepwise-p2`) is timed through
+`cli.run_certificate`, as a command runs it, on power:0.5 weights at N =
+1e5, p = 2 and L = 1, where every one passes.  The HLP searches are
 `hlp.certify_direct` at p = 0.35 (certified at n0 = 4) and 0.355
 (uncertified, the whole trace), and `hlp.search_c` at p = 0.345
 (feasible at n0 = 3) and 0.355 (infeasible), each with n0_max = N.  The random-trial batches run at N = 1e3, 2e4 and 1e5 with
@@ -78,6 +82,7 @@ import numpy as np
 import pytest
 
 import lpcert
+from lpcert import _kernel, certificates
 from lpcert import (BoundParams, StrengthenedCase, build_weights,
                     certify_direct, cesaro, check_bge, check_copson_branch,
                     cli, comp_cumsum, copson_root, copson_threshold, hlp,
@@ -323,6 +328,29 @@ def test_mu_trace(benchmark, route, N):
                                warmup_rounds=1)
     assert trace.n_evaluated == N
     assert trace.passed or route.startswith("hlp")
+
+
+@pytest.mark.parametrize("loops", ["compiled", "python"])
+@pytest.mark.parametrize("route", ["mu_primal", "mu_dual"])
+def test_step_loops(benchmark, monkeypatch, route, loops):
+    if loops == "python":
+        monkeypatch.setattr(certificates, "_step_loops", lambda: (
+            certificates._dual_steps, certificates._primal_steps))
+    elif _kernel.loops() is None:
+        pytest.skip("no C compiler: only the Python step loops run")
+    fn, args = _mu_call(route, 10**6)
+    trace = benchmark.pedantic(fn, args=args, rounds=TRACE_ROUNDS[10**6],
+                               warmup_rounds=1)
+    assert trace.passed and trace.n_evaluated == 10**6
+
+
+def test_kernel_build(benchmark, tmp_path):
+    material = _kernel._material()
+    paths = iter(str(tmp_path / f"steps-{i}.so") for i in range(100))
+    built = benchmark.pedantic(lambda: _kernel._build(next(paths), material),
+                               rounds=5, warmup_rounds=1)
+    if not built:
+        pytest.skip("no C compiler")
 
 
 def test_mu_dual_early_death(benchmark):

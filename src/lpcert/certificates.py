@@ -31,11 +31,20 @@ directly; a completed trace is itself a certificate at truncation N.
 Both read a spec's rows a _ROW_CHUNK at a time from one row source
 (_spec_ratios: a_n/b_n and a_n/b_(n+1), the primal a_(n-1)/b_n being
 the row before's a_n/b_(n+1)), form their powers with numpy over the
-chunk, run the recurrence over it as scalar float steps, and hand each
-chunk of steps to a growing array("d") trace (8 bytes a value, viewed
-by numpy without a copy), never holding the trace as a list of floats
-or reserving N values for it; of the margins, each keeps only their
-running minimum (MuTrace).
+chunk, and run the recurrence over it in a step loop that appends to a
+growing array("d") trace (8 bytes a value, viewed by numpy without a
+copy), never holding the trace as a list of floats or reserving N
+values for it; of the margins, each keeps only their running minimum
+(MuTrace).  The step loop is the only part of a trace that cannot be
+vectorized (each step needs the one before it through a pow), so it
+runs in C where it can: _kernel builds it with the system cc on the
+first trace of a process and caches the library.  Where no compiler is
+present or the build fails, the Python step loops here (_dual_steps,
+_primal_steps) run instead; they are also the reference the C loops
+match bit for bit, so every trace, report and domain error is the same
+either way.  Chunking, the powers, the ceiling checks, the running
+minimum, the trace and every error message stay in the one function of
+each recurrence (_mu_dual_ratios, _mu_primal_ratios).
 Products are accumulated in log space; sums of positive terms inside the
 product conditions use a running log-sum-exp.
 """
@@ -48,7 +57,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import _ROW_CHUNK, MuTrace, first_bad, margin_ok
+from ._num import _ROW_CHUNK, PASS_RTOL, MuTrace, first_bad
 from .factorable import FactorableSpec, _require_normalized, weighted_mean
 from .sequences import WeightSequence
 
@@ -325,14 +334,16 @@ def _spec_ratios(spec: FactorableSpec):
 
 def _mu_primal_ratios(ratios, N: int, p: float, lam_p: float) -> MuTrace:
     """mu_primal's recurrence on N rows, driven by the ratios alone
-    (ratios(lo, hi) as for _mu_dual_ratios); a_0/b_1 = 0 on row 1."""
+    (ratios(lo, hi) as for _mu_dual_ratios); a_0/b_1 = 0 on row 1.
+    The step loop is the compiled one where it built, else
+    _primal_steps."""
     if not (p > 1.0):
         raise ValueError("need p > 1")
     if not (0.0 < lam_p < 1.0):
         raise ValueError("need lam_p in (0, 1)")
+    primal_steps = _step_loops()[1]
     e1, ep = 1.0 / (p - 1.0), p / (p - 1.0)
     trace = array("d", [1.0])
-    prev = 1.0
     violation = None
     carry = np.zeros(1)          # a_0/b_1
     for lo in range(0, N, _ROW_CHUNK):
@@ -344,35 +355,16 @@ def _mu_primal_ratios(ratios, N: int, p: float, lam_p: float) -> MuTrace:
             cross = cross[:hi - lo] ** ep
         bad = np.flatnonzero(np.isinf(rp) | np.isinf(cross))
         stop = int(bad[0]) if bad.size else hi - lo
-        chunk = []
-        step = chunk.append
-        try:
-            for r, c in zip(rp[:stop].tolist(), cross[:stop].tolist()):
-                base = prev ** e1 if prev > 0.0 else 0.0
-                denom = (base + c) ** (p - 1.0)
-                if denom <= 0.0 or not math.isfinite(denom):
-                    if prev != math.inf:   # else the step before overflowed
-                        violation = len(trace) + len(chunk)
-                    break
-                t = r * prev / denom
-                nxt = t - lam_p
-                if nxt < 0.0:
-                    if margin_ok(nxt, max(t, lam_p)):
-                        nxt = 0.0
-                    else:
-                        step(nxt)
-                        violation = len(trace) + len(chunk)
-                        break
-                step(nxt)
-                prev = nxt
-        except OverflowError:
+        status = primal_steps(trace, rp[:stop], cross[:stop], e1, p - 1.0,
+                              lam_p, PASS_RTOL)
+        if status == _OVERFLOW:
             raise ValueError(
                 "(mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) leaves the "
-                f"binary64 range at n = {len(trace) + len(chunk)}") from None
-        trace.fromlist(chunk)
-        if violation is not None:
+                f"binary64 range at n = {len(trace)}")
+        if status == _VIOLATION:
+            violation = len(trace)
             break
-        if prev == math.inf:
+        if trace[-1] == math.inf:
             # tested once a chunk, off the per-step path
             raise ValueError(
                 "(a_n/b_n)^p mu_n / (mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))"
@@ -385,6 +377,44 @@ def _mu_primal_ratios(ratios, N: int, p: float, lam_p: float) -> MuTrace:
         trace.pop()           # mu_(N+1) closes the certificate
     return MuTrace(mu=np.frombuffer(trace), constraint="mu >= 0",
                    worst_margin=worst, first_violation=violation)
+
+
+# why a primal step loop stopped, where it did not run out of rows or
+# stop after a step that overflowed to inf (status 0 for those; the
+# caller tests the last value for the second)
+_VIOLATION, _OVERFLOW = 1, 2
+
+
+def _primal_steps(trace, rp, cross, e1, pm1, lam_p, rtol):
+    """Append to trace the primal steps from its last value over rows
+    with (a_n/b_n)^p in rp and (a_(n-1)/b_n)^(p/(p-1)) in cross, and
+    return why the loop stopped: _VIOLATION at a step below its floor
+    (appended) or a denominator that is not positive and finite (unless
+    the step before overflowed to inf), _OVERFLOW where a power
+    overflows, else 0.  A step below zero by no more than
+    rtol times max(t, lam_p, 1) is clamped to zero.  The reference the
+    compiled loop matches bit for bit."""
+    prev = trace[-1]
+    step = trace.append
+    try:
+        for r, c in zip(rp.tolist(), cross.tolist()):
+            base = prev ** e1 if prev > 0.0 else 0.0
+            denom = (base + c) ** pm1
+            if denom <= 0.0 or not math.isfinite(denom):
+                return _VIOLATION if prev != math.inf else 0
+            t = r * prev / denom
+            nxt = t - lam_p
+            if nxt < 0.0:
+                if nxt >= -rtol * max(t, lam_p, 1.0):
+                    nxt = 0.0
+                else:
+                    step(nxt)
+                    return _VIOLATION
+            step(nxt)
+            prev = nxt
+    except OverflowError:
+        return _OVERFLOW
+    return 0
 
 
 def _binary64_pow(base: float, expo: float, name: str) -> float:
@@ -435,7 +465,8 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
     A family whose a_n, b_n overflow while these ratios stay moderate
     (large partial sums) passes them in closed form instead of a spec.
     The ratios and their powers are formed one _ROW_CHUNK at a time.
-    The scalar loop runs the recurrence and its domain test alone; the
+    The step loop (the compiled one where it built, else _dual_steps)
+    runs the recurrence and its domain test alone; the
     strict ceiling mu_n < r_n^q is checked with numpy over each chunk,
     and the first index failing either test is the violation.  Each
     chunk's ceiling margins, up to and including a failing row, are
@@ -449,10 +480,9 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
     # mu_1^(-e1) recovers U_p; since every mu_n >= mu_1 it is also the
     # largest power the loop forms, so one check covers every step.
     _binary64_pow(mu_1, -e1, "U_p")
+    dual_steps = _step_loops()[0]
     trace = array("d", [mu_1])
-    inf, ne1, qm1 = math.inf, -e1, q - 1.0
-    prev = mu_1
-    worst = inf
+    worst = math.inf
     violation = None
     for lo in range(0, N, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, N)
@@ -460,26 +490,8 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
         steps = cross.shape[0]
         with np.errstate(over="ignore"):
             ceilings = r ** q
-            rows = zip((r[:steps] ** eq).tolist(), (cross ** q).tolist())
-        chunk = []
-        step = chunk.append
-        overflow = False
-        try:
-            for rp, cq in rows:
-                inner = rp * prev ** ne1 - 1.0
-                if not inner > 0.0:
-                    break
-                if inner == inf:
-                    raise OverflowError
-                prev = mu_1 + cq / inner ** qm1
-                step(prev)
-        except (OverflowError, ZeroDivisionError):
-            # a power or the product overflowed, or a power underflowed
-            # to 0; either way the next mu is not known in binary64, so
-            # no verdict is given (an inner above the binary64 range puts
-            # mu_n far below its ceiling, not across it)
-            overflow = True
-        trace.fromlist(chunk)
+            rp, cq = r[:steps] ** eq, cross ** q
+        overflow = dual_steps(trace, rp, cq, mu_1, -e1, q - 1.0)
         k = len(trace)           # mu_1..mu_k are known
         top = min(k, hi)
         m = ceilings[:top - lo] - np.frombuffer(trace)[lo:top]
@@ -499,6 +511,41 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
     return MuTrace(mu=np.frombuffer(trace),
                    constraint="mu < (a_n/b_n)^q", worst_margin=float(worst),
                    first_violation=violation)
+
+
+def _dual_steps(trace, rp, cq, mu_1, ne1, qm1):
+    """Append to trace the dual steps from its last value over rows with
+    (a_n/b_n)^p in rp and (a_n/b_{n+1})^q in cq, and return whether the
+    loop stopped on an OverflowError or ZeroDivisionError.  It also
+    stops, with no value, where the domain test (a_n/b_n)^p mu_n^(1-p)
+    > 1 fails.  The reference the compiled loop matches bit for bit."""
+    prev = trace[-1]
+    step = trace.append
+    inf = math.inf
+    try:
+        for r, c in zip(rp.tolist(), cq.tolist()):
+            inner = r * prev ** ne1 - 1.0
+            if not inner > 0.0:
+                break
+            if inner == inf:
+                raise OverflowError
+            prev = mu_1 + c / inner ** qm1
+            step(prev)
+    except (OverflowError, ZeroDivisionError):
+        # a power or the product overflowed, or a power underflowed
+        # to 0; either way the next mu is not known in binary64, so
+        # no verdict is given (an inner above the binary64 range puts
+        # mu_n far below its ceiling, not across it)
+        return True
+    return False
+
+
+def _step_loops():
+    """(dual steps, primal steps): the compiled loops, loaded (or built)
+    on the first trace of a process, else the Python ones."""
+    from . import _kernel
+
+    return _kernel.loops() or (_dual_steps, _primal_steps)
 
 
 def trace_report(trace: MuTrace, method: str, params: BoundParams,

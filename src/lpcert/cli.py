@@ -114,9 +114,10 @@ def csv_rows(report: dict) -> list[dict]:
         row["worst_margin"] = report.get("min_margin",
                                          report.get("margin", ""))
     if row.get("bound") is None:
+        # the value the report is tested against, never a measured ratio
         row["bound"] = report.get("lower_bound",
                                   report.get("threshold",
-                                             report.get("ratio", "")))
+                                             report.get("constant", "")))
     return [row]
 
 

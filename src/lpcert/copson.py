@@ -64,6 +64,12 @@ _BRANCH_SUMS = {"copson_prefix": ("prefix", "partials"),
 _NEEDS_C_ABOVE_1 = {"copson_prefix": True, "copson_tail": False,
                     "leindler_prefix": False, "leindler_tail": True}
 
+# A term u_n y_n^p of a trial's power sum loses at most DBL_MIN (u_n + 1)
+# to underflow (in y_n^p, then in the product), so a sum of at least
+# 2^52 DBL_MIN (sum u_n + N) has lost less than 2^-52 of itself; a
+# smaller sum, or one that overflows, has left the binary64 range.
+_RANGE_FLOOR = 2.0 ** 52 * float(np.finfo(np.float64).tiny)
+
 # points of the uniform grid on [0, 1] behind check_kernel_inequality
 _KERNEL_GRID = 4096
 # x_n = n^(-1/p - _OFFSET) in near_extremal_schedule
@@ -309,19 +315,32 @@ def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
     """Per-trial LHS/RHS ratios of the p-th power branch inequality, as a
     function of the trial rows (which it overwrites) and a trial_rows
     workspace, whose first array holds the averages; K^p and u are
-    formed once."""
+    formed once.  A power sum out of the binary64 range (_RANGE_FLOOR),
+    or a right side K^p times one that overflows, is a domain error:
+    its ratio would not be evidence."""
     # branch_constant validates branch and c
     Kp = _binary64_pow(branch_constant(branch, p, c), p, "K^p")
     direction, base = _BRANCH_SUMS[branch]
-    u = _branch_weights(w, branch, p, c)
+    # out of range, u and the sums overflow or turn NaN (inf times an
+    # underflowed 0); the range check reports that instead of numpy
+    with np.errstate(over="ignore"):
+        u = _branch_weights(w, branch, p, c)
+    floor = float(np.sum(u * _RANGE_FLOOR)) + w.N * _RANGE_FLOOR
 
     def ratios(X, work):
-        X /= np.max(X, axis=-1, keepdims=True)
-        inner = averaged(w, X, direction, base, out=work[0])
-        inner **= p
-        lhs = np.sum(np.multiply(inner, u, out=inner), axis=-1)
-        X **= p
-        return lhs / (Kp * np.sum(np.multiply(X, u, out=X), axis=-1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            X /= np.max(X, axis=-1, keepdims=True)
+            inner = averaged(w, X, direction, base, out=work[0])
+            inner **= p
+            lhs = np.sum(np.multiply(inner, u, out=inner), axis=-1)
+            X **= p
+            rhs = np.sum(np.multiply(X, u, out=X), axis=-1)
+            den = Kp * rhs
+        if not (np.all((lhs >= floor) & (rhs >= floor))
+                and np.all((lhs < math.inf) & (den < math.inf))):
+            raise ValueError(f"{branch} power sums leave the binary64 range "
+                             f"at p = {p:g}; lower p")
+        return lhs / den
 
     return ratios
 

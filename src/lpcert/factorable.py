@@ -93,8 +93,14 @@ class FactorableSpec:
 
 def weighted_mean(w: WeightSequence) -> FactorableSpec:
     """Rows are weighted averages: entries lam_k / Lam_n.  The spec shares
-    the weights' read-only arrays."""
-    return FactorableSpec(kind="weighted_mean", a=w.partials, b=w.values)
+    the weights' read-only arrays, which WeightSequence has checked as
+    FactorableSpec would (1-d, one length, finite, positive), so it is
+    built without running those checks again."""
+    spec = object.__new__(FactorableSpec)
+    for name, value in (("kind", "weighted_mean"), ("a", w.partials),
+                        ("b", w.values)):
+        object.__setattr__(spec, name, value)
+    return spec
 
 
 def copson_matrix(w: WeightSequence, p: float, c: float) -> FactorableSpec:

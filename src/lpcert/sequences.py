@@ -33,7 +33,12 @@ WEIGHT_KINDS = ("constant", "power", "geometric", "explicit")
 @dataclass(frozen=True)
 class WeightSequence:
     """A positive weight sequence with its partial sums; the tail sums
-    are summed on first use."""
+    are summed on first use.
+
+    Both arrays are checked here, once: 1-d, of one nonempty length,
+    finite and positive.  So every WeightSequence holds valid weights,
+    and the specs built on them (factorable.weighted_mean) skip
+    FactorableSpec's checks of the same arrays."""
 
     kind: str
     values: np.ndarray    # lam_1..lam_N
@@ -41,7 +46,20 @@ class WeightSequence:
     label: str = ""
 
     def __post_init__(self):
-        for arr in (self.values, self.partials):
+        lam, Lam = self.values, self.partials
+        if lam.ndim != 1 or lam.shape[0] < 1 or Lam.shape != lam.shape:
+            raise ValueError("weights must form a nonempty 1-d sequence")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("weights must be finite (overflow in construction?)")
+        if np.any(lam <= 0.0):
+            raise ValueError("weights must be positive")
+        idx = np.flatnonzero(~np.isfinite(Lam))
+        if idx.size:
+            raise ValueError(f"{self.label} partial sums overflow from n = "
+                             f"{idx[0] + 1}; lower N")
+        if np.any(Lam <= 0.0):
+            raise ValueError("partial sums must be positive")
+        for arr in (lam, Lam):
             arr.setflags(write=False)
 
     @property
@@ -86,18 +104,11 @@ class WeightSequence:
 
 
 def _finish(kind: str, lam: np.ndarray, label: str) -> WeightSequence:
-    if lam.ndim != 1 or lam.shape[0] < 1:
+    """The sequence of lam with its compensated partial sums, both
+    checked by WeightSequence."""
+    if lam.ndim != 1:     # comp_cumsum sums along the one axis
         raise ValueError("weights must form a nonempty 1-d sequence")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("weights must be finite (overflow in construction?)")
-    if np.any(lam <= 0.0):
-        raise ValueError("weights must be positive")
-    partials = comp_cumsum(lam)
-    idx = np.flatnonzero(~np.isfinite(partials))
-    if idx.size:
-        raise ValueError(f"{label} partial sums overflow from n = "
-                         f"{idx[0] + 1}; lower N")
-    return WeightSequence(kind=kind, values=lam, partials=partials,
+    return WeightSequence(kind=kind, values=lam, partials=comp_cumsum(lam),
                           label=label)
 
 

@@ -211,18 +211,28 @@ def test_cli_import_loads_no_compute_module():
 
 @pytest.mark.parametrize("argv, used, unused", [
     (["certify", "--method", "mu-dual", "--weights", "power:1", "--N", "1000",
-      "--p", "2", "--L", "1.0"], {"certificates", "factorable", "sequences"},
+      "--p", "2", "--L", "1.0"],
+     {"certificates", "factorable", "sequences", "_kernel"},
      {"copson", "hlp", "strengthened", "norm_probe", "corpus"}),
     # MuTrace lives in _num, so the hlp recurrences skip the weighted-mean
-    # modules too
+    # modules too, and the compiled step loops of the weighted-mean traces
     (["hlp", "certify", "--p", "0.35"], {"hlp"},
      {"copson", "strengthened", "norm_probe", "corpus", "certificates",
-      "factorable", "sequences"}),
+      "factorable", "sequences", "_kernel"}),
 ])
 def test_a_subcommand_loads_only_what_it_runs(argv, used, unused):
     loaded = _ours(_after_main(argv))
     assert {f"lpcert.{m}" for m in used} <= loaded
     assert not loaded & {f"lpcert.{m}" for m in unused}
+
+
+def test_only_a_mu_trace_loads_ctypes_beyond_numpy():
+    # numpy loads ctypes itself; lpcert loads it (through _kernel) on the
+    # first mu trace only
+    beyond_numpy = set(_loaded("import numpy"))
+    assert "ctypes" not in set(_loaded("import lpcert.cli")) - beyond_numpy
+    assert "ctypes" not in set(_after_main(["hlp", "certify", "--p", "0.35"])
+                               ) - beyond_numpy
 
 
 def test_cp_root_report_is_unchanged(capsys):
@@ -320,6 +330,17 @@ def test_csv_branch_report_leaves_first_fail_empty(tmp_path):
                 "--out", str(out)]) == 0
     cells = out.read_text().splitlines()[1].split(",")
     assert cells[6:8] == ["true", ""]
+
+
+def test_csv_probe_bound_is_the_constant(tmp_path):
+    # the probe passes when its measured ratio stays above the HLP
+    # constant; the bound column is that constant, not the ratio
+    out = tmp_path / "r.csv"
+    assert run(["hlp", "probe", "--p", "0.4", "--s", "2.6", "--N", "1000",
+                "--format", "csv", "--out", str(out)]) == 0
+    cells = out.read_text().splitlines()[1].split(",")
+    assert cells[0] == "probe-primal" and cells[6] == "true"
+    assert cells[9] == "0.850283000417194"
 
 
 def test_csv_compare_rows(tmp_path):

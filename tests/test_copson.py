@@ -161,6 +161,45 @@ def test_branch_rejects_out_of_range_c():
         check_copson_branch(w, 2.0, -0.1, "leindler_prefix")
 
 
+def _log_copson_prefix_ratio(w, p, c, x):
+    """log of one copson_prefix trial's LHS/RHS ratio, every power sum
+    summed in log space (a logsumexp), where no term can underflow."""
+    Lam = w.partials
+    log_u = np.log(w.values) + (p - c) * np.log(Lam)
+    x = x / np.max(x)
+    inner = np.cumsum(w.values * x) / Lam
+    lhs = np.logaddexp.reduce(p * np.log(inner) + log_u)
+    rhs = np.logaddexp.reduce(p * np.log(x) + log_u)
+    return lhs - rhs - p * math.log(branch_constant("copson_prefix", p, c))
+
+
+def test_branch_ratio_at_large_p_is_evidence_not_underflow():
+    # copson_prefix at p = 40: the worst of 50 trials has LHS/RHS about
+    # 4.6e-105, since random vectors are far from extremal there, but no
+    # power sum left the binary64 range: in log space it is the same
+    w = build_weights("constant", 2000)
+    rep = check_copson_branch(w, 40.0, 2.0, "copson_prefix", trials=50)
+    assert rep.passed and 1e-106 < rep.max_ratio < 1e-104
+    U = np.random.default_rng(0).uniform(-3.0, 3.0, (50, 2000))
+    x = 10.0 ** U[rep.argmin - 1]
+    assert math.log(rep.max_ratio) == pytest.approx(
+        _log_copson_prefix_ratio(w, 40.0, 2.0, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("branch, p, c", [
+    # every LHS sum underflows to 0 (a ratio of 0.0 that passed), its
+    # true ratio being about 2e-184
+    ("leindler_prefix", 60.0, 0.5),
+    # the RHS weights u_n = Lam_n^98 overflow (a NaN ratio that failed)
+    ("copson_prefix", 100.0, 2.0),
+])
+def test_branch_power_sums_out_of_range_are_domain_errors(branch, p, c):
+    w = build_weights("constant", 2000)
+    with pytest.raises(ValueError, match=f"{branch} power sums leave the "
+                       f"binary64 range at p = {p:g}"):
+        check_copson_branch(w, p, c, branch, trials=50)
+
+
 def test_near_extremal_schedule_monotone_toward_one():
     sched = near_extremal_schedule(2.0, 2.0, n_start=64, n_stop=4096)
     ratios = [r for _, r in sched]

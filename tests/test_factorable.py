@@ -1,12 +1,14 @@
 """Factorable matrix constructors and dense agreement."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpcert import (FactorableSpec, bge_matrix, build_weights, cesaro,
-                    copson_matrix, weighted_mean)
+from lpcert import (FactorableSpec, WeightSequence, bge_matrix,
+                    build_weights, cesaro, copson_matrix, weighted_mean)
 
 weight_arrays = st.lists(
     st.floats(min_value=1e-2, max_value=1e2, allow_nan=False,
@@ -107,3 +109,26 @@ def test_cesaro_is_weighted_mean_of_constant_weights():
     a = dense_oracle(cesaro(6))
     b = dense_oracle(weighted_mean(build_weights("constant", 6)))
     assert np.allclose(a, b, rtol=1e-15)
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ([1.0, math.nan], [1.0, 1.0], "finite"),
+    ([1.0, 2.0], [1.0, math.inf], "finite"),
+    ([1.0, -2.0], [1.0, 1.0], "positive"),
+    ([1.0, 2.0], [0.0, 1.0], "positive"),
+])
+def test_spec_and_weights_of_raw_arrays_are_checked(a, b, message):
+    # weighted_mean skips the spec's checks, since a WeightSequence has
+    # made them on its own arrays; every other spec still makes them
+    with pytest.raises(ValueError, match=f"a and b must be {message}"):
+        FactorableSpec(kind="raw", a=np.array(a), b=np.array(b))
+    with pytest.raises(ValueError):
+        WeightSequence(kind="raw", values=np.array(b), partials=np.array(a))
+
+
+def test_weighted_mean_is_the_checked_spec():
+    w = build_weights("power", 50, exponent=0.5)
+    spec = weighted_mean(w)
+    checked = FactorableSpec(kind="weighted_mean", a=w.partials, b=w.values)
+    assert spec == checked and spec.a is w.partials and spec.b is w.values
+    assert not spec.a.flags.writeable and not spec.b.flags.writeable
