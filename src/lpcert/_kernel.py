@@ -1,14 +1,22 @@
-"""Compiled step loops of the mu recurrences, built on first use.
+"""The mu step-loop contract: the two mu drivers, their step loops in C
+(built on first use) and the Python step loops they must match.
 
-The dual and primal mu recurrences in certificates run one chunk of rows
-at a time: numpy forms the chunk's powers, then a step loop walks the
-rows, each step needing the one before it through a `pow`.  This module
-holds that step loop for each recurrence as C source, compiled with the
-system `cc` the first time a process asks for it and loaded with ctypes.
-loops() returns the two step functions, with the contract of
-certificates._dual_steps and _primal_steps, or None where no compiler is
-present or the build fails; the recurrences then run those Python loops,
-which are also the reference the C loops must match bit for bit.
+_mu_dual_ratios runs the dual recurrence (certificates.mu_dual,
+copson.mu_dual_copson, the dual route of copson.mu_bge, hlp.mu_direct),
+_mu_primal_ratios the primal one (certificates.mu_primal, the primal
+route of mu_bge).  Each reads its rows from ratios(lo, hi) one
+_ROW_CHUNK at a time, forms the chunk's powers with numpy, checks its
+bounds and keeps the trace, the running minimum of the margins and
+every error message; a step loop walks the rows, each step needing the
+one before it through a `pow`.  That loop runs in C where it can: the
+source below is compiled with the system `cc` the first time a process
+asks for it and loaded with ctypes.  loops() returns the two compiled
+step functions, or None where no compiler is present or the build
+fails; the drivers then run _dual_steps and _primal_steps, the
+reference the C loops match bit for bit, so every trace, report and
+domain error is the same either way.  The callers import this module
+inside the functions that run a trace, so a command that runs none
+does not load it.
 
 Why the bits match: CPython's float `**` is libm `pow` for finite
 positive operands not equal to 1, every other step is one IEEE
@@ -36,12 +44,202 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import sys
 import zlib
+from array import array
 
 import numpy as np
 
+from ._num import _ROW_CHUNK, PASS_RTOL, MuTrace, _binary64_pow
+
+
+def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
+    """The dual recurrence on N rows, driven by the ratios alone:
+    ratios(lo, hi) returns r_n = a_n/b_n for the 0-based rows
+    lo <= i < hi and cross_n = a_n/b_{n+1} for lo <= i < min(hi, N - 1),
+    as contiguous arrays, and mu_1 = U_p^(-q/p).  With q = p/(p-1),
+
+        mu_{n+1} = mu_1 + cross_n^q / (r_n^p mu_n^(1-p) - 1)^(q-1).
+
+    Its domain, r_n^p mu_n^(1-p) > 1, is mu_n on the right side of the
+    strict bound r_n^q: a ceiling for p > 1 (q > 1), margins r_n^q - mu_n;
+    a floor for p < 0 (0 < q < 1, hlp.mu_direct), margins negated, which
+    is exact: mu_n - r_n^q bit for bit.  A family whose a_n, b_n overflow
+    while these ratios stay moderate passes them in closed form.
+
+    The step loop runs the recurrence and its domain test alone; the
+    bound is checked with numpy over each chunk, and the first index
+    failing either test is the violation.  Each chunk's margins, up to
+    and including a failing row, are folded into a running minimum, the
+    worst margin.  When the loop leaves the binary64 range, the chunk's
+    bounds are checked first, so a bound the trace crossed earlier is
+    still the verdict.
+    """
+    q = p / (p - 1.0)
+    eq = q / (q - 1.0)           # equals p
+    e1 = 1.0 / (q - 1.0)         # equals p - 1
+    floor = q < 1.0
+    if not floor:
+        # mu_1^(-e1) recovers U_p; as every mu_n >= mu_1 and -e1 < 0, it
+        # is the largest power the loop forms (with a floor, -e1 > 0 and
+        # the loop reports the power that overflows)
+        _binary64_pow(mu_1, -e1, "U_p")
+    dual_steps = _step_loops()[0]
+    trace = array("d", [mu_1])
+    worst = math.inf
+    violation = None
+    for lo in range(0, N, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, N)
+        r, cross = ratios(lo, hi)
+        steps = cross.shape[0]
+        with np.errstate(over="ignore"):
+            bounds = r ** q
+            rp, cq = r[:steps] ** eq, cross ** q
+        overflow = dual_steps(trace, rp, cq, mu_1, -e1, q - 1.0)
+        k = len(trace)           # mu_1..mu_k are known
+        top = min(k, hi)
+        m = bounds[:top - lo] - np.frombuffer(trace)[lo:top]
+        if floor:
+            np.negative(m, out=m)
+        bad = np.flatnonzero(~(m > 0.0))
+        worst = np.min(m[:bad[0] + 1] if bad.size else m, initial=worst)
+        if bad.size:
+            violation = lo + int(bad[0]) + 1
+            break
+        if overflow:
+            raise ValueError("((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) leaves the "
+                             f"binary64 range at n = {k}")
+        if k < lo + steps + 1:   # the domain test failed on the step at k
+            violation = k
+            break
+    if violation is not None:
+        del trace[violation:]
+    return MuTrace(mu=np.frombuffer(trace),
+                   constraint="mu < (a_n/b_n)^q", worst_margin=float(worst),
+                   first_violation=violation)
+
+
+def _mu_primal_ratios(ratios, N: int, p: float, lam_p: float) -> MuTrace:
+    """certificates.mu_primal's recurrence on N rows, driven by the
+    ratios alone (ratios(lo, hi) as for _mu_dual_ratios); a_0/b_1 = 0 on
+    row 1.  The step loop is the compiled one where it built, else
+    _primal_steps."""
+    if not (p > 1.0):
+        raise ValueError("need p > 1")
+    if not (0.0 < lam_p < 1.0):
+        raise ValueError("need lam_p in (0, 1)")
+    primal_steps = _step_loops()[1]
+    e1, ep = 1.0 / (p - 1.0), p / (p - 1.0)
+    trace = array("d", [1.0])
+    violation = None
+    carry = np.zeros(1)          # a_0/b_1
+    for lo in range(0, N, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, N)
+        r, cross = ratios(lo, hi)
+        cross, carry = np.concatenate((carry, cross)), cross[hi - lo - 1:]
+        with np.errstate(over="ignore"):
+            rp = r ** p
+            cross = cross[:hi - lo] ** ep
+        bad = np.flatnonzero(np.isinf(rp) | np.isinf(cross))
+        stop = int(bad[0]) if bad.size else hi - lo
+        status = primal_steps(trace, rp[:stop], cross[:stop], e1, p - 1.0,
+                              lam_p, PASS_RTOL)
+        if status == _OVERFLOW:
+            raise ValueError(
+                "(mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) leaves the "
+                f"binary64 range at n = {len(trace)}")
+        if status == _VIOLATION:
+            violation = len(trace)
+            break
+        if trace[-1] == math.inf:
+            # tested once a chunk, off the per-step path
+            raise ValueError(
+                "(a_n/b_n)^p mu_n / (mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))"
+                f"^(p-1) leaves the binary64 range at n = {len(trace) - 1}")
+        if bad.size:
+            raise ValueError("(a_n/b_n)^p or (a_(n-1)/b_n)^(p/(p-1)) leaves "
+                             f"the binary64 range at n = {lo + stop + 1}")
+    worst = float(np.min(np.frombuffer(trace)))
+    if violation is None:
+        trace.pop()           # mu_(N+1) closes the certificate
+    return MuTrace(mu=np.frombuffer(trace), constraint="mu >= 0",
+                   worst_margin=worst, first_violation=violation)
+
+
+def _dual_steps(trace, rp, cq, mu_1, ne1, qm1):
+    """Append to trace the dual steps from its last value over rows with
+    (a_n/b_n)^p in rp and (a_n/b_{n+1})^q in cq, and return whether the
+    loop stopped on an OverflowError or ZeroDivisionError.  It also
+    stops, with no value, where the domain test (a_n/b_n)^p mu_n^(1-p)
+    > 1 fails."""
+    prev = trace[-1]
+    step = trace.append
+    inf = math.inf
+    try:
+        for r, c in zip(rp.tolist(), cq.tolist()):
+            inner = r * prev ** ne1 - 1.0
+            if not inner > 0.0:
+                break
+            if inner == inf:
+                raise OverflowError
+            prev = mu_1 + c / inner ** qm1
+            step(prev)
+    except (OverflowError, ZeroDivisionError):
+        # a power or the product overflowed, or a power underflowed
+        # to 0; either way the next mu is not known in binary64, so
+        # no verdict is given (an inner above the binary64 range puts
+        # mu_n far inside its bound, not across it)
+        return True
+    return False
+
+
+# why a primal step loop stopped, where it did not run out of rows or
+# stop after a step that overflowed to inf (status 0 for those; the
+# caller tests the last value for the second)
+_VIOLATION, _OVERFLOW = 1, 2
+
+
+def _primal_steps(trace, rp, cross, e1, pm1, lam_p, rtol):
+    """Append to trace the primal steps from its last value over rows
+    with (a_n/b_n)^p in rp and (a_(n-1)/b_n)^(p/(p-1)) in cross, and
+    return why the loop stopped: _VIOLATION at a step below its floor
+    (appended) or a denominator that is not positive and finite (unless
+    the step before overflowed to inf), _OVERFLOW where a power
+    overflows, else 0.  A step below zero by no more than
+    rtol times max(t, lam_p, 1) is clamped to zero."""
+    prev = trace[-1]
+    step = trace.append
+    try:
+        for r, c in zip(rp.tolist(), cross.tolist()):
+            base = prev ** e1 if prev > 0.0 else 0.0
+            denom = (base + c) ** pm1
+            if denom <= 0.0 or not math.isfinite(denom):
+                return _VIOLATION if prev != math.inf else 0
+            t = r * prev / denom
+            nxt = t - lam_p
+            if nxt < 0.0:
+                if nxt >= -rtol * max(t, lam_p, 1.0):
+                    nxt = 0.0
+                else:
+                    step(nxt)
+                    return _VIOLATION
+            step(nxt)
+            prev = nxt
+    except OverflowError:
+        return _OVERFLOW
+    return 0
+
+
+def _step_loops():
+    """(dual steps, primal steps): the compiled loops, loaded (or built)
+    on the first trace of a process, else the Python ones."""
+    return loops() or (_dual_steps, _primal_steps)
+
+
+# The C comments name the loops' module when the source was written; it
+# stays byte for byte as it was, so cached libraries stay valid.
 _COMMAND = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _SOURCE = r"""

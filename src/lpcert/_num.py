@@ -28,9 +28,10 @@ seed's state advanced past the rows before it.  Suffix sums come from
 suffix_sums in a C-contiguous array, not as a reversed view, so that the
 powers taken of them run numpy's SIMD `pow`.
 
-MuTrace, the result of every mu recurrence, is defined here rather than
-in certificates, so that the hlp recurrences load none of the weighted-
-mean modules (certificates, factorable, sequences).
+MuTrace, the result of every mu recurrence, and _binary64_pow, the range
+check of their constants, are defined here rather than in certificates,
+so that the hlp recurrences load none of the weighted-mean modules
+(certificates, factorable, sequences).
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ PASS_RTOL = 1e-12
 RATIO_TOL = 1e-10
 
 # Rows a blocked loop takes at a time: the values comp_cumsum sums per
-# block, and the rows of ratios and powers a mu trace forms at once
-# (also the steps a scalar mu loop hands to its array("d") trace with
-# fromlist).  No np.frombuffer view of a trace may outlive its statement
-# before the next fromlist, which would raise BufferError.
+# block, the rows a mu driver (_kernel) forms powers of at once, and the
+# steps hlp.mu_dual hands to its array("d") trace with fromlist.  No
+# np.frombuffer view of a trace may outlive its statement before the
+# trace grows, which would raise BufferError.
 _ROW_CHUNK = 1 << 14
 
 
@@ -88,6 +89,18 @@ class MuTrace:
     @property
     def n_evaluated(self) -> int:
         return int(self.mu.shape[0])
+
+
+def _binary64_pow(base: float, expo: float, name: str) -> float:
+    """base**expo for base > 0, raising a domain error (not OverflowError
+    or a later division by zero) when it leaves the binary64 range."""
+    try:
+        val = base ** expo
+    except OverflowError:
+        raise ValueError(f"{name} leaves the binary64 range") from None
+    if val == 0.0:
+        raise ValueError(f"{name} underflows to 0")
+    return val
 
 
 def comp_cumsum(values) -> np.ndarray:

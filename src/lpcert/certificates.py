@@ -28,23 +28,10 @@ Checkers, from weakest hypothesis to most specialized:
 
 mu_primal and mu_dual run the recurrences behind these certificates
 directly; a completed trace is itself a certificate at truncation N.
-Both read a spec's rows a _ROW_CHUNK at a time from one row source
-(_spec_ratios: a_n/b_n and a_n/b_(n+1), the primal a_(n-1)/b_n being
-the row before's a_n/b_(n+1)), form their powers with numpy over the
-chunk, and run the recurrence over it in a step loop that appends to a
-growing array("d") trace (8 bytes a value, viewed by numpy without a
-copy), never holding the trace as a list of floats or reserving N
-values for it; of the margins, each keeps only their running minimum
-(MuTrace).  The step loop is the only part of a trace that cannot be
-vectorized (each step needs the one before it through a pow), so it
-runs in C where it can: _kernel builds it with the system cc on the
-first trace of a process and caches the library.  Where no compiler is
-present or the build fails, the Python step loops here (_dual_steps,
-_primal_steps) run instead; they are also the reference the C loops
-match bit for bit, so every trace, report and domain error is the same
-either way.  Chunking, the powers, the ceiling checks, the running
-minimum, the trace and every error message stay in the one function of
-each recurrence (_mu_dual_ratios, _mu_primal_ratios).
+Both feed a spec's rows from one row source (_spec_ratios: a_n/b_n and
+a_n/b_(n+1), the primal a_(n-1)/b_n being the row before's
+a_n/b_(n+1)) to the shared drivers of _kernel, which they import when
+they run, so the vectorized checkers never load it.
 Products are accumulated in log space; sums of positive terms inside the
 product conditions use a running log-sum-exp.
 """
@@ -52,12 +39,11 @@ product conditions use a running log-sum-exp.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import _ROW_CHUNK, PASS_RTOL, MuTrace, first_bad
+from ._num import MuTrace, _binary64_pow, first_bad
 from .factorable import FactorableSpec, _require_normalized, weighted_mean
 from .sequences import WeightSequence
 
@@ -307,22 +293,21 @@ def mu_primal(spec: FactorableSpec, p: float, lam_p: float) -> MuTrace:
 
     Constraint: mu_n >= 0.  Values within -1e-12 (relative) of zero are
     clamped to zero and the run continues; anything lower stops the trace.
-    The rows n = 1..N come from the spec's row source one _ROW_CHUNK at a
-    time (a_(n-1)/b_n is the cross ratio of row n - 1): their powers
-    (a_n/b_n)^p and (a_(n-1)/b_n)^(p/(p-1)) are formed with numpy over the
-    chunk, so a trace that dies early forms few of them, and only scalar
-    float steps run in the loop.  A power that leaves the binary64 range
-    is a domain error once the trace reaches its row, and so is a step
-    whose value does (mu_(n+1) = inf would read as a violation at the
-    next row, though every margin before it is positive).
+    A power that leaves the binary64 range is a domain error once the
+    trace reaches its row, and so is a step whose value does
+    (mu_(n+1) = inf would read as a violation at the next row, though
+    every margin before it is positive).
     """
+    from ._kernel import _mu_primal_ratios
+
     _require_normalized(spec, "primal recurrence")
     return _mu_primal_ratios(_spec_ratios(spec), spec.N, p, lam_p)
 
 
 def _spec_ratios(spec: FactorableSpec):
-    """The row source of a spec: ratios(lo, hi) as _mu_dual_ratios and
-    _mu_primal_ratios take it, each value one division of a by b."""
+    """The row source of a spec: ratios(lo, hi) as the drivers
+    _kernel._mu_dual_ratios and _mu_primal_ratios take it, each value one
+    division of a by b."""
     a, b = spec.a, spec.b
 
     def ratios(lo, hi):
@@ -330,103 +315,6 @@ def _spec_ratios(spec: FactorableSpec):
         return a[lo:hi] / b[lo:hi], a[lo:lo + nxt.shape[0]] / nxt
 
     return ratios
-
-
-def _mu_primal_ratios(ratios, N: int, p: float, lam_p: float) -> MuTrace:
-    """mu_primal's recurrence on N rows, driven by the ratios alone
-    (ratios(lo, hi) as for _mu_dual_ratios); a_0/b_1 = 0 on row 1.
-    The step loop is the compiled one where it built, else
-    _primal_steps."""
-    if not (p > 1.0):
-        raise ValueError("need p > 1")
-    if not (0.0 < lam_p < 1.0):
-        raise ValueError("need lam_p in (0, 1)")
-    primal_steps = _step_loops()[1]
-    e1, ep = 1.0 / (p - 1.0), p / (p - 1.0)
-    trace = array("d", [1.0])
-    violation = None
-    carry = np.zeros(1)          # a_0/b_1
-    for lo in range(0, N, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, N)
-        r, cross = ratios(lo, hi)
-        cross, carry = np.concatenate((carry, cross)), cross[hi - lo - 1:]
-        with np.errstate(over="ignore"):
-            rp = r ** p
-            cross = cross[:hi - lo] ** ep
-        bad = np.flatnonzero(np.isinf(rp) | np.isinf(cross))
-        stop = int(bad[0]) if bad.size else hi - lo
-        status = primal_steps(trace, rp[:stop], cross[:stop], e1, p - 1.0,
-                              lam_p, PASS_RTOL)
-        if status == _OVERFLOW:
-            raise ValueError(
-                "(mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))^(p-1) leaves the "
-                f"binary64 range at n = {len(trace)}")
-        if status == _VIOLATION:
-            violation = len(trace)
-            break
-        if trace[-1] == math.inf:
-            # tested once a chunk, off the per-step path
-            raise ValueError(
-                "(a_n/b_n)^p mu_n / (mu_n^(1/(p-1)) + (a_(n-1)/b_n)^(p/(p-1)))"
-                f"^(p-1) leaves the binary64 range at n = {len(trace) - 1}")
-        if bad.size:
-            raise ValueError("(a_n/b_n)^p or (a_(n-1)/b_n)^(p/(p-1)) leaves "
-                             f"the binary64 range at n = {lo + stop + 1}")
-    worst = float(np.min(np.frombuffer(trace)))
-    if violation is None:
-        trace.pop()           # mu_(N+1) closes the certificate
-    return MuTrace(mu=np.frombuffer(trace), constraint="mu >= 0",
-                   worst_margin=worst, first_violation=violation)
-
-
-# why a primal step loop stopped, where it did not run out of rows or
-# stop after a step that overflowed to inf (status 0 for those; the
-# caller tests the last value for the second)
-_VIOLATION, _OVERFLOW = 1, 2
-
-
-def _primal_steps(trace, rp, cross, e1, pm1, lam_p, rtol):
-    """Append to trace the primal steps from its last value over rows
-    with (a_n/b_n)^p in rp and (a_(n-1)/b_n)^(p/(p-1)) in cross, and
-    return why the loop stopped: _VIOLATION at a step below its floor
-    (appended) or a denominator that is not positive and finite (unless
-    the step before overflowed to inf), _OVERFLOW where a power
-    overflows, else 0.  A step below zero by no more than
-    rtol times max(t, lam_p, 1) is clamped to zero.  The reference the
-    compiled loop matches bit for bit."""
-    prev = trace[-1]
-    step = trace.append
-    try:
-        for r, c in zip(rp.tolist(), cross.tolist()):
-            base = prev ** e1 if prev > 0.0 else 0.0
-            denom = (base + c) ** pm1
-            if denom <= 0.0 or not math.isfinite(denom):
-                return _VIOLATION if prev != math.inf else 0
-            t = r * prev / denom
-            nxt = t - lam_p
-            if nxt < 0.0:
-                if nxt >= -rtol * max(t, lam_p, 1.0):
-                    nxt = 0.0
-                else:
-                    step(nxt)
-                    return _VIOLATION
-            step(nxt)
-            prev = nxt
-    except OverflowError:
-        return _OVERFLOW
-    return 0
-
-
-def _binary64_pow(base: float, expo: float, name: str) -> float:
-    """base**expo for base > 0, raising a domain error (not OverflowError
-    or a later division by zero) when it leaves the binary64 range."""
-    try:
-        val = base ** expo
-    except OverflowError:
-        raise ValueError(f"{name} leaves the binary64 range") from None
-    if val == 0.0:
-        raise ValueError(f"{name} underflows to 0")
-    return val
 
 
 def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
@@ -439,10 +327,10 @@ def mu_dual(spec: FactorableSpec, p: float, U_p: float) -> MuTrace:
                      / ((a_n/b_n)^(q/(q-1)) mu_n^(-1/(q-1)) - 1)^(q-1).
 
     The ceiling is strict: a zero margin is a violation (e.g. U_p = 1 on a
-    normalized spec dies immediately at n = 1).  The spec's row source
-    gives the ratios one _ROW_CHUNK at a time, so a trace that dies early
-    forms few of them; only scalar float steps run in the loop.
+    normalized spec dies immediately at n = 1).
     """
+    from ._kernel import _mu_dual_ratios
+
     return _mu_dual_ratios(_spec_ratios(spec), spec.N, p, _dual_mu_1(p, U_p))
 
 
@@ -454,98 +342,6 @@ def _dual_mu_1(p: float, U_p: float) -> float:
         raise ValueError("need U_p > 0")
     q = p / (p - 1.0)
     return _binary64_pow(U_p, -q / p, "mu_1 = U_p^(-q/p)")
-
-
-def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
-    """mu_dual's recurrence on N rows, driven by the ratios alone:
-    ratios(lo, hi) returns r_n = a_n/b_n for the 0-based rows
-    lo <= i < hi and cross_n = a_n/b_{n+1} for lo <= i < min(hi, N - 1),
-    as contiguous arrays, and mu_1 = U_p^(-q/p).
-
-    A family whose a_n, b_n overflow while these ratios stay moderate
-    (large partial sums) passes them in closed form instead of a spec.
-    The ratios and their powers are formed one _ROW_CHUNK at a time.
-    The step loop (the compiled one where it built, else _dual_steps)
-    runs the recurrence and its domain test alone; the
-    strict ceiling mu_n < r_n^q is checked with numpy over each chunk,
-    and the first index failing either test is the violation.  Each
-    chunk's ceiling margins, up to and including a failing row, are
-    folded into a running minimum, the worst margin.  When
-    the loop leaves the binary64 range, the chunk's ceilings are checked
-    first, so a ceiling the trace crossed earlier is still the verdict.
-    """
-    q = p / (p - 1.0)
-    eq = q / (q - 1.0)           # equals p
-    e1 = 1.0 / (q - 1.0)         # equals p - 1
-    # mu_1^(-e1) recovers U_p; since every mu_n >= mu_1 it is also the
-    # largest power the loop forms, so one check covers every step.
-    _binary64_pow(mu_1, -e1, "U_p")
-    dual_steps = _step_loops()[0]
-    trace = array("d", [mu_1])
-    worst = math.inf
-    violation = None
-    for lo in range(0, N, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, N)
-        r, cross = ratios(lo, hi)
-        steps = cross.shape[0]
-        with np.errstate(over="ignore"):
-            ceilings = r ** q
-            rp, cq = r[:steps] ** eq, cross ** q
-        overflow = dual_steps(trace, rp, cq, mu_1, -e1, q - 1.0)
-        k = len(trace)           # mu_1..mu_k are known
-        top = min(k, hi)
-        m = ceilings[:top - lo] - np.frombuffer(trace)[lo:top]
-        bad = np.flatnonzero(~(m > 0.0))
-        worst = np.min(m[:bad[0] + 1] if bad.size else m, initial=worst)
-        if bad.size:
-            violation = lo + int(bad[0]) + 1
-            break
-        if overflow:
-            raise ValueError("((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) leaves the "
-                             f"binary64 range at n = {k}")
-        if k < lo + steps + 1:   # the domain test failed on the step at k
-            violation = k
-            break
-    if violation is not None:
-        del trace[violation:]
-    return MuTrace(mu=np.frombuffer(trace),
-                   constraint="mu < (a_n/b_n)^q", worst_margin=float(worst),
-                   first_violation=violation)
-
-
-def _dual_steps(trace, rp, cq, mu_1, ne1, qm1):
-    """Append to trace the dual steps from its last value over rows with
-    (a_n/b_n)^p in rp and (a_n/b_{n+1})^q in cq, and return whether the
-    loop stopped on an OverflowError or ZeroDivisionError.  It also
-    stops, with no value, where the domain test (a_n/b_n)^p mu_n^(1-p)
-    > 1 fails.  The reference the compiled loop matches bit for bit."""
-    prev = trace[-1]
-    step = trace.append
-    inf = math.inf
-    try:
-        for r, c in zip(rp.tolist(), cq.tolist()):
-            inner = r * prev ** ne1 - 1.0
-            if not inner > 0.0:
-                break
-            if inner == inf:
-                raise OverflowError
-            prev = mu_1 + c / inner ** qm1
-            step(prev)
-    except (OverflowError, ZeroDivisionError):
-        # a power or the product overflowed, or a power underflowed
-        # to 0; either way the next mu is not known in binary64, so
-        # no verdict is given (an inner above the binary64 range puts
-        # mu_n far below its ceiling, not across it)
-        return True
-    return False
-
-
-def _step_loops():
-    """(dual steps, primal steps): the compiled loops, loaded (or built)
-    on the first trace of a process, else the Python ones."""
-    from . import _kernel
-
-    return _kernel.loops() or (_dual_steps, _primal_steps)
 
 
 def trace_report(trace: MuTrace, method: str, params: BoundParams,

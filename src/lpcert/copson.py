@@ -32,7 +32,8 @@ The blocked tail inequality checked by check_bge is, for p >= 1, alpha > 0,
 with admissible_alpha giving the proven range alpha >= 1 - 1/(2p).
 
 mu_dual_copson and mu_bge add no recurrence of their own: they run the
-drivers of mu_dual (or mu_primal) on the row ratios of
+drivers of mu_dual (or mu_primal), _kernel's _mu_dual_ratios (or
+_mu_primal_ratios), on the row ratios of
 copson_matrix/bge_matrix, formed a chunk at a time without either
 matrix, and check the trace against the analytic envelope that the
 admissibility proofs provide.
@@ -45,11 +46,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import (_ROW_CHUNK, RATIO_TOL, MuTrace, first_bad, margin_ok,
-                   suffix_sums, trial_rows)
+from ._num import (_ROW_CHUNK, RATIO_TOL, MuTrace, _binary64_pow, first_bad,
+                   margin_ok, suffix_sums, trial_rows)
 from ._options import BRANCHES
-from .certificates import (_binary64_pow, _dual_mu_1, _mu_dual_ratios,
-                           _mu_primal_ratios)
+from .certificates import _dual_mu_1
 from .factorable import bge_steps
 from .sequences import WeightSequence, averaged, build_weights
 
@@ -325,7 +325,7 @@ def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
     # underflowed 0); the range check reports that instead of numpy
     with np.errstate(over="ignore"):
         u = _branch_weights(w, branch, p, c)
-    floor = float(np.sum(u * _RANGE_FLOOR)) + w.N * _RANGE_FLOOR
+    floor = _range_floor(u)
 
     def ratios(X, work):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -335,14 +335,29 @@ def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
             lhs = np.sum(np.multiply(inner, u, out=inner), axis=-1)
             X **= p
             rhs = np.sum(np.multiply(X, u, out=X), axis=-1)
-            den = Kp * rhs
-        if not (np.all((lhs >= floor) & (rhs >= floor))
-                and np.all((lhs < math.inf) & (den < math.inf))):
-            raise ValueError(f"{branch} power sums leave the binary64 range "
-                             f"at p = {p:g}; lower p")
-        return lhs / den
+            return _range_ratios(branch, p, lhs, Kp, rhs, (floor, floor))
 
     return ratios
+
+
+def _range_floor(u: np.ndarray) -> float:
+    """_RANGE_FLOOR (sum u_n + N): the least power sum with the N
+    summation weights u that is still in the binary64 range; inf where
+    u overflows."""
+    return float(np.sum(u * _RANGE_FLOOR)) + u.shape[0] * _RANGE_FLOOR
+
+
+def _range_ratios(what: str, p: float, lhs, K: float, rhs, floors):
+    """lhs / (K rhs) for the power sums of a trial batch, by the range
+    rule of every batch: a domain error unless lhs and rhs reach their
+    floors (_range_floor) and lhs and K rhs are below inf.  Called under
+    the batch's np.errstate(over="ignore")."""
+    den = K * rhs
+    if not ((lhs >= floors[0]) & (rhs >= floors[1]) & (lhs < math.inf)
+            & (den < math.inf)).all():
+        raise ValueError(f"{what} power sums leave the binary64 range "
+                         f"at p = {p:g}; lower p")
+    return lhs / den
 
 
 def _trial_report(w: WeightSequence, branch: str, p: float,
@@ -415,7 +430,8 @@ def admissible_alpha(p: float, alpha: float) -> bool:
 def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
               seed: int = 0) -> BranchReport:
     """Random trials of the blocked tail inequality with truncated tail
-    sums; max LHS/RHS ratio must stay <= 1 + 1e-10."""
+    sums; max LHS/RHS ratio must stay <= 1 + 1e-10.  Power sums out of
+    the binary64 range are a domain error (_range_ratios)."""
     if not (p >= 1.0):
         raise ValueError("need p >= 1")
     if not (alpha > 0.0):
@@ -424,17 +440,21 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
         raise ValueError("need trials >= 1")
     lam = w.values
     K = _binary64_pow(alpha * p + 1.0, p, "K^p = (alpha p + 1)^p")
-    wa = w.partials ** alpha
-    lwa = lam * wa ** p
+    with np.errstate(over="ignore"):
+        wa = w.partials ** alpha
+        lwa = lam * wa ** p
+    floors = _range_floor(lam), _range_floor(lwa)
 
     def ratios(X, work):
-        X /= np.max(X, axis=-1, keepdims=True)
-        S = suffix_sums(np.multiply(X, wa, out=work[0]), out=work[0])
-        S **= p
-        lhs = np.sum(np.multiply(S, lam, out=S), axis=-1)
-        suffix_sums(X, out=X)
-        X **= p
-        return lhs / (K * np.sum(np.multiply(X, lwa, out=X), axis=-1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            X /= np.max(X, axis=-1, keepdims=True)
+            S = suffix_sums(np.multiply(X, wa, out=work[0]), out=work[0])
+            S **= p
+            lhs = np.sum(np.multiply(S, lam, out=S), axis=-1)
+            suffix_sums(X, out=X)
+            X **= p
+            rhs = np.sum(np.multiply(X, lwa, out=X), axis=-1)
+            return _range_ratios("bge", p, lhs, K, rhs, floors)
 
     return _trial_report(w, "bge", p, alpha, trials, seed, ratios)
 
@@ -487,6 +507,8 @@ def mu_dual_copson(w: WeightSequence, p: float, c: float) -> MuTrace:
     Analytic envelope: mu_n <= R_n (1/R_n + a)^(1-q) with a = p/(c-1);
     staying under it for admissible c is what the threshold proof shows.
     """
+    from ._kernel import _mu_dual_ratios
+
     if not (p > 1.0):
         raise ValueError("need p > 1")
     if not (c > 1.0):
@@ -537,6 +559,8 @@ def mu_bge(w: WeightSequence, p: float, alpha: float,
 
         mu_n >= (lam_{n-1}/Lam_{n-1})^(p-1) / ((p/(p-1))^(p-1) s_{n-1}^p).
     """
+    from ._kernel import _mu_dual_ratios, _mu_primal_ratios
+
     if not (p > 1.0):
         raise ValueError("need p > 1")
     if not (alpha > 0.0):

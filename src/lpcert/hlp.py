@@ -15,8 +15,13 @@ mu_direct drives the primal route:
     mu_1 = ((1-p)/p)^p,
     mu_{n+1} = (n+1)^p (n^(p/(p-1)) mu_n^(1/(1-p)) - 1)^(1-p) + mu_1,
 
-whose domain condition at step n is exactly mu_n > n^p; a trace that
-keeps mu_{n0} above the linear floor a n0 + b with
+which is the factorable-matrix method itself: the dual recurrence of
+certificates.mu_dual on the matrix b_k/a_n = 1/k of the dual form, at
+exponent p/(p-1) < 0.  It runs on the shared dual driver
+(_kernel._mu_dual_ratios, the compiled step loop where it builds), fed
+the rows a_n/b_n = n and a_n/b_(n+1) = n + 1 in closed form.  Its domain
+condition at step n is exactly mu_n > n^p; a trace that keeps mu_{n0}
+above the linear floor a n0 + b with
 
     a = (p/(1-p))^(1-p),   b = (1/p - 1)^p / 2
 
@@ -45,7 +50,8 @@ best candidate and ties resolve toward it.
 A certificate found at n0 holds for every larger n, so both searches
 stop there: they scan a short prefix of the trace first and trace all
 the way to n0_max only when that prefix neither certifies nor dies.
-The traces are plain float loops, so a prefix is bitwise the start of
+Each step of a trace depends only on the step before and its own row
+(whatever chunk the row falls in), so a prefix is bitwise the start of
 the longer trace and the result is that of a full scan;
 DirectCertificate.trace is the evaluated prefix, not the full trace.
 
@@ -59,7 +65,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,44 +97,24 @@ def direct_floor(p: float) -> tuple[float, float]:
 
 
 def mu_direct(p: float, N: int) -> MuTrace:
-    """Direct-route trace; the margins are mu_n - n^p (strictly positive
-    keeps the recurrence inside its domain), and the worst of them is a
-    running minimum.  Every margin before a failing one is positive, so a
-    failing margin (NaN included) is the worst margin."""
+    """Direct-route trace on the shared dual driver, whose q is p and
+    whose bound n^p is a floor; the margins are mu_n - n^p (strictly
+    positive keeps the recurrence inside its domain), and the worst of
+    them is a running minimum.  Every margin before a failing one is
+    positive, so a failing margin (NaN included) is the worst margin."""
+    from ._kernel import _mu_dual_ratios
+
     if not (1.0 / 3.0 <= p < 1.0):
         raise ValueError("need 1/3 <= p < 1")
     if N < 1:
         raise ValueError("need N >= 1")
-    base = ((1.0 - p) / p) ** p
-    ep = p / (p - 1.0)
-    e1 = 1.0 / (1.0 - p)
-    mu = array("d", [base])
-    prev = base
-    worst = math.inf
-    violation = None
-    for lo in range(0, N, _ROW_CHUNK):
-        mus = []
-        for n in range(lo + 1, min(lo + _ROW_CHUNK, N) + 1):
-            m = prev - float(n) ** p
-            if not (m > 0.0):
-                worst = m
-                violation = n
-                break
-            if m < worst:
-                worst = m
-            if n == N:
-                break
-            inner = float(n) ** ep * prev ** e1 - 1.0
-            if inner <= 0.0 or not math.isfinite(inner):
-                violation = n
-                break
-            prev = float(n + 1) ** p * inner ** (1.0 - p) + base
-            mus.append(prev)
-        mu.fromlist(mus)
-        if violation is not None:
-            break
-    return MuTrace(mu=np.frombuffer(mu), constraint="mu > n^p",
-                   worst_margin=worst, first_violation=violation)
+
+    def ratios(lo, hi):
+        return (np.arange(lo + 1.0, hi + 1.0),
+                np.arange(lo + 2.0, min(hi, N - 1) + 2.0))
+
+    trace = _mu_dual_ratios(ratios, N, p / (p - 1.0), ((1.0 - p) / p) ** p)
+    return replace(trace, constraint="mu > n^p")
 
 
 @dataclass(frozen=True)
@@ -228,7 +214,14 @@ def bracket_threshold(lo: float = 0.346, hi: float = 0.35,
 
 def mu_dual(p: float, N: int) -> MuTrace:
     """Dual-route trace; the certificate needs mu_n > 0 for n >= 2, and
-    the margins are mu_n itself (n = 1, mu_1 = 0, is unconstrained)."""
+    the margins are mu_n itself (n = 1, mu_1 = 0, is unconstrained).
+
+    The one mu recurrence with a step loop of its own.  From mu_2 on it
+    is the primal recurrence on mu_direct's rows at exponent p/(p-1) with
+    lam = (1/p - 1)^(p/(p-1)), but _kernel._mu_primal_ratios would need a
+    wrapper for three things: its mu_1 = 0, its strict mu_n > 0 (the
+    driver clamps) and its lack of a closing step mu_(N+1).
+    """
     if not (1.0 / 3.0 <= p < 1.0):
         raise ValueError("need 1/3 <= p < 1")
     if N < 1:

@@ -37,10 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import _BLOCK_ELEMS, RATIO_TOL, first_bad, trial_rows, workspace
+from ._num import (_BLOCK_ELEMS, RATIO_TOL, _binary64_pow, first_bad,
+                   trial_rows, workspace)
 from ._options import BRANCHES, KINDS, MU_CHOICES
-from .certificates import _binary64_pow, cartlidge_constant
-from .copson import _BRANCH_SUMS, _branch_weights, branch_constant
+from .certificates import cartlidge_constant
+from .copson import (_BRANCH_SUMS, _branch_weights, _range_floor,
+                     _range_ratios, branch_constant)
 from .sequences import WeightSequence, averaged
 
 _COPSON_KINDS = BRANCHES
@@ -152,7 +154,8 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
     checked to be positive and finite, then rescaled (in place) by its
     maximum.  X is overwritten, and work, a trial_rows workspace (or two
     fresh arrays), holds the averages and their (p-1)-th powers.  The
-    non-Copson kinds sum with u = 1, so they skip it.
+    non-Copson kinds sum with u = 1, so they skip it.  Power sums out of
+    the binary64 range are a domain error (copson._range_ratios).
     """
     p = case.p
     L = case.effective_L(w)
@@ -161,10 +164,13 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
     direction, base, dual = _CASE_SUMS[case.kind]
     # weigh(a, out) is u * a, written into out (a itself where u = 1)
     if case.kind in _COPSON_KINDS:
-        u = _branch_weights(w, case.kind, p, case.c)
+        with np.errstate(over="ignore"):
+            u = _branch_weights(w, case.kind, p, case.c)
         weigh = (lambda a, out: np.multiply(a, u, out=out))
     else:
+        u = np.ones(w.N)
         weigh = (lambda a, out: a)
+    floor = _range_floor(u)
 
     def ratios(X, work=None):
         if X.shape[-1] != w.N:
@@ -172,15 +178,20 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
         if not np.all(X > 0.0) or not np.all(np.isfinite(X)):
             raise ValueError("trial vectors must be positive and finite")
         S, ip = work or workspace(X.shape)
-        X /= np.max(X, axis=-1, keepdims=True)
-        inner = averaged(w, X, direction, base, dual, out=S)
-        np.copyto(ip, inner)
-        ip **= p - 1.0
-        lhs = np.sum(np.multiply(weigh(inner, inner), ip, out=inner), axis=-1)
-        rhs = np.sum(np.multiply(weigh(X, S), ip, out=S), axis=-1)
-        X **= p
-        rhs_p = np.sum(weigh(X, X), axis=-1)
-        return np.stack([lhs / (K * rhs), lhs / (Kp * rhs_p)], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X /= np.max(X, axis=-1, keepdims=True)
+            inner = averaged(w, X, direction, base, dual, out=S)
+            np.copyto(ip, inner)
+            ip **= p - 1.0
+            lhs = np.sum(np.multiply(weigh(inner, inner), ip, out=inner),
+                         axis=-1)
+            rhs = np.sum(np.multiply(weigh(X, S), ip, out=S), axis=-1)
+            X **= p
+            rhs_p = np.sum(weigh(X, X), axis=-1)
+            first = _range_ratios(case.kind, p, lhs, K, rhs, (floor, floor))
+            power = _range_ratios(case.kind, p, lhs, Kp, rhs_p,
+                                  (floor, floor))
+        return np.stack([first, power], axis=-1)
 
     return L, ratios
 

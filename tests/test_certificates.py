@@ -17,7 +17,7 @@ from lpcert import (BoundParams, FactorableSpec, build_weights,
                     check_product_condition, check_ratio_condition,
                     check_stepwise_p2, comparability_pair, mu_dual, mu_primal,
                     power_lower_bound, ratio_at, trace_report, weighted_mean)
-from lpcert import certificates
+from lpcert import _kernel
 from lpcert._num import margin_ok
 from lpcert.cli import CERTIFY_METHODS, search_smallest_L
 
@@ -312,8 +312,19 @@ def test_mu_primal_forms_its_powers_a_chunk_at_a_time(monkeypatch):
     spec = weighted_mean(build_weights("power", 5000, exponent=0.7))
     lam_p = BoundParams(2.5, 0.9).lam_p
     whole = mu_primal(spec, 2.5, lam_p)
-    monkeypatch.setattr(certificates, "_ROW_CHUNK", 7)
+    dual_steps, primal_steps = _kernel._step_loops()
+    rows = []
+
+    def counted(trace, rp, *args):
+        rows.append(rp.shape[0])
+        return primal_steps(trace, rp, *args)
+
+    monkeypatch.setattr(_kernel, "_ROW_CHUNK", 7)
+    monkeypatch.setattr(_kernel, "_step_loops",
+                        lambda: (dual_steps, counted))
     assert mu_primal(spec, 2.5, lam_p).mu.tobytes() == whole.mu.tobytes()
+    # the driver read the patched chunk: 5000 rows in steps of 7
+    assert max(rows) == 7 and len(rows) == -(-5000 // 7)
     monkeypatch.undo()
     # an over-claimed bound dies by n = 7: it needs one chunk of powers
     # (about 1.4 MiB), not N trace values, N-length powers or a_(n-1)

@@ -160,6 +160,17 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
     # ((p-1)/(alpha p))^p is about 10^-396
     (["copson", "bge-mu", "--p", "5000", "--alpha", "1.2", "--route",
       "primal", "--N", "10"], "lam_p = ((p-1)/(alpha p))^p underflows to 0"),
+    # trial power sums out of range, by the rule of `copson branch` (bge
+    # reported a NaN failure with numpy warnings, strengthened a passing
+    # corollary ratio of 2.7e-95 from an overflowing right side)
+    (["bge", "--p", "60", "--alpha", "1", "--N", "2000", "--trials", "50"],
+     "bge power sums leave the binary64 range at p = 60; lower p"),
+    (["strengthened", "check", "--which", "copson_prefix", "--c", "2", "--p",
+      "80", "--N", "2000", "--trials", "50"],
+     "copson_prefix power sums leave the binary64 range at p = 80; lower p"),
+    (["copson", "branch", "--branch", "copson_prefix", "--c", "2", "--p",
+      "80", "--N", "2000", "--trials", "50"],
+     "copson_prefix power sums leave the binary64 range at p = 80; lower p"),
 ])
 def test_out_of_range_inputs_are_domain_errors(argv, message, capsys):
     assert run(argv) == 2
@@ -214,11 +225,24 @@ def test_cli_import_loads_no_compute_module():
       "--p", "2", "--L", "1.0"],
      {"certificates", "factorable", "sequences", "_kernel"},
      {"copson", "hlp", "strengthened", "norm_probe", "corpus"}),
-    # MuTrace lives in _num, so the hlp recurrences skip the weighted-mean
-    # modules too, and the compiled step loops of the weighted-mean traces
-    (["hlp", "certify", "--p", "0.35"], {"hlp"},
+    # MuTrace and the mu drivers live in _num and _kernel, so the direct
+    # trace runs on the shared dual driver without the weighted-mean
+    # modules
+    (["hlp", "certify", "--p", "0.35"], {"hlp", "_kernel"},
+     {"copson", "strengthened", "norm_probe", "corpus", "certificates",
+      "factorable", "sequences"}),
+    # commands that run no mu step loop load no _kernel
+    (["hlp", "certify", "--p", "0.345", "--method", "dual-shift"], {"hlp"},
      {"copson", "strengthened", "norm_probe", "corpus", "certificates",
       "factorable", "sequences", "_kernel"}),
+    (["certify", "--method", "product", "--weights", "power:1", "--N", "1000",
+      "--p", "2", "--L", "1.0"],
+     {"certificates", "factorable", "sequences"},
+     {"copson", "hlp", "strengthened", "norm_probe", "corpus", "_kernel"}),
+    (["copson", "branch", "--branch", "copson_prefix", "--c", "1.5", "--p",
+      "2", "--N", "200", "--trials", "20"],
+     {"copson", "certificates", "sequences"},
+     {"hlp", "strengthened", "norm_probe", "corpus", "_kernel"}),
 ])
 def test_a_subcommand_loads_only_what_it_runs(argv, used, unused):
     loaded = _ours(_after_main(argv))
@@ -228,10 +252,12 @@ def test_a_subcommand_loads_only_what_it_runs(argv, used, unused):
 
 def test_only_a_mu_trace_loads_ctypes_beyond_numpy():
     # numpy loads ctypes itself; lpcert loads it (through _kernel) on the
-    # first mu trace only
+    # first mu trace only: the direct hlp trace runs on the mu driver, the
+    # dual-shift search on its own loop
     beyond_numpy = set(_loaded("import numpy"))
     assert "ctypes" not in set(_loaded("import lpcert.cli")) - beyond_numpy
-    assert "ctypes" not in set(_after_main(["hlp", "certify", "--p", "0.35"])
+    assert "ctypes" not in set(_after_main(
+        ["hlp", "certify", "--p", "0.345", "--method", "dual-shift"])
                                ) - beyond_numpy
 
 

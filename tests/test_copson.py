@@ -200,6 +200,18 @@ def test_branch_power_sums_out_of_range_are_domain_errors(branch, p, c):
         check_copson_branch(w, p, c, branch, trials=50)
 
 
+@pytest.mark.parametrize("N, p, alpha", [(2000, 60.0, 1.0),
+                                          (1000, 150.0, 0.6)])
+def test_bge_power_sums_out_of_range_are_domain_errors(N, p, alpha):
+    # both power sums overflow: each ratio was inf/inf, a NaN that failed
+    # the batch with numpy warnings; the branch trials' range rule makes
+    # it a domain error
+    w = build_weights("constant", N)
+    with pytest.raises(ValueError, match=f"^bge power sums leave the "
+                       f"binary64 range at p = {p:g}; lower p$"):
+        check_bge(w, p, alpha, trials=50)
+
+
 def test_near_extremal_schedule_monotone_toward_one():
     sched = near_extremal_schedule(2.0, 2.0, n_start=64, n_stop=4096)
     ratios = [r for _, r in sched]

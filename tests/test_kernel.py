@@ -1,13 +1,14 @@
 """The compiled mu step loops against the Python loops they stand in for.
 
-`lpcert._kernel` builds a C step loop for each mu recurrence
-(`certificates._mu_dual_ratios` and `_mu_primal_ratios`) on first use
-and caches it; the Python step loops (`certificates._dual_steps` and
+`lpcert._kernel` builds a C step loop for each mu driver
+(`_kernel._mu_dual_ratios` and `_mu_primal_ratios`) on first use and
+caches it; the Python step loops (`_kernel._dual_steps` and
 `_primal_steps`) stay as the fallback and as the reference.  Every trace
 the recurrences return with the compiled loops must equal, bit for bit,
 the one they return with the Python loops: mu, constraint, the repr of
-the worst margin, both violations, or the domain error's message.  Where
-no compiler is present, the comparisons skip (the Python loops are then
+the worst margin, both violations, or the domain error's message.  Each
+comparison also checks that the trace ran the loops it set.  Where no
+compiler is present, the comparisons skip (the Python loops are then
 the only ones, and tests/test_traces.py checks them against the list
 loops); the cache and fallback tests run CLI processes with their own
 XDG_CACHE_HOME and PATH.
@@ -24,10 +25,10 @@ import numpy as np
 import pytest
 
 import lpcert
-from lpcert import BoundParams, _kernel, build_weights, certificates
-from lpcert import weighted_mean
+from lpcert import BoundParams, _kernel, build_weights, hlp, weighted_mean
+from lpcert._kernel import _dual_steps, _primal_steps
 from lpcert._num import _ROW_CHUNK
-from lpcert.certificates import _dual_steps, _primal_steps, mu_dual, mu_primal
+from lpcert.certificates import mu_dual, mu_primal
 from lpcert.copson import mu_bge, mu_dual_copson
 from lpcert.factorable import FactorableSpec
 
@@ -56,15 +57,29 @@ def _outcome(fn, *args):
             t.first_violation, t.target_violation)
 
 
+def counted(loops, calls):
+    """The step loops `loops`, each call appended to `calls`."""
+    def count(loop):
+        def run(*args):
+            calls.append(loop)
+            return loop(*args)
+        return run
+
+    return tuple(map(count, loops))
+
+
 def _both(monkeypatch, compiled, fn, *args):
     """fn's outcome with the compiled loops, asserted equal to its
-    outcome with the Python loops."""
-    monkeypatch.setattr(certificates, "_step_loops", lambda: compiled)
-    got = _outcome(fn, *args)
-    monkeypatch.setattr(certificates, "_step_loops",
-                        lambda: (_dual_steps, _primal_steps))
-    assert got == _outcome(fn, *args), args[1:]
-    return got
+    outcome with the Python loops; each run must call the loops set."""
+    outcomes = []
+    for loops in (compiled, (_dual_steps, _primal_steps)):
+        calls = []
+        monkeypatch.setattr(_kernel, "_step_loops",
+                            lambda: counted(loops, calls))
+        outcomes.append(_outcome(fn, *args))
+        assert calls, "the trace did not run the patched step loops"
+    assert outcomes[0] == outcomes[1], args[1:]
+    return outcomes[0]
 
 
 @pytest.mark.parametrize("N", [10**3, 10**5])
@@ -94,6 +109,17 @@ def test_copson_and_bge_traces_match_the_python_loops(monkeypatch, compiled,
         _both(monkeypatch, compiled, mu_dual_copson, w, p, 1.5)
         for route in ("dual", "primal"):
             _both(monkeypatch, compiled, mu_bge, w, p, 0.9, route)
+
+
+@pytest.mark.parametrize("N", [10**3, 10**5])
+def test_hlp_direct_traces_match_the_python_loops(monkeypatch, compiled, N):
+    # the direct route is the dual driver with a floor (q = p < 1)
+    deaths = []
+    for p in (0.34, 0.35, 0.355, 0.3865240616071652, 0.4, 0.6, 0.9):
+        deaths.append(_both(monkeypatch, compiled, hlp.mu_direct, p, N)[4])
+    # the grid holds passing traces, deaths at n = 1 and deaths later
+    assert None in deaths and 1 in deaths
+    assert any(d is not None and d > 1 for d in deaths)
 
 
 @pytest.mark.parametrize("N, p, L, message", [
@@ -140,7 +166,7 @@ def test_domain_test_failing_under_the_ceiling_matches(monkeypatch, compiled,
     rows = np.array([r, 2.0 * r, 2.0 * r])
     mu_1 = math.nextafter(float((rows[:1] ** q)[0]), 0.0)
     assert not float((rows[:1] ** p)[0]) * mu_1 ** (1.0 - p) - 1.0 > 0.0
-    got = _both(monkeypatch, compiled, certificates._mu_dual_ratios,
+    got = _both(monkeypatch, compiled, _kernel._mu_dual_ratios,
                 lambda lo, hi: (rows[lo:hi], np.ones(3)[lo:min(hi, 2)]),
                 3, p, mu_1)
     assert got[4] == 1 and float(got[3]) > 0.0
@@ -151,7 +177,7 @@ def test_primal_clamp_matches(monkeypatch, compiled):
     # is clamped to 0, and the trace dies on the step after
     rows = np.array([0.9, 1.0, 1.0])
     lam_p = math.nextafter(float((rows[:1] ** 2.0)[0]), 1.0)
-    got = _both(monkeypatch, compiled, certificates._mu_primal_ratios,
+    got = _both(monkeypatch, compiled, _kernel._mu_primal_ratios,
                 lambda lo, hi: (rows[lo:hi], np.ones(3)[lo:min(hi, 2)]),
                 3, 2.0, lam_p)
     assert got[4] == 3

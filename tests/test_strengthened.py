@@ -94,6 +94,24 @@ def test_out_of_range_constant_power_is_a_domain_error():
         strengthened_trials(case, build_weights("constant", 100), trials=5)
 
 
+@pytest.mark.parametrize("kind, p, c", [
+    # K^p times the corollary's power sum overflows: its ratio read
+    # 2.7e-95 and passed
+    ("copson_prefix", 80.0, 2.0),
+    # the corollary's left sum underflows: it read 3.8e-111 and passed
+    ("leindler_prefix", 60.0, 0.5),
+    # the first-power sums overflow: a NaN ratio that failed
+    ("cartlidge", 300.0, None),
+])
+def test_out_of_range_power_sums_are_domain_errors(kind, p, c):
+    # the range rule of the branch trials, not a NaN or a ratio that
+    # lost its range and reads as a pass
+    case = StrengthenedCase(kind=kind, p=p, c=c)
+    with pytest.raises(ValueError, match=f"^{kind} power sums leave the "
+                       f"binary64 range at p = {p:g}; lower p$"):
+        strengthened_trials(case, build_weights("constant", 2000), trials=50)
+
+
 def test_first_power_implies_power_corollary_on_same_data():
     # whenever the first-power ratio is <= 1 the p-th power ratio is
     # too; both are reported from the same batch

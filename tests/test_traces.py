@@ -1,23 +1,26 @@
-"""The four scalar mu loops against the list-based loops they replaced.
+"""The mu drivers and hlp.mu_dual against the list-based loops they
+replaced.
 
-`certificates._mu_primal_ratios` (behind `mu_primal` and the primal
-route of `mu_bge`), `certificates._mu_dual_ratios` (behind `mu_dual`,
-`mu_dual_copson` and the dual route of `mu_bge`),
-`hlp.mu_direct` and `hlp.mu_dual` hand each trace to a growing
-array("d") a chunk of steps at a time.  The reference functions below
-are the loops they replaced, written out again here (the primal one with
-the closing step mu_(N+1) that the N-section certificate needs): each
-keeps the whole trace as a list of Python floats and converts it at the
-end.  The primal and
-dual references also form every ratio, power, ceiling and envelope
-target as a whole array before the loop (the dual ones test the ceiling
-inside it), where the library forms them a chunk at a time (and tests
-the ceiling with numpy).  The references keep every margin in an array
-and take the worst margin from those arrays, as the library once did;
-the library keeps only a running minimum.
+`_kernel._mu_primal_ratios` (behind `mu_primal` and the primal route of
+`mu_bge`), `_kernel._mu_dual_ratios` (behind `mu_dual`,
+`mu_dual_copson`, the dual route of `mu_bge` and `hlp.mu_direct`) and
+`hlp.mu_dual` hand each trace to a growing array("d") a chunk of steps
+at a time.  The reference functions below are the loops they replaced,
+written out again here (the primal one with the closing step mu_(N+1)
+that the N-section certificate needs): each keeps the whole trace as a
+list of Python floats and converts it at the end.  The primal and dual
+references also form every ratio, power, bound and envelope target as
+a whole array before the loop (the dual ones test the bound inside it),
+where the library forms them a chunk at a time (and tests the bound
+with numpy).  The references keep every margin in an array and take the
+worst margin from those arrays, as the library once did; the library
+keeps only a running minimum.
 Every trace must equal its reference bit for bit (mu, constraint, the
 repr of the worst margin and both violations), including traces that
-die next to a chunk boundary, and must peak at far less memory.
+die next to a chunk boundary, and must peak at far less memory.  The
+reference of `hlp.mu_direct` is the dual one on its rows (n, n + 1),
+with the floor of q < 1; the hand loop it replaced, which groups its
+powers differently, stays as a tolerance oracle.
 """
 
 import math
@@ -28,10 +31,10 @@ import numpy as np
 import pytest
 
 from lpcert import BoundParams, FactorableSpec, build_weights, hlp
-from lpcert import certificates, copson, weighted_mean
-from lpcert._num import first_bad, margin_ok
-from lpcert.certificates import (_ROW_CHUNK, _binary64_pow, _mu_dual_ratios,
-                                 mu_dual, mu_primal)
+from lpcert import _kernel, copson, weighted_mean
+from lpcert._kernel import _mu_dual_ratios
+from lpcert._num import _ROW_CHUNK, _binary64_pow, first_bad, margin_ok
+from lpcert.certificates import mu_dual, mu_primal
 from lpcert.copson import _with_envelope, mu_bge, mu_dual_copson
 from lpcert.factorable import bge_matrix, bge_steps
 
@@ -113,11 +116,14 @@ def ref_mu_dual(spec, p, U_p):
 
 
 def ref_mu_dual_ratios(r, cross, p, mu_1):
-    """The dual loop on whole ratio arrays, ceiling tested in the loop."""
+    """The dual loop on whole ratio arrays, bound tested in the loop: a
+    ceiling r^q, or for q < 1 a floor."""
     q = p / (p - 1.0)
     eq = q / (q - 1.0)
     e1 = 1.0 / (q - 1.0)
-    _binary64_pow(mu_1, -e1, "U_p")
+    floor = q < 1.0
+    if not floor:
+        _binary64_pow(mu_1, -e1, "U_p")
     with np.errstate(over="ignore"):
         ceilings = r ** q
         r_eq = r[:-1] ** eq
@@ -128,7 +134,7 @@ def ref_mu_dual_ratios(r, cross, p, mu_1):
     rows = zip(ceilings[:-1].tolist(), r_eq.tolist(), cross_q.tolist())
     try:
         for n, (ceiling, rp, cq) in enumerate(rows, start=1):
-            if not (ceiling - prev > 0.0):
+            if not ((prev - ceiling if floor else ceiling - prev) > 0.0):
                 violation = n
                 break
             inner = rp * prev ** (-e1) - 1.0
@@ -142,6 +148,8 @@ def ref_mu_dual_ratios(r, cross, p, mu_1):
                          f"binary64 range at n = {n}") from None
     arr = np.array(mu, dtype=np.float64)
     margins = ceilings[:arr.shape[0]] - arr
+    if floor:
+        margins = arr - ceilings[:arr.shape[0]]
     if violation is None and not (margins[-1] > 0.0):
         violation = arr.shape[0]
     return RefTrace(mu=arr, constraint="mu < (a_n/b_n)^q", margins=margins,
@@ -203,6 +211,17 @@ def ref_mu_bge_primal(w, p, alpha):
 
 
 def ref_hlp_mu_direct(p, N):
+    """The dual loop on the rows of the HLP dual form b_k/a_n = 1/k at
+    exponent p/(p-1): q = p, and the bound n^p is a floor."""
+    n = np.arange(1.0, N + 1.0)
+    trace = ref_mu_dual_ratios(n, n[1:], p / (p - 1.0),
+                               ((1.0 - p) / p) ** p)
+    return replace(trace, constraint="mu > n^p")
+
+
+def old_hlp_mu_direct(p, N):
+    """The hand loop hlp.mu_direct once ran: the same recurrence with its
+    powers grouped as (n+1)^p inner^(1-p), not (n+1)^p / inner^(p-1)."""
     base = ((1.0 - p) / p) ** p
     ep = p / (p - 1.0)
     e1 = 1.0 / (1.0 - p)
@@ -470,6 +489,38 @@ def test_hlp_loops_match_list_loops(N, p):
     _assert_same(hlp.mu_dual, ref_hlp_mu_dual, p, N)
 
 
+@pytest.mark.parametrize("N", [10**3, 10**5])
+@pytest.mark.parametrize("p", [0.34, 0.35, 0.355, 0.3865240616071652, 0.4,
+                               0.6, 0.9])
+def test_hlp_direct_is_the_old_hand_loop_within_rounding(p, N):
+    # the driver divides by inner^(p-1) where the hand loop multiplied by
+    # inner^(1-p); the verdict is the same, and the values agree to 1e-9
+    # up to the collapse of a trace that falls through its floor after a
+    # long run (the last 8 values of a dying trace): there mu_n - n^p
+    # cancels, and at p = 0.38652... the last 7 of 16384 values part by
+    # up to 7.5e-9
+    got, old = hlp.mu_direct(p, N), old_hlp_mu_direct(p, N)
+    assert (got.n_evaluated, got.first_violation) == (old.n_evaluated,
+                                                      old.first_violation)
+    rel = np.abs(got.mu - old.mu) / np.abs(old.mu)
+    collapse = 0 if got.passed else 8
+    assert np.all(rel[:rel.shape[0] - collapse] <= 1e-9)
+    assert np.all(rel <= 1e-8)
+    if got.passed:
+        assert math.isclose(got.worst_margin, old.worst_margin, rel_tol=1e-9)
+    else:
+        assert got.worst_margin <= 0.0 and old.worst_margin <= 0.0
+
+
+@pytest.mark.parametrize("p", [0.995, 0.999])
+def test_hlp_direct_near_1_dies_on_its_floor(p):
+    # mu_1^(1/(1-p)) underflows to 0 here, which the ceiling side's U_p
+    # range check would reject; a floor takes no such check, so the trace
+    # dies on its floor at n = 1, as the hand loop did
+    assert _assert_same(hlp.mu_direct, ref_hlp_mu_direct, p, 100)[3] == 1
+    assert old_hlp_mu_direct(p, 100).first_violation == 1
+
+
 # p at which each trace dies at n = 16383 .. 16386 at N = 40000 (the
 # death index falls as p rises; any index would still be compared)
 HLP_DEATHS = {
@@ -489,6 +540,24 @@ def test_hlp_loops_dying_near_a_chunk_boundary(route):
     assert all(d is not None and abs(d - _ROW_CHUNK) <= 3 for d in deaths)
 
 
+def step_rows(monkeypatch):
+    """The rows of every step-loop call the drivers make from now on."""
+    rows = []
+
+    def loops():
+        def count(loop):
+            def run(trace, rp, *args):
+                rows.append(rp.shape[0])
+                return loop(trace, rp, *args)
+            return run
+
+        return tuple(map(count, steps))
+
+    steps = _kernel._step_loops()
+    monkeypatch.setattr(_kernel, "_step_loops", loops)
+    return rows
+
+
 def test_chunk_size_does_not_change_a_trace(monkeypatch):
     spec = weighted_mean(build_weights("power", 3000, exponent=0.5))
     params = BoundParams(2.0, 1.0)
@@ -496,13 +565,18 @@ def test_chunk_size_does_not_change_a_trace(monkeypatch):
              _outcome(mu_dual, spec, 2.0, params.U_p),
              _outcome(hlp.mu_direct, 0.355, 3000),
              _outcome(hlp.mu_dual, 0.355, 3000)]
+    rows = step_rows(monkeypatch)
     for chunk in (1, 7):
-        monkeypatch.setattr(certificates, "_ROW_CHUNK", chunk)
+        monkeypatch.setattr(_kernel, "_ROW_CHUNK", chunk)
         monkeypatch.setattr(hlp, "_ROW_CHUNK", chunk)
+        rows.clear()
         assert [_outcome(mu_primal, spec, 2.0, params.lam_p),
                 _outcome(mu_dual, spec, 2.0, params.U_p),
                 _outcome(hlp.mu_direct, 0.355, 3000),
                 _outcome(hlp.mu_dual, 0.355, 3000)] == whole
+        # the drivers read the patched chunk: three passing traces of
+        # 3000 rows, about 3000 / chunk step-loop calls each
+        assert max(rows) == chunk and len(rows) >= 3 * (2999 // chunk)
 
 
 def test_chunk_size_does_not_change_a_copson_trace(monkeypatch):
@@ -513,10 +587,13 @@ def test_chunk_size_does_not_change_a_copson_trace(monkeypatch):
              (mu_bge, w, 2.0, 0.8, "primal")]
     whole = [_outcome(*call) for call in calls]
     assert whole[2][3] is not None and whole[3][3] is not None
+    rows = step_rows(monkeypatch)
     for chunk in (1, 7):
-        monkeypatch.setattr(certificates, "_ROW_CHUNK", chunk)
+        monkeypatch.setattr(_kernel, "_ROW_CHUNK", chunk)
         monkeypatch.setattr(copson, "_ROW_CHUNK", chunk)
+        rows.clear()
         assert [_outcome(*call) for call in calls] == whole
+        assert max(rows) == chunk and len(rows) >= 3 * (2999 // chunk)
 
 
 # ----------------------------------------------------------------------
@@ -532,15 +609,25 @@ def _peak(fn, *args):
         tracemalloc.stop()
 
 
+# What the list loop of ref_mu_dual holds at least, without running it:
+# every value of a passing trace as a Python float (24 bytes) and a list
+# slot (8 bytes) pointing at it, and before the loop its whole-length
+# float64 powers r^q, r^p and cross^q (8 bytes a row each).
+LIST_FLOAT_BYTES = 24 + 8
+WHOLE_POWERS_BYTES = 3 * 8
+
+
 def test_mu_dual_peak_memory_is_below_the_list_loop():
     N = 200_000
     spec = weighted_mean(build_weights("power", N, exponent=1.0))
     U_p = BoundParams(1.95, 1.0).U_p
-    ref, got = _peak(ref_mu_dual, spec, 1.95, U_p), _peak(
-        mu_dual, spec, 1.95, U_p)
+    trace = mu_dual(spec, 1.95, U_p)
+    assert trace.passed and trace.n_evaluated == N
+    got = _peak(mu_dual, spec, 1.95, U_p)
     # the trace (1.6 MB) and one chunk of ratios and powers stay; the
     # margins, the whole-length ratios and powers (six more arrays) and
-    # the list of 2e5 floats (about 6 MiB) are gone
+    # the list of 2e5 floats (at least 6.1 MiB) are gone
+    ref = N * LIST_FLOAT_BYTES
     assert got < 5 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)
 
 
@@ -568,6 +655,7 @@ def test_early_dual_death_peaks_at_one_chunk():
     spec = weighted_mean(build_weights("power", N, exponent=1.0))
     U_p = BoundParams(2.0, 0.25).U_p
     assert mu_dual(spec, 2.0, U_p).first_violation == 4
-    ref, got = _peak(ref_mu_dual, spec, 2.0, U_p), _peak(
-        mu_dual, spec, 2.0, U_p)
+    got = _peak(mu_dual, spec, 2.0, U_p)
+    # the list loop forms its three whole-length powers (22.9 MiB) first
+    ref = N * WHOLE_POWERS_BYTES
     assert got < 3 * 2 ** 20 < ref, (got / 2 ** 20, ref / 2 ** 20)

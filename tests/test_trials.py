@@ -23,7 +23,7 @@ from lpcert import (BRANCHES, KINDS, StrengthenedCase, build_weights,
                     strengthened_trials)
 from lpcert import _num, hlp
 from lpcert._num import RATIO_TOL
-from lpcert.copson import BranchReport, branch_constant
+from lpcert.copson import BranchReport, _trial_report, branch_constant
 from lpcert.strengthened import StrengthenedReport, _deterministic_profiles
 
 # ----------------------------------------------------------------------
@@ -377,11 +377,17 @@ def test_deterministic_profiles_are_np_unique_rows(N):
 
 
 def test_nan_ratios_fail_the_batch():
-    # at p = 150 both sides of every trial overflow, so each ratio is
-    # inf/inf; the whole-batch argmax reports that NaN as a failure
-    # (the chunked loop skipped such chunks and reported a pass at -inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = check_bge(build_weights("constant", 1000), 150.0, 0.6,
-                        trials=30)
+    # a NaN ratio is a failure that the whole-batch argmax reports at the
+    # first row (the chunked loop skipped such chunks and reported a pass
+    # at -inf)
+    w = build_weights("constant", 1000)
+    rep = _trial_report(w, "bge", 150.0, 0.6, 30, 0,
+                        lambda X, work: np.full(X.shape[0], math.nan))
     assert math.isnan(rep.max_ratio) and not rep.passed
     assert rep.argmin == 1
+    # at p = 150 both sides of every bge trial overflow, so each ratio
+    # would be inf/inf: by the range rule of the branch trials that is a
+    # domain error before any ratio is reported
+    with pytest.raises(ValueError, match="bge power sums leave the binary64 "
+                       "range at p = 150"):
+        check_bge(w, 150.0, 0.6, trials=30)
