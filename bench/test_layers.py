@@ -3,7 +3,11 @@
 Times the compensated partial sums (`comp_cumsum`) and weight
 construction (`build_weights`, the family's values and their compensated
 partial sums) at N = 1e3, 1e5, 1e6 and 1e7, each with the tracemalloc
-peak of one untimed call in `extra_info`, and the factorable apply and
+peak of one untimed call in `extra_info`; the plain running sums of
+`_num.prefix_sums` and `suffix_sums` on standard normal rows of shape
+(3, 2e4) and (1, 1e6), with the compiled loop of `lpcert._kernel` and
+with np.cumsum (`test_running_sums`, the nanoseconds a value in
+`extra_info`); and the factorable apply and
 adjoint, the power iteration, the mu recurrences and the HLP n0
 searches at N = 1e3, 1e5 and 1e6.  `FactorableSpec.apply` and
 `adjoint_apply` run on the weighted mean of lam_n = n^0.5 with
@@ -83,7 +87,7 @@ import numpy as np
 import pytest
 
 import lpcert
-from lpcert import _kernel
+from lpcert import _kernel, _num
 from lpcert import (BoundParams, StrengthenedCase, build_weights,
                     certify_direct, cesaro, check_bge, check_copson_branch,
                     cli, comp_cumsum, copson_root, copson_threshold, hlp,
@@ -119,6 +123,24 @@ def test_build_weights(benchmark, N):
         build, ())
     w = benchmark.pedantic(build, rounds=ROUNDS[N], warmup_rounds=1)
     assert w.N == N
+
+
+@pytest.mark.parametrize("shape", [(3, 2 * 10**4), (1, 10**6)],
+                         ids=["3x20000", "1x1000000"])
+@pytest.mark.parametrize("impl", ["compiled", "numpy"])
+@pytest.mark.parametrize("helper", ["prefix_sums", "suffix_sums"])
+def test_running_sums(benchmark, monkeypatch, helper, impl, shape):
+    if impl == "compiled":
+        if _kernel.running_sums() is None:
+            pytest.skip("no C compiler: only np.cumsum runs")
+    else:
+        monkeypatch.setattr(_kernel, "running_sums", lambda: None)
+    X = np.random.default_rng(0).standard_normal(shape)
+    out = np.empty(shape)
+    fn = getattr(_num, helper)
+    benchmark.pedantic(fn, args=(X, out), rounds=50, warmup_rounds=1)
+    benchmark.extra_info["ns_per_value"] = (
+        benchmark.stats.stats.median / X.size * 1e9)
 
 
 # The N = 1e6 commands whose peak resident memory the weights set, with

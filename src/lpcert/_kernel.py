@@ -1,5 +1,6 @@
-"""The mu step-loop contract: the two mu drivers, their step loops in C
-(built on first use) and the Python step loops they must match.
+"""The compiled loops: the two mu drivers with their step loops, and the
+running sums of _num.prefix_sums and suffix_sums, in C (built on first
+use), beside the Python and numpy code they must match.
 
 _mu_dual_ratios runs the dual recurrence (certificates.mu_dual,
 copson.mu_dual_copson, the dual route of copson.mu_bge, hlp.mu_direct),
@@ -14,9 +15,12 @@ asks for it and loaded with ctypes.  loops() returns the two compiled
 step functions, or None where no compiler is present or the build
 fails; the drivers then run _dual_steps and _primal_steps, the
 reference the C loops match bit for bit, so every trace, report and
-domain error is the same either way.  The callers import this module
-inside the functions that run a trace, so a command that runs none
-does not load it.
+domain error is the same either way.  running_sums() is the third
+loop, the running sums of each row of a block, forward or backward, or
+None likewise; _num then runs np.cumsum, whose additions the loop makes
+in the same order.  The callers import this module inside the
+functions that run a trace or a running sum, so a command that runs
+neither does not load it.
 
 Why the bits match: CPython's float `**` is libm `pow` for finite
 positive operands not equal to 1, every other step is one IEEE
@@ -26,7 +30,9 @@ special cases (float_pow in Objects/floatobject.c) before it calls
 `pow`, and reports where CPython raises OverflowError (a finite power
 that rounds to inf) or ZeroDivisionError (0.0 to a negative power).
 No base the loops raise is negative, so CPython's complex results never
-arise.
+arise.  np.cumsum along a row is numpy's add.accumulate: the first sum
+is the first value itself (so a leading -0.0 stays -0.0), and each
+later one the sum before it plus the next value.
 
 The library is cached as $XDG_CACHE_HOME/lpcert/steps-<key>.so (by
 default under ~/.cache), the key a CRC-32 of the build material: the
@@ -34,10 +40,12 @@ source, the compiler command and the platform.  The library carries
 that material and is used only if it matches byte for byte, so a key
 collision or a stale file is rebuilt, not trusted.  It is written to a
 temporary file and moved into place with os.replace, so a concurrent
-process sees the old file or the new one, never a part.  The cache
-directory is created 0700; one that belongs to another user or that
-others can write is not used, and the library is then built in a
-private temporary directory, loaded, and deleted.
+process sees the old file or the new one, never a part; within a
+process, a lock makes the threads that first ask for it (trial workers)
+build or load it once.  The cache directory is created 0700; one that
+belongs to another user or that others can write is not used, and the
+library is then built in a private temporary directory, loaded, and
+deleted.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ import functools
 import math
 import os
 import sys
+import threading
 import zlib
 from array import array
 
@@ -238,8 +247,6 @@ def _step_loops():
     return loops() or (_dual_steps, _primal_steps)
 
 
-# The C comments name the loops' module when the source was written; it
-# stays byte for byte as it was, so cached libraries stay valid.
 _COMMAND = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _SOURCE = r"""
@@ -276,7 +283,7 @@ static int py_pow(double v, double w, double *out)
     return !(errno == ERANGE && *out == 0.0);
 }
 
-/* certificates._dual_steps: returns the steps written to out; *stop is
+/* _dual_steps: returns the steps written to out; *stop is
    1 where the Python loop raises OverflowError or ZeroDivisionError. */
 ptrdiff_t lpcert_dual_steps(const double *rp, const double *cq, ptrdiff_t n,
                             double prev, double mu_1, double ne1, double qm1,
@@ -298,7 +305,7 @@ ptrdiff_t lpcert_dual_steps(const double *rp, const double *cq, ptrdiff_t n,
     return i;
 }
 
-/* certificates._primal_steps: returns the steps written to out; *stop
+/* _primal_steps: returns the steps written to out; *stop
    is 1 on a violation (its value written when the floor test failed)
    and 2 where the Python loop raises OverflowError. */
 ptrdiff_t lpcert_primal_steps(const double *rp, const double *cross,
@@ -333,6 +340,29 @@ ptrdiff_t lpcert_primal_steps(const double *rp, const double *cross,
         prev = nxt;
     }
     return n;
+}
+
+/* _num.prefix_sums and suffix_sums: the running sums of each of rows
+   rows of n values at a, forward or (reverse) backward, into out, which
+   may be a.  As numpy's add.accumulate, the first sum is the first
+   value and each later one the sum before it plus the next value. */
+void lpcert_running_sums(const double *a, double *out, ptrdiff_t rows,
+                         ptrdiff_t n, int reverse)
+{
+    ptrdiff_t r, i;
+    if (n == 0) return;
+    for (r = 0; r < rows; r++, a += n, out += n) {
+        double s;
+        if (reverse) {
+            s = a[n - 1];
+            out[n - 1] = s;
+            for (i = n - 2; i >= 0; i--) { s += a[i]; out[i] = s; }
+        } else {
+            s = a[0];
+            out[0] = s;
+            for (i = 1; i < n; i++) { s += a[i]; out[i] = s; }
+        }
+    }
 }
 """
 
@@ -437,14 +467,27 @@ def _doubles(arr) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64)
 
 
+_LOADING = threading.Lock()
+
+
+def _process_library():
+    """The library of this process, built or loaded by the first thread
+    that asks for it while the others wait; None where that fails."""
+    with _LOADING:
+        return _library_once()
+
+
+@functools.cache
+def _library_once():
+    return _library() if os.name == "posix" else None
+
+
 @functools.cache
 def loops():
     """(dual_steps, primal_steps) running the compiled loops, or None
     where no compiler is present or the build fails.  Built or loaded
     once per process."""
-    if os.name != "posix":
-        return None
-    lib = _library()
+    lib = _process_library()
     if lib is None:
         return None
     size, real = ctypes.c_ssize_t, ctypes.c_double
@@ -468,3 +511,40 @@ def loops():
         return stop.value
 
     return functools.partial(steps, dual), functools.partial(steps, primal)
+
+
+@functools.cache
+def running_sums():
+    """sums(values, out, reverse) running the compiled running sums, or
+    None where no compiler is present or the build fails.  Built or
+    loaded once per process."""
+    lib = _process_library()
+    if lib is None:
+        return None
+    loop = lib.lpcert_running_sums
+    size = ctypes.c_ssize_t
+    # addresses as plain integers: data_as costs about 3 us an array
+    loop.argtypes = (ctypes.c_void_p, ctypes.c_void_p, size, size,
+                     ctypes.c_int)
+    loop.restype = None
+
+    def sums(values, out, reverse: bool) -> bool:
+        """Write into out the running sums along the last axis of
+        values, a float64 array, backward if reverse; False, with
+        nothing written, where out is not a writeable C-contiguous
+        float64 array of values' shape.  values is copied first where it
+        is not C-contiguous or shares memory with out without being
+        out."""
+        if (values.ndim == 0 or out.shape != values.shape
+                or out.dtype != np.float64 or not out.flags.c_contiguous
+                or not out.flags.writeable):
+            return False
+        if not values.flags.c_contiguous or (
+                values is not out and np.may_share_memory(values, out)):
+            values = np.array(values, order="C")
+        n = values.shape[-1]
+        loop(values.ctypes.data, out.ctypes.data,
+             values.size // n if n else 0, n, reverse)
+        return True
+
+    return sums

@@ -24,9 +24,11 @@ block drawn and evaluated on a worker thread in that worker's reused
 buffers.  A PCG64 stream can jump ahead (O'Neill, "PCG: A Family of
 Simple Fast Space-Efficient Statistically Good Algorithms for Random
 Number Generation", 2014), so every block draws its own rows from the
-seed's state advanced past the rows before it.  Suffix sums come from
-suffix_sums in a C-contiguous array, not as a reversed view, so that the
-powers taken of them run numpy's SIMD `pow`.
+seed's state advanced past the rows before it.  Their running sums
+along a row come from prefix_sums and suffix_sums, a compiled loop
+(_kernel.running_sums) where it builds and np.cumsum otherwise, with the
+same bits; suffix sums come in a C-contiguous array, not as a reversed
+view, so that the powers taken of them run numpy's SIMD `pow`.
 
 MuTrace, the result of every mu recurrence, and _binary64_pow, the range
 check of their constants, are defined here rather than in certificates,
@@ -129,22 +131,49 @@ def comp_cumsum(values) -> np.ndarray:
     return out
 
 
-def suffix_sums(values, out=None) -> np.ndarray:
-    """Plain vectorized suffix sums along the last axis, in a C-contiguous
-    array: `out` (which may be `values` itself) or a fresh one.
+def prefix_sums(values, out=None) -> np.ndarray:
+    """Plain running sums along the last axis, `np.cumsum(a, axis=-1)`
+    bit for bit, in `out` (which may be `values` itself) or a fresh
+    array; see _running_sums."""
+    return _running_sums(values, out, False)
 
-    Used for bulk trial evaluation, whose reports were fixed on plain
-    sums; weight partials always go through comp_cumsum instead.  The
-    sums are those of `np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]` bit
-    for bit, but written through a reversed view of the result, so the
-    result itself has positive strides: numpy runs its SIMD `pow` only
-    on positive strides, and on the negative-stride view falls back to
-    libm `pow`, about 5x slower and up to one ulp apart.
+
+def suffix_sums(values, out=None) -> np.ndarray:
+    """Plain suffix sums along the last axis, in a C-contiguous array:
+    `out` (which may be `values` itself) or a fresh one.
+
+    The sums are those of `np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]`
+    bit for bit (see _running_sums), but the result itself has positive
+    strides: numpy runs its SIMD `pow` only on positive strides, and on
+    the negative-stride view falls back to libm `pow`, about 5x slower
+    and up to one ulp apart.
     """
+    return _running_sums(values, out, True)
+
+
+def _running_sums(values, out, reverse: bool) -> np.ndarray:
+    """Running sums along the last axis, backward if reverse, in `out`
+    or a fresh array.
+
+    Used for bulk trial evaluation and the factorable products, whose
+    reports were fixed on plain sums; weight partials always go through
+    comp_cumsum instead.  The compiled loop of _kernel.running_sums
+    makes numpy's additions in numpy's order at about a quarter of
+    np.cumsum's time a value, without holding the GIL; where it did not
+    build, or `out` does not suit it, np.cumsum runs, through reversed
+    views for suffix sums.
+    """
+    from ._kernel import running_sums
+
     arr = np.asarray(values, dtype=np.float64)
     if out is None:
         out = np.empty(arr.shape)
-    np.cumsum(arr[..., ::-1], axis=-1, out=out[..., ::-1])
+    sums = running_sums()
+    if sums is None or not sums(arr, out, reverse):
+        if reverse:
+            np.cumsum(arr[..., ::-1], axis=-1, out=out[..., ::-1])
+        else:
+            np.cumsum(arr, axis=-1, out=out)
     return out
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import suffix_sums
+from ._num import prefix_sums, suffix_sums
 from .sequences import WeightSequence
 
 _DENSE_LIMIT = 4096  # to_dense is a test/debug aid, not a compute path
@@ -74,14 +74,16 @@ class FactorableSpec:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.N,):
             raise ValueError(f"x must have shape ({self.N},), got {x.shape}")
-        return np.cumsum(self.b * x) / self.a
+        y = self.b * x
+        return np.divide(prefix_sums(y, out=y), self.a, out=y)
 
     def adjoint_apply(self, z) -> np.ndarray:
         """(M^T z)_k = b_k sum_{n>=k} z_n / a_n via one suffix sum."""
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.N,):
             raise ValueError(f"z must have shape ({self.N},), got {z.shape}")
-        return self.b * suffix_sums(z / self.a)
+        y = z / self.a
+        return np.multiply(self.b, suffix_sums(y, out=y), out=y)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the matrix; guarded, for small-N oracle checks only."""

@@ -69,8 +69,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import (_ROW_CHUNK, MuTrace, margin_ok, margins_ok, suffix_sums,
-                   trial_rows)
+from ._num import (_ROW_CHUNK, MuTrace, margin_ok, margins_ok, prefix_sums,
+                   suffix_sums, trial_rows)
 from ._options import N_MAX_DEFAULT
 
 # Trace length the n0 searches try before the full n0_max.  Certifying n0
@@ -406,18 +406,18 @@ def probe_primal(p: float, s: float, N: int) -> float:
 
 
 def _dual_ratios(p: float, X: np.ndarray, work=None) -> np.ndarray:
-    """probe_dual's ratio for each row of X, which it overwrites; the
-    partial sums go in the first array of work, a trial_rows workspace,
-    or a fresh one."""
+    """probe_dual's ratio for each row of X (positive and finite), which
+    it overwrites; the partial sums go in the first array of work, a
+    trial_rows workspace, or a fresh one."""
     if not (0.0 < p < 1.0):
         raise ValueError("need 0 < p < 1")
-    if X.shape[-1] == 0 or not np.all(X > 0.0) or not np.all(np.isfinite(X)):
+    if X.shape[-1] == 0:
         raise ValueError("x must be a nonempty positive finite vector")
     X /= np.max(X, axis=-1, keepdims=True)
     q = p / (p - 1.0)
     n = np.arange(1, X.shape[-1] + 1, dtype=np.float64)
     y = np.divide(X, n, out=work[0] if work else None)
-    np.cumsum(y, axis=-1, out=y)
+    prefix_sums(y, out=y)
     y **= q
     X **= q
     return np.sum(y, axis=-1) / ((p / (1.0 - p)) ** q * np.sum(X, axis=-1))
@@ -431,6 +431,9 @@ def probe_dual(p: float, x) -> float:
     keep negative powers of partial sums in range.
     """
     X = np.array(x, dtype=np.float64).reshape(1, -1)
+    # a bad p, or an empty x, is _dual_ratios' error
+    if 0.0 < p < 1.0 and not (np.all(X > 0.0) and np.all(np.isfinite(X))):
+        raise ValueError("x must be a nonempty positive finite vector")
     return float(_dual_ratios(p, X)[0])
 
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._num import comp_cumsum, suffix_sums
+from ._num import comp_cumsum, prefix_sums, suffix_sums
 
 WEIGHT_KINDS = ("constant", "power", "geometric", "explicit")
 
@@ -238,7 +238,7 @@ def averaged(w: WeightSequence, X, direction: str, base: str,
     if direction == "suffix":
         suffix_sums(summed, out=summed)
     else:
-        np.cumsum(summed, axis=-1, out=summed)
+        prefix_sums(summed, out=summed)
     if dual:
         return np.multiply(summed, lam, out=summed)
     return np.divide(summed, B, out=summed)

@@ -41,8 +41,8 @@ from ._num import (_BLOCK_ELEMS, RATIO_TOL, _binary64_pow, first_bad,
                    trial_rows, workspace)
 from ._options import BRANCHES, KINDS, MU_CHOICES
 from .certificates import cartlidge_constant
-from .copson import (_BRANCH_SUMS, _branch_weights, _range_floor,
-                     _range_ratios, branch_constant)
+from .copson import (_BRANCH_SUMS, _RANGE_FLOOR, _branch_weights,
+                     _range_floor, _range_ratios, branch_constant)
 from .sequences import WeightSequence, averaged
 
 _COPSON_KINDS = BRANCHES
@@ -146,16 +146,18 @@ class StrengthenedReport:
 
 
 def _case_ratios(case: StrengthenedCase, w: WeightSequence):
-    """(L, ratios): ratios(X, work=None) gives, per trial row of X, the
-    first-power LHS/RHS ratio and its Holder corollary's as an (m, 2)
-    array.
+    """(L, ratios): ratios(X, work=None) gives, per trial row of X (of
+    length N, positive and finite), the first-power LHS/RHS ratio and
+    its Holder corollary's as an (m, 2) array.
 
     L, K, K^p and the summation weights u are formed once; each row is
-    checked to be positive and finite, then rescaled (in place) by its
-    maximum.  X is overwritten, and work, a trial_rows workspace (or two
-    fresh arrays), holds the averages and their (p-1)-th powers.  The
-    non-Copson kinds sum with u = 1, so they skip it.  Power sums out of
-    the binary64 range are a domain error (copson._range_ratios).
+    rescaled (in place) by its maximum.  X is overwritten, and work, a
+    trial_rows workspace (or two fresh arrays), holds the averages and
+    their (p-1)-th powers.  The non-Copson kinds sum with u = 1, so they
+    skip it, and their range floor _range_floor(u) is 2 N _RANGE_FLOOR
+    (exact: every term is a power of two times an integer below 2^53).
+    Power sums out of the binary64 range are a domain error
+    (copson._range_ratios).
     """
     p = case.p
     L = case.effective_L(w)
@@ -167,22 +169,17 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
         with np.errstate(over="ignore"):
             u = _branch_weights(w, case.kind, p, case.c)
         weigh = (lambda a, out: np.multiply(a, u, out=out))
+        floor = _range_floor(u)
     else:
-        u = np.ones(w.N)
         weigh = (lambda a, out: a)
-    floor = _range_floor(u)
+        floor = 2.0 * w.N * _RANGE_FLOOR
 
     def ratios(X, work=None):
-        if X.shape[-1] != w.N:
-            raise ValueError(f"x has length {X.shape[-1]}, weights have {w.N}")
-        if not np.all(X > 0.0) or not np.all(np.isfinite(X)):
-            raise ValueError("trial vectors must be positive and finite")
         S, ip = work or workspace(X.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             X /= np.max(X, axis=-1, keepdims=True)
             inner = averaged(w, X, direction, base, dual, out=S)
-            np.copyto(ip, inner)
-            ip **= p - 1.0
+            np.power(inner, p - 1.0, out=ip)
             lhs = np.sum(np.multiply(weigh(inner, inner), ip, out=inner),
                          axis=-1)
             rhs = np.sum(np.multiply(weigh(X, S), ip, out=S), axis=-1)
@@ -216,6 +213,10 @@ def check_strengthened(case: StrengthenedCase, w: WeightSequence,
     inequality and its p-th power corollary."""
     X = np.array(x, dtype=np.float64).reshape(1, -1)
     L, ratios = _case_ratios(case, w)
+    if X.shape[-1] != w.N:
+        raise ValueError(f"x has length {X.shape[-1]}, weights have {w.N}")
+    if not np.all(X > 0.0) or not np.all(np.isfinite(X)):
+        raise ValueError("trial vectors must be positive and finite")
     return _report(case, w, L, ratios(X), note="single vector")
 
 

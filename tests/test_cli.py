@@ -231,7 +231,7 @@ def test_cli_import_loads_no_compute_module():
     (["hlp", "certify", "--p", "0.35"], {"hlp", "_kernel"},
      {"copson", "strengthened", "norm_probe", "corpus", "certificates",
       "factorable", "sequences"}),
-    # commands that run no mu step loop load no _kernel
+    # commands that run no mu step loop and no running sum load no _kernel
     (["hlp", "certify", "--p", "0.345", "--method", "dual-shift"], {"hlp"},
      {"copson", "strengthened", "norm_probe", "corpus", "certificates",
       "factorable", "sequences", "_kernel"}),
@@ -239,10 +239,26 @@ def test_cli_import_loads_no_compute_module():
       "--p", "2", "--L", "1.0"],
      {"certificates", "factorable", "sequences"},
      {"copson", "hlp", "strengthened", "norm_probe", "corpus", "_kernel"}),
+    # the trial batches and the power iteration form their running sums
+    # with _kernel's compiled loop
     (["copson", "branch", "--branch", "copson_prefix", "--c", "1.5", "--p",
       "2", "--N", "200", "--trials", "20"],
-     {"copson", "certificates", "sequences"},
-     {"hlp", "strengthened", "norm_probe", "corpus", "_kernel"}),
+     {"copson", "certificates", "sequences", "_kernel"},
+     {"hlp", "strengthened", "norm_probe", "corpus"}),
+    (["bge", "--alpha", "0.85", "--p", "2", "--N", "200", "--trials", "20"],
+     {"copson", "sequences", "_kernel"},
+     {"hlp", "strengthened", "norm_probe", "corpus"}),
+    (["strengthened", "check", "--which", "dual", "--p", "2", "--N", "200",
+      "--trials", "20"],
+     {"strengthened", "copson", "sequences", "_kernel"},
+     {"hlp", "norm_probe", "corpus"}),
+    (["hlp", "dual-probe", "--p", "0.31", "--N", "64", "--trials", "20"],
+     {"hlp", "_kernel"},
+     {"copson", "strengthened", "norm_probe", "corpus", "certificates",
+      "factorable", "sequences"}),
+    (["norm", "--weights", "power:0.5", "--N", "200", "--p", "2"],
+     {"norm_probe", "factorable", "sequences", "_kernel"},
+     {"copson", "hlp", "strengthened", "corpus"}),
 ])
 def test_a_subcommand_loads_only_what_it_runs(argv, used, unused):
     loaded = _ours(_after_main(argv))
@@ -250,15 +266,20 @@ def test_a_subcommand_loads_only_what_it_runs(argv, used, unused):
     assert not loaded & {f"lpcert.{m}" for m in unused}
 
 
-def test_only_a_mu_trace_loads_ctypes_beyond_numpy():
-    # numpy loads ctypes itself; lpcert loads it (through _kernel) on the
-    # first mu trace only: the direct hlp trace runs on the mu driver, the
-    # dual-shift search on its own loop
-    beyond_numpy = set(_loaded("import numpy"))
-    assert "ctypes" not in set(_loaded("import lpcert.cli")) - beyond_numpy
-    assert "ctypes" not in set(_after_main(
-        ["hlp", "certify", "--p", "0.345", "--method", "dual-shift"])
-                               ) - beyond_numpy
+def test_only_a_compiled_loop_loads_the_kernel():
+    # _kernel (and with it lpcert's use of ctypes, which numpy loads
+    # anyway) comes in with the first mu trace or running sum only: the
+    # dual-shift search runs its own loop, the product check and the
+    # Brent port none
+    assert "lpcert._kernel" not in _loaded("import lpcert.cli")
+    for argv in (["hlp", "certify", "--p", "0.345", "--method", "dual-shift"],
+                 ["certify", "--method", "product", "--weights", "power:1",
+                  "--N", "1000", "--p", "2", "--L", "1.0"],
+                 ["copson", "cp-root", "--p", "3"]):
+        assert "lpcert._kernel" not in _after_main(argv), argv
+    # the same check flags a command that runs a compiled loop
+    assert "lpcert._kernel" in _after_main(
+        ["hlp", "probe", "--p", "0.4", "--s", "2.6", "--N", "100"])
 
 
 def test_cp_root_report_is_unchanged(capsys):

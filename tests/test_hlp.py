@@ -153,6 +153,20 @@ def test_probe_dual_hand_value_and_trials():
     assert worst <= 1.0 + 1e-10
 
 
+@pytest.mark.parametrize("p, x, message", [
+    (0.35, [], "x must be a nonempty positive finite vector"),
+    (0.35, [1.0, 0.0], "x must be a nonempty positive finite vector"),
+    (0.35, [1.0, np.inf], "x must be a nonempty positive finite vector"),
+    (0.35, [np.nan, 1.0], "x must be a nonempty positive finite vector"),
+    # a bad p is reported before a bad x
+    (1.5, [-1.0], r"need 0 < p < 1"),
+    (1.5, [], r"need 0 < p < 1"),
+])
+def test_probe_dual_messages(p, x, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        probe_dual(p, np.array(x))
+
+
 @given(st.floats(min_value=0.1, max_value=100.0))
 @settings(max_examples=40, deadline=None)
 def test_probe_dual_scale_invariant(scale):

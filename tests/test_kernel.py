@@ -1,4 +1,4 @@
-"""The compiled mu step loops against the Python loops they stand in for.
+"""The compiled loops against the Python and numpy code they stand in for.
 
 `lpcert._kernel` builds a C step loop for each mu driver
 (`_kernel._mu_dual_ratios` and `_mu_primal_ratios`) on first use and
@@ -12,6 +12,10 @@ compiler is present, the comparisons skip (the Python loops are then
 the only ones, and tests/test_traces.py checks them against the list
 loops); the cache and fallback tests run CLI processes with their own
 XDG_CACHE_HOME and PATH.
+
+The compiled running sums behind `_num.prefix_sums` and `suffix_sums`
+must equal np.cumsum bit for bit, and every trial batch must report
+the same with the library as without it.
 """
 
 import json
@@ -25,9 +29,11 @@ import numpy as np
 import pytest
 
 import lpcert
-from lpcert import BoundParams, _kernel, build_weights, hlp, weighted_mean
+from lpcert import (BoundParams, StrengthenedCase, _kernel, build_weights,
+                    check_bge, check_copson_branch, hlp, strengthened_trials,
+                    weighted_mean)
 from lpcert._kernel import _dual_steps, _primal_steps
-from lpcert._num import _ROW_CHUNK
+from lpcert._num import _ROW_CHUNK, prefix_sums, suffix_sums
 from lpcert.certificates import mu_dual, mu_primal
 from lpcert.copson import mu_bge, mu_dual_copson
 from lpcert.factorable import FactorableSpec
@@ -279,3 +285,168 @@ def test_a_library_of_other_material_is_rejected(tmp_path, compiled):
     assert _kernel._open(path, material) is None
     (tmp_path / "broken.so").write_bytes(b"not a library")
     assert _kernel._open(str(tmp_path / "broken.so"), material) is None
+
+
+# ----------------------------------------------------------------------
+# Running sums
+
+
+@pytest.fixture(scope="module")
+def compiled_sums():
+    sums = _kernel.running_sums()
+    if sums is None:
+        pytest.skip("no C compiler: np.cumsum is the only running sum")
+    return sums
+
+
+def _reference(X, reverse):
+    if reverse:
+        return np.cumsum(X[..., ::-1], axis=-1)[..., ::-1]
+    return np.cumsum(X, axis=-1)
+
+
+def _sum_rows(rows, n):
+    """Rows of n values over 120 binades, each row's first and last
+    value -0.0 (a loop that starts from +0.0 gives +0.0 there), every
+    fifth value subnormal, and from the third row on an inf, a -inf and
+    a NaN."""
+    rng = np.random.default_rng(rows * 7 + n)
+    X = rng.standard_normal((rows, n)) * np.exp2(rng.integers(-60, 60,
+                                                              (rows, n)))
+    X[:, 2::5] = rng.choice([5e-324, -5e-324, 1e-310, -2.5e-309],
+                            X[:, 2::5].shape)
+    if n:
+        X[:, 0] = X[:, -1] = -0.0
+    if rows >= 3 and n >= 3:
+        X[1, n // 2] = np.inf
+        X[2, n // 3] = -np.inf
+        X[2, 2 * n // 3] = np.nan
+    return X
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 20_000])
+@pytest.mark.parametrize("rows", [0, 1, 3, 256])
+def test_running_sums_match_cumsum(monkeypatch, compiled_sums, rows, n):
+    ran = []
+
+    def counted():
+        def sums(values, out, reverse):
+            ran.append(compiled_sums(values, out, reverse))
+            return ran[-1]
+        return sums
+
+    monkeypatch.setattr(_kernel, "running_sums", counted)
+    X = _sum_rows(rows, n)
+    for reverse, helper in ((False, prefix_sums), (True, suffix_sums)):
+        ref = _reference(X, reverse)
+        assert _same_bits(helper(X), ref)
+        # in place
+        Y = X.copy()
+        assert helper(Y, out=Y) is Y and _same_bits(Y, ref)
+        # from a non-contiguous input: a Fortran-ordered copy, and every
+        # other column of a wider array
+        assert _same_bits(helper(np.asfortranarray(X)), ref)
+        if rows and n:
+            wide = np.zeros((rows, 2 * n))
+            wide[:, ::2] = X
+            assert _same_bits(helper(wide[:, ::2]), ref)
+        del Y, ref
+    # 1-d rows too
+    if rows == 1:
+        for reverse, helper in ((False, prefix_sums), (True, suffix_sums)):
+            assert _same_bits(helper(X[0]), _reference(X[0], reverse))
+    if rows and n:
+        # each row's first sum is its leading -0.0 itself
+        assert np.signbit(prefix_sums(X)[:, 0]).all()
+        assert np.signbit(suffix_sums(X)[:, -1]).all()
+    # every call ran the compiled loop
+    assert ran and all(ran)
+
+
+def test_running_sums_write_to_overlapping_memory_as_numpy(compiled_sums):
+    # out overlaps values without being values: values is copied first
+    buf = np.arange(1.0, 12.0)
+    values, out = buf[:10], buf[1:11]
+    ref = np.cumsum(values.copy())
+    assert compiled_sums(values, out, False) and _same_bits(out, ref)
+    # an out that does not suit the loop is left to numpy
+    assert not compiled_sums(np.ones(4), np.empty(4)[::-1], False)
+    assert not compiled_sums(np.ones(4), np.empty(5), False)
+    assert not compiled_sums(np.ones(4), np.empty(4, np.float32), False)
+
+
+def _batches():
+    """The four trial batch kinds, each report as a string."""
+    w = build_weights("power", 2000, exponent=0.8)
+    return [
+        repr(check_copson_branch(w, 2.5, 1.5, "copson_prefix", trials=100,
+                                 seed=3).to_dict()),
+        repr(check_copson_branch(w, 1.5, 0.5, "copson_tail", trials=100,
+                                 seed=4).to_dict()),
+        repr(check_bge(w, 3.0, 0.85, trials=100, seed=5).to_dict()),
+        repr(strengthened_trials(StrengthenedCase(kind="dual", p=1.5), w,
+                                 trials=100, seed=6).to_dict()),
+        repr(hlp.probe_dual_trials(0.31, 256, 300, seed=7)),
+    ]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_trial_batches_report_the_same_without_the_library(
+        monkeypatch, compiled_sums, threads):
+    monkeypatch.setenv("THREADS", threads)
+    calls = {"compiled": 0, "none": 0}
+
+    def compiled():
+        calls["compiled"] += 1
+        return compiled_sums
+
+    def none():
+        calls["none"] += 1
+
+    monkeypatch.setattr(_kernel, "running_sums", compiled)
+    with_library = _batches()
+    monkeypatch.setattr(_kernel, "running_sums", none)
+    without = _batches()
+    # both patches took effect: every batch asked for the loop
+    assert calls["compiled"] == calls["none"] > 0
+    assert without == with_library
+
+
+_COLD_BATCH = """
+import json
+from lpcert import _kernel, build_weights, check_bge
+builds, build = [], _kernel._build
+
+def counted(*args):
+    builds.append(args[0])
+    return build(*args)
+
+_kernel._build = counted
+w = build_weights("power", 2000, exponent=0.8)
+rep = check_bge(w, 2.0, 0.85, trials=200, seed=0)
+print(json.dumps({"builds": len(builds), "report": rep.to_dict(),
+                  "compiled": _kernel.running_sums() is not None}))
+"""
+
+
+def test_a_cold_cache_with_two_trial_workers_builds_once(tmp_path,
+                                                         compiled_sums):
+    # both workers ask for the library on their first block; the second
+    # waits for the first one's build instead of making its own
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
+               THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", _COLD_BATCH], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    got = json.loads(res.stdout)
+    assert got["compiled"] and got["builds"] == 1
+    assert got["report"] == json.loads(json.dumps(check_bge(
+        build_weights("power", 2000, exponent=0.8), 2.0, 0.85, trials=200,
+        seed=0).to_dict()))

@@ -209,3 +209,26 @@ def test_cartlidge_case_random_weights_and_data(n, seed):
     x = 10.0 ** rng.uniform(-2.0, 2.0, size=n)
     rep = check_strengthened(case, w, x)
     assert rep.max_ratio <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.ones(7), "x has length 7, weights have 8"),
+    (np.zeros(8), "trial vectors must be positive and finite"),
+    (np.r_[np.ones(7), np.inf], "trial vectors must be positive and finite"),
+    (np.r_[np.nan, np.ones(7)], "trial vectors must be positive and finite"),
+])
+def test_check_strengthened_messages(x, message):
+    # the one user vector is checked once, before its ratios; the trial
+    # rows, positive and finite by construction, are not re-checked
+    case = StrengthenedCase(kind="dual", p=2.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_strengthened(case, build_weights("constant", 8), x)
+
+
+@pytest.mark.parametrize("N", [1, 3, 2000, 20_000, 10**6])
+def test_unit_weight_range_floor_is_2N_range_floors(N):
+    # the non-Copson cases sum with u = 1 and take this floor without
+    # forming np.ones(N); every partial sum is exact, so the two agree
+    from lpcert.copson import _RANGE_FLOOR, _range_floor
+
+    assert _range_floor(np.ones(N)) == 2.0 * N * _RANGE_FLOOR
