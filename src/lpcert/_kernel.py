@@ -42,7 +42,9 @@ collision or a stale file is rebuilt, not trusted.  It is written to a
 temporary file and moved into place with os.replace, so a concurrent
 process sees the old file or the new one, never a part; within a
 process, a lock makes the threads that first ask for it (trial workers)
-build or load it once.  The cache directory is created 0700; one that
+build or load it once.  A build removes the cached libraries of other
+material, so the cache keeps one library, not one for every version of
+the source.  The cache directory is created 0700; one that
 belongs to another user or that others can write is not used, and the
 library is then built in a private temporary directory, loaded, and
 deleted.
@@ -451,12 +453,27 @@ def _library():
         lib = _open(path, material)
         if lib is None and _build(path, material):
             lib = _open(path, material)
+            _remove_other_libraries(directory, name)
         return lib
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, name)
         return _open(path, material) if _build(path, material) else None
+
+
+def _remove_other_libraries(directory: str, name: str) -> None:
+    """Unlink every cached library but `name`, so that the cache holds
+    the library of one version of the source; a process that has one of
+    them loaded keeps its mapping."""
+    with os.scandir(directory) as entries:
+        stale = [e.path for e in entries if e.name != name
+                 and e.name.startswith("steps-") and e.name.endswith(".so")]
+    for path in stale:
+        try:
+            os.remove(path)
+        except OSError:
+            pass
 
 
 def _pointer(arr: np.ndarray):

@@ -312,12 +312,14 @@ def _branch_weights(w: WeightSequence, branch: str, p: float,
 
 
 def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
-    """Per-trial LHS/RHS ratios of the p-th power branch inequality, as a
-    function of the trial rows (which it overwrites) and a trial_rows
-    workspace, whose first array holds the averages; K^p and u are
-    formed once.  A power sum out of the binary64 range (_RANGE_FLOOR),
-    or a right side K^p times one that overflows, is a domain error:
-    its ratio would not be evidence."""
+    """(sums, ratios) of the p-th power branch inequality: sums(X, work)
+    gives, per trial row of X (which it overwrites), its two power sums
+    as an (m, 2) array, work being a trial_rows workspace whose first
+    array holds the averages; ratios(S) gives the LHS/RHS ratios of a
+    batch of such sums by the range rule (_range_ratios).  K^p and u
+    are formed once.  A power sum out of the binary64 range
+    (_RANGE_FLOOR), or a right side K^p times one that overflows, is a
+    domain error: its ratio would not be evidence."""
     # branch_constant validates branch and c
     Kp = _binary64_pow(branch_constant(branch, p, c), p, "K^p")
     direction, base = _BRANCH_SUMS[branch]
@@ -327,7 +329,7 @@ def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
         u = _branch_weights(w, branch, p, c)
     floor = _range_floor(u)
 
-    def ratios(X, work):
+    def sums(X, work):
         with np.errstate(over="ignore", invalid="ignore"):
             X /= np.max(X, axis=-1, keepdims=True)
             inner = averaged(w, X, direction, base, out=work[0])
@@ -335,9 +337,12 @@ def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
             lhs = np.sum(np.multiply(inner, u, out=inner), axis=-1)
             X **= p
             rhs = np.sum(np.multiply(X, u, out=X), axis=-1)
-            return _range_ratios(branch, p, lhs, Kp, rhs, (floor, floor))
+        return np.stack([lhs, rhs], axis=-1)
 
-    return ratios
+    def ratios(S):
+        return _range_ratios(branch, p, S[:, 0], Kp, S[:, 1], (floor, floor))
+
+    return sums, ratios
 
 
 def _range_floor(u: np.ndarray) -> float:
@@ -348,25 +353,26 @@ def _range_floor(u: np.ndarray) -> float:
 
 
 def _range_ratios(what: str, p: float, lhs, K: float, rhs, floors):
-    """lhs / (K rhs) for the power sums of a trial batch, by the range
-    rule of every batch: a domain error unless lhs and rhs reach their
-    floors (_range_floor) and lhs and K rhs are below inf.  Called under
-    the batch's np.errstate(over="ignore")."""
-    den = K * rhs
-    if not ((lhs >= floors[0]) & (rhs >= floors[1]) & (lhs < math.inf)
-            & (den < math.inf)).all():
-        raise ValueError(f"{what} power sums leave the binary64 range "
-                         f"at p = {p:g}; lower p")
-    return lhs / den
+    """lhs / (K rhs) for the power sums of a whole trial batch, by the
+    range rule of every batch: a domain error unless lhs and rhs reach
+    their floors (_range_floor) and lhs and K rhs are below inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = K * rhs
+        if not ((lhs >= floors[0]) & (rhs >= floors[1]) & (lhs < math.inf)
+                & (den < math.inf)).all():
+            raise ValueError(f"{what} power sums leave the binary64 range "
+                             f"at p = {p:g}; lower p")
+        return lhs / den
 
 
 def _trial_report(w: WeightSequence, branch: str, p: float,
                   c_or_alpha: float, trials: int, seed: int,
-                  ratios_of) -> BranchReport:
-    """Max of ratios_of over seeded trial rows with log-uniform entries
-    in [1e-3, 1e3], drawn and evaluated a block at a time by trial_rows;
-    argmin is the first row attaining it."""
-    ratios = trial_rows(w.N, trials, seed, ratios_of)
+                  sums_of, ratios_of) -> BranchReport:
+    """Max of ratios_of over the sums_of of seeded trial rows with
+    log-uniform entries in [1e-3, 1e3], drawn and evaluated a block at
+    a time by trial_rows; ratios_of takes the whole batch's sums at
+    once.  argmin is the first row attaining the max."""
+    ratios = ratios_of(trial_rows(w.N, trials, seed, sums_of))
     j = int(np.argmax(ratios))
     best = float(ratios[j])
     return BranchReport(branch=branch, p=p, c_or_alpha=c_or_alpha, N=w.N,
@@ -385,7 +391,7 @@ def check_copson_branch(w: WeightSequence, p: float, c: float, branch: str,
     if trials < 1:
         raise ValueError("need trials >= 1")
     return _trial_report(w, branch, p, c, trials, seed,
-                         _branch_ratios(w, branch, p, c))
+                         *_branch_ratios(w, branch, p, c))
 
 
 def near_extremal_schedule(p: float, c: float, n_start: int = 64,
@@ -445,7 +451,7 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
         lwa = lam * wa ** p
     floors = _range_floor(lam), _range_floor(lwa)
 
-    def ratios(X, work):
+    def sums(X, work):
         with np.errstate(over="ignore", invalid="ignore"):
             X /= np.max(X, axis=-1, keepdims=True)
             S = suffix_sums(np.multiply(X, wa, out=work[0]), out=work[0])
@@ -454,9 +460,12 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
             suffix_sums(X, out=X)
             X **= p
             rhs = np.sum(np.multiply(X, lwa, out=X), axis=-1)
-            return _range_ratios("bge", p, lhs, K, rhs, floors)
+        return np.stack([lhs, rhs], axis=-1)
 
-    return _trial_report(w, "bge", p, alpha, trials, seed, ratios)
+    def ratios(S):
+        return _range_ratios("bge", p, S[:, 0], K, S[:, 1], floors)
+
+    return _trial_report(w, "bge", p, alpha, trials, seed, sums, ratios)
 
 
 # ----------------------------------------------------------------------

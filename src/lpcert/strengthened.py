@@ -146,9 +146,11 @@ class StrengthenedReport:
 
 
 def _case_ratios(case: StrengthenedCase, w: WeightSequence):
-    """(L, ratios): ratios(X, work=None) gives, per trial row of X (of
-    length N, positive and finite), the first-power LHS/RHS ratio and
-    its Holder corollary's as an (m, 2) array.
+    """(L, sums, ratios): sums(X, work=None) gives, per trial row of X
+    (of length N, positive and finite), the power sums of the
+    first-power inequality and of its Holder corollary's right side as
+    an (m, 3) array; ratios(S) gives the first-power LHS/RHS ratio and
+    the corollary's of a batch of such sums as an (m, 2) array.
 
     L, K, K^p and the summation weights u are formed once; each row is
     rescaled (in place) by its maximum.  X is overwritten, and work, a
@@ -157,7 +159,7 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
     skip it, and their range floor _range_floor(u) is 2 N _RANGE_FLOOR
     (exact: every term is a power of two times an integer below 2^53).
     Power sums out of the binary64 range are a domain error
-    (copson._range_ratios).
+    (copson._range_ratios), checked once on the whole batch.
     """
     p = case.p
     L = case.effective_L(w)
@@ -169,12 +171,12 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
         with np.errstate(over="ignore"):
             u = _branch_weights(w, case.kind, p, case.c)
         weigh = (lambda a, out: np.multiply(a, u, out=out))
-        floor = _range_floor(u)
+        floors = (_range_floor(u),) * 2
     else:
         weigh = (lambda a, out: a)
-        floor = 2.0 * w.N * _RANGE_FLOOR
+        floors = (2.0 * w.N * _RANGE_FLOOR,) * 2
 
-    def ratios(X, work=None):
+    def sums(X, work=None):
         S, ip = work or workspace(X.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             X /= np.max(X, axis=-1, keepdims=True)
@@ -185,12 +187,15 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
             rhs = np.sum(np.multiply(weigh(X, S), ip, out=S), axis=-1)
             X **= p
             rhs_p = np.sum(weigh(X, X), axis=-1)
-            first = _range_ratios(case.kind, p, lhs, K, rhs, (floor, floor))
-            power = _range_ratios(case.kind, p, lhs, Kp, rhs_p,
-                                  (floor, floor))
+        return np.stack([lhs, rhs, rhs_p], axis=-1)
+
+    def ratios(S):
+        lhs = S[:, 0]
+        first = _range_ratios(case.kind, p, lhs, K, S[:, 1], floors)
+        power = _range_ratios(case.kind, p, lhs, Kp, S[:, 2], floors)
         return np.stack([first, power], axis=-1)
 
-    return L, ratios
+    return L, sums, ratios
 
 
 def _report(case: StrengthenedCase, w: WeightSequence, L: float | None,
@@ -212,12 +217,12 @@ def check_strengthened(case: StrengthenedCase, w: WeightSequence,
     """Evaluate one positive vector against the case's first-power
     inequality and its p-th power corollary."""
     X = np.array(x, dtype=np.float64).reshape(1, -1)
-    L, ratios = _case_ratios(case, w)
+    L, sums, ratios = _case_ratios(case, w)
     if X.shape[-1] != w.N:
         raise ValueError(f"x has length {X.shape[-1]}, weights have {w.N}")
     if not np.all(X > 0.0) or not np.all(np.isfinite(X)):
         raise ValueError("trial vectors must be positive and finite")
-    return _report(case, w, L, ratios(X), note="single vector")
+    return _report(case, w, L, ratios(sums(X)), note="single vector")
 
 
 def _deterministic_profiles(N: int) -> np.ndarray:
@@ -244,8 +249,8 @@ def _deterministic_profiles(N: int) -> np.ndarray:
     return np.stack([rows[i] for i in keep])
 
 
-def _profile_ratios(ratios, N: int, trials: int):
-    """(ratios of the first `trials` deterministic profiles, the number
+def _profile_sums(sums, N: int, trials: int):
+    """(sums of the first `trials` deterministic profiles, the number
     of profiles).
 
     The profiles are evaluated max(1, _BLOCK_ELEMS // N) rows at a time
@@ -259,7 +264,7 @@ def _profile_ratios(ratios, N: int, trials: int):
     parts = []
     for lo in range(0, n_det, rows):
         X = det[lo:min(lo + rows, n_det)]
-        parts.append(ratios(X, tuple(a[:X.shape[0]] for a in work)))
+        parts.append(sums(X, tuple(a[:X.shape[0]] for a in work)))
     return np.concatenate(parts), det.shape[0]
 
 
@@ -269,11 +274,12 @@ def strengthened_trials(case: StrengthenedCase, w: WeightSequence,
     worst (largest) ratios over the whole batch."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    L, ratios = _case_ratios(case, w)
-    R, n_det = _profile_ratios(ratios, w.N, trials)
+    L, sums, ratios = _case_ratios(case, w)
+    S, n_det = _profile_sums(sums, w.N, trials)
     if trials > n_det:
-        R = np.concatenate([R, trial_rows(w.N, trials - n_det, seed, ratios)])
-    return _report(case, w, L, R, note=f"{n_det} deterministic profiles")
+        S = np.concatenate([S, trial_rows(w.N, trials - n_det, seed, sums)])
+    return _report(case, w, L, ratios(S),
+                   note=f"{n_det} deterministic profiles")
 
 
 # ----------------------------------------------------------------------

@@ -180,8 +180,9 @@ def test_branch_ratio_at_large_p_is_evidence_not_underflow():
     w = build_weights("constant", 2000)
     rep = check_copson_branch(w, 40.0, 2.0, "copson_prefix", trials=50)
     assert rep.passed and 1e-106 < rep.max_ratio < 1e-104
-    U = np.random.default_rng(0).uniform(-3.0, 3.0, (50, 2000))
-    x = 10.0 ** U[rep.argmin - 1]
+    U = np.random.default_rng(0).uniform(np.log(1e-3), np.log(1e3),
+                                         (50, 2000))
+    x = np.exp(U[rep.argmin - 1])
     assert math.log(rep.max_ratio) == pytest.approx(
         _log_copson_prefix_ratio(w, 40.0, 2.0, x), rel=1e-12)
 

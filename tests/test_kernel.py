@@ -24,6 +24,7 @@ import os
 import stat
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -276,6 +277,22 @@ def test_a_cache_directory_others_can_write_is_not_used(tmp_path, monkeypatch,
     assert not list(shared.iterdir())
     shared.chmod(0o700)
     assert _kernel._cache_dir() == str(shared)
+
+
+def test_a_build_leaves_one_library_in_the_cache(tmp_path, monkeypatch,
+                                                compiled):
+    # two builds from two sources: the second unlinks the first one's
+    # library (still mapped here, which Linux allows), and leaves no
+    # temporary file
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "lpcert"
+    names = []
+    for extra in ("", "\n/* another version */\n"):
+        monkeypatch.setattr(_kernel, "_SOURCE", _kernel._SOURCE + extra)
+        assert _kernel._library() is not None
+        names.append(f"steps-{zlib.crc32(_kernel._material()):08x}.so")
+        assert [f.name for f in cache.iterdir()] == names[-1:]
+    assert names[0] != names[1]
 
 
 def test_a_library_of_other_material_is_rejected(tmp_path, compiled):

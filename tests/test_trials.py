@@ -2,17 +2,23 @@
 
 `_num.trial_rows` draws every trial batch (Copson branches, the blocked
 tail inequality, strengthened cases, the HLP dual probe) a cache-sized
-block at a time from one seeded stream and evaluates the blocks on a
-thread pool.  The reference functions below are the evaluators it
-replaced, written out again here: each draws its rows in one piece (or
-in chunks of 2e6 entries, as the branch loop did) and evaluates them on
+block at a time from one seeded stream, with the one draw exp(u) for u
+uniform on [log 1e-3, log 1e3], and evaluates the blocks on workers
+that each walk a fixed stride of them (the calling thread is one).  The
+reference functions below are the evaluators it replaced, written out
+again here with that draw: each draws its rows in one piece (or in
+chunks of 2e6 entries, as the branch loop did) and evaluates them on
 the calling thread.  Every report must equal the reference bit for bit,
-whatever the block size and the THREADS value.
+whatever the block size and the THREADS value.  The worker loop itself
+must hand the caller the error of the earliest failing block in row
+order, stop after an error, start no more threads than blocks (none at
+THREADS=1) and run every block under the caller's np.errstate.
 """
 
 import json
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,7 +27,7 @@ import pytest
 from lpcert import (BRANCHES, KINDS, StrengthenedCase, build_weights,
                     check_bge, check_copson_branch, cli, probe_dual_trials,
                     strengthened_trials)
-from lpcert import _num, hlp
+from lpcert import _num
 from lpcert._num import RATIO_TOL
 from lpcert.copson import BranchReport, _trial_report, branch_constant
 from lpcert.strengthened import StrengthenedReport, _deterministic_profiles
@@ -60,7 +66,7 @@ def ref_trial_report(w, branch, p, c_or_alpha, trials, seed, ratios_of):
     best, best_trial, done = -math.inf, 0, 0
     while done < trials:
         m = min(chunk, trials - done)
-        X = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, w.N))
+        X = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(m, w.N)))
         ratios = ratios_of(X)
         j = int(np.argmax(ratios))
         if float(ratios[j]) > best:
@@ -113,7 +119,8 @@ def ref_strengthened_trials(case, w, trials, seed):
     blocks = [det[:trials]]
     if n_rand:
         rng = np.random.default_rng(seed)
-        blocks.append(10.0 ** rng.uniform(-3.0, 3.0, size=(n_rand, w.N)))
+        blocks.append(np.exp(rng.uniform(np.log(1e-3), np.log(1e3),
+                                         size=(n_rand, w.N))))
     X = np.concatenate(blocks, axis=0)
     p = case.p
     L = case.effective_L(w)
@@ -224,7 +231,7 @@ def _pair(path, N, trials, capsys):
 @pytest.mark.parametrize("path", PATHS)
 def test_reports_equal_the_unblocked_reference(path, N, trials, monkeypatch,
                                                capsys):
-    for threads in ("1", "2", "3"):
+    for threads in ("1", "2", "3", "5"):
         monkeypatch.setenv("THREADS", threads)
         got, ref = _pair(path, N, trials, capsys)
         assert got == ref, f"THREADS={threads}"
@@ -275,20 +282,24 @@ def test_evaluator_errors_reach_the_caller(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The draws: advanced PCG64 blocks on the workers, and 10**u
+# The draw: advanced PCG64 blocks on the workers, and exp(u)
+
+
+def ref_rows(seed, trials, N):
+    """The rows of every batch: exp(u), u uniform on [log 1e-3, log 1e3],
+    from one default_rng(seed) stream."""
+    U = np.random.default_rng(seed).uniform(np.log(1e-3), np.log(1e3),
+                                            size=(trials, N))
+    return np.exp(U)
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "5"])
 @pytest.mark.parametrize("N", [1, 7, 2 ** 16 - 1, 2 ** 16 + 1, 20_000])
-@pytest.mark.parametrize("draw", ["pow10", "exp"])
-def test_worker_blocks_are_one_default_rng_stream(draw, N, threads,
-                                                  monkeypatch):
+def test_worker_blocks_are_one_default_rng_stream(N, threads, monkeypatch):
     # each worker advances its own PCG64 to its block's first draw; the
     # blocks together must be the rows of one default_rng(seed) stream,
-    # transformed as 10.0 ** u or np.exp(u), bit for bit
+    # transformed by np.exp, bit for bit
     monkeypatch.setenv("THREADS", threads)
-    draw, ref = {"pow10": (_num.POW10_UNIFORM, lambda u: 10.0 ** u),
-                 "exp": (hlp._EXP_UNIFORM, np.exp)}[draw]
     rows = max(1, _num._BLOCK_ELEMS // N)
     trials = 2 * rows + 3          # two full blocks and a short one
     seed = 11 * N + int(threads)
@@ -297,11 +308,9 @@ def test_worker_blocks_are_one_default_rng_stream(draw, N, threads,
         assert all(a.shape == X.shape for a in work)
         return X.copy()
 
-    got = _num.trial_rows(N, trials, seed, evaluate, draw=draw)
-    U = np.random.default_rng(seed).uniform(draw[0], draw[1],
-                                            size=(trials, N))
+    got = _num.trial_rows(N, trials, seed, evaluate)
     assert got.shape == (trials, N)
-    assert got.tobytes() == ref(U).tobytes()
+    assert got.tobytes() == ref_rows(seed, trials, N).tobytes()
 
 
 def test_worker_blocks_under_fast_thread_switching(monkeypatch):
@@ -315,16 +324,115 @@ def test_worker_blocks_under_fast_thread_switching(monkeypatch):
         got = _num.trial_rows(37, 3001, 4, lambda X, work: X.copy())
     finally:
         sys.setswitchinterval(interval)
-    U = np.random.default_rng(4).uniform(-3.0, 3.0, size=(3001, 37))
-    assert got.tobytes() == (10.0 ** U).tobytes()
+    assert got.tobytes() == ref_rows(4, 3001, 37).tobytes()
 
 
-@pytest.mark.parametrize("shape", [(2 ** 20,), (16, 2 ** 16)])
-def test_pow10_with_a_row_of_tens_is_np_power(shape):
-    u = np.random.default_rng(5).uniform(-3.0, 3.0, size=shape)
-    want = np.power(10.0, u)
-    got = _num.POW10_UNIFORM[2](u)
-    assert got is u and got.tobytes() == want.tobytes()
+# ----------------------------------------------------------------------
+# The worker loop: errors, stopping, thread count, errstate
+
+
+def _one_row_blocks(monkeypatch, threads, trials, seed=3, N=37):
+    """THREADS and one-row blocks of length N; returns block_of(X), the
+    block index (row number) of a block's rows."""
+    monkeypatch.setenv("THREADS", str(threads))
+    monkeypatch.setattr(_num, "_BLOCK_ELEMS", N)
+    first = ref_rows(seed, trials, N)[:, 0]
+    return lambda X: int(np.flatnonzero(first == X[0, 0])[0])
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+def test_earliest_failing_block_wins(threads, monkeypatch):
+    # block 6 fails at once; block 5, on another worker when there are
+    # several, fails only after it: the caller still gets block 5's error
+    block_of = _one_row_blocks(monkeypatch, threads, 40)
+    six_failed = threading.Event()
+
+    def evaluate(X, work):
+        i = block_of(X)
+        if i == 6:
+            six_failed.set()
+            raise ValueError("block 6")
+        if i == 5:
+            assert six_failed.wait(timeout=10 if threads > 1 else 0) == (
+                threads > 1)
+            raise ValueError("block 5")
+        return X[:, 0].copy()
+
+    with pytest.raises(ValueError, match="block 5"):
+        _num.trial_rows(37, 40, 3, evaluate)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_workers_stop_after_an_error(threads, monkeypatch):
+    # every block from 10 on fails: each worker stops at its first
+    # failing block, so no block past 10 + threads - 1 is evaluated
+    # (of 1000)
+    block_of = _one_row_blocks(monkeypatch, threads, 1000)
+    seen, lock = [], threading.Lock()
+
+    def evaluate(X, work):
+        i = block_of(X)
+        with lock:
+            seen.append(i)
+        if i >= 10:
+            raise ValueError(f"block {i}")
+        return X[:, 0].copy()
+
+    with pytest.raises(ValueError, match="block 10$"):
+        _num.trial_rows(37, 1000, 3, evaluate)
+    assert set(range(11)) <= set(seen) <= set(range(10 + threads))
+    assert len(seen) == len(set(seen))
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("threads, trials, started", [
+    (1, 50, 0),     # the calling thread walks all 50 blocks
+    (8, 3, 3),      # 3 blocks: one thread each
+    (8, 1, 0),      # one block runs on the calling thread
+    (3, 50, 3),
+])
+def test_workers_started(threads, trials, started, monkeypatch):
+    block_of = _one_row_blocks(monkeypatch, threads, trials)
+    monkeypatch.setattr(_CountedThread, "started", 0)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    callers = set()
+
+    def evaluate(X, work):
+        callers.add(threading.get_ident())
+        return np.array([block_of(X)])
+
+    got = _num.trial_rows(37, trials, 3, evaluate)
+    assert got.tolist() == list(range(trials))
+    assert _CountedThread.started == started
+    assert (callers == {threading.get_ident()}) == (started == 0)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_caller_errstate_reaches_every_worker(threads, monkeypatch):
+    _one_row_blocks(monkeypatch, threads, 30)
+    seen, lock = [], threading.Lock()
+
+    def evaluate(X, work):
+        with lock:
+            seen.append((threading.get_ident(), np.geterr()))
+        return X[:, 0].copy()
+
+    with np.errstate(over="raise", under="warn", divide="ignore",
+                     invalid="print"):
+        want = np.geterr()
+        _num.trial_rows(37, 30, 3, evaluate)
+    assert len(seen) == 30
+    assert all(err == want for _, err in seen)
+    # with several workers no block ran on the calling thread
+    idents = {ident for ident, _ in seen}
+    assert (idents == {threading.get_ident()}) == (threads == 1)
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +490,8 @@ def test_nan_ratios_fail_the_batch():
     # at -inf)
     w = build_weights("constant", 1000)
     rep = _trial_report(w, "bge", 150.0, 0.6, 30, 0,
-                        lambda X, work: np.full(X.shape[0], math.nan))
+                        lambda X, work: np.full(X.shape[0], math.nan),
+                        lambda ratios: ratios)
     assert math.isnan(rep.max_ratio) and not rep.passed
     assert rep.argmin == 1
     # at p = 150 both sides of every bge trial overflow, so each ratio
