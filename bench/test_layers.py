@@ -24,9 +24,9 @@ that dies at n = 4 (power:1 weights, p = 2, L = 0.25, N = 1e6), and
 `mu_primal` on a claim that dies at n = 3 (the Cesaro matrix, p = 2,
 lam_p = 0.9, N = 1e6), each with its peak.  `test_step_loops` times
 `mu_primal` and `mu_dual` at N = 1e6, p = 2 (the weights above), and
-`hlp.mu_direct` at p = 0.355, with the compiled step loops of
-`lpcert._kernel` and with the Python ones (skipping the compiled case
-where no compiler is present), and
+`hlp.mu_direct` and `hlp.mu_dual` at p = 0.355, with the compiled step
+loops of `lpcert._kernel` and with the Python ones (skipping the
+compiled case where no compiler is present), and
 `test_kernel_build` one cold build of the kernel library.
 `cli.search_smallest_L` is timed on the product condition at N = 1e3 and
 1e5, p = 2, on a seeded random-monotone list (0.05 plus a running sum of
@@ -354,7 +354,8 @@ def test_mu_trace(benchmark, route, N):
 
 
 @pytest.mark.parametrize("loops", ["compiled", "python"])
-@pytest.mark.parametrize("route", ["mu_primal", "mu_dual", "hlp.mu_direct"])
+@pytest.mark.parametrize("route", ["mu_primal", "mu_dual", "hlp.mu_direct",
+                                   "hlp.mu_dual"])
 def test_step_loops(benchmark, monkeypatch, route, loops):
     if loops == "python":
         steps = (_kernel._dual_steps, _kernel._primal_steps)

@@ -5,7 +5,7 @@ use), beside the Python and numpy code they must match.
 _mu_dual_ratios runs the dual recurrence (certificates.mu_dual,
 copson.mu_dual_copson, the dual route of copson.mu_bge, hlp.mu_direct),
 _mu_primal_ratios the primal one (certificates.mu_primal, the primal
-route of mu_bge).  Each reads its rows from ratios(lo, hi) one
+route of mu_bge, hlp.mu_dual).  Each reads its rows from ratios(lo, hi) one
 _ROW_CHUNK at a time, forms the chunk's powers with numpy, checks its
 bounds and keeps the trace, the running minimum of the margins and
 every error message; a step loop walks the rows, each step needing the
@@ -135,12 +135,12 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
 def _mu_primal_ratios(ratios, N: int, p: float, lam_p: float) -> MuTrace:
     """certificates.mu_primal's recurrence on N rows, driven by the
     ratios alone (ratios(lo, hi) as for _mu_dual_ratios); a_0/b_1 = 0 on
-    row 1.  The step loop is the compiled one where it built, else
-    _primal_steps."""
-    if not (p > 1.0):
-        raise ValueError("need p > 1")
-    if not (0.0 < lam_p < 1.0):
-        raise ValueError("need lam_p in (0, 1)")
+    row 1.  p < 0 is hlp.mu_dual at the HLP dual exponent, where
+    lam_p >= 1 from HLP p = 1/2 up; the steps are the same."""
+    if not (p > 1.0 or p < 0.0):
+        raise ValueError("need p > 1 or p < 0")
+    if not (lam_p > 0.0):
+        raise ValueError("need lam_p > 0")
     primal_steps = _step_loops()[1]
     e1, ep = 1.0 / (p - 1.0), p / (p - 1.0)
     trace = array("d", [1.0])

@@ -57,8 +57,7 @@ PASS_RTOL = 1e-12
 RATIO_TOL = 1e-10
 
 # Rows a blocked loop takes at a time: the values comp_cumsum sums per
-# block, the rows a mu driver (_kernel) forms powers of at once, and the
-# steps hlp.mu_dual hands to its array("d") trace with fromlist.  No
+# block and the rows a mu driver (_kernel) forms powers of at once.  No
 # np.frombuffer view of a trace may outlive its statement before the
 # trace grows, which would raise BufferError.
 _ROW_CHUNK = 1 << 14

@@ -35,7 +35,15 @@ mu_dual drives the dual route:
     mu_1 = 0,
     mu_{n+1} = (n^(-p) + mu_n^(1-p))^(1/(1-p)) - (1/p - 1)^(p/(p-1)),
 
-and positivity of mu_n for n >= 2 certifies the dual inequality.
+and positivity of mu_n for n >= 2 certifies the dual inequality.  It
+runs on _kernel._mu_primal_ratios, the primal recurrence, fed mu_direct's
+rows at exponent P = p/(p-1) < 0 with lam = (1/p - 1)^P: its step
+n^P mu / (mu^(1/(P-1)) + n^p)^(P-1) is the one above regrouped.  Around
+the call mu_dual keeps its mu_1 = 0 (the driver starts at 1, which gives
+the same mu_2 but not search_c's c_max at n0 = 1), drops the closing
+step mu_(N+1), and fails at the first mu_n <= 0, n >= 2, as the
+certificate needs mu_n > 0 where the driver clamps a step just below 0.
+
 dual_feasible checks the three-part sufficient condition that a shift
 constant c makes the trace provably positive from n0 on:
 
@@ -64,13 +72,12 @@ inequality outright.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import (_ROW_CHUNK, MuTrace, margin_ok, margins_ok, prefix_sums,
-                   suffix_sums, trial_rows)
+from ._num import (MuTrace, margin_ok, margins_ok, prefix_sums, suffix_sums,
+                   trial_rows)
 from ._options import N_MAX_DEFAULT
 
 # Trace length the n0 searches try before the full n0_max.  Certifying n0
@@ -96,6 +103,13 @@ def direct_floor(p: float) -> tuple[float, float]:
     return a, b
 
 
+def _rows(N: int):
+    """The rows of both routes, ratios(lo, hi) of the HLP dual form
+    b_k/a_n = 1/k in closed form: a_n/b_n = n, a_n/b_(n+1) = n + 1."""
+    return lambda lo, hi: (np.arange(lo + 1.0, hi + 1.0),
+                           np.arange(lo + 2.0, min(hi, N - 1) + 2.0))
+
+
 def mu_direct(p: float, N: int) -> MuTrace:
     """Direct-route trace on the shared dual driver, whose q is p and
     whose bound n^p is a floor; the margins are mu_n - n^p (strictly
@@ -108,12 +122,7 @@ def mu_direct(p: float, N: int) -> MuTrace:
         raise ValueError("need 1/3 <= p < 1")
     if N < 1:
         raise ValueError("need N >= 1")
-
-    def ratios(lo, hi):
-        return (np.arange(lo + 1.0, hi + 1.0),
-                np.arange(lo + 2.0, min(hi, N - 1) + 2.0))
-
-    trace = _mu_dual_ratios(ratios, N, p / (p - 1.0), ((1.0 - p) / p) ** p)
+    trace = _mu_dual_ratios(_rows(N), N, p / (p - 1.0), ((1.0 - p) / p) ** p)
     return replace(trace, constraint="mu > n^p")
 
 
@@ -215,37 +224,25 @@ def bracket_threshold(lo: float = 0.346, hi: float = 0.35,
 def mu_dual(p: float, N: int) -> MuTrace:
     """Dual-route trace; the certificate needs mu_n > 0 for n >= 2, and
     the margins are mu_n itself (n = 1, mu_1 = 0, is unconstrained).
+    It runs on the primal driver, as the module docstring describes."""
+    from ._kernel import _mu_primal_ratios
 
-    The one mu recurrence with a step loop of its own.  From mu_2 on it
-    is the primal recurrence on mu_direct's rows at exponent p/(p-1) with
-    lam = (1/p - 1)^(p/(p-1)), but _kernel._mu_primal_ratios would need a
-    wrapper for three things: its mu_1 = 0, its strict mu_n > 0 (the
-    driver clamps) and its lack of a closing step mu_(N+1).
-    """
     if not (1.0 / 3.0 <= p < 1.0):
         raise ValueError("need 1/3 <= p < 1")
     if N < 1:
         raise ValueError("need N >= 1")
-    shift = (1.0 / p - 1.0) ** (p / (p - 1.0))
-    e1 = 1.0 / (1.0 - p)
-    mu = array("d", [0.0])
-    prev = 0.0
-    violation = None
-    for lo in range(1, N, _ROW_CHUNK):
-        chunk = []
-        step = chunk.append
-        for n in range(lo, min(lo + _ROW_CHUNK, N)):
-            prev = (float(n) ** (-p) + prev ** (1.0 - p)) ** e1 - shift
-            step(prev)
-            if not (prev > 0.0):
-                violation = n + 1
-                break
-        mu.fromlist(chunk)
-        if violation is not None:
-            break
-    arr = np.frombuffer(mu)
-    return MuTrace(mu=arr, constraint="mu > 0 (n >= 2)",
-                   worst_margin=float(np.min(arr[1:], initial=math.inf)),
+    q = p / (p - 1.0)
+    trace = _mu_primal_ratios(_rows(N), N, q, (1.0 / p - 1.0) ** q)
+    mu = trace.mu[:N]
+    mu[0] = 0.0
+    # a step the driver cannot take, with no value, ends the trace early
+    violation = mu.shape[0] if mu.shape[0] < N else None
+    worst = float(np.min(mu[1:], initial=math.inf))
+    if not worst > 0.0:
+        violation = int(np.flatnonzero(~(mu[1:] > 0.0))[0]) + 2
+        mu = mu[:violation]
+        worst = float(np.min(mu[1:]))
+    return MuTrace(mu=mu, constraint="mu > 0 (n >= 2)", worst_margin=worst,
                    first_violation=violation)
 
 
@@ -289,7 +286,12 @@ def dual_feasible(p: float, n0: int, c: float) -> DualFeasibility:
         return DualFeasibility(p=p, n0=n0, c=c, mu_n0=math.nan,
                                margins=(-math.inf,) * 3, passed=False,
                                note=f"trace dies at n={trace.first_violation}")
-    mu_n0 = float(trace.mu[n0 - 1])
+    return _feasibility(p, n0, c, float(trace.mu[n0 - 1]))
+
+
+def _feasibility(p: float, n0: int, c: float, mu_n0: float) -> DualFeasibility:
+    """dual_feasible's verdict from mu_{n0} in hand: every trace of at
+    least n0 values holds the same mu_{n0}, a prefix of the longer ones."""
     slope = (1.0 / p - 1.0) ** (1.0 / (p - 1.0))
     m1 = mu_n0 - slope * (n0 + c)
     m2 = c + 1.0 / (2.0 * p)
@@ -346,9 +348,8 @@ def search_c(p: float, n0_max: int = 10_000) -> ShiftSearch:
 def _shift_scan(p: float, trace: MuTrace, n0_max: int) -> ShiftSearch:
     """The first n0 of the dual trace at which (n0, c_max) is feasible."""
     mu = trace.mu
-    # the scan ends before the first n0 >= 2 with mu_{n0} <= 0 (or NaN)
-    dead = np.flatnonzero(~(mu[1:] > 0.0))
-    k = int(dead[0]) + 1 if dead.size else mu.shape[0]
+    # the scan ends before a violation, which mu_dual's trace ends on
+    k = mu.shape[0] - (trace.first_violation is not None)
     slope = (1.0 / p - 1.0) ** (1.0 / (p - 1.0))
     n = np.arange(1, k + 1, dtype=np.float64)
     c_maxes = mu[:k] / slope - n
@@ -372,10 +373,9 @@ def _shift_scan(p: float, trace: MuTrace, n0_max: int) -> ShiftSearch:
                 else:
                     lo = mid
             c_min = hi
-        verdict = dual_feasible(p, n0, c_max)
+        margins = _feasibility(p, n0, c_max, float(mu[i])).margins
         return ShiftSearch(p=p, feasible=True, n0=n0, c=c_max, c_min=c_min,
-                           c_max=c_max, margins=verdict.margins,
-                           n0_max=n0_max)
+                           c_max=c_max, margins=margins, n0_max=n0_max)
     return ShiftSearch(p=p, feasible=False, n0=None, c=None, c_min=None,
                        c_max=None, margins=None, n0_max=n0_max)
 

@@ -226,15 +226,16 @@ def test_cli_import_loads_no_compute_module():
      {"certificates", "factorable", "sequences", "_kernel"},
      {"copson", "hlp", "strengthened", "norm_probe", "corpus"}),
     # MuTrace and the mu drivers live in _num and _kernel, so the direct
-    # trace runs on the shared dual driver without the weighted-mean
-    # modules
+    # and dual-shift traces run on the shared dual and primal drivers
+    # without the weighted-mean modules
     (["hlp", "certify", "--p", "0.35"], {"hlp", "_kernel"},
      {"copson", "strengthened", "norm_probe", "corpus", "certificates",
       "factorable", "sequences"}),
-    # commands that run no mu step loop and no running sum load no _kernel
-    (["hlp", "certify", "--p", "0.345", "--method", "dual-shift"], {"hlp"},
+    (["hlp", "certify", "--p", "0.345", "--method", "dual-shift"],
+     {"hlp", "_kernel"},
      {"copson", "strengthened", "norm_probe", "corpus", "certificates",
-      "factorable", "sequences", "_kernel"}),
+      "factorable", "sequences"}),
+    # commands that run no mu step loop and no running sum load no _kernel
     (["certify", "--method", "product", "--weights", "power:1", "--N", "1000",
       "--p", "2", "--L", "1.0"],
      {"certificates", "factorable", "sequences"},
@@ -269,10 +270,10 @@ def test_a_subcommand_loads_only_what_it_runs(argv, used, unused):
 def test_only_a_compiled_loop_loads_the_kernel():
     # _kernel (and with it lpcert's use of ctypes, which numpy loads
     # anyway) comes in with the first mu trace or running sum only: the
-    # dual-shift search runs its own loop, the product check and the
-    # Brent port none
+    # HLP threshold margin is closed-form, and the product check and the
+    # Brent port run no loop of _kernel's
     assert "lpcert._kernel" not in _loaded("import lpcert.cli")
-    for argv in (["hlp", "certify", "--p", "0.345", "--method", "dual-shift"],
+    for argv in (["hlp", "threshold", "--p", "0.34"],
                  ["certify", "--method", "product", "--weights", "power:1",
                   "--N", "1000", "--p", "2", "--L", "1.0"],
                  ["copson", "cp-root", "--p", "3"]):

@@ -129,6 +129,46 @@ def test_hlp_direct_traces_match_the_python_loops(monkeypatch, compiled, N):
     assert any(d is not None and d > 1 for d in deaths)
 
 
+# p at which hlp.mu_dual dies at n = 16383 .. 16386 at N = 40000, as in
+# tests/test_traces.py
+HLP_DUAL_DEATHS = [0.38652448817577423, 0.3865243175398245,
+                   0.3865241469160533, 0.38652397630445456]
+
+
+@pytest.mark.parametrize("N", [10**3, 10**5])
+def test_hlp_dual_traces_match_the_python_loops(monkeypatch, compiled, N):
+    # the dual route is the primal driver at p/(p-1) < 0
+    got = [_both(monkeypatch, compiled, hlp.mu_dual, p, N)
+           for p in (1.0 / 3.0, 0.35, 0.39, 0.5, 0.99)]
+    # passing traces, a death at n = 5318 (past N = 1e3), the exact-zero
+    # death of p = 1/2 at n = 2 (mu_2 = 1 - 1) and the death of
+    # lam = 3.7e197 at n = 2
+    assert [g[4] for g in got] == [None, None, 5318 if N > 5318 else None,
+                                   2, 2]
+    assert np.frombuffer(got[3][1]).tolist() == [0.0, 0.0]
+
+
+def test_hlp_dual_deaths_near_a_chunk_boundary_match(monkeypatch, compiled):
+    deaths = [_both(monkeypatch, compiled, hlp.mu_dual, p, 40_000)[4]
+              for p in HLP_DUAL_DEATHS]
+    assert deaths == list(range(_ROW_CHUNK - 1, _ROW_CHUNK + 3))
+
+
+@pytest.mark.parametrize("p, lam_p, message", [
+    (0.5, 0.5, "need p > 1 or p < 0"), (1.0, 0.5, "need p > 1 or p < 0"),
+    (0.0, 0.5, "need p > 1 or p < 0"), (-0.5, 0.0, "need lam_p > 0"),
+    (2.0, -0.25, "need lam_p > 0"), (-0.5, math.nan, "need lam_p > 0")])
+def test_primal_guard_errors_match(monkeypatch, compiled, p, lam_p, message):
+    # the guards come before any step loop, with either set of loops
+    for loops in (compiled, (_dual_steps, _primal_steps)):
+        calls = []
+        monkeypatch.setattr(_kernel, "_step_loops",
+                            lambda: counted(loops, calls))
+        assert _outcome(_kernel._mu_primal_ratios, hlp._rows(10), 10, p,
+                        lam_p) == f"ValueError: {message}"
+        assert not calls
+
+
 @pytest.mark.parametrize("N, p, L, message", [
     # ((a_n/b_n)^p mu_n^(1-p) - 1)^(q-1) overflows (p = 100) or its
     # power underflows to 0 (p = 1.01)

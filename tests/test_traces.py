@@ -1,15 +1,15 @@
-"""The mu drivers and hlp.mu_dual against the list-based loops they
-replaced.
+"""The mu drivers against the list-based loops they replaced.
 
-`_kernel._mu_primal_ratios` (behind `mu_primal` and the primal route of
-`mu_bge`), `_kernel._mu_dual_ratios` (behind `mu_dual`,
-`mu_dual_copson`, the dual route of `mu_bge` and `hlp.mu_direct`) and
-`hlp.mu_dual` hand each trace to a growing array("d") a chunk of steps
-at a time.  The reference functions below are the loops they replaced,
-written out again here (the primal one with the closing step mu_(N+1)
-that the N-section certificate needs): each keeps the whole trace as a
-list of Python floats and converts it at the end.  The primal and dual
-references also form every ratio, power, bound and envelope target as
+`_kernel._mu_primal_ratios` (behind `mu_primal`, the primal route of
+`mu_bge` and `hlp.mu_dual`) and `_kernel._mu_dual_ratios` (behind
+`mu_dual`, `mu_dual_copson`, the dual route of `mu_bge` and
+`hlp.mu_direct`) hand each trace to a growing array("d") a chunk of
+steps at a time.  The reference functions below are the loops they
+replaced, written out again here (the primal one with the closing step
+mu_(N+1) that the N-section certificate needs): each keeps the whole
+trace as a list of Python floats and converts it at the end.  The primal
+and dual references (ref_mu_primal_ratios and ref_mu_dual_ratios) also
+form every ratio, power, bound and envelope target as
 a whole array before the loop (the dual ones test the bound inside it),
 where the library forms them a chunk at a time (and tests the bound
 with numpy).  The references keep every margin in an array and take the
@@ -18,9 +18,11 @@ keeps only a running minimum.
 Every trace must equal its reference bit for bit (mu, constraint, the
 repr of the worst margin and both violations), including traces that
 die next to a chunk boundary, and must peak at far less memory.  The
-reference of `hlp.mu_direct` is the dual one on its rows (n, n + 1),
-with the floor of q < 1; the hand loop it replaced, which groups its
-powers differently, stays as a tolerance oracle.
+references of the two HLP routes run on their rows (n, n + 1) at
+exponent p/(p-1): the dual one with the floor of q < 1 for
+`hlp.mu_direct`, the primal one for `hlp.mu_dual`; the hand loops they
+replaced, which group their powers differently, stay as tolerance
+oracles.
 """
 
 import math
@@ -68,11 +70,17 @@ class RefTrace:
 
 def ref_mu_primal(spec, p, lam_p):
     a, b = spec.a, spec.b
+    return ref_mu_primal_ratios(a / b, a[:-1] / b[1:], p, lam_p)
+
+
+def ref_mu_primal_ratios(r, cross, p, lam_p):
+    """The primal loop on whole ratio arrays: r_n = a_n/b_n on every row
+    and cross_n = a_n/b_(n+1), which is row n + 1's a_n/b_(n+1) (row 1
+    takes a_0/b_1 = 0)."""
     e1 = 1.0 / (p - 1.0)
-    a_prev = np.concatenate(([0.0], a[:-1]))     # a_0 = 0
     with np.errstate(over="ignore"):
-        rps = (a / b) ** p              # rows n = 1..N
-        crosses = (a_prev / b) ** (p / (p - 1.0))
+        rps = r ** p                    # rows n = 1..N
+        crosses = np.concatenate(([0.0], cross)) ** (p / (p - 1.0))
     mu = [1.0]
     prev = 1.0
     violation = None
@@ -246,6 +254,30 @@ def old_hlp_mu_direct(p, N):
 
 
 def ref_hlp_mu_dual(p, N):
+    """The primal loop on hlp.mu_direct's rows (n, n + 1) at exponent
+    p/(p-1) with lam = (1/p - 1)^(p/(p-1)), wrapped as hlp.mu_dual is:
+    mu_1 = 0, mu_1..mu_N only, and the trace ends at the first mu_n <= 0
+    for n >= 2 (a value the loop clamped to 0 included)."""
+    q = p / (p - 1.0)
+    n = np.arange(1.0, N + 1.0)
+    trace = ref_mu_primal_ratios(n, n[1:], q, (1.0 / p - 1.0) ** q)
+    mu = trace.mu[:N].copy()
+    mu[0] = 0.0
+    violation = mu.shape[0] if mu.shape[0] < N else None
+    for i in range(1, mu.shape[0]):
+        if not (mu[i] > 0.0):
+            violation = i + 1
+            mu = mu[:i + 1]
+            break
+    return RefTrace(mu=mu, constraint="mu > 0 (n >= 2)",
+                    margins=np.concatenate(([math.inf], mu[1:])),
+                    first_violation=violation)
+
+
+def old_hlp_mu_dual(p, N):
+    """The hand loop hlp.mu_dual once ran: the same recurrence as
+    (n^-p + mu_n^(1-p))^(1/(1-p)) - lam, not the primal step
+    n^P mu_n / (mu_n^(1/(P-1)) + n^p)^(P-1) at P = p/(p-1)."""
     shift = (1.0 / p - 1.0) ** (p / (p - 1.0))
     e1 = 1.0 / (1.0 - p)
     mu = [0.0]
@@ -489,6 +521,15 @@ def test_hlp_loops_match_list_loops(N, p):
     _assert_same(hlp.mu_dual, ref_hlp_mu_dual, p, N)
 
 
+@pytest.mark.parametrize("N", NS)
+def test_hlp_dual_exact_zero_death_matches_list_loop(N):
+    # at p = 1/2, lam = 1 and mu_2 = 1 - 1 is exactly 0, not clamped: the
+    # driver goes on to mu_3 = -1, and the trace dies at n = 2 (the last
+    # value when N = 2)
+    got = _assert_same(hlp.mu_dual, ref_hlp_mu_dual, 0.5, N)
+    assert got[3] == (2 if N >= 2 else None)
+
+
 @pytest.mark.parametrize("N", [10**3, 10**5])
 @pytest.mark.parametrize("p", [0.34, 0.35, 0.355, 0.3865240616071652, 0.4,
                                0.6, 0.9])
@@ -512,6 +553,37 @@ def test_hlp_direct_is_the_old_hand_loop_within_rounding(p, N):
         assert got.worst_margin <= 0.0 and old.worst_margin <= 0.0
 
 
+@pytest.mark.parametrize("N", [10**3, 10**5])
+@pytest.mark.parametrize("p", [1.0 / 3.0, 0.34, 0.35, 0.355, 0.385,
+                               0.3865240616071652, 0.39, 0.4, 0.45, 0.5,
+                               0.6, 0.9, 0.99])
+def test_hlp_dual_is_the_old_hand_loop_within_rounding(p, N):
+    # the primal driver's step n^P mu / (mu^(1/(P-1)) + n^p)^(P-1) is the
+    # hand loop's (n^-p + mu^(1-p))^(1/(1-p)) regrouped.  A trace that
+    # dies climbs to a peak and falls through 0 in steps of about lam;
+    # on the fall the values cancel and part (at p = 0.38652... and
+    # N = 1e5 the value before the death is 1.6e-7 against 6.2e-8), so
+    # the 1e-9 relative holds up to the peak (at most 8.2e-11 here), and
+    # after it the difference is bounded against the peak (3.8e-9)
+    got, old = hlp.mu_dual(p, N), old_hlp_mu_dual(p, N)
+    assert (got.first_violation is None) == (old.first_violation is None)
+    if got.passed:
+        assert got.n_evaluated == old.n_evaluated == N
+    else:
+        assert got.n_evaluated == got.first_violation
+        assert abs(got.first_violation - old.first_violation) <= 1
+    k = min(got.n_evaluated, old.n_evaluated)
+    top = int(np.argmax(old.mu[:k])) + 1
+    diff = np.abs(got.mu[:k] - old.mu[:k])
+    assert got.mu[0] == old.mu[0] == 0.0
+    assert np.all(diff[1:top] <= 1e-9 * np.abs(old.mu[1:top]))
+    assert np.all(diff <= 1e-8 * old.mu[top - 1])
+    if got.passed:
+        assert math.isclose(got.worst_margin, old.worst_margin, rel_tol=1e-9)
+    else:
+        assert got.worst_margin <= 0.0 and old.worst_margin <= 0.0
+
+
 @pytest.mark.parametrize("p", [0.995, 0.999])
 def test_hlp_direct_near_1_dies_on_its_floor(p):
     # mu_1^(1/(1-p)) underflows to 0 here, which the ceiling side's U_p
@@ -522,12 +594,13 @@ def test_hlp_direct_near_1_dies_on_its_floor(p):
 
 
 # p at which each trace dies at n = 16383 .. 16386 at N = 40000 (the
-# death index falls as p rises; any index would still be compared)
+# death index falls as p rises; the mu_dual ones are the midpoints of
+# the bisected p intervals of each death)
 HLP_DEATHS = {
     "mu_direct": [0.3865242322248547, 0.3865240616071652,
                   0.3865238910017129, 0.3865237204083251],
-    "mu_dual": [0.38652440285473294, 0.3865242322249171,
-                0.3865240616072047, 0.38652389100170587],
+    "mu_dual": [0.38652448817577423, 0.3865243175398245,
+                0.3865241469160533, 0.38652397630445456],
 }
 
 
@@ -537,7 +610,7 @@ def test_hlp_loops_dying_near_a_chunk_boundary(route):
     ref = {"mu_direct": ref_hlp_mu_direct, "mu_dual": ref_hlp_mu_dual}[route]
     deaths = [_assert_same(lib, ref, p, 40_000)[3]
               for p in HLP_DEATHS[route]]
-    assert all(d is not None and abs(d - _ROW_CHUNK) <= 3 for d in deaths)
+    assert deaths == list(range(_ROW_CHUNK - 1, _ROW_CHUNK + 3))
 
 
 def step_rows(monkeypatch):
@@ -568,15 +641,14 @@ def test_chunk_size_does_not_change_a_trace(monkeypatch):
     rows = step_rows(monkeypatch)
     for chunk in (1, 7):
         monkeypatch.setattr(_kernel, "_ROW_CHUNK", chunk)
-        monkeypatch.setattr(hlp, "_ROW_CHUNK", chunk)
         rows.clear()
         assert [_outcome(mu_primal, spec, 2.0, params.lam_p),
                 _outcome(mu_dual, spec, 2.0, params.U_p),
                 _outcome(hlp.mu_direct, 0.355, 3000),
                 _outcome(hlp.mu_dual, 0.355, 3000)] == whole
-        # the drivers read the patched chunk: three passing traces of
+        # the drivers read the patched chunk: four passing traces of
         # 3000 rows, about 3000 / chunk step-loop calls each
-        assert max(rows) == chunk and len(rows) >= 3 * (2999 // chunk)
+        assert max(rows) == chunk and len(rows) >= 4 * (2999 // chunk)
 
 
 def test_chunk_size_does_not_change_a_copson_trace(monkeypatch):
