@@ -7,7 +7,11 @@ peak of one untimed call in `extra_info`; the plain running sums of
 `_num.prefix_sums` and `suffix_sums` on standard normal rows of shape
 (3, 2e4) and (1, 1e6), with the compiled loop of `lpcert._kernel` and
 with np.cumsum (`test_running_sums`, the nanoseconds a value in
-`extra_info`); and the factorable apply and
+`extra_info`); the three other trial-block passes on a (3, 2e4) block
+of log-uniform rows, each with its compiled loop and with numpy
+(`test_block_passes`: the draw of `_num._draw`, the prefix mean of
+`averaged` on lam_n = n^0.8 and `_num.weighted_sums` against those
+weights; nanoseconds a value in `extra_info`); and the factorable apply and
 adjoint, the power iteration, the mu recurrences and the HLP n0
 searches at N = 1e3, 1e5 and 1e6.  `FactorableSpec.apply` and
 `adjoint_apply` run on the weighted mean of lam_n = n^0.5 with
@@ -94,6 +98,7 @@ from lpcert import (BoundParams, StrengthenedCase, build_weights,
                     mu_bge, mu_dual, mu_dual_copson, mu_primal,
                     power_lower_bound, search_c, strengthened_trials,
                     weighted_mean)
+from lpcert.sequences import averaged
 
 # Fewer rounds at large N keep a run of the sequential loop this
 # replaced (about 5 s per sum at N = 1e7) within a few minutes.
@@ -139,6 +144,36 @@ def test_running_sums(benchmark, monkeypatch, helper, impl, shape):
     out = np.empty(shape)
     fn = getattr(_num, helper)
     benchmark.pedantic(fn, args=(X, out), rounds=50, warmup_rounds=1)
+    benchmark.extra_info["ns_per_value"] = (
+        benchmark.stats.stats.median / X.size * 1e9)
+
+
+# the trial-block passes of a 3 x 2e4 block: the accessor of each pass
+# in lpcert._kernel, and the call that runs it
+BLOCK_STAGES = {"draw": "draw", "average": "scaled_sums",
+                "weighted-sums": "weighted_sums"}
+
+
+@pytest.mark.parametrize("impl", ["compiled", "numpy"])
+@pytest.mark.parametrize("stage", list(BLOCK_STAGES))
+def test_block_passes(benchmark, monkeypatch, stage, impl):
+    name = BLOCK_STAGES[stage]
+    if impl == "compiled":
+        if getattr(_kernel, name)() is None:
+            pytest.skip("no C compiler: only numpy runs")
+    else:
+        monkeypatch.setattr(_kernel, name, lambda: None)
+    shape = (3, 2 * 10**4)
+    w = build_weights("power", shape[1], exponent=0.8)
+    X = np.exp(np.random.default_rng(0).uniform(-6.9, 6.9, shape))
+    out = np.empty(shape)
+    state = np.random.default_rng(1).bit_generator.state
+    call = {"draw": lambda: _num._draw(out, state, 12_345 * shape[1],
+                                       np.random.PCG64),
+            "average": lambda: averaged(w, X, "prefix", "partials",
+                                        out=out),
+            "weighted-sums": lambda: _num.weighted_sums(X, w.values, out)}
+    benchmark.pedantic(call[stage], rounds=200, warmup_rounds=1)
     benchmark.extra_info["ns_per_value"] = (
         benchmark.stats.stats.median / X.size * 1e9)
 

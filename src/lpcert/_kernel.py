@@ -1,6 +1,7 @@
 """The compiled loops: the two mu drivers with their step loops, and the
-running sums of _num.prefix_sums and suffix_sums, in C (built on first
-use), beside the Python and numpy code they must match.
+block passes of _num (running sums, scaled running sums, weighted sums
+and the trial draw), in C (built on first use), beside the Python and
+numpy code they must match.
 
 _mu_dual_ratios runs the dual recurrence (certificates.mu_dual,
 copson.mu_dual_copson, the dual route of copson.mu_bge, hlp.mu_direct),
@@ -15,12 +16,21 @@ asks for it and loaded with ctypes.  loops() returns the two compiled
 step functions, or None where no compiler is present or the build
 fails; the drivers then run _dual_steps and _primal_steps, the
 reference the C loops match bit for bit, so every trace, report and
-domain error is the same either way.  running_sums() is the third
-loop, the running sums of each row of a block, forward or backward, or
-None likewise; _num then runs np.cumsum, whose additions the loop makes
-in the same order.  The callers import this module inside the
-functions that run a trace or a running sum, so a command that runs
-neither does not load it.
+domain error is the same either way.
+
+Four more functions return the block passes, or None likewise, and _num
+then runs the numpy code each one replaces: running_sums(), the
+running sums of each row of a block, forward or backward (np.cumsum);
+scaled_sums(), the same sums of the row times a weight row (or divided
+by it), each then divided by another (or times it), in one pass a row
+(numpy's product, np.cumsum and quotient: sequences.averaged and
+check_bge's tail sums); weighted_sums(), the sums of a_n u_n along each
+row (np.sum(a * u, axis=-1)); and draw(), the uniforms of a trial
+block (Generator.random from an advanced PCG64, then numpy's affine
+step).  _num sends a call of fewer than _num._COMPILED_MIN values to
+numpy (the one size rule), and imports this module past that test
+only, inside the functions that run a trace or a pass, so a command
+that runs neither does not load it.
 
 Why the bits match: CPython's float `**` is libm `pow` for finite
 positive operands not equal to 1, every other step is one IEEE
@@ -32,7 +42,19 @@ that rounds to inf) or ZeroDivisionError (0.0 to a negative power).
 No base the loops raise is negative, so CPython's complex results never
 arise.  np.cumsum along a row is numpy's add.accumulate: the first sum
 is the first value itself (so a leading -0.0 stays -0.0), and each
-later one the sum before it plus the next value.
+later one the sum before it plus the next value; the scaled sums round
+each product or quotient once, as numpy's elementwise ufuncs do.
+np.sum along a contiguous row is numpy's pairwise summation
+(DOUBLE_pairwise_sum) added to the identity 0.0: below 8 terms one by
+one, up to 128 in 8 accumulators combined pairwise, above that the two
+halves, the first rounded down to a multiple of 8; the C sum makes the
+same additions.  numpy's PCG64 steps the 128-bit LCG s -> s M + inc and
+outputs the XSL-RR of the new state, its advance is the LCG jump ahead
+(Brown, "Random number generation with arbitrary strides", 1994), and
+Generator.random is (x >> 11) 2^-53 of an output x; an LCG split into
+interleaved lanes (O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number
+Generation", 2014) gives the same outputs in the same places.
 
 The library is cached as $XDG_CACHE_HOME/lpcert/steps-<key>.so (by
 default under ~/.cache), the key a CRC-32 of the build material: the
@@ -76,8 +98,9 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
 
     Its domain, r_n^p mu_n^(1-p) > 1, is mu_n on the right side of the
     strict bound r_n^q: a ceiling for p > 1 (q > 1), margins r_n^q - mu_n;
-    a floor for p < 0 (0 < q < 1, hlp.mu_direct), margins negated, which
-    is exact: mu_n - r_n^q bit for bit.  A family whose a_n, b_n overflow
+    a floor for p < 0 (0 < q < 1, hlp.mu_direct), margins mu_n - r_n^q
+    (formed as such, so an exact zero is +0.0, not a negated -0.0).  A
+    family whose a_n, b_n overflow
     while these ratios stay moderate passes them in closed form.
 
     The step loop runs the recurrence and its domain test alone; the
@@ -111,9 +134,8 @@ def _mu_dual_ratios(ratios, N: int, p: float, mu_1: float) -> MuTrace:
         overflow = dual_steps(trace, rp, cq, mu_1, -e1, q - 1.0)
         k = len(trace)           # mu_1..mu_k are known
         top = min(k, hi)
-        m = bounds[:top - lo] - np.frombuffer(trace)[lo:top]
-        if floor:
-            np.negative(m, out=m)
+        m, bound = np.frombuffer(trace)[lo:top], bounds[:top - lo]
+        m = m - bound if floor else bound - m
         bad = np.flatnonzero(~(m > 0.0))
         worst = np.min(m[:bad[0] + 1] if bad.size else m, initial=worst)
         if bad.size:
@@ -366,6 +388,147 @@ void lpcert_running_sums(const double *a, double *out, ptrdiff_t rows,
         }
     }
 }
+
+/* _num.scaled_sums: for each of rows rows of n values at x, v_i = x_i
+   times pre_i (divided by pre_i if dual), the running sums of v
+   forward or (reverse) backward, each divided by post_i (times post_i
+   if dual) unless post is NULL, into out, which may be x.  Each value
+   is read before its sum is written, so in place is one pass. */
+#define SCALED_ROW(FIRST, LAST, STEP, PRE, POST)                         \
+    for (i = FIRST; i != LAST; i += STEP) {                              \
+        double v = PRE;                                                  \
+        s = i == FIRST ? v : s + v;                                      \
+        out[i] = POST;                                                   \
+    }
+#define SCALED_ROWS(PRE, POST)                                           \
+    for (r = 0; r < rows; r++, x += n, out += n) {                       \
+        double s = 0.0;                                                  \
+        if (reverse) { SCALED_ROW(n - 1, -1, -1, PRE, POST) }            \
+        else { SCALED_ROW(0, n, 1, PRE, POST) }                          \
+    }
+
+void lpcert_scaled_sums(const double *x, const double *pre,
+                        const double *post, double *out, ptrdiff_t rows,
+                        ptrdiff_t n, int reverse, int dual)
+{
+    ptrdiff_t r, i;
+    if (n == 0) return;
+    if (post == NULL && dual) SCALED_ROWS(x[i] / pre[i], s)
+    else if (post == NULL) SCALED_ROWS(x[i] * pre[i], s)
+    else if (dual) SCALED_ROWS(x[i] / pre[i], s * post[i])
+    else SCALED_ROWS(x[i] * pre[i], s / post[i])
+}
+
+/* numpy's pairwise sum (DOUBLE_pairwise_sum) of a_i u_i: below 8
+   terms one by one from 0.0; up to 128 in 8 accumulators, combined
+   pairwise, then the rest one by one; above, the two halves, the first
+   rounded down to a multiple of 8. */
+static double pairwise(const double *a, const double *u, ptrdiff_t n)
+{
+    ptrdiff_t i;
+    double res;
+    if (n < 8) {
+        res = 0.0;
+        for (i = 0; i < n; i++) res += a[i] * u[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r0 = a[0] * u[0], r1 = a[1] * u[1], r2 = a[2] * u[2],
+               r3 = a[3] * u[3], r4 = a[4] * u[4], r5 = a[5] * u[5],
+               r6 = a[6] * u[6], r7 = a[7] * u[7];
+        for (i = 8; i < n - n % 8; i += 8) {
+            r0 += a[i] * u[i]; r1 += a[i + 1] * u[i + 1];
+            r2 += a[i + 2] * u[i + 2]; r3 += a[i + 3] * u[i + 3];
+            r4 += a[i + 4] * u[i + 4]; r5 += a[i + 5] * u[i + 5];
+            r6 += a[i + 6] * u[i + 6]; r7 += a[i + 7] * u[i + 7];
+        }
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (; i < n; i++) res += a[i] * u[i];
+        return res;
+    }
+    i = n / 2;
+    i -= i % 8;
+    return pairwise(a, u, i) + pairwise(a + i, u + i, n - i);
+}
+
+/* _num.weighted_sums: np.sum(a * u, axis=-1) for rows rows of n values
+   at a, u one row (u_stride 0) or one per row (u_stride n).  numpy's
+   add.reduce starts from its identity 0.0, so an all -0.0 row sums to
+   +0.0. */
+void lpcert_weighted_sums(const double *a, const double *u, ptrdiff_t rows,
+                          ptrdiff_t n, ptrdiff_t u_stride, double *out)
+{
+    ptrdiff_t r;
+    for (r = 0; r < rows; r++, a += n, u += u_stride)
+        out[r] = 0.0 + pairwise(a, u, n);
+}
+
+/* The uniform draw of _num.trial_rows: n values low + span * d, d =
+   (x >> 11) 2^-53 for the outputs x of numpy's PCG64 from the state
+   (state, inc) advanced by skip steps, as Generator.random and then
+   numpy's multiply and add give them.  A PCG64 step is the 128-bit LCG
+   s -> s M + inc and its output the XSL-RR of the new state; the jump
+   ahead is Brown's, as pcg_advance_lcg_128.  Four interleaved lanes
+   step by four at once: s -> s M^4 + inc (M^3 + M^2 + M + 1).  A
+   compiler without 128-bit integers builds the library without it. */
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+#define PCG_MULT ((((u128)2549297995355413924ULL) << 64) \
+                  + 4865540595714422341ULL)
+
+static u128 lcg_advance(u128 s, u128 delta, u128 mult, u128 inc)
+{
+    u128 acc_mult = 1, acc_plus = 0;
+    while (delta > 0) {
+        if (delta & 1) {
+            acc_mult *= mult;
+            acc_plus = acc_plus * mult + inc;
+        }
+        inc = (mult + 1) * inc;
+        mult *= mult;
+        delta >>= 1;
+    }
+    return acc_mult * s + acc_plus;
+}
+
+static double uniform(u128 s, double low, double span)
+{
+    unsigned long long x = (unsigned long long)(s >> 64)
+                           ^ (unsigned long long)s;
+    unsigned rot = (unsigned)(s >> 122);
+    x = (x >> rot) | (x << ((-rot) & 63));
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0) * span + low;
+}
+
+void lpcert_draw(unsigned long long state_hi, unsigned long long state_lo,
+                 unsigned long long inc_hi, unsigned long long inc_lo,
+                 unsigned long long skip, ptrdiff_t n, double low,
+                 double span, double *out)
+{
+    u128 inc = ((u128)inc_hi << 64) | inc_lo;
+    u128 s = lcg_advance(((u128)state_hi << 64) | state_lo, skip, PCG_MULT,
+                         inc);
+    u128 m4 = PCG_MULT * PCG_MULT * PCG_MULT * PCG_MULT;
+    u128 inc4 = inc * (1 + PCG_MULT + PCG_MULT * PCG_MULT
+                       + PCG_MULT * PCG_MULT * PCG_MULT);
+    u128 s0 = s * PCG_MULT + inc, s1 = s0 * PCG_MULT + inc,
+         s2 = s1 * PCG_MULT + inc, s3 = s2 * PCG_MULT + inc;
+    ptrdiff_t i;
+    for (i = 0; i + 4 <= n; i += 4) {
+        out[i] = uniform(s0, low, span);
+        out[i + 1] = uniform(s1, low, span);
+        out[i + 2] = uniform(s2, low, span);
+        out[i + 3] = uniform(s3, low, span);
+        s0 = s0 * m4 + inc4;
+        s1 = s1 * m4 + inc4;
+        s2 = s2 * m4 + inc4;
+        s3 = s3 * m4 + inc4;
+    }
+    if (i < n) out[i++] = uniform(s0, low, span);
+    if (i < n) out[i++] = uniform(s1, low, span);
+    if (i < n) out[i] = uniform(s2, low, span);
+}
+#endif
 """
 
 _C_DOUBLES = ctypes.POINTER(ctypes.c_double)
@@ -499,22 +662,37 @@ def _library_once():
     return _library() if os.name == "posix" else None
 
 
+def _bound(name: str, *argtypes, restype=None):
+    """The library function `name` with its ctypes signature, or None
+    where no compiler is present, the build fails or the library was
+    built without it."""
+    lib = _process_library()
+    try:
+        fn = getattr(lib, name)
+    except AttributeError:
+        return None
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
+# sizes, and addresses as plain integers (data_as costs about 3 us an
+# array)
+_SIZE, _ADDRESS = ctypes.c_ssize_t, ctypes.c_void_p
+
+
 @functools.cache
 def loops():
     """(dual_steps, primal_steps) running the compiled loops, or None
     where no compiler is present or the build fails.  Built or loaded
     once per process."""
-    lib = _process_library()
-    if lib is None:
+    real, stop_ptr = ctypes.c_double, ctypes.POINTER(ctypes.c_int)
+    rows = (_C_DOUBLES, _C_DOUBLES, _SIZE, real, real, real, real)
+    dual = _bound("lpcert_dual_steps", *rows, _C_DOUBLES, stop_ptr,
+                  restype=_SIZE)
+    if dual is None:
         return None
-    size, real = ctypes.c_ssize_t, ctypes.c_double
-    stop_ptr = ctypes.POINTER(ctypes.c_int)
-    dual, primal = lib.lpcert_dual_steps, lib.lpcert_primal_steps
-    dual.argtypes = (_C_DOUBLES, _C_DOUBLES, size, real, real, real, real,
-                     _C_DOUBLES, stop_ptr)
-    primal.argtypes = (_C_DOUBLES, _C_DOUBLES, size, real, real, real, real,
-                       real, _C_DOUBLES, stop_ptr)
-    dual.restype = primal.restype = size
+    primal = _bound("lpcert_primal_steps", *rows, real, _C_DOUBLES,
+                    stop_ptr, restype=_SIZE)
 
     def steps(loop, trace, rp, cross, *scalars):
         """Append the steps of the C loop over the rows rp, cross to
@@ -530,20 +708,36 @@ def loops():
     return functools.partial(steps, dual), functools.partial(steps, primal)
 
 
+def _suits(out, shape) -> bool:
+    """Whether out is a writeable C-contiguous float64 array of shape."""
+    return (out.shape == shape and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.writeable)
+
+
+def _row(v, n: int) -> bool:
+    """Whether v is a C-contiguous float64 row of n values."""
+    return (v.shape == (n,) and v.dtype == np.float64
+            and v.flags.c_contiguous)
+
+
+def _c_order(values, out):
+    """values, copied where it is not C-contiguous or shares memory
+    with out without being out."""
+    if not values.flags.c_contiguous or (
+            values is not out and np.may_share_memory(values, out)):
+        return np.array(values, order="C")
+    return values
+
+
 @functools.cache
 def running_sums():
     """sums(values, out, reverse) running the compiled running sums, or
     None where no compiler is present or the build fails.  Built or
     loaded once per process."""
-    lib = _process_library()
-    if lib is None:
+    loop = _bound("lpcert_running_sums", _ADDRESS, _ADDRESS, _SIZE, _SIZE,
+                  ctypes.c_int)
+    if loop is None:
         return None
-    loop = lib.lpcert_running_sums
-    size = ctypes.c_ssize_t
-    # addresses as plain integers: data_as costs about 3 us an array
-    loop.argtypes = (ctypes.c_void_p, ctypes.c_void_p, size, size,
-                     ctypes.c_int)
-    loop.restype = None
 
     def sums(values, out, reverse: bool) -> bool:
         """Write into out the running sums along the last axis of
@@ -552,16 +746,107 @@ def running_sums():
         float64 array of values' shape.  values is copied first where it
         is not C-contiguous or shares memory with out without being
         out."""
-        if (values.ndim == 0 or out.shape != values.shape
-                or out.dtype != np.float64 or not out.flags.c_contiguous
-                or not out.flags.writeable):
+        if values.ndim == 0 or not _suits(out, values.shape):
             return False
-        if not values.flags.c_contiguous or (
-                values is not out and np.may_share_memory(values, out)):
-            values = np.array(values, order="C")
+        values = _c_order(values, out)
         n = values.shape[-1]
         loop(values.ctypes.data, out.ctypes.data,
              values.size // n if n else 0, n, reverse)
         return True
 
     return sums
+
+
+@functools.cache
+def scaled_sums():
+    """sums(values, pre, post, dual, reverse, out) running the compiled
+    scaled running sums, or None where no compiler is present or the
+    build fails.  Built or loaded once per process."""
+    loop = _bound("lpcert_scaled_sums", _ADDRESS, _ADDRESS, _ADDRESS,
+                  _ADDRESS, _SIZE, _SIZE, ctypes.c_int, ctypes.c_int)
+    if loop is None:
+        return None
+
+    def sums(values, pre, post, dual: bool, reverse: bool, out) -> bool:
+        """Write into out, along the last axis of values (a float64
+        array), the running sums of values times pre (divided by it if
+        dual), each divided by post (times it if dual) unless post is
+        None; backward if reverse.  False, with nothing written, where
+        out does not suit (as for running_sums) or pre and post are not
+        C-contiguous float64 rows of the last axis' length.  values is
+        copied as for running_sums."""
+        if values.ndim == 0 or not _suits(out, values.shape):
+            return False
+        n = values.shape[-1]
+        if not _row(pre, n) or not (post is None or _row(post, n)):
+            return False
+        values = _c_order(values, out)
+        loop(values.ctypes.data, pre.ctypes.data,
+             None if post is None else post.ctypes.data, out.ctypes.data,
+             values.size // n if n else 0, n, reverse, dual)
+        return True
+
+    return sums
+
+
+@functools.cache
+def weighted_sums():
+    """sums(a, u) running the compiled weighted sums, or None where no
+    compiler is present or the build fails.  Built or loaded once per
+    process."""
+    loop = _bound("lpcert_weighted_sums", _ADDRESS, _ADDRESS, _SIZE, _SIZE,
+                  _SIZE, _ADDRESS)
+    if loop is None:
+        return None
+
+    def sums(a, u):
+        """np.sum(a * u, axis=-1) for a C-contiguous float64 array a of
+        at least one dimension and u a C-contiguous float64 row of its
+        last axis' length or an array of a's shape; None where they are
+        not."""
+        if a.ndim == 0 or a.dtype != np.float64 or not a.flags.c_contiguous:
+            return None
+        n = a.shape[-1]
+        if _row(u, n):
+            stride = 0
+        elif (u.shape == a.shape and u.dtype == np.float64
+              and u.flags.c_contiguous):
+            stride = n
+        else:
+            return None
+        out = np.empty(a.shape[:-1])
+        loop(a.ctypes.data, u.ctypes.data, out.size, n, stride,
+             out.ctypes.data)
+        return out
+
+    return sums
+
+
+@functools.cache
+def draw():
+    """fill(out, state, skip, low, span) running the compiled PCG64
+    draw, or None where no compiler is present or the build fails.
+    Built or loaded once per process."""
+    word, real = ctypes.c_uint64, ctypes.c_double
+    loop = _bound("lpcert_draw", word, word, word, word, word, _SIZE, real,
+                  real, _ADDRESS)
+    if loop is None:
+        return None
+    mask = (1 << 64) - 1
+
+    def fill(out, state: dict, skip: int, low: float, span: float) -> bool:
+        """Write into out, in C order, low + span * u for the next
+        out.size uniforms u of Generator.random from PCG64 state (a
+        bit_generator.state dict) advanced by skip draws; False, with
+        nothing written, where out is not a writeable C-contiguous
+        float64 array, the state is not PCG64's or skip is not below
+        2^64."""
+        if (state.get("bit_generator") != "PCG64"
+                or not _suits(out, out.shape) or not 0 <= skip <= mask):
+            return False
+        s, inc = state["state"]["state"], state["state"]["inc"]
+        loop(s >> 64, s & mask, inc >> 64, inc & mask, skip, out.size, low,
+             span, out.ctypes.data)
+        return True
+
+    return fill

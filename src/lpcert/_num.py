@@ -20,19 +20,26 @@ adding the +0.0 compensation gives +0.0 from either.)
 
 Random trials all go through trial_rows: rows exp(u), u uniform on
 [log 1e-3, log 1e3], of one seeded default_rng(seed) stream, a block of
-about 2^16 entries at a time.  The blocks are dealt out in a fixed
+about 2^16 entries at a time, after any fixed rows the caller leads
+with (the strengthened profiles, which the workers make).  The blocks are dealt out in a fixed
 stride to thread_count() workers (threads started for the batch, or
 the calling thread alone when there is one), and each worker draws and
-evaluates its blocks in three buffers of its own (the rows and two scratch arrays), so a batch holds three block
-buffers per worker and hands no block from thread to thread.  A PCG64
-stream can jump ahead (O'Neill, "PCG: A Family of Simple Fast
-Space-Efficient Statistically Good Algorithms for Random Number
-Generation", 2014), so every block draws its own rows from the seed's
-state advanced past the rows before it.  Their running sums along a row
-come from prefix_sums and suffix_sums, a compiled loop
-(_kernel.running_sums) where it builds and np.cumsum otherwise, with the
-same bits; suffix sums come in a C-contiguous array, not as a reversed
-view, so that the powers taken of them run numpy's SIMD `pow`.
+evaluates its blocks in three buffers of its own (the rows and two
+scratch arrays), so a batch holds three block buffers per worker and
+hands no block from thread to thread.  A PCG64 stream can jump ahead
+(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation", 2014), so every block
+draws its own rows from the seed's state advanced past the rows before
+it.  The memory-bound passes over a block run in _kernel's compiled
+loops where they build, each the numpy code it replaces bit for bit:
+the draw (_draw), the running sums along a row (prefix_sums,
+suffix_sums), the weighted running sums of the averaged transforms
+(scaled_sums) and the weighted power sums (weighted_sums).  Suffix sums
+come in a C-contiguous array, not as a reversed view, so that the
+powers taken of them run numpy's SIMD `pow`; `exp`, the powers and the
+row maxima stay in numpy, whose SIMD loops beat libm.  A call of fewer
+than _COMPILED_MIN values runs numpy's code, where the ctypes call
+would cost more than the loop saves.
 
 MuTrace, the result of every mu recurrence, and _binary64_pow, the range
 check of their constants, are defined here rather than in certificates,
@@ -43,6 +50,7 @@ so that the hlp recurrences load none of the weighted-mean modules
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 import threading
@@ -135,6 +143,24 @@ def comp_cumsum(values) -> np.ndarray:
     return out
 
 
+# Values below which a call runs numpy's path: a compiled pass pays
+# about 5 us a call in ctypes, more than it saves on fewer values.
+_COMPILED_MIN = 1500
+
+
+def _compiled(name: str, values: int):
+    """_kernel's compiled pass `name` (running_sums, scaled_sums,
+    weighted_sums or draw) for a call on `values` values, or None where
+    the call is short (the one size rule of every pass) or no library
+    builds.  _kernel is imported past the size test only, so a command
+    whose calls are all short never loads it."""
+    if values < _COMPILED_MIN:
+        return None
+    from . import _kernel
+
+    return getattr(_kernel, name)()
+
+
 def prefix_sums(values, out=None) -> np.ndarray:
     """Plain running sums along the last axis, `np.cumsum(a, axis=-1)`
     bit for bit, in `out` (which may be `values` itself) or a fresh
@@ -164,21 +190,63 @@ def _running_sums(values, out, reverse: bool) -> np.ndarray:
     comp_cumsum instead.  The compiled loop of _kernel.running_sums
     makes numpy's additions in numpy's order at about a quarter of
     np.cumsum's time a value, without holding the GIL; where it did not
-    build, or `out` does not suit it, np.cumsum runs, through reversed
-    views for suffix sums.
+    build, the call is short (_compiled) or `out` does not suit it,
+    np.cumsum runs, through reversed views for suffix sums.
     """
-    from ._kernel import running_sums
-
     arr = np.asarray(values, dtype=np.float64)
     if out is None:
         out = np.empty(arr.shape)
-    sums = running_sums()
+    sums = _compiled("running_sums", arr.size)
     if sums is None or not sums(arr, out, reverse):
         if reverse:
             np.cumsum(arr[..., ::-1], axis=-1, out=out[..., ::-1])
         else:
             np.cumsum(arr, axis=-1, out=out)
     return out
+
+
+def scaled_sums(values, pre, post, dual: bool, reverse: bool,
+                out=None) -> np.ndarray:
+    """Running sums along the last axis of values times pre (divided by
+    pre if dual), backward if reverse, each then divided by post (times
+    post if dual) unless post is None; in `out` (which may be `values`
+    itself) or a fresh array.  pre and post are rows of the last axis'
+    length.
+
+    sequences.averaged is the mean form (pre lam, post B) and the dual
+    form (pre B, post lam); check_bge's tail sums of x_k Lam_k^alpha are
+    pre Lam^alpha with no post.  The compiled loop of
+    _kernel.scaled_sums makes numpy's operations in numpy's order in
+    one pass a row; where it did not build, the call is short or `out`
+    does not suit it, numpy runs: the product or quotient, the running
+    sums (_running_sums) and the quotient or product, each rounded once
+    as in the loop.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if out is None:
+        out = np.empty(arr.shape)
+    sums = _compiled("scaled_sums", arr.size)
+    if sums is not None and sums(arr, pre, post, dual, reverse, out):
+        return out
+    (np.divide if dual else np.multiply)(arr, pre, out=out)
+    _running_sums(out, out, reverse)
+    if post is not None:
+        (np.multiply if dual else np.divide)(out, post, out=out)
+    return out
+
+
+def weighted_sums(a: np.ndarray, u: np.ndarray, work: np.ndarray):
+    """`np.sum(a * u, axis=-1)` bit for bit, for u one row shared by
+    every row of a or an array of a's shape.  The compiled pairwise sums
+    of _kernel.weighted_sums add in numpy's order (DOUBLE_pairwise_sum)
+    and form no product array; where they did not build, the call is
+    short or the arrays do not suit them, numpy writes the products
+    into work (which may be a) and sums them."""
+    sums = _compiled("weighted_sums", a.size)
+    got = None if sums is None else sums(a, u)
+    if got is None:
+        got = np.sum(np.multiply(a, u, out=work), axis=-1)
+    return got
 
 
 def margin_ok(margin: float, scale: float) -> bool:
@@ -230,18 +298,44 @@ def workspace(shape) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(shape), np.empty(shape)
 
 
-def trial_rows(N: int, trials: int, seed: int, evaluate) -> np.ndarray:
-    """evaluate over `trials` seeded random rows of length N, in row order.
+def _draw(U: np.ndarray, state: dict, skip: int, pcg64) -> None:
+    """Fill U with the uniforms on [log 1e-3, log 1e3] of the PCG64
+    stream of `state` (a bit_generator.state dict) past its first skip
+    draws: the compiled draw of _kernel.draw where it runs and the call
+    is not short, else numpy's: the PCG64 that pcg64() returns (its
+    caller's own, made on first use) set to the state and advanced, its
+    Generator.random and the affine step."""
+    span = _LOG_HIGH - _LOG_LOW
+    fill = _compiled("draw", U.size)
+    if fill is None or not fill(U, state, skip, _LOG_LOW, span):
+        bits = pcg64()
+        bits.state = state
+        bits.advance(skip)
+        # uniform(low, high) is low + (high - low) * random(), rounded
+        # after each operation
+        np.random.Generator(bits).random(out=U)
+        U *= span
+        U += _LOG_LOW
 
-    The rows are exp(u) for u = rng.uniform(log 1e-3, log 1e3) of one
-    default_rng(seed) stream, max(1, 2^16 // N) rows to a block.  The
-    blocks are shared among k = min(thread_count(), blocks) workers,
-    worker j walking blocks j, j + k, j + 2k, ...: k threads started for
-    this batch while the caller waits, or the calling thread itself
-    when k is 1.  For each block a worker sets its own PCG64 to the
-    seed's state advanced by start * N draws (one draw per entry of the
-    rows before the block), so its rows are those of the one stream bit
-    for bit, drawn into a buffer the worker reuses for every block.
+
+def trial_rows(N: int, trials: int, seed: int, evaluate,
+               lead=None) -> np.ndarray:
+    """evaluate over the count leading rows of lead = (count, fill), if
+    given, then over `trials` seeded random rows of length N, in row
+    order.
+
+    The random rows are exp(u) for u = rng.uniform(log 1e-3, log 1e3) of
+    one default_rng(seed) stream; the leading ones, which fill(lo, out)
+    writes from row lo on into the rows of out, neither draw from it nor
+    shift it.  Both are cut into blocks of max(1, 2^16 // N) rows (fewer
+    where there are fewer rows), made in the worker's own buffer.  The blocks are shared among
+    k = min(thread_count(), blocks) workers, worker j walking blocks
+    j, j + k, j + 2k, ...: k threads started for this batch while the
+    caller waits, or the calling thread itself when k is 1.  For each
+    random block a worker draws the uniforms of the seed's state
+    advanced by start * N draws (one draw per entry of the random rows
+    before the block; _draw), so its rows are those of the one stream
+    bit for bit, drawn into a buffer the worker reuses for every block.
     evaluate(X, work) gets the block's rows X, which it may overwrite,
     and work, two scratch arrays shaped like X that the worker also
     reuses; so memory stays at three block buffers per worker whatever
@@ -256,15 +350,18 @@ def trial_rows(N: int, trials: int, seed: int, evaluate) -> np.ndarray:
     trials give an empty array.
     """
     state = np.random.default_rng(seed).bit_generator.state
-    rows = max(1, min(_BLOCK_ELEMS // max(N, 1), trials))
-    starts = range(0, trials, rows)
-    if not starts:
+    leading, fill = lead or (0, None)
+    rows = max(1, min(_BLOCK_ELEMS // max(N, 1), max(trials, leading)))
+    # (first row, drawn or leading) of each block, in row order
+    blocks = [*((lo, False) for lo in range(0, leading, rows)),
+              *((lo, True) for lo in range(0, trials, rows))]
+    if not blocks:
         return np.empty(0)
-    workers = min(thread_count(), len(starts))
-    results: list = [None] * len(starts)
+    workers = min(thread_count(), len(blocks))
+    results: list = [None] * len(blocks)
     errors: dict[int, Exception] = {}
     # the earliest failed block: a worker starts no block at or past it
-    stop = len(starts)
+    stop = len(blocks)
     lock = threading.Lock()
 
     def walk(first):
@@ -272,21 +369,21 @@ def trial_rows(N: int, trials: int, seed: int, evaluate) -> np.ndarray:
         i = first
         try:
             X, work = np.empty((rows, N)), workspace((rows, N))
-            bits = np.random.PCG64()
-            rng = np.random.Generator(bits)
-            for i in range(first, len(starts), workers):
+            # seeding a PCG64 from the OS costs about 25 us: one a worker
+            pcg64 = functools.cache(np.random.PCG64)
+            for i in range(first, len(blocks), workers):
                 if i >= stop:
                     return
-                m = min(rows, trials - starts[i])
-                bits.state = state
-                bits.advance(starts[i] * N)
-                # uniform(low, high) is low + (high - low) * random(),
-                # rounded after each operation
-                U = rng.random(out=X[:m])
-                U *= _LOG_HIGH - _LOG_LOW
-                U += _LOG_LOW
-                results[i] = evaluate(np.exp(U, out=U),
-                                      tuple(a[:m] for a in work))
+                lo, drawn = blocks[i]
+                if drawn:
+                    U = X[:min(rows, trials - lo)]
+                    _draw(U, state, lo * N, pcg64)
+                    np.exp(U, out=U)
+                else:
+                    U = X[:min(rows, leading - lo)]
+                    fill(lo, U)
+                results[i] = evaluate(U, tuple(a[:U.shape[0]]
+                                               for a in work))
         except Exception as exc:
             with lock:
                 errors[i] = exc

@@ -47,7 +47,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._num import (_ROW_CHUNK, RATIO_TOL, MuTrace, _binary64_pow, first_bad,
-                   margin_ok, suffix_sums, trial_rows)
+                   margin_ok, scaled_sums, suffix_sums, trial_rows,
+                   weighted_sums)
 from ._options import BRANCHES
 from .certificates import _dual_mu_1
 from .factorable import bge_steps
@@ -334,9 +335,9 @@ def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
             X /= np.max(X, axis=-1, keepdims=True)
             inner = averaged(w, X, direction, base, out=work[0])
             inner **= p
-            lhs = np.sum(np.multiply(inner, u, out=inner), axis=-1)
+            lhs = weighted_sums(inner, u, inner)
             X **= p
-            rhs = np.sum(np.multiply(X, u, out=X), axis=-1)
+            rhs = weighted_sums(X, u, X)
         return np.stack([lhs, rhs], axis=-1)
 
     def ratios(S):
@@ -454,12 +455,12 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
     def sums(X, work):
         with np.errstate(over="ignore", invalid="ignore"):
             X /= np.max(X, axis=-1, keepdims=True)
-            S = suffix_sums(np.multiply(X, wa, out=work[0]), out=work[0])
+            S = scaled_sums(X, wa, None, False, True, out=work[0])
             S **= p
-            lhs = np.sum(np.multiply(S, lam, out=S), axis=-1)
+            lhs = weighted_sums(S, lam, S)
             suffix_sums(X, out=X)
             X **= p
-            rhs = np.sum(np.multiply(X, lwa, out=X), axis=-1)
+            rhs = weighted_sums(X, lwa, X)
         return np.stack([lhs, rhs], axis=-1)
 
     def ratios(S):

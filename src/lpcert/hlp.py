@@ -76,7 +76,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import (MuTrace, margin_ok, margins_ok, prefix_sums, suffix_sums,
+from ._num import (MuTrace, margin_ok, margins_ok, scaled_sums, suffix_sums,
                    trial_rows)
 from ._options import N_MAX_DEFAULT
 
@@ -416,8 +416,7 @@ def _dual_ratios(p: float, X: np.ndarray, work=None) -> np.ndarray:
     X /= np.max(X, axis=-1, keepdims=True)
     q = p / (p - 1.0)
     n = np.arange(1, X.shape[-1] + 1, dtype=np.float64)
-    y = np.divide(X, n, out=work[0] if work else None)
-    prefix_sums(y, out=y)
+    y = scaled_sums(X, n, None, True, False, out=work[0] if work else None)
     y **= q
     X **= q
     return np.sum(y, axis=-1) / ((p / (1.0 - p)) ** q * np.sum(X, axis=-1))

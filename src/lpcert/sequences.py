@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._num import comp_cumsum, prefix_sums, suffix_sums
+from ._num import comp_cumsum, scaled_sums
 
 WEIGHT_KINDS = ("constant", "power", "geometric", "explicit")
 
@@ -231,15 +231,6 @@ def averaged(w: WeightSequence, X, direction: str, base: str,
     lam_n sum x_k / B_k.
     """
     lam, B = w.values, getattr(w, base)
-    if dual:
-        summed = np.divide(X, B, out=out)
-    else:
-        summed = np.multiply(X, lam, out=out)
-    if direction == "suffix":
-        suffix_sums(summed, out=summed)
-    else:
-        prefix_sums(summed, out=summed)
-    if dual:
-        return np.multiply(summed, lam, out=summed)
-    return np.divide(summed, B, out=summed)
+    pre, post = (B, lam) if dual else (lam, B)
+    return scaled_sums(X, pre, post, dual, direction == "suffix", out)
 

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import (_BLOCK_ELEMS, RATIO_TOL, _binary64_pow, first_bad,
-                   trial_rows, workspace)
+from ._num import (RATIO_TOL, _binary64_pow, first_bad, trial_rows,
+                   weighted_sums, workspace)
 from ._options import BRANCHES, KINDS, MU_CHOICES
 from .certificates import cartlidge_constant
 from .copson import (_BRANCH_SUMS, _RANGE_FLOOR, _branch_weights,
@@ -166,14 +166,17 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
     K = case.constant(L)
     Kp = _binary64_pow(K, p, "K^p")
     direction, base, dual = _CASE_SUMS[case.kind]
-    # weigh(a, out) is u * a, written into out (a itself where u = 1)
+    # weigh(a, out) is u * a, written into out (a itself where u = 1),
+    # and power_sums(a) the sums of u * a, a overwritten
     if case.kind in _COPSON_KINDS:
         with np.errstate(over="ignore"):
             u = _branch_weights(w, case.kind, p, case.c)
         weigh = (lambda a, out: np.multiply(a, u, out=out))
+        power_sums = (lambda a: weighted_sums(a, u, a))
         floors = (_range_floor(u),) * 2
     else:
         weigh = (lambda a, out: a)
+        power_sums = (lambda a: np.sum(a, axis=-1))
         floors = (2.0 * w.N * _RANGE_FLOOR,) * 2
 
     def sums(X, work=None):
@@ -182,11 +185,10 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
             X /= np.max(X, axis=-1, keepdims=True)
             inner = averaged(w, X, direction, base, dual, out=S)
             np.power(inner, p - 1.0, out=ip)
-            lhs = np.sum(np.multiply(weigh(inner, inner), ip, out=inner),
-                         axis=-1)
-            rhs = np.sum(np.multiply(weigh(X, S), ip, out=S), axis=-1)
+            lhs = weighted_sums(weigh(inner, inner), ip, inner)
+            rhs = weighted_sums(weigh(X, S), ip, S)
             X **= p
-            rhs_p = np.sum(weigh(X, X), axis=-1)
+            rhs_p = power_sums(X)
         return np.stack([lhs, rhs, rhs_p], axis=-1)
 
     def ratios(S):
@@ -225,17 +227,32 @@ def check_strengthened(case: StrengthenedCase, w: WeightSequence,
     return _report(case, w, L, ratios(sums(X)), note="single vector")
 
 
-def _deterministic_profiles(N: int) -> np.ndarray:
-    """Spikes, flats and n^(-s) power profiles, always positive."""
+def _profile_rows(N: int):
+    """(count, fill) of the deterministic profiles: spikes, flats and
+    n^(-s) power profiles, always positive, the distinct ones in
+    np.unique(axis=0)'s lexicographic order.  fill(lo, out) writes
+    profiles lo, lo + 1, ... into the rows of out, so each trial worker
+    makes its profiles in its own block buffer; the rows made here to
+    order them are freed on return."""
     n = np.arange(1, N + 1, dtype=np.float64)
-    rows = [np.ones(N)]
-    for pos in (0, N // 2, N - 1):
-        spike = np.full(N, 1e-6)
-        spike[pos] = 1.0
-        rows.append(spike)
-    for s in (0.6, 1.1, 2.0):
-        rows.append(n ** (-s))
-    rows.append(n ** 0.5)
+
+    def spike(pos):
+        def make(row):
+            row.fill(1e-6)
+            row[pos] = 1.0
+        return make
+
+    def power(s):
+        def make(row):
+            row[...] = n ** s
+        return make
+
+    makers = [lambda row: row.fill(1.0), *map(spike, (0, N // 2, N - 1)),
+              *map(power, (-0.6, -1.1, -2.0, 0.5))]
+    rows = np.empty((len(makers), N))
+    for make, row in zip(makers, rows):
+        make(row)
+
     # the distinct rows in lexicographic order, as np.unique(axis=0) gives
     # them, without its sort over a structured dtype of N fields: two
     # rows are ordered by the first entry where they differ
@@ -244,40 +261,28 @@ def _deterministic_profiles(N: int) -> np.ndarray:
         return int(rows[i][k] > rows[j][k]) - int(rows[i][k] < rows[j][k])
 
     order = sorted(range(len(rows)), key=functools.cmp_to_key(cmp))
-    keep = [i for j, i in enumerate(order)
+    keep = [makers[i] for j, i in enumerate(order)
             if j == 0 or cmp(order[j - 1], i) != 0]
-    return np.stack([rows[i] for i in keep])
 
+    def fill(lo, out):
+        for make, row in zip(keep[lo:], out):
+            make(row)
 
-def _profile_sums(sums, N: int, trials: int):
-    """(sums of the first `trials` deterministic profiles, the number
-    of profiles).
-
-    The profiles are evaluated max(1, _BLOCK_ELEMS // N) rows at a time
-    in one reused workspace, as trial_rows evaluates its blocks, so they
-    add two block-sized scratch arrays, not two (8, N) ones; the profiles
-    and the workspace are freed before any random trial is drawn."""
-    det = _deterministic_profiles(N)
-    n_det = min(trials, det.shape[0])
-    rows = max(1, _BLOCK_ELEMS // N)
-    work = workspace((min(rows, n_det), N))
-    parts = []
-    for lo in range(0, n_det, rows):
-        X = det[lo:min(lo + rows, n_det)]
-        parts.append(sums(X, tuple(a[:X.shape[0]] for a in work)))
-    return np.concatenate(parts), det.shape[0]
+    return len(keep), fill
 
 
 def strengthened_trials(case: StrengthenedCase, w: WeightSequence,
                         trials: int = 200, seed: int = 0) -> StrengthenedReport:
     """Deterministic profiles plus seeded log-uniform trials; reports the
-    worst (largest) ratios over the whole batch."""
+    worst (largest) ratios over the whole batch.  The first `trials`
+    profiles lead the batch's rows, made and evaluated by the trial
+    workers as blocks of their own (trial_rows' lead)."""
     if trials < 1:
         raise ValueError("need trials >= 1")
     L, sums, ratios = _case_ratios(case, w)
-    S, n_det = _profile_sums(sums, w.N, trials)
-    if trials > n_det:
-        S = np.concatenate([S, trial_rows(w.N, trials - n_det, seed, sums)])
+    n_det, fill = _profile_rows(w.N)
+    S = trial_rows(w.N, max(0, trials - n_det), seed, sums,
+                   lead=(min(trials, n_det), fill))
     return _report(case, w, L, ratios(S),
                    note=f"{n_det} deterministic profiles")
 

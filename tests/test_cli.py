@@ -253,13 +253,22 @@ def test_cli_import_loads_no_compute_module():
       "--trials", "20"],
      {"strengthened", "copson", "sequences", "_kernel"},
      {"hlp", "norm_probe", "corpus"}),
-    (["hlp", "dual-probe", "--p", "0.31", "--N", "64", "--trials", "20"],
+    (["hlp", "dual-probe", "--p", "0.31", "--N", "256", "--trials", "20"],
      {"hlp", "_kernel"},
      {"copson", "strengthened", "norm_probe", "corpus", "certificates",
       "factorable", "sequences"}),
-    (["norm", "--weights", "power:0.5", "--N", "200", "--p", "2"],
+    (["norm", "--weights", "power:0.5", "--N", "2000", "--p", "2"],
      {"norm_probe", "factorable", "sequences", "_kernel"},
      {"copson", "hlp", "strengthened", "corpus"}),
+    # calls of fewer than _num._COMPILED_MIN values run numpy's passes,
+    # so a command made only of them loads no _kernel
+    (["hlp", "dual-probe", "--p", "0.31", "--N", "64", "--trials", "20"],
+     {"hlp"},
+     {"copson", "strengthened", "norm_probe", "corpus", "certificates",
+      "factorable", "sequences", "_kernel"}),
+    (["norm", "--weights", "power:0.5", "--N", "200", "--p", "2"],
+     {"norm_probe", "factorable", "sequences"},
+     {"copson", "hlp", "strengthened", "corpus", "_kernel"}),
 ])
 def test_a_subcommand_loads_only_what_it_runs(argv, used, unused):
     loaded = _ours(_after_main(argv))
@@ -269,7 +278,8 @@ def test_a_subcommand_loads_only_what_it_runs(argv, used, unused):
 
 def test_only_a_compiled_loop_loads_the_kernel():
     # _kernel (and with it lpcert's use of ctypes, which numpy loads
-    # anyway) comes in with the first mu trace or running sum only: the
+    # anyway) comes in with the first mu trace or running sum of at
+    # least _num._COMPILED_MIN values only: the
     # HLP threshold margin is closed-form, and the product check and the
     # Brent port run no loop of _kernel's
     assert "lpcert._kernel" not in _loaded("import lpcert.cli")
@@ -280,7 +290,7 @@ def test_only_a_compiled_loop_loads_the_kernel():
         assert "lpcert._kernel" not in _after_main(argv), argv
     # the same check flags a command that runs a compiled loop
     assert "lpcert._kernel" in _after_main(
-        ["hlp", "probe", "--p", "0.4", "--s", "2.6", "--N", "100"])
+        ["hlp", "probe", "--p", "0.4", "--s", "2.6", "--N", "2000"])
 
 
 def test_cp_root_report_is_unchanged(capsys):

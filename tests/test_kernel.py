@@ -14,8 +14,10 @@ loops); the cache and fallback tests run CLI processes with their own
 XDG_CACHE_HOME and PATH.
 
 The compiled running sums behind `_num.prefix_sums` and `suffix_sums`
-must equal np.cumsum bit for bit, and every trial batch must report
-the same with the library as without it.
+must equal np.cumsum bit for bit, the scaled sums numpy's product,
+cumsum and quotient, the weighted sums np.sum(a * u, axis=-1) and the
+draw Generator.random with numpy's affine step; every trial batch must
+report the same with the library as without it.
 """
 
 import json
@@ -30,14 +32,15 @@ import numpy as np
 import pytest
 
 import lpcert
-from lpcert import (BoundParams, StrengthenedCase, _kernel, build_weights,
-                    check_bge, check_copson_branch, hlp, strengthened_trials,
-                    weighted_mean)
+from lpcert import (BoundParams, StrengthenedCase, _kernel, _num,
+                    build_weights, check_bge, check_copson_branch, hlp,
+                    strengthened_trials, weighted_mean)
 from lpcert._kernel import _dual_steps, _primal_steps
 from lpcert._num import _ROW_CHUNK, prefix_sums, suffix_sums
 from lpcert.certificates import mu_dual, mu_primal
 from lpcert.copson import mu_bge, mu_dual_copson
 from lpcert.factorable import FactorableSpec
+from lpcert.sequences import averaged
 
 WEIGHTS = {"power:1": ("power", {"exponent": 1.0}),
            "power:0.5": ("power", {"exponent": 0.5}),
@@ -250,6 +253,14 @@ COMMANDS = [
      "3000", "--p", "100", "--L", "2"],
     ["certify", "--method", "mu-primal", "--weights", "constant", "--N",
      "3000", "--p", "100", "--L", "2"],
+    # the trial batches: draw, averages, running and weighted sums
+    ["copson", "branch", "--branch", "leindler_tail", "--c", "1.2", "--p",
+     "1.5", "--weights", "power:0.8", "--N", "2000", "--trials", "40"],
+    ["bge", "--alpha", "0.85", "--p", "3", "--weights", "power:0.8", "--N",
+     "2000", "--trials", "40"],
+    ["strengthened", "check", "--which", "copson_tail", "--c", "0.4", "--p",
+     "1.5", "--weights", "power:0.8", "--N", "2000", "--trials", "40"],
+    ["hlp", "dual-probe", "--p", "0.31", "--N", "256", "--trials", "300"],
 ]
 
 _RUN = """
@@ -301,7 +312,8 @@ def test_missing_compiler_falls_back_to_the_same_reports(tmp_path, compiled):
     without = _fresh(tmp_path / "b", COMMANDS, PATH=str(tmp_path / "bin"))
     assert with_cc["compiled"] and not without["compiled"]
     assert without["runs"] == with_cc["runs"]
-    assert [rc for rc, _, _ in with_cc["runs"]] == [0, 0, 0, 0, 2, 2]
+    assert [rc for rc, _, _ in with_cc["runs"]] == [0, 0, 0, 0, 2, 2,
+                                                    0, 0, 0, 0]
     assert not list((tmp_path / "b" / "cache" / "lpcert").iterdir())
 
 
@@ -398,6 +410,8 @@ def test_running_sums_match_cumsum(monkeypatch, compiled_sums, rows, n):
         return sums
 
     monkeypatch.setattr(_kernel, "running_sums", counted)
+    # short calls too (they take numpy's path by the size rule)
+    monkeypatch.setattr(_num, "_COMPILED_MIN", 0)
     X = _sum_rows(rows, n)
     for reverse, helper in ((False, prefix_sums), (True, suffix_sums)):
         ref = _reference(X, reverse)
@@ -452,25 +466,30 @@ def _batches():
     ]
 
 
+PASSES = ("running_sums", "scaled_sums", "weighted_sums", "draw")
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_trial_batches_report_the_same_without_the_library(
         monkeypatch, compiled_sums, threads):
     monkeypatch.setenv("THREADS", threads)
-    calls = {"compiled": 0, "none": 0}
+    calls = {"compiled": [], "none": []}
 
-    def compiled():
-        calls["compiled"] += 1
-        return compiled_sums
+    def batches(side):
+        with monkeypatch.context() as patched:
+            for name in PASSES:
+                loop = getattr(_kernel, name)()
 
-    def none():
-        calls["none"] += 1
+                def get(name=name, loop=loop):
+                    calls[side].append(name)
+                    return loop if side == "compiled" else None
 
-    monkeypatch.setattr(_kernel, "running_sums", compiled)
-    with_library = _batches()
-    monkeypatch.setattr(_kernel, "running_sums", none)
-    without = _batches()
-    # both patches took effect: every batch asked for the loop
-    assert calls["compiled"] == calls["none"] > 0
+                patched.setattr(_kernel, name, get)
+            return _batches()
+
+    with_library, without = batches("compiled"), batches("none")
+    # both patches took effect: the batches asked for every pass
+    assert set(calls["compiled"]) == set(calls["none"]) == set(PASSES)
     assert without == with_library
 
 
@@ -507,3 +526,172 @@ def test_a_cold_cache_with_two_trial_workers_builds_once(tmp_path,
     assert got["report"] == json.loads(json.dumps(check_bge(
         build_weights("power", 2000, exponent=0.8), 2.0, 0.85, trials=200,
         seed=0).to_dict()))
+
+
+# ----------------------------------------------------------------------
+# The trial-block passes: draw, scaled running sums, weighted sums
+
+@pytest.fixture(scope="module")
+def compiled_passes():
+    passes = {name: getattr(_kernel, name)() for name in PASSES}
+    if None in passes.values():
+        pytest.skip("no C compiler: numpy runs every pass")
+    return passes
+
+
+LOG_LOW, LOG_HIGH = np.log(1e-3), np.log(1e3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("skip", [0, 1, 3, 12_345, 2**32, 2**32 + 1,
+                                  2**63 + 5])
+def test_draw_matches_generator_random(compiled_passes, seed, skip):
+    fill = compiled_passes["draw"]
+    state = np.random.default_rng(seed).bit_generator.state
+    for n in [*range(1, 10), 2**16]:
+        got = np.full(n, np.nan)
+        assert fill(got, state, skip, LOG_LOW, LOG_HIGH - LOG_LOW)
+        assert _same_bits(got, _draw_reference(state, skip, n)), n
+    # a 2-d block is filled in row order
+    got = np.empty((3, 7))
+    assert fill(got, state, skip, LOG_LOW, LOG_HIGH - LOG_LOW)
+    assert _same_bits(got.ravel(), _draw_reference(state, skip, 21))
+
+
+def _draw_reference(state, skip, n):
+    """numpy's draw: PCG64 set and advanced, Generator.random, then the
+    affine step of _num.trial_rows."""
+    bits = np.random.PCG64()
+    bits.state = state
+    bits.advance(skip)
+    ref = np.random.Generator(bits).random(n)
+    ref *= LOG_HIGH - LOG_LOW
+    return ref + LOG_LOW
+
+
+def test_draw_declines_what_it_cannot_fill(compiled_passes):
+    fill = compiled_passes["draw"]
+    state = np.random.default_rng(0).bit_generator.state
+    assert not fill(np.empty(8)[::2], state, 0, 0.0, 1.0)
+    assert not fill(np.empty(4, np.float32), state, 0, 0.0, 1.0)
+    assert not fill(np.empty(4), state, 2**64, 0.0, 1.0)
+    other = np.random.Philox(0).state
+    assert not fill(np.empty(4), other, 0, 0.0, 1.0)
+
+
+def _averaged_reference(X, pre, post, dual, reverse):
+    """numpy's passes: product or quotient, np.cumsum (through reversed
+    views backward), quotient or product."""
+    v = X / pre if dual else X * pre
+    s = (np.cumsum(v[..., ::-1], axis=-1)[..., ::-1] if reverse
+         else np.cumsum(v, axis=-1))
+    if post is None:
+        return s
+    return s * post if dual else s / post
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 20_000])
+def test_scaled_sums_match_averaged(monkeypatch, compiled_passes, n):
+    monkeypatch.setattr(_num, "_COMPILED_MIN", 0)
+    ran = []
+    loop = compiled_passes["scaled_sums"]
+
+    def counted(*args):
+        ran.append(loop(*args))
+        return ran[-1]
+
+    monkeypatch.setattr(_kernel, "scaled_sums", lambda: counted)
+    w = build_weights("power", n, exponent=0.8)
+    X = _sum_rows(3, n)
+    X[0] = np.abs(X[0])
+    for base in ("partials", "tails"):
+        B = getattr(w, base)
+        for dual in (False, True):
+            pre, post = (B, w.values) if dual else (w.values, B)
+            for direction in ("prefix", "suffix"):
+                reverse = direction == "suffix"
+                ref = _averaged_reference(X, pre, post, dual, reverse)
+                assert _same_bits(averaged(w, X, direction, base, dual), ref)
+                Y = X.copy()
+                assert averaged(w, Y, direction, base, dual, out=Y) is Y
+                assert _same_bits(Y, ref)
+                # check_bge's form: no post
+                assert _same_bits(_num.scaled_sums(X, pre, None, dual,
+                                                   reverse),
+                                  _averaged_reference(X, pre, None, dual,
+                                                      reverse))
+    assert ran and all(ran)
+
+
+def test_scaled_sums_decline_rows_of_another_shape(compiled_passes):
+    loop = compiled_passes["scaled_sums"]
+    X, out = np.ones((2, 4)), np.empty((2, 4))
+    assert not loop(X, np.ones(3), None, False, False, out)
+    assert not loop(X, np.ones(4), np.ones(8)[::2], False, False, out)
+    assert not loop(X, np.ones(4), None, False, False, np.empty((2, 3)))
+    assert loop(X, np.ones(4), None, False, True, out)
+    assert out.tolist() == [[4.0, 3.0, 2.0, 1.0]] * 2
+
+
+def _weighted_rows(n):
+    """Four rows of n values over 120 binades: one of -0.0 only, one
+    with an inf, one with a NaN and one with both signs of inf."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((4, n)) * np.exp2(rng.integers(-60, 60, (4, n)))
+    a[0] = -0.0
+    a[1, n // 2] = np.inf
+    a[2, n // 3] = np.nan
+    if n >= 2:
+        a[3, 0], a[3, -1] = np.inf, -np.inf
+    return a
+
+
+@pytest.mark.parametrize("n", [*range(1, 301), 20_000, 65_536])
+def test_weighted_sums_match_numpy_sum(compiled_passes, n):
+    loop = compiled_passes["weighted_sums"]
+    a = _weighted_rows(n)
+    rng = np.random.default_rng(n + 1)
+    for u in (rng.random(n) * 3.0, rng.random((4, n)) * 3.0, -np.ones(n)):
+        with np.errstate(invalid="ignore"):
+            ref = np.sum(a * u, axis=-1)
+        assert _same_bits(loop(a, u), ref), n
+        # one row, and through the dispatch at any size
+        row = u if u.ndim == 1 else u[1]
+        with np.errstate(invalid="ignore"):
+            assert _same_bits(loop(a[1], row), np.sum(a[1] * row))
+            assert _same_bits(_num.weighted_sums(a, u, a.copy()), ref)
+    # an all -0.0 row sums to +0.0, as numpy's add.reduce from 0.0
+    assert not np.signbit(loop(a, np.ones(n))[0])
+
+
+def test_weighted_sums_decline_what_they_cannot_sum(compiled_passes):
+    loop = compiled_passes["weighted_sums"]
+    a = np.ones((2, 4))
+    assert loop(a, np.ones(3)) is None
+    assert loop(a, np.ones((3, 4))) is None
+    assert loop(np.ones((4, 2)).T, np.ones(4)) is None
+    assert loop(a, np.ones(8)[::2]) is None
+
+
+def test_short_calls_run_numpy(monkeypatch, compiled_passes):
+    # the one size rule: below _COMPILED_MIN values no pass is asked for
+    asked = []
+    for name in PASSES:
+        monkeypatch.setattr(_kernel, name,
+                            lambda name=name: asked.append(name))
+    small = _num._COMPILED_MIN - 1
+    x = np.linspace(0.5, 2.0, small)
+    prefix_sums(x)
+    suffix_sums(x)
+    _num.scaled_sums(x, x, x, False, False)
+    _num.weighted_sums(x, x, x.copy())
+    _num.trial_rows(small, 1, 0, lambda X, work: X[:, 0].copy())
+    assert asked == []
+    big = np.ones(_num._COMPILED_MIN)
+    prefix_sums(big)
+    _num.scaled_sums(big, big, None, True, True)
+    _num.weighted_sums(big, big, big.copy())
+    _num.trial_rows(big.size, 1, 0, lambda X, work: X[:, 0].copy())
+    # (numpy's scaled sums, run as the patched pass gives None, ask for
+    # the running sums again)
+    assert set(asked) == set(PASSES)

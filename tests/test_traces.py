@@ -530,6 +530,14 @@ def test_hlp_dual_exact_zero_death_matches_list_loop(N):
     assert got[3] == (2 if N >= 2 else None)
 
 
+@pytest.mark.parametrize("N", NS)
+def test_hlp_direct_exact_zero_margin_matches_list_loop(N):
+    # at p = 1/2, mu_1 = 1 = 1^p: the floor margin mu_1 - 1 is exactly
+    # +0.0 (a negated 1 - mu_1 would be -0.0) and the trace dies at n = 1
+    got = _assert_same(hlp.mu_direct, ref_hlp_mu_direct, 0.5, N)
+    assert got[2] == repr(0.0) and got[3] == 1
+
+
 @pytest.mark.parametrize("N", [10**3, 10**5])
 @pytest.mark.parametrize("p", [0.34, 0.35, 0.355, 0.3865240616071652, 0.4,
                                0.6, 0.9])

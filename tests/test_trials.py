@@ -30,7 +30,7 @@ from lpcert import (BRANCHES, KINDS, StrengthenedCase, build_weights,
 from lpcert import _num
 from lpcert._num import RATIO_TOL
 from lpcert.copson import BranchReport, _trial_report, branch_constant
-from lpcert.strengthened import StrengthenedReport, _deterministic_profiles
+from lpcert.strengthened import StrengthenedReport, _profile_rows
 
 # ----------------------------------------------------------------------
 # Reference evaluators: whole batches, one thread
@@ -113,8 +113,16 @@ def ref_case_parts(case, w, X):
     return lam * np.cumsum(X / Lt, axis=-1), ones
 
 
+def profiles(N):
+    """The deterministic profiles, all made at once."""
+    count, fill = _profile_rows(N)
+    det = np.empty((count, N))
+    fill(0, det)
+    return det
+
+
 def ref_strengthened_trials(case, w, trials, seed):
-    det = _deterministic_profiles(w.N)
+    det = profiles(w.N)
     n_rand = max(trials - det.shape[0], 0)
     blocks = [det[:trials]]
     if n_rand:
@@ -480,7 +488,7 @@ def test_deterministic_profiles_are_np_unique_rows(N):
         rows.append(spike)
     rows += [n ** -0.6, n ** -1.1, n ** -2.0, n ** 0.5]
     ref = np.unique(np.stack(rows), axis=0)
-    got = _deterministic_profiles(N)
+    got = profiles(N)
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
