@@ -5,13 +5,17 @@ construction (`build_weights`, the family's values and their compensated
 partial sums) at N = 1e3, 1e5, 1e6 and 1e7, each with the tracemalloc
 peak of one untimed call in `extra_info`; the plain running sums of
 `_num.prefix_sums` and `suffix_sums` on standard normal rows of shape
-(3, 2e4) and (1, 1e6), with the compiled loop of `lpcert._kernel` and
-with np.cumsum (`test_running_sums`, the nanoseconds a value in
-`extra_info`); the three other trial-block passes on a (3, 2e4) block
-of log-uniform rows, each with its compiled loop and with numpy
-(`test_block_passes`: the draw of `_num._draw`, the prefix mean of
-`averaged` on lam_n = n^0.8 and `_num.weighted_sums` against those
-weights; nanoseconds a value in `extra_info`); and the factorable apply and
+(3, 2e4) and (1, 1e6), with the compiled scaled-sum loop of
+`lpcert._kernel` (no weight rows) and with np.cumsum
+(`test_running_sums`, the nanoseconds a value in `extra_info`); the
+three trial-block passes on a (3, 2e4) block of log-uniform rows, each
+with its compiled loop and with numpy (`test_block_passes`: the draw of
+`_num._draw`, the prefix mean of `averaged` on lam_n = n^0.8 and
+`_num.weighted_sums` against those weights; nanoseconds a value in
+`extra_info`).  The numpy cases replace `_kernel._functions`, the table
+of bound C functions, with an empty one; under `--benchmark-disable`
+no case records nanoseconds, so the suite runs as a quick smoke test.
+The other cases time the factorable apply and
 adjoint, the power iteration, the mu recurrences and the HLP n0
 searches at N = 1e3, 1e5 and 1e6.  `FactorableSpec.apply` and
 `adjoint_apply` run on the weighted mean of lam_n = n^0.5 with
@@ -135,34 +139,40 @@ def test_build_weights(benchmark, N):
 @pytest.mark.parametrize("impl", ["compiled", "numpy"])
 @pytest.mark.parametrize("helper", ["prefix_sums", "suffix_sums"])
 def test_running_sums(benchmark, monkeypatch, helper, impl, shape):
-    if impl == "compiled":
-        if _kernel.running_sums() is None:
-            pytest.skip("no C compiler: only np.cumsum runs")
-    else:
-        monkeypatch.setattr(_kernel, "running_sums", lambda: None)
+    _use_library(monkeypatch, impl, "lpcert_scaled_sums")
     X = np.random.default_rng(0).standard_normal(shape)
     out = np.empty(shape)
     fn = getattr(_num, helper)
     benchmark.pedantic(fn, args=(X, out), rounds=50, warmup_rounds=1)
-    benchmark.extra_info["ns_per_value"] = (
-        benchmark.stats.stats.median / X.size * 1e9)
+    _record_ns_per_value(benchmark, X.size)
 
 
-# the trial-block passes of a 3 x 2e4 block: the accessor of each pass
+def _use_library(monkeypatch, impl, function):
+    """Run the compiled `function` of lpcert._kernel (skipping where it
+    did not build), or with impl "numpy" no compiled loop at all."""
+    if impl == "numpy":
+        monkeypatch.setattr(_kernel, "_functions", dict)
+    elif function not in _kernel._functions():
+        pytest.skip("no C compiler: only numpy runs")
+
+
+def _record_ns_per_value(benchmark, values):
+    # no stats under --benchmark-disable
+    if benchmark.stats is not None:
+        benchmark.extra_info["ns_per_value"] = (
+            benchmark.stats.stats.median / values * 1e9)
+
+
+# the trial-block passes of a 3 x 2e4 block: the C function of each pass
 # in lpcert._kernel, and the call that runs it
-BLOCK_STAGES = {"draw": "draw", "average": "scaled_sums",
-                "weighted-sums": "weighted_sums"}
+BLOCK_STAGES = {"draw": "lpcert_draw", "average": "lpcert_scaled_sums",
+                "weighted-sums": "lpcert_weighted_sums"}
 
 
 @pytest.mark.parametrize("impl", ["compiled", "numpy"])
 @pytest.mark.parametrize("stage", list(BLOCK_STAGES))
 def test_block_passes(benchmark, monkeypatch, stage, impl):
-    name = BLOCK_STAGES[stage]
-    if impl == "compiled":
-        if getattr(_kernel, name)() is None:
-            pytest.skip("no C compiler: only numpy runs")
-    else:
-        monkeypatch.setattr(_kernel, name, lambda: None)
+    _use_library(monkeypatch, impl, BLOCK_STAGES[stage])
     shape = (3, 2 * 10**4)
     w = build_weights("power", shape[1], exponent=0.8)
     X = np.exp(np.random.default_rng(0).uniform(-6.9, 6.9, shape))
@@ -174,8 +184,7 @@ def test_block_passes(benchmark, monkeypatch, stage, impl):
                                         out=out),
             "weighted-sums": lambda: _num.weighted_sums(X, w.values, out)}
     benchmark.pedantic(call[stage], rounds=200, warmup_rounds=1)
-    benchmark.extra_info["ns_per_value"] = (
-        benchmark.stats.stats.median / X.size * 1e9)
+    _record_ns_per_value(benchmark, X.size)
 
 
 # The N = 1e6 commands whose peak resident memory the weights set, with

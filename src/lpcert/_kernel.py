@@ -1,7 +1,7 @@
 """The compiled loops: the two mu drivers with their step loops, and the
-block passes of _num (running sums, scaled running sums, weighted sums
-and the trial draw), in C (built on first use), beside the Python and
-numpy code they must match.
+block passes of _num (scaled running sums, weighted sums and the trial
+draw), in C (built on first use), beside the Python and numpy code they
+must match.
 
 _mu_dual_ratios runs the dual recurrence (certificates.mu_dual,
 copson.mu_dual_copson, the dual route of copson.mu_bge, hlp.mu_direct),
@@ -18,19 +18,21 @@ fails; the drivers then run _dual_steps and _primal_steps, the
 reference the C loops match bit for bit, so every trace, report and
 domain error is the same either way.
 
-Four more functions return the block passes, or None likewise, and _num
-then runs the numpy code each one replaces: running_sums(), the
-running sums of each row of a block, forward or backward (np.cumsum);
-scaled_sums(), the same sums of the row times a weight row (or divided
-by it), each then divided by another (or times it), in one pass a row
-(numpy's product, np.cumsum and quotient: sequences.averaged and
-check_bge's tail sums); weighted_sums(), the sums of a_n u_n along each
-row (np.sum(a * u, axis=-1)); and draw(), the uniforms of a trial
-block (Generator.random from an advanced PCG64, then numpy's affine
-step).  _num sends a call of fewer than _num._COMPILED_MIN values to
-numpy (the one size rule), and imports this module past that test
-only, inside the functions that run a trace or a pass, so a command
-that runs neither does not load it.
+Three more functions run the block passes, each bound through the one
+table _SIGNATURES, and return False or None, with nothing written,
+where the library lacks their loop or the arrays do not suit it; _num
+then runs the numpy code each one replaces: scaled_sums, the running
+sums of each row of a block, forward or backward, of the row times a
+weight row (or divided by it), each then divided by another (or times
+it), in one pass a row (numpy's product, np.cumsum and quotient:
+sequences.averaged, check_bge's tail sums and, with no weight rows,
+the plain sums of prefix_sums and suffix_sums); weighted_sums, the sums
+of a_n u_n along each row (np.sum(a * u, axis=-1)); and draw, the
+uniforms of a trial block (Generator.random from an advanced PCG64,
+then numpy's affine step).  _num sends a call of fewer than
+_num._COMPILED_MIN values to numpy (the one size rule), and imports
+this module past that test only, inside the functions that run a
+trace or a pass, so a command that runs neither does not load it.
 
 Why the bits match: CPython's float `**` is libm `pow` for finite
 positive operands not equal to 1, every other step is one IEEE
@@ -366,34 +368,15 @@ ptrdiff_t lpcert_primal_steps(const double *rp, const double *cross,
     return n;
 }
 
-/* _num.prefix_sums and suffix_sums: the running sums of each of rows
-   rows of n values at a, forward or (reverse) backward, into out, which
-   may be a.  As numpy's add.accumulate, the first sum is the first
-   value and each later one the sum before it plus the next value. */
-void lpcert_running_sums(const double *a, double *out, ptrdiff_t rows,
-                         ptrdiff_t n, int reverse)
-{
-    ptrdiff_t r, i;
-    if (n == 0) return;
-    for (r = 0; r < rows; r++, a += n, out += n) {
-        double s;
-        if (reverse) {
-            s = a[n - 1];
-            out[n - 1] = s;
-            for (i = n - 2; i >= 0; i--) { s += a[i]; out[i] = s; }
-        } else {
-            s = a[0];
-            out[0] = s;
-            for (i = 1; i < n; i++) { s += a[i]; out[i] = s; }
-        }
-    }
-}
-
 /* _num.scaled_sums: for each of rows rows of n values at x, v_i = x_i
    times pre_i (divided by pre_i if dual), the running sums of v
    forward or (reverse) backward, each divided by post_i (times post_i
-   if dual) unless post is NULL, into out, which may be x.  Each value
-   is read before its sum is written, so in place is one pass. */
+   if dual) unless post is NULL, into out, which may be x.  pre NULL
+   (post NULL too) gives the plain running sums of x, _num.prefix_sums
+   and suffix_sums.  As numpy's add.accumulate, the first sum is the
+   first value and each later one the sum before it plus the next
+   value.  Each value is read before its sum is written, so in place is
+   one pass. */
 #define SCALED_ROW(FIRST, LAST, STEP, PRE, POST)                         \
     for (i = FIRST; i != LAST; i += STEP) {                              \
         double v = PRE;                                                  \
@@ -413,7 +396,8 @@ void lpcert_scaled_sums(const double *x, const double *pre,
 {
     ptrdiff_t r, i;
     if (n == 0) return;
-    if (post == NULL && dual) SCALED_ROWS(x[i] / pre[i], s)
+    if (pre == NULL) SCALED_ROWS(x[i], s)
+    else if (post == NULL && dual) SCALED_ROWS(x[i] / pre[i], s)
     else if (post == NULL) SCALED_ROWS(x[i] * pre[i], s)
     else if (dual) SCALED_ROWS(x[i] / pre[i], s * post[i])
     else SCALED_ROWS(x[i] * pre[i], s / post[i])
@@ -531,9 +515,6 @@ void lpcert_draw(unsigned long long state_hi, unsigned long long state_lo,
 #endif
 """
 
-_C_DOUBLES = ctypes.POINTER(ctypes.c_double)
-
-
 def _material() -> bytes:
     """What the library is built from: source, command and platform."""
     return "\0".join((_SOURCE, *_COMMAND, sys.platform,
@@ -639,14 +620,6 @@ def _remove_other_libraries(directory: str, name: str) -> None:
             pass
 
 
-def _pointer(arr: np.ndarray):
-    return arr.ctypes.data_as(_C_DOUBLES)
-
-
-def _doubles(arr) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=np.float64)
-
-
 _LOADING = threading.Lock()
 
 
@@ -662,50 +635,63 @@ def _library_once():
     return _library() if os.name == "posix" else None
 
 
-def _bound(name: str, *argtypes, restype=None):
-    """The library function `name` with its ctypes signature, or None
-    where no compiler is present, the build fails or the library was
-    built without it."""
-    lib = _process_library()
-    try:
-        fn = getattr(lib, name)
-    except AttributeError:
-        return None
-    fn.argtypes, fn.restype = argtypes, restype
-    return fn
-
-
 # sizes, and addresses as plain integers (data_as costs about 3 us an
 # array)
 _SIZE, _ADDRESS = ctypes.c_ssize_t, ctypes.c_void_p
+_REAL, _WORD, _FLAG = ctypes.c_double, ctypes.c_uint64, ctypes.c_int
+
+# the ctypes signature, (return type, argument types), of every function
+# the library exports but lpcert_built_from
+_STEP_ROWS = (_ADDRESS, _ADDRESS, _SIZE, _REAL, _REAL, _REAL, _REAL)
+_SIGNATURES = {
+    "lpcert_dual_steps": (_SIZE, (*_STEP_ROWS, _ADDRESS, _ADDRESS)),
+    "lpcert_primal_steps": (_SIZE, (*_STEP_ROWS, _REAL, _ADDRESS, _ADDRESS)),
+    "lpcert_scaled_sums": (None, (_ADDRESS, _ADDRESS, _ADDRESS, _ADDRESS,
+                                  _SIZE, _SIZE, _FLAG, _FLAG)),
+    "lpcert_weighted_sums": (None, (_ADDRESS, _ADDRESS, _SIZE, _SIZE, _SIZE,
+                                    _ADDRESS)),
+    "lpcert_draw": (None, (_WORD, _WORD, _WORD, _WORD, _WORD, _SIZE, _REAL,
+                           _REAL, _ADDRESS)),
+}
 
 
 @functools.cache
+def _functions() -> dict:
+    """The functions of _SIGNATURES that the library exports, by name,
+    each with its signature set: none where no compiler is present or
+    the build fails, and no lpcert_draw from a compiler without 128-bit
+    integers.  Bound once per process."""
+    lib = _process_library()
+    bound = {}
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.restype, fn.argtypes = restype, argtypes
+            bound[name] = fn
+    return bound
+
+
 def loops():
     """(dual_steps, primal_steps) running the compiled loops, or None
-    where no compiler is present or the build fails.  Built or loaded
-    once per process."""
-    real, stop_ptr = ctypes.c_double, ctypes.POINTER(ctypes.c_int)
-    rows = (_C_DOUBLES, _C_DOUBLES, _SIZE, real, real, real, real)
-    dual = _bound("lpcert_dual_steps", *rows, _C_DOUBLES, stop_ptr,
-                  restype=_SIZE)
-    if dual is None:
+    where no compiler is present or the build fails."""
+    functions = _functions()
+    if "lpcert_dual_steps" not in functions:
         return None
-    primal = _bound("lpcert_primal_steps", *rows, real, _C_DOUBLES,
-                    stop_ptr, restype=_SIZE)
+    return (functools.partial(_steps, functions["lpcert_dual_steps"]),
+            functools.partial(_steps, functions["lpcert_primal_steps"]))
 
-    def steps(loop, trace, rp, cross, *scalars):
-        """Append the steps of the C loop over the rows rp, cross to
-        trace; return the loop's stop code."""
-        rp, cross = _doubles(rp), _doubles(cross)
-        out = np.empty(min(rp.shape[0], cross.shape[0]))
-        stop = ctypes.c_int()
-        k = loop(_pointer(rp), _pointer(cross), out.shape[0], trace[-1],
-                 *scalars, _pointer(out), ctypes.byref(stop))
-        trace.frombytes(memoryview(out[:k]).cast("B"))
-        return stop.value
 
-    return functools.partial(steps, dual), functools.partial(steps, primal)
+def _steps(loop, trace, rp, cross, *scalars):
+    """Append the steps of the C loop over the rows rp, cross to trace;
+    return the loop's stop code."""
+    rp = np.ascontiguousarray(rp, dtype=np.float64)
+    cross = np.ascontiguousarray(cross, dtype=np.float64)
+    out = np.empty(min(rp.shape[0], cross.shape[0]))
+    stop = ctypes.c_int()
+    k = loop(rp.ctypes.data, cross.ctypes.data, out.shape[0], trace[-1],
+             *scalars, out.ctypes.data, ctypes.addressof(stop))
+    trace.frombytes(memoryview(out[:k]).cast("B"))
+    return stop.value
 
 
 def _suits(out, shape) -> bool:
@@ -729,124 +715,67 @@ def _c_order(values, out):
     return values
 
 
-@functools.cache
-def running_sums():
-    """sums(values, out, reverse) running the compiled running sums, or
-    None where no compiler is present or the build fails.  Built or
-    loaded once per process."""
-    loop = _bound("lpcert_running_sums", _ADDRESS, _ADDRESS, _SIZE, _SIZE,
-                  ctypes.c_int)
-    if loop is None:
-        return None
-
-    def sums(values, out, reverse: bool) -> bool:
-        """Write into out the running sums along the last axis of
-        values, a float64 array, backward if reverse; False, with
-        nothing written, where out is not a writeable C-contiguous
-        float64 array of values' shape.  values is copied first where it
-        is not C-contiguous or shares memory with out without being
-        out."""
-        if values.ndim == 0 or not _suits(out, values.shape):
+def scaled_sums(values, pre, post, dual: bool, reverse: bool, out) -> bool:
+    """Write into out, along the last axis of values (a float64 array),
+    the running sums of values times pre (divided by it if dual), each
+    divided by post (times it if dual) unless post is None; backward if
+    reverse.  pre None, with post None, gives the plain running sums of
+    values.  False, with nothing written, where the library has no such
+    loop, out is not a writeable C-contiguous float64 array of values'
+    shape or pre and post are not C-contiguous float64 rows of the last
+    axis' length.  values is copied first where it is not C-contiguous
+    or shares memory with out without being out."""
+    loop = _functions().get("lpcert_scaled_sums")
+    if loop is None or values.ndim == 0 or not _suits(out, values.shape):
+        return False
+    n = values.shape[-1]
+    if pre is None:
+        if post is not None:    # the plain running sums take no post row
             return False
-        values = _c_order(values, out)
-        n = values.shape[-1]
-        loop(values.ctypes.data, out.ctypes.data,
-             values.size // n if n else 0, n, reverse)
-        return True
+    elif not _row(pre, n) or not (post is None or _row(post, n)):
+        return False
+    values = _c_order(values, out)
+    loop(values.ctypes.data, None if pre is None else pre.ctypes.data,
+         None if post is None else post.ctypes.data, out.ctypes.data,
+         values.size // n if n else 0, n, reverse, dual)
+    return True
 
-    return sums
 
-
-@functools.cache
-def scaled_sums():
-    """sums(values, pre, post, dual, reverse, out) running the compiled
-    scaled running sums, or None where no compiler is present or the
-    build fails.  Built or loaded once per process."""
-    loop = _bound("lpcert_scaled_sums", _ADDRESS, _ADDRESS, _ADDRESS,
-                  _ADDRESS, _SIZE, _SIZE, ctypes.c_int, ctypes.c_int)
-    if loop is None:
+def weighted_sums(a, u):
+    """np.sum(a * u, axis=-1) for a C-contiguous float64 array a of at
+    least one dimension and u a C-contiguous float64 row of its last
+    axis' length or an array of a's shape; None where they are not or
+    the library has no such loop."""
+    loop = _functions().get("lpcert_weighted_sums")
+    if (loop is None or a.ndim == 0 or a.dtype != np.float64
+            or not a.flags.c_contiguous):
         return None
-
-    def sums(values, pre, post, dual: bool, reverse: bool, out) -> bool:
-        """Write into out, along the last axis of values (a float64
-        array), the running sums of values times pre (divided by it if
-        dual), each divided by post (times it if dual) unless post is
-        None; backward if reverse.  False, with nothing written, where
-        out does not suit (as for running_sums) or pre and post are not
-        C-contiguous float64 rows of the last axis' length.  values is
-        copied as for running_sums."""
-        if values.ndim == 0 or not _suits(out, values.shape):
-            return False
-        n = values.shape[-1]
-        if not _row(pre, n) or not (post is None or _row(post, n)):
-            return False
-        values = _c_order(values, out)
-        loop(values.ctypes.data, pre.ctypes.data,
-             None if post is None else post.ctypes.data, out.ctypes.data,
-             values.size // n if n else 0, n, reverse, dual)
-        return True
-
-    return sums
-
-
-@functools.cache
-def weighted_sums():
-    """sums(a, u) running the compiled weighted sums, or None where no
-    compiler is present or the build fails.  Built or loaded once per
-    process."""
-    loop = _bound("lpcert_weighted_sums", _ADDRESS, _ADDRESS, _SIZE, _SIZE,
-                  _SIZE, _ADDRESS)
-    if loop is None:
+    n = a.shape[-1]
+    if _row(u, n):
+        stride = 0
+    elif (u.shape == a.shape and u.dtype == np.float64
+          and u.flags.c_contiguous):
+        stride = n
+    else:
         return None
-
-    def sums(a, u):
-        """np.sum(a * u, axis=-1) for a C-contiguous float64 array a of
-        at least one dimension and u a C-contiguous float64 row of its
-        last axis' length or an array of a's shape; None where they are
-        not."""
-        if a.ndim == 0 or a.dtype != np.float64 or not a.flags.c_contiguous:
-            return None
-        n = a.shape[-1]
-        if _row(u, n):
-            stride = 0
-        elif (u.shape == a.shape and u.dtype == np.float64
-              and u.flags.c_contiguous):
-            stride = n
-        else:
-            return None
-        out = np.empty(a.shape[:-1])
-        loop(a.ctypes.data, u.ctypes.data, out.size, n, stride,
-             out.ctypes.data)
-        return out
-
-    return sums
+    out = np.empty(a.shape[:-1])
+    loop(a.ctypes.data, u.ctypes.data, out.size, n, stride, out.ctypes.data)
+    return out
 
 
-@functools.cache
-def draw():
-    """fill(out, state, skip, low, span) running the compiled PCG64
-    draw, or None where no compiler is present or the build fails.
-    Built or loaded once per process."""
-    word, real = ctypes.c_uint64, ctypes.c_double
-    loop = _bound("lpcert_draw", word, word, word, word, word, _SIZE, real,
-                  real, _ADDRESS)
-    if loop is None:
-        return None
+def draw(out, state: dict, skip: int, low: float, span: float) -> bool:
+    """Write into out, in C order, low + span * u for the next out.size
+    uniforms u of Generator.random from PCG64 state (a
+    bit_generator.state dict) advanced by skip draws; False, with
+    nothing written, where the library has no such loop, out is not a
+    writeable C-contiguous float64 array, the state is not PCG64's or
+    skip is not below 2^64."""
+    loop = _functions().get("lpcert_draw")
     mask = (1 << 64) - 1
-
-    def fill(out, state: dict, skip: int, low: float, span: float) -> bool:
-        """Write into out, in C order, low + span * u for the next
-        out.size uniforms u of Generator.random from PCG64 state (a
-        bit_generator.state dict) advanced by skip draws; False, with
-        nothing written, where out is not a writeable C-contiguous
-        float64 array, the state is not PCG64's or skip is not below
-        2^64."""
-        if (state.get("bit_generator") != "PCG64"
-                or not _suits(out, out.shape) or not 0 <= skip <= mask):
-            return False
-        s, inc = state["state"]["state"], state["state"]["inc"]
-        loop(s >> 64, s & mask, inc >> 64, inc & mask, skip, out.size, low,
-             span, out.ctypes.data)
-        return True
-
-    return fill
+    if (loop is None or state.get("bit_generator") != "PCG64"
+            or not _suits(out, out.shape) or not 0 <= skip <= mask):
+        return False
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    loop(s >> 64, s & mask, inc >> 64, inc & mask, skip, out.size, low,
+         span, out.ctypes.data)
+    return True

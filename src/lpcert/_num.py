@@ -32,14 +32,15 @@ Good Algorithms for Random Number Generation", 2014), so every block
 draws its own rows from the seed's state advanced past the rows before
 it.  The memory-bound passes over a block run in _kernel's compiled
 loops where they build, each the numpy code it replaces bit for bit:
-the draw (_draw), the running sums along a row (prefix_sums,
-suffix_sums), the weighted running sums of the averaged transforms
-(scaled_sums) and the weighted power sums (weighted_sums).  Suffix sums
-come in a C-contiguous array, not as a reversed view, so that the
-powers taken of them run numpy's SIMD `pow`; `exp`, the powers and the
-row maxima stay in numpy, whose SIMD loops beat libm.  A call of fewer
-than _COMPILED_MIN values runs numpy's code, where the ctypes call
-would cost more than the loop saves.
+the draw (_draw), the weighted running sums of the averaged transforms
+(scaled_sums), which with no weight rows are the plain running sums
+along a row (prefix_sums, suffix_sums), and the weighted power sums
+(weighted_sums).  Suffix sums come in a C-contiguous array, not as a
+reversed view, so that the powers taken of them run numpy's SIMD
+`pow`; `exp`, the powers and the row maxima stay in numpy, whose SIMD
+loops beat libm.  A call of fewer than _COMPILED_MIN values runs
+numpy's code, where the ctypes call would cost more than the loop
+saves.
 
 MuTrace, the result of every mu recurrence, and _binary64_pow, the range
 check of their constants, are defined here rather than in certificates,
@@ -149,23 +150,26 @@ _COMPILED_MIN = 1500
 
 
 def _compiled(name: str, values: int):
-    """_kernel's compiled pass `name` (running_sums, scaled_sums,
-    weighted_sums or draw) for a call on `values` values, or None where
-    the call is short (the one size rule of every pass) or no library
-    builds.  _kernel is imported past the size test only, so a command
-    whose calls are all short never loads it."""
+    """_kernel's compiled pass `name` (scaled_sums, weighted_sums or
+    draw) for a call on `values` values, or None where the call is short
+    (the one size rule of every pass).  The pass itself declines, with
+    False or None, where no library builds.  _kernel is imported past
+    the size test only, so a command whose calls are all short never
+    loads it."""
     if values < _COMPILED_MIN:
         return None
     from . import _kernel
 
-    return getattr(_kernel, name)()
+    return getattr(_kernel, name)
 
 
 def prefix_sums(values, out=None) -> np.ndarray:
     """Plain running sums along the last axis, `np.cumsum(a, axis=-1)`
     bit for bit, in `out` (which may be `values` itself) or a fresh
-    array; see _running_sums."""
-    return _running_sums(values, out, False)
+    array: scaled_sums with no weight rows.  Bulk trial evaluation and
+    the factorable products use them, their reports fixed on plain sums;
+    weight partials always go through comp_cumsum instead."""
+    return scaled_sums(values, None, None, False, False, out)
 
 
 def suffix_sums(values, out=None) -> np.ndarray:
@@ -173,54 +177,31 @@ def suffix_sums(values, out=None) -> np.ndarray:
     `out` (which may be `values` itself) or a fresh one.
 
     The sums are those of `np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]`
-    bit for bit (see _running_sums), but the result itself has positive
+    bit for bit (see prefix_sums), but the result itself has positive
     strides: numpy runs its SIMD `pow` only on positive strides, and on
     the negative-stride view falls back to libm `pow`, about 5x slower
     and up to one ulp apart.
     """
-    return _running_sums(values, out, True)
-
-
-def _running_sums(values, out, reverse: bool) -> np.ndarray:
-    """Running sums along the last axis, backward if reverse, in `out`
-    or a fresh array.
-
-    Used for bulk trial evaluation and the factorable products, whose
-    reports were fixed on plain sums; weight partials always go through
-    comp_cumsum instead.  The compiled loop of _kernel.running_sums
-    makes numpy's additions in numpy's order at about a quarter of
-    np.cumsum's time a value, without holding the GIL; where it did not
-    build, the call is short (_compiled) or `out` does not suit it,
-    np.cumsum runs, through reversed views for suffix sums.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if out is None:
-        out = np.empty(arr.shape)
-    sums = _compiled("running_sums", arr.size)
-    if sums is None or not sums(arr, out, reverse):
-        if reverse:
-            np.cumsum(arr[..., ::-1], axis=-1, out=out[..., ::-1])
-        else:
-            np.cumsum(arr, axis=-1, out=out)
-    return out
+    return scaled_sums(values, None, None, False, True, out)
 
 
 def scaled_sums(values, pre, post, dual: bool, reverse: bool,
                 out=None) -> np.ndarray:
     """Running sums along the last axis of values times pre (divided by
-    pre if dual), backward if reverse, each then divided by post (times
-    post if dual) unless post is None; in `out` (which may be `values`
-    itself) or a fresh array.  pre and post are rows of the last axis'
-    length.
+    pre if dual; values itself if pre is None), backward if reverse,
+    each then divided by post (times post if dual) unless post is None;
+    in `out` (which may be `values` itself) or a fresh array.  pre and
+    post are rows of the last axis' length.
 
     sequences.averaged is the mean form (pre lam, post B) and the dual
     form (pre B, post lam); check_bge's tail sums of x_k Lam_k^alpha are
-    pre Lam^alpha with no post.  The compiled loop of
-    _kernel.scaled_sums makes numpy's operations in numpy's order in
-    one pass a row; where it did not build, the call is short or `out`
-    does not suit it, numpy runs: the product or quotient, the running
-    sums (_running_sums) and the quotient or product, each rounded once
-    as in the loop.
+    pre Lam^alpha with no post; prefix_sums and suffix_sums have neither.
+    The compiled loop of _kernel.scaled_sums makes numpy's operations in
+    numpy's order in one pass a row, without holding the GIL (the plain
+    sums at about a quarter of np.cumsum's time a value); where it did
+    not build, the call is short (_compiled) or `out` does not suit it,
+    numpy runs the product or quotient, np.cumsum (through reversed views
+    backward) and the quotient or product, each rounded once as there.
     """
     arr = np.asarray(values, dtype=np.float64)
     if out is None:
@@ -228,8 +209,13 @@ def scaled_sums(values, pre, post, dual: bool, reverse: bool,
     sums = _compiled("scaled_sums", arr.size)
     if sums is not None and sums(arr, pre, post, dual, reverse, out):
         return out
-    (np.divide if dual else np.multiply)(arr, pre, out=out)
-    _running_sums(out, out, reverse)
+    if pre is not None:
+        (np.divide if dual else np.multiply)(arr, pre, out=out)
+        arr = out
+    if reverse:
+        np.cumsum(arr[..., ::-1], axis=-1, out=out[..., ::-1])
+    else:
+        np.cumsum(arr, axis=-1, out=out)
     if post is not None:
         (np.multiply if dual else np.divide)(out, post, out=out)
     return out

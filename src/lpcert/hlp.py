@@ -437,16 +437,20 @@ def probe_dual(p: float, x) -> float:
 
 
 def probe_dual_trials(p: float, N: int, trials: int, seed: int = 0) -> float:
-    """Largest probe_dual ratio over `trials` seeded positive vectors of
-    length N with log-uniform entries in [1e-3, 1e3], or -inf for none.
+    """Largest probe_dual ratio over `trials` >= 1 seeded positive
+    vectors of length N with log-uniform entries in [1e-3, 1e3].
 
     The vectors are one default_rng(seed) stream, evaluated a block at a
     time by trial_rows.  A NaN ratio (inf/inf, when both sides leave the
     binary64 range) makes the maximum NaN, which fails the probe.
     """
+    if not (0.0 < p < 1.0):
+        raise ValueError("need 0 < p < 1")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     ratios = trial_rows(N, trials, seed,
                         lambda X, work: _dual_ratios(p, X, work))
-    return float(np.max(ratios, initial=-np.inf))
+    return float(np.max(ratios))
 
 
 def certify_report(p: float, method: str = "direct",

@@ -13,16 +13,20 @@ the only ones, and tests/test_traces.py checks them against the list
 loops); the cache and fallback tests run CLI processes with their own
 XDG_CACHE_HOME and PATH.
 
-The compiled running sums behind `_num.prefix_sums` and `suffix_sums`
-must equal np.cumsum bit for bit, the scaled sums numpy's product,
-cumsum and quotient, the weighted sums np.sum(a * u, axis=-1) and the
-draw Generator.random with numpy's affine step; every trial batch must
-report the same with the library as without it.
+The compiled scaled sums must equal numpy's product, cumsum and
+quotient bit for bit, and with no weight rows (`_num.prefix_sums` and
+`suffix_sums`) np.cumsum; the weighted sums np.sum(a * u, axis=-1) and
+the draw Generator.random with numpy's affine step.  Every trial batch
+and mu trace must report the same with the library as without it, which
+one patch switches off: `_kernel._functions`, the table of bound C
+functions, replaced by `dict` (an empty table).  That table must name
+every function the C source exports.
 """
 
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -356,16 +360,29 @@ def test_a_library_of_other_material_is_rejected(tmp_path, compiled):
     assert _kernel._open(str(tmp_path / "broken.so"), material) is None
 
 
+def test_the_signature_table_names_every_exported_function():
+    # every non-static function of the C source; the source itself does
+    # not hold lpcert_built_from, which the build appends
+    exported = set(re.findall(r"^\w.*\b(lpcert_\w+)\(", _kernel._SOURCE,
+                              re.M))
+    assert exported - {"lpcert_built_from"} == set(_kernel._SIGNATURES)
+
+
+def test_a_built_library_binds_every_function(compiled):
+    assert set(_kernel._functions()) == set(_kernel._SIGNATURES)
+
+
 # ----------------------------------------------------------------------
-# Running sums
+# The trial-block passes: running and scaled sums, weighted sums, draw
+
+PASSES = ("scaled_sums", "weighted_sums", "draw")
 
 
 @pytest.fixture(scope="module")
-def compiled_sums():
-    sums = _kernel.running_sums()
-    if sums is None:
-        pytest.skip("no C compiler: np.cumsum is the only running sum")
-    return sums
+def compiled_passes():
+    if set(_kernel._functions()) != set(_kernel._SIGNATURES):
+        pytest.skip("no C compiler: numpy runs every pass")
+    return {name: getattr(_kernel, name) for name in PASSES}
 
 
 def _reference(X, reverse):
@@ -400,16 +417,15 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 20_000])
 @pytest.mark.parametrize("rows", [0, 1, 3, 256])
-def test_running_sums_match_cumsum(monkeypatch, compiled_sums, rows, n):
+def test_running_sums_match_cumsum(monkeypatch, compiled_passes, rows, n):
     ran = []
+    loop = compiled_passes["scaled_sums"]
 
-    def counted():
-        def sums(values, out, reverse):
-            ran.append(compiled_sums(values, out, reverse))
-            return ran[-1]
-        return sums
+    def counted(*args):
+        ran.append(loop(*args))
+        return ran[-1]
 
-    monkeypatch.setattr(_kernel, "running_sums", counted)
+    monkeypatch.setattr(_kernel, "scaled_sums", counted)
     # short calls too (they take numpy's path by the size rule)
     monkeypatch.setattr(_num, "_COMPILED_MIN", 0)
     X = _sum_rows(rows, n)
@@ -439,22 +455,30 @@ def test_running_sums_match_cumsum(monkeypatch, compiled_sums, rows, n):
     assert ran and all(ran)
 
 
-def test_running_sums_write_to_overlapping_memory_as_numpy(compiled_sums):
+def test_running_sums_write_to_overlapping_memory_as_numpy(compiled_passes):
+    loop = compiled_passes["scaled_sums"]
+
+    def sums(values, out):
+        return loop(values, None, None, False, False, out)
+
     # out overlaps values without being values: values is copied first
     buf = np.arange(1.0, 12.0)
     values, out = buf[:10], buf[1:11]
     ref = np.cumsum(values.copy())
-    assert compiled_sums(values, out, False) and _same_bits(out, ref)
+    assert sums(values, out) and _same_bits(out, ref)
     # an out that does not suit the loop is left to numpy
-    assert not compiled_sums(np.ones(4), np.empty(4)[::-1], False)
-    assert not compiled_sums(np.ones(4), np.empty(5), False)
-    assert not compiled_sums(np.ones(4), np.empty(4, np.float32), False)
+    assert not sums(np.ones(4), np.empty(4)[::-1])
+    assert not sums(np.ones(4), np.empty(5))
+    assert not sums(np.ones(4), np.empty(4, np.float32))
 
 
 def _batches():
-    """The four trial batch kinds, each report as a string."""
+    """The four trial batch kinds, each report as a string, and a mu
+    trace."""
     w = build_weights("power", 2000, exponent=0.8)
+    mean = weighted_mean(build_weights("power", 20_000, exponent=0.5))
     return [
+        _outcome(mu_dual, mean, 2.0, BoundParams(2.0, 1.0).U_p),
         repr(check_copson_branch(w, 2.5, 1.5, "copson_prefix", trials=100,
                                  seed=3).to_dict()),
         repr(check_copson_branch(w, 1.5, 0.5, "copson_tail", trials=100,
@@ -466,30 +490,18 @@ def _batches():
     ]
 
 
-PASSES = ("running_sums", "scaled_sums", "weighted_sums", "draw")
-
-
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_trial_batches_report_the_same_without_the_library(
-        monkeypatch, compiled_sums, threads):
+        monkeypatch, compiled_passes, threads):
     monkeypatch.setenv("THREADS", threads)
-    calls = {"compiled": [], "none": []}
-
-    def batches(side):
-        with monkeypatch.context() as patched:
-            for name in PASSES:
-                loop = getattr(_kernel, name)()
-
-                def get(name=name, loop=loop):
-                    calls[side].append(name)
-                    return loop if side == "compiled" else None
-
-                patched.setattr(_kernel, name, get)
-            return _batches()
-
-    with_library, without = batches("compiled"), batches("none")
-    # both patches took effect: the batches asked for every pass
-    assert set(calls["compiled"]) == set(calls["none"]) == set(PASSES)
+    with_library = _batches()
+    with monkeypatch.context() as patched:
+        patched.setattr(_kernel, "_functions", dict)
+        # the patch leaves no compiled loop, pass or step loop
+        assert _kernel.loops() is None
+        assert not _kernel.scaled_sums(np.ones(4), None, None, False,
+                                       False, np.empty(4))
+        without = _batches()
     assert without == with_library
 
 
@@ -506,12 +518,12 @@ _kernel._build = counted
 w = build_weights("power", 2000, exponent=0.8)
 rep = check_bge(w, 2.0, 0.85, trials=200, seed=0)
 print(json.dumps({"builds": len(builds), "report": rep.to_dict(),
-                  "compiled": _kernel.running_sums() is not None}))
+                  "compiled": bool(_kernel._functions())}))
 """
 
 
 def test_a_cold_cache_with_two_trial_workers_builds_once(tmp_path,
-                                                         compiled_sums):
+                                                         compiled_passes):
     # both workers ask for the library on their first block; the second
     # waits for the first one's build instead of making its own
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
@@ -526,17 +538,6 @@ def test_a_cold_cache_with_two_trial_workers_builds_once(tmp_path,
     assert got["report"] == json.loads(json.dumps(check_bge(
         build_weights("power", 2000, exponent=0.8), 2.0, 0.85, trials=200,
         seed=0).to_dict()))
-
-
-# ----------------------------------------------------------------------
-# The trial-block passes: draw, scaled running sums, weighted sums
-
-@pytest.fixture(scope="module")
-def compiled_passes():
-    passes = {name: getattr(_kernel, name)() for name in PASSES}
-    if None in passes.values():
-        pytest.skip("no C compiler: numpy runs every pass")
-    return passes
 
 
 LOG_LOW, LOG_HIGH = np.log(1e-3), np.log(1e3)
@@ -600,7 +601,7 @@ def test_scaled_sums_match_averaged(monkeypatch, compiled_passes, n):
         ran.append(loop(*args))
         return ran[-1]
 
-    monkeypatch.setattr(_kernel, "scaled_sums", lambda: counted)
+    monkeypatch.setattr(_kernel, "scaled_sums", counted)
     w = build_weights("power", n, exponent=0.8)
     X = _sum_rows(3, n)
     X[0] = np.abs(X[0])
@@ -629,6 +630,8 @@ def test_scaled_sums_decline_rows_of_another_shape(compiled_passes):
     assert not loop(X, np.ones(3), None, False, False, out)
     assert not loop(X, np.ones(4), np.ones(8)[::2], False, False, out)
     assert not loop(X, np.ones(4), None, False, False, np.empty((2, 3)))
+    # the plain running sums (no pre row) take no post row
+    assert not loop(X, None, np.ones(4), False, False, out)
     assert loop(X, np.ones(4), None, False, True, out)
     assert out.tolist() == [[4.0, 3.0, 2.0, 1.0]] * 2
 
@@ -678,7 +681,7 @@ def test_short_calls_run_numpy(monkeypatch, compiled_passes):
     asked = []
     for name in PASSES:
         monkeypatch.setattr(_kernel, name,
-                            lambda name=name: asked.append(name))
+                            lambda *args, name=name: asked.append(name))
     small = _num._COMPILED_MIN - 1
     x = np.linspace(0.5, 2.0, small)
     prefix_sums(x)
@@ -692,6 +695,4 @@ def test_short_calls_run_numpy(monkeypatch, compiled_passes):
     _num.scaled_sums(big, big, None, True, True)
     _num.weighted_sums(big, big, big.copy())
     _num.trial_rows(big.size, 1, 0, lambda X, work: X[:, 0].copy())
-    # (numpy's scaled sums, run as the patched pass gives None, ask for
-    # the running sums again)
-    assert set(asked) == set(PASSES)
+    assert sorted(asked) == sorted(PASSES + ("scaled_sums",))

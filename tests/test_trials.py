@@ -15,7 +15,6 @@ order, stop after an error, start no more threads than blocks (none at
 THREADS=1) and run every block under the caller's np.errstate.
 """
 
-import json
 import math
 import sys
 import threading
@@ -30,6 +29,7 @@ from lpcert import (BRANCHES, KINDS, StrengthenedCase, build_weights,
 from lpcert import _num
 from lpcert._num import RATIO_TOL
 from lpcert.copson import BranchReport, _trial_report, branch_constant
+from lpcert.hlp import _dual_ratios
 from lpcert.strengthened import StrengthenedReport, _profile_rows
 
 # ----------------------------------------------------------------------
@@ -273,17 +273,25 @@ def test_full_batches_equal_the_reference(path, monkeypatch, capsys):
     assert got == ref
 
 
-def test_dual_probe_without_trials_reports_minus_infinity(capsys):
-    # no vector is evaluated, so not even p is checked (as in the loop)
-    assert probe_dual_trials(2.0, 30, 0) == -math.inf
-    assert json.loads(_dual_probe_stdout(0.3, 37, 0, 0, capsys))[
-        "max_ratio"] == -math.inf
+@pytest.mark.parametrize("p, trials, message", [
+    (2.0, 0, "need 0 < p < 1"), (2.0, 5, "need 0 < p < 1"),
+    (0.32, 0, "need trials >= 1"), (0.32, -3, "need trials >= 1")])
+def test_dual_probe_rejects_a_bad_p_or_no_trials(p, trials, message,
+                                                 capsys):
+    # checked before any vector is drawn, as the other trial batches do
+    with pytest.raises(ValueError, match=message):
+        probe_dual_trials(p, 30, trials)
+    assert cli.main(["hlp", "dual-probe", "--p", repr(p), "--N", "30",
+                     "--trials", str(trials)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_evaluator_errors_reach_the_caller(monkeypatch):
     monkeypatch.setenv("THREADS", "2")
+    # (probe_dual_trials checks p itself before it draws a row)
     with pytest.raises(ValueError, match="need 0 < p < 1"):
-        probe_dual_trials(2.0, 30, 5000)
+        _num.trial_rows(30, 5000, 0,
+                        lambda X, work: _dual_ratios(2.0, X, work))
     with pytest.raises(FloatingPointError):
         with np.errstate(over="raise"):
             _num.trial_rows(10, 5000, 0, lambda X, work: X * 1e306)
