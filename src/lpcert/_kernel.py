@@ -620,21 +620,6 @@ def _remove_other_libraries(directory: str, name: str) -> None:
             pass
 
 
-_LOADING = threading.Lock()
-
-
-def _process_library():
-    """The library of this process, built or loaded by the first thread
-    that asks for it while the others wait; None where that fails."""
-    with _LOADING:
-        return _library_once()
-
-
-@functools.cache
-def _library_once():
-    return _library() if os.name == "posix" else None
-
-
 # sizes, and addresses as plain integers (data_as costs about 3 us an
 # array)
 _SIZE, _ADDRESS = ctypes.c_ssize_t, ctypes.c_void_p
@@ -655,13 +640,22 @@ _SIGNATURES = {
 }
 
 
-@functools.cache
+_LOADING = threading.Lock()
+
+
 def _functions() -> dict:
     """The functions of _SIGNATURES that the library exports, by name,
     each with its signature set: none where no compiler is present or
     the build fails, and no lpcert_draw from a compiler without 128-bit
-    integers.  Bound once per process."""
-    lib = _process_library()
+    integers.  Bound once per process, by the first thread that asks
+    while the others wait."""
+    with _LOADING:
+        return _bind()
+
+
+@functools.cache
+def _bind() -> dict:
+    lib = _library() if os.name == "posix" else None
     bound = {}
     for name, (restype, argtypes) in _SIGNATURES.items():
         fn = getattr(lib, name, None)

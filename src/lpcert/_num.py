@@ -55,7 +55,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -233,6 +233,16 @@ def weighted_sums(a: np.ndarray, u: np.ndarray, work: np.ndarray):
     if got is None:
         got = np.sum(np.multiply(a, u, out=work), axis=-1)
     return got
+
+
+def record_dict(record) -> dict:
+    """The to_dict of every report record: its fields by name, with
+    `passed` written as `pass`, the key of every report (no field can
+    take that name, a Python keyword)."""
+    out = {f.name: getattr(record, f.name) for f in fields(record)}
+    if "passed" in out:
+        out["pass"] = out.pop("passed")
+    return out
 
 
 def margin_ok(margin: float, scale: float) -> bool:

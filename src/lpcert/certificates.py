@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import MuTrace, _binary64_pow, first_bad
+from ._num import MuTrace, _binary64_pow, first_bad, record_dict
 from .factorable import FactorableSpec, _require_normalized, weighted_mean
 from .sequences import WeightSequence
 
@@ -97,18 +97,17 @@ class CertificateReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method, "p": self.p, "L": self.L, "c": None,
-            "alpha": None, "N": self.N, "pass": self.passed,
-            "first_fail": self.first_fail, "worst_margin": self.worst_margin,
-            "bound": self.bound, "note": self.note,
-        }
+        # c and alpha: the CSV columns that a certificate leaves empty
+        return {**record_dict(self), "c": None, "alpha": None}
 
 
-def _report(method: str, params: BoundParams, N: int, margins: np.ndarray,
-            scales: np.ndarray, note: str = "") -> CertificateReport:
-    """Assemble a report from margin/scale arrays indexed from n = 1."""
-    bad = first_bad(margins, scales)
+def _report(method: str, params: BoundParams, N: int, big, small,
+            note: str = "") -> CertificateReport:
+    """Assemble the report of the per-index test big >= small, indexed
+    from n = 1: margins big - small, each passing against the scale
+    max(|big|, |small|) of its two sides."""
+    margins = big - small
+    bad = first_bad(margins, np.maximum(np.abs(big), np.abs(small)))
     worst = float(np.min(margins)) if margins.size else math.inf
     return CertificateReport(
         method=method, p=params.p, L=params.L, N=N, passed=bad is None,
@@ -145,10 +144,7 @@ def cartlidge_constant(w: WeightSequence) -> float:
 def check_cartlidge(w: WeightSequence, p: float, L: float) -> CertificateReport:
     """Pass iff the Cartlidge constant of w is <= L (and L < p)."""
     params = BoundParams(p, L)
-    diffs = np.diff(w.ratios)
-    margins = L - diffs
-    scales = np.maximum(np.abs(diffs), L)
-    return _report("cartlidge", params, w.N, margins, scales)
+    return _report("cartlidge", params, w.N, L, np.diff(w.ratios))
 
 
 # ----------------------------------------------------------------------
@@ -164,10 +160,7 @@ def check_ratio_condition(w: WeightSequence, p: float, L: float) -> CertificateR
     r = w.ratios
     inner = 1.0 - (L / p) / r[:-1]  # positive since R_n >= 1 > L/p
     rhs = r[:-1] * inner ** (1.0 - p) + L / p
-    lhs = r[1:]
-    margins = rhs - lhs
-    scales = np.maximum(np.abs(lhs), np.abs(rhs))
-    return _report("ratio", params, w.N, margins, scales)
+    return _report("ratio", params, w.N, rhs, r[1:])
 
 
 def check_factorable_product(spec: FactorableSpec, p: float, L: float) -> CertificateReport:
@@ -191,9 +184,7 @@ def check_factorable_product(spec: FactorableSpec, p: float, L: float) -> Certif
     terms = np.log(b[:-1]) - Cprev          # ln b_k - C_{k-1}, k = 1..N-1
     S = np.logaddexp.accumulate(terms)
     lhs = np.exp(C + S - np.log(a[:-1]))
-    margins = params.bound - lhs
-    scales = np.maximum(lhs, params.bound)
-    return _report("factorable-product", params, spec.N, margins, scales)
+    return _report("factorable-product", params, spec.N, params.bound, lhs)
 
 
 def check_product_condition(w: WeightSequence, p: float, L: float) -> CertificateReport:
@@ -240,9 +231,7 @@ def check_factorable_stepwise(spec: FactorableSpec, p: float, L: float) -> Certi
     ep = p / (p - 1.0)
     lhs = (A * y + 1.0 - A) ** e1 * (g ** e1 + cross ** ep)
     rhs = y ** ep * g ** e1
-    margins = rhs - lhs
-    scales = np.maximum(np.abs(lhs), np.abs(rhs))
-    return _report("stepwise", params, spec.N, margins, scales)
+    return _report("stepwise", params, spec.N, rhs, lhs)
 
 
 def check_stepwise_p2(w: WeightSequence, L: float) -> CertificateReport:
@@ -256,11 +245,8 @@ def check_stepwise_p2(w: WeightSequence, L: float) -> CertificateReport:
     """
     params = BoundParams(2.0, L)
     r = w.ratios
-    d = np.diff(r)
     rhs = L + (L * L / 4.0) * ((1.0 + L / 2.0) / (1.0 - L / 2.0)) / (r[1:] + L / 2.0)
-    margins = rhs - d
-    scales = np.maximum(np.abs(d), np.abs(rhs))
-    return _report("stepwise-p2", params, w.N, margins, scales)
+    return _report("stepwise-p2", params, w.N, rhs, np.diff(r))
 
 
 # ----------------------------------------------------------------------

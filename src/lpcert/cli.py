@@ -17,8 +17,7 @@ keys and no timestamps, CSV uses the fixed column set
 and repeated runs with the same configuration produce byte-identical
 output.  Exit codes: 0 pass/success, 1 certificate failure (a valid
 negative outcome), 2 usage or domain error.  The THREADS environment
-variable caps the corpus-comparison thread pool and the pool that
-evaluates random-trial blocks.
+variable caps the worker threads that evaluate random-trial blocks.
 
 Importing this module loads no lpcert module but the option lists the
 parser needs (`_options`); each handler imports the modules its
@@ -503,9 +502,6 @@ def cmd_hlp(args) -> tuple[dict, bool | None]:
 
 
 def cmd_compare(args) -> tuple[dict, bool | None]:
-    from concurrent.futures import ThreadPoolExecutor
-
-    from ._num import thread_count
     from .certificates import cartlidge_constant
     from .corpus import builtin_corpus
     from .sequences import load_weight_file
@@ -532,8 +528,7 @@ def cmd_compare(args) -> tuple[dict, bool | None]:
                 row[m] = False
         return row
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        rows = list(pool.map(one, corpus))
+    rows = [one(w) for w in corpus]
     a, b = methods
     differs = [r["label"] for r in rows if r[a] != r[b]]
     report = {"method": "compare", "methods": methods, "p": p, "L": args.L,

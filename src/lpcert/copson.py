@@ -47,8 +47,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._num import (_ROW_CHUNK, RATIO_TOL, MuTrace, _binary64_pow, first_bad,
-                   margin_ok, scaled_sums, suffix_sums, trial_rows,
-                   weighted_sums)
+                   margin_ok, record_dict, scaled_sums, suffix_sums,
+                   trial_rows, weighted_sums)
 from ._options import BRANCHES
 from .certificates import _dual_mu_1
 from .factorable import bge_steps
@@ -198,10 +198,7 @@ class KernelReport:
     min_margin: float
     argmin: float
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, "c": self.c, "grid": self.grid,
-                "pass": self.passed, "min_margin": self.min_margin,
-                "argmin": self.argmin}
+    to_dict = record_dict
 
 
 def _kernel_margin(y: np.ndarray | float, p: float, c: float):
@@ -274,12 +271,7 @@ class BranchReport:
     passed: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"branch": self.branch, "p": self.p,
-                "c_or_alpha": self.c_or_alpha, "N": self.N,
-                "trials": self.trials, "max_ratio": self.max_ratio,
-                "min_margin": self.min_margin, "argmin": self.argmin,
-                "pass": self.passed, "note": self.note}
+    to_dict = record_dict
 
 
 def branch_constant(branch: str, p: float, c: float) -> float:

@@ -76,8 +76,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import (MuTrace, margin_ok, margins_ok, scaled_sums, suffix_sums,
-                   trial_rows)
+from ._num import (MuTrace, margin_ok, margins_ok, record_dict, scaled_sums,
+                   suffix_sums, trial_rows)
 from ._options import N_MAX_DEFAULT
 
 # Trace length the n0 searches try before the full n0_max.  Certifying n0
@@ -270,10 +270,7 @@ class DualFeasibility:
     passed: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, "n0": self.n0, "c": self.c, "mu_n0": self.mu_n0,
-                "margins": list(self.margins), "pass": self.passed,
-                "note": self.note}
+    to_dict = record_dict
 
 
 def dual_feasible(p: float, n0: int, c: float) -> DualFeasibility:
@@ -438,7 +435,7 @@ def probe_dual(p: float, x) -> float:
 
 def probe_dual_trials(p: float, N: int, trials: int, seed: int = 0) -> float:
     """Largest probe_dual ratio over `trials` >= 1 seeded positive
-    vectors of length N with log-uniform entries in [1e-3, 1e3].
+    vectors of length N >= 1 with log-uniform entries in [1e-3, 1e3].
 
     The vectors are one default_rng(seed) stream, evaluated a block at a
     time by trial_rows.  A NaN ratio (inf/inf, when both sides leave the
@@ -448,6 +445,8 @@ def probe_dual_trials(p: float, N: int, trials: int, seed: int = 0) -> float:
         raise ValueError("need 0 < p < 1")
     if trials < 1:
         raise ValueError("need trials >= 1")
+    if N < 1:
+        raise ValueError("need N >= 1")
     ratios = trial_rows(N, trials, seed,
                         lambda X, work: _dual_ratios(p, X, work))
     return float(np.max(ratios))

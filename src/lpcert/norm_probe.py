@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._num import record_dict
 from .factorable import FactorableSpec
 
 
@@ -36,12 +37,7 @@ class NormEstimate:
     residual: float      # last relative change of the ratio
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p, "N": self.N, "lower_bound": self.lower_bound,
-            "iterations": self.iterations, "residual": self.residual,
-            "converged": self.converged,
-        }
+    to_dict = record_dict
 
 
 def _pnorm(x: np.ndarray, p: float) -> float:

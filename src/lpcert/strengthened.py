@@ -31,14 +31,13 @@ is built around.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import (RATIO_TOL, _binary64_pow, first_bad, trial_rows,
-                   weighted_sums, workspace)
+from ._num import (RATIO_TOL, _binary64_pow, first_bad, record_dict,
+                   trial_rows, weighted_sums, workspace)
 from ._options import BRANCHES, KINDS, MU_CHOICES
 from .certificates import cartlidge_constant
 from .copson import (_BRANCH_SUMS, _RANGE_FLOOR, _branch_weights,
@@ -137,12 +136,7 @@ class StrengthenedReport:
     passed: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"which": self.which, "p": self.p, "c": self.c, "L": self.L,
-                "N": self.N, "trials": self.trials,
-                "max_ratio": self.max_ratio, "min_margin": self.min_margin,
-                "corollary_max_ratio": self.corollary_max_ratio,
-                "argmax": self.argmax, "pass": self.passed, "note": self.note}
+    to_dict = record_dict
 
 
 def _case_ratios(case: StrengthenedCase, w: WeightSequence):
@@ -232,8 +226,15 @@ def _profile_rows(N: int):
     n^(-s) power profiles, always positive, the distinct ones in
     np.unique(axis=0)'s lexicographic order.  fill(lo, out) writes
     profiles lo, lo + 1, ... into the rows of out, so each trial worker
-    makes its profiles in its own block buffer; the rows made here to
-    order them are freed on return."""
+    makes its profiles in its own block buffer.
+
+    The first two entries of each row fix that order.  A spike past
+    n = 1 starts with 1e-6 and every other profile with 1, so those
+    spikes come first, the later one first (it has 1e-6 where the other
+    has its 1).  The rest follow by their second entries: 1e-6 (the
+    spike at n = 1), 2^-2, 2^-1.1, 2^-0.6, 1 (flat) and 2^0.5.  At N = 2
+    one spike lies past n = 1; at N = 1 every profile is the row 1.
+    """
     n = np.arange(1, N + 1, dtype=np.float64)
 
     def spike(pos):
@@ -247,28 +248,17 @@ def _profile_rows(N: int):
             row[...] = n ** s
         return make
 
-    makers = [lambda row: row.fill(1.0), *map(spike, (0, N // 2, N - 1)),
-              *map(power, (-0.6, -1.1, -2.0, 0.5))]
-    rows = np.empty((len(makers), N))
-    for make, row in zip(makers, rows):
-        make(row)
-
-    # the distinct rows in lexicographic order, as np.unique(axis=0) gives
-    # them, without its sort over a structured dtype of N fields: two
-    # rows are ordered by the first entry where they differ
-    def cmp(i, j):
-        k = int(np.argmax(rows[i] != rows[j]))
-        return int(rows[i][k] > rows[j][k]) - int(rows[i][k] < rows[j][k])
-
-    order = sorted(range(len(rows)), key=functools.cmp_to_key(cmp))
-    keep = [makers[i] for j, i in enumerate(order)
-            if j == 0 or cmp(order[j - 1], i) != 0]
+    later = (N - 1, N // 2) if N > 2 else (N - 1,)
+    makers = [*map(spike, (*later, 0)), *map(power, (-2.0, -1.1, -0.6)),
+              lambda row: row.fill(1.0), power(0.5)]
+    if N == 1:
+        del makers[1:]
 
     def fill(lo, out):
-        for make, row in zip(keep[lo:], out):
+        for make, row in zip(makers[lo:], out):
             make(row)
 
-    return len(keep), fill
+    return len(makers), fill
 
 
 def strengthened_trials(case: StrengthenedCase, w: WeightSequence,
@@ -310,14 +300,7 @@ class MuChoiceReport:
     passed: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"choice": self.choice, "p": self.p, "c": self.c, "L": self.L,
-                "N": self.N, "target": self.target,
-                "min_value": self.min_value, "min_margin": self.min_margin,
-                "argmin": self.argmin, "feasible": self.feasible,
-                "infeasible_at": self.infeasible_at,
-                "identity_residual": self.identity_residual,
-                "pass": self.passed, "note": self.note}
+    to_dict = record_dict
 
 
 def _finish_choice(choice: str, p: float, c: float | None, L: float | None,

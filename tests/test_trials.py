@@ -286,6 +286,16 @@ def test_dual_probe_rejects_a_bad_p_or_no_trials(p, trials, message,
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N", [0, -5])
+def test_dual_probe_rejects_N_below_1(N, capsys):
+    # the message of probe_primal and mu_direct, before any vector is drawn
+    with pytest.raises(ValueError, match="need N >= 1"):
+        probe_dual_trials(0.3, N, 5)
+    assert cli.main(["hlp", "dual-probe", "--p", "0.3", "--trials", "5",
+                     "--N", str(N)]) == 2
+    assert "error: need N >= 1" in capsys.readouterr().err
+
+
 def test_evaluator_errors_reach_the_caller(monkeypatch):
     monkeypatch.setenv("THREADS", "2")
     # (probe_dual_trials checks p itself before it draws a row)
