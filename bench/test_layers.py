@@ -44,7 +44,12 @@ checks of one untimed search goes in `extra_info`.  Each of the six
 vectorized `certify` checkers (`cartlidge`, `ratio`, `product`,
 `factorable-product`, `stepwise`, `stepwise-p2`) is timed through
 `cli.run_certificate`, as a command runs it, on power:0.5 weights at N =
-1e5, p = 2 and L = 1, where every one passes.  The HLP searches are
+1e5, p = 2 and L = 1, where every one passes, with the tracemalloc peak
+of one call at N = 1e6 in `extra_info`; `test_checker_heap_state` runs
+each in three fresh interpreters at N = 1e3, 2e4 and 1e5, on a plain
+heap and after one 1.28 MB array was freed on the main thread, and
+puts each process's median call time (of 300 calls, 30 at 1e5) in
+`extra_info`.  The HLP searches are
 `hlp.certify_direct` at p = 0.35 (certified at n0 = 4) and 0.355
 (uncertified, the whole trace), and `hlp.search_c` at p = 0.345
 (feasible at n0 = 3) and 0.355 (infeasible), each with n0_max = N.  The random-trial batches run at N = 1e3, 2e4 and 1e5 with
@@ -446,14 +451,55 @@ def test_mu_primal_early_death(benchmark):
     assert trace.first_violation == 3
 
 
-@pytest.mark.parametrize("method", ["cartlidge", "ratio", "product",
-                                    "factorable-product", "stepwise",
-                                    "stepwise-p2"])
+CHECKERS = ["cartlidge", "ratio", "product", "factorable-product",
+            "stepwise", "stepwise-p2"]
+
+
+@pytest.mark.parametrize("method", CHECKERS)
 def test_checker(benchmark, method):
-    w = build_weights("power", 10**5, exponent=0.5)
+    w = build_weights("power", 10**6, exponent=0.5)
+    benchmark.extra_info["tracemalloc_peak_bytes_1e6"] = _tracemalloc_peak(
+        cli.run_certificate, (method, w, 2.0, 1.0))
+    w = w.head(10**5)
     rep = benchmark.pedantic(cli.run_certificate, args=(method, w, 2.0, 1.0),
                              rounds=50, warmup_rounds=1)
     assert rep.passed
+
+
+# One checker's median call time in a fresh interpreter, on a plain heap
+# or after one 1.28 MB array was freed on the main thread, which raises
+# glibc's dynamic mmap threshold above every array of up to 160000
+# values (and its trim threshold to twice that).
+_HEAP_CASE = """import json, sys, time
+import numpy as np
+from lpcert import build_weights, cli
+method, N, freed = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "freed"
+if freed:
+    x = np.ones(160_000)
+    del x
+w = build_weights("power", N, exponent=0.5)
+calls = []
+for _ in range(30 if N >= 10**5 else 300):
+    t = time.perf_counter()
+    cli.run_certificate(method, w, 2.0, 1.0)
+    calls.append(time.perf_counter() - t)
+print(json.dumps(sorted(calls)[len(calls) // 2]))"""
+
+
+@pytest.mark.parametrize("heap", ["plain", "freed"])
+@pytest.mark.parametrize("N", [10**3, 2 * 10**4, 10**5])
+@pytest.mark.parametrize("method", CHECKERS)
+def test_checker_heap_state(benchmark, method, N, heap):
+    argv = [sys.executable, "-c", _HEAP_CASE, method, str(N), heap]
+    medians = []
+
+    def run():
+        medians.append(float(subprocess.run(
+            argv, capture_output=True, text=True, check=True).stdout))
+
+    benchmark.pedantic(run, rounds=3, warmup_rounds=0)
+    benchmark.extra_info["call_median_us"] = [round(m * 1e6, 1)
+                                              for m in sorted(medians)]
 
 
 @pytest.mark.parametrize("N", [10**3, 10**5])

@@ -18,29 +18,27 @@ while every temporary is one block long.  (The first block starts from
 +0.0, as the loop does; a leading -0.0 total becomes +0.0 there, and
 adding the +0.0 compensation gives +0.0 from either.)
 
-Random trials all go through trial_rows: rows exp(u), u uniform on
-[log 1e-3, log 1e3], of one seeded default_rng(seed) stream, a block of
-about 2^16 entries at a time, after any fixed rows the caller leads
-with (the strengthened profiles, which the workers make).  The blocks are dealt out in a fixed
-stride to thread_count() workers (threads started for the batch, or
-the calling thread alone when there is one), and each worker draws and
-evaluates its blocks in three buffers of its own (the rows and two
-scratch arrays), so a batch holds three block buffers per worker and
-hands no block from thread to thread.  A PCG64 stream can jump ahead
-(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
-Good Algorithms for Random Number Generation", 2014), so every block
-draws its own rows from the seed's state advanced past the rows before
-it.  The memory-bound passes over a block run in _kernel's compiled
-loops where they build, each the numpy code it replaces bit for bit:
-the draw (_draw), the weighted running sums of the averaged transforms
-(scaled_sums), which with no weight rows are the plain running sums
-along a row (prefix_sums, suffix_sums), and the weighted power sums
-(weighted_sums).  Suffix sums come in a C-contiguous array, not as a
-reversed view, so that the powers taken of them run numpy's SIMD
-`pow`; `exp`, the powers and the row maxima stay in numpy, whose SIMD
-loops beat libm.  A call of fewer than _COMPILED_MIN values runs
-numpy's code, where the ctypes call would cost more than the loop
-saves.
+Random trials all go through trial_rows, whose docstring has the
+blocks and the workers: rows exp(u), u uniform on [log 1e-3, log 1e3],
+of one seeded default_rng(seed) stream, a block of about 2^16 entries
+at a time.  A PCG64 stream can jump ahead (O'Neill, "PCG: A Family of
+Simple Fast Space-Efficient Statistically Good Algorithms for Random
+Number Generation", 2014), so every block draws its own rows from the
+seed's state advanced past the rows before it.  The memory-bound
+passes over a block run in _kernel's compiled loops where they build,
+each the numpy code it replaces bit for bit: the draw (_draw), the
+running sums (scaled_sums, prefix_sums, suffix_sums) and the weighted
+power sums (weighted_sums); `exp`, the powers and the row maxima stay
+in numpy, whose SIMD loops beat libm.  A call of fewer than
+_COMPILED_MIN values runs numpy's code, where the ctypes call would
+cost more than the loop saves.
+
+Every per-index test big >= small (the certificate conditions, the
+envelopes of the Copson and bge traces, the strengthened mu choices)
+runs on one loop, fold, and passes or fails by one rule, passes: a
+_ROW_CHUNK of rows at a time, keeping the worst margin and the first
+failing row, so a test holds a few chunks rather than arrays of N
+values.
 
 MuTrace, the result of every mu recurrence, and _binary64_pow, the range
 check of their constants, are defined here rather than in certificates,
@@ -66,9 +64,9 @@ PASS_RTOL = 1e-12
 RATIO_TOL = 1e-10
 
 # Rows a blocked loop takes at a time: the values comp_cumsum sums per
-# block and the rows a mu driver (_kernel) forms powers of at once.  No
-# np.frombuffer view of a trace may outlive its statement before the
-# trace grows, which would raise BufferError.
+# block, the rows fold tests and a mu driver (_kernel) forms powers of
+# at once.  No np.frombuffer view of a trace may outlive its statement
+# before the trace grows, which would raise BufferError.
 _ROW_CHUNK = 1 << 14
 
 
@@ -253,16 +251,38 @@ def margin_ok(margin: float, scale: float) -> bool:
     return margin >= -PASS_RTOL * max(abs(scale), 1.0)
 
 
-def margins_ok(margins: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """`margin_ok` elementwise: True where the margin passes."""
-    scales = np.maximum(np.abs(scales), 1.0)
+def passes(big, small) -> np.ndarray:
+    """The pass rule of every per-index test big >= small, elementwise:
+    True where the margin big - small is finite and at least -PASS_RTOL
+    times the scale max(|big|, |small|, 1) of its two sides."""
+    margins = big - small
+    scales = np.maximum(np.maximum(np.abs(big), np.abs(small)), 1.0)
     return (margins >= -PASS_RTOL * scales) & np.isfinite(margins)
 
 
-def first_bad(margins: np.ndarray, scales: np.ndarray):
-    """Index (0-based) of the first margin failing `margin_ok`, or None."""
-    idx = np.flatnonzero(~margins_ok(margins, scales))
-    return int(idx[0]) if idx.size else None
+def fold(sides, n: int, lo: int = 0):
+    """(first failing row or None, worst margin) of the per-index test
+    big >= small on the 0-based rows lo <= i < n, which sides(start,
+    stop) gives as (big, small) or (big, small, positive) one _ROW_CHUNK
+    at a time (a scalar side stands for every row).  The worst margin is
+    the least big - small (NaN if any is NaN, inf over no rows); a row
+    fails by `passes`.  A positive value at or below 0 leaves the test
+    undefined there: the fold returns (its row, None) at once."""
+    worst, bad = math.inf, None
+    for start in range(lo, n, _ROW_CHUNK):
+        big, small, *positive = sides(start, min(start + _ROW_CHUNK, n))
+        if positive:
+            idx = np.flatnonzero(positive[0] <= 0.0)
+            if idx.size:
+                return start + int(idx[0]), None
+        margins = big - small
+        low = np.min(margins)
+        worst = np.minimum(worst, low)
+        # margins in [0, inf) pass: `passes` rules on a chunk with others
+        if bad is None and not (low >= 0.0 and np.max(margins) < math.inf):
+            idx = np.flatnonzero(~passes(big, small))
+            bad = start + int(idx[0]) if idx.size else None
+    return bad, float(worst)
 
 
 def thread_count() -> int:

@@ -32,8 +32,11 @@ Both feed a spec's rows from one row source (_spec_ratios: a_n/b_n and
 a_n/b_(n+1), the primal a_(n-1)/b_n being the row before's
 a_n/b_(n+1)) to the shared drivers of _kernel, which they import when
 they run, so the vectorized checkers never load it.
-Products are accumulated in log space; sums of positive terms inside the
-product conditions use a running log-sum-exp.
+The vectorized checkers are row functions: _report runs each one's
+two sides of its per-index test through _num.fold, a chunk at a time.
+The product condition accumulates its products in log space and its
+sums by a running log-sum-exp, each chunk carrying on from the last
+sums of the one before, so every sum is the whole array's bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import MuTrace, _binary64_pow, first_bad, record_dict
+from ._num import MuTrace, _binary64_pow, fold, record_dict
 from .factorable import FactorableSpec, _require_normalized, weighted_mean
 from .sequences import WeightSequence
 
@@ -101,32 +104,25 @@ class CertificateReport:
         return {**record_dict(self), "c": None, "alpha": None}
 
 
-def _report(method: str, params: BoundParams, N: int, big, small,
-            note: str = "") -> CertificateReport:
-    """Assemble the report of the per-index test big >= small, indexed
-    from n = 1: margins big - small, each passing against the scale
-    max(|big|, |small|) of its two sides."""
-    margins = big - small
-    bad = first_bad(margins, np.maximum(np.abs(big), np.abs(small)))
-    worst = float(np.min(margins)) if margins.size else math.inf
+def _report(method: str, params: BoundParams, N: int, sides,
+            what: str = "") -> CertificateReport:
+    """The report of _num.fold on sides at n = 1..N-1; a value that must
+    stay positive and does not fails with a NaN margin and the note
+    `what` at its n."""
+    bad, worst = fold(sides, N - 1)
+    note = "" if worst is not None else f"{what} at n={bad + 1}"
     return CertificateReport(
         method=method, p=params.p, L=params.L, N=N, passed=bad is None,
         first_fail=None if bad is None else bad + 1,
-        worst_margin=worst, bound=params.bound, note=note)
+        worst_margin=math.nan if worst is None else worst,
+        bound=params.bound, note=note)
 
 
-def _nonpositive_report(values: np.ndarray, method: str, params: BoundParams,
-                        N: int, what: str) -> CertificateReport | None:
-    """The failing report at the first n with values[n-1] <= 0 (its worst
-    margin NaN), or None when every value is positive."""
-    bad = np.flatnonzero(values <= 0.0)
-    if not bad.size:
-        return None
-    n = int(bad[0]) + 1
-    return CertificateReport(
-        method=method, p=params.p, L=params.L, N=N, passed=False,
-        first_fail=n, worst_margin=math.nan, bound=params.bound,
-        note=f"{what} at n={n}")
+def _weight_rows(w: WeightSequence, sides):
+    """A fold's sides(lo, hi) as sides(r) of R_n = Lam_n/lam_n on the
+    rows lo..hi (a slice of w.ratios, one past the chunk)."""
+    lam, Lam = w.values, w.partials
+    return lambda lo, hi: sides(Lam[lo:hi + 1] / lam[lo:hi + 1])
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +139,8 @@ def cartlidge_constant(w: WeightSequence) -> float:
 
 def check_cartlidge(w: WeightSequence, p: float, L: float) -> CertificateReport:
     """Pass iff the Cartlidge constant of w is <= L (and L < p)."""
-    params = BoundParams(p, L)
-    return _report("cartlidge", params, w.N, L, np.diff(w.ratios))
+    return _report("cartlidge", BoundParams(p, L), w.N,
+                   _weight_rows(w, lambda r: (L, np.diff(r))))
 
 
 # ----------------------------------------------------------------------
@@ -154,13 +150,13 @@ def check_cartlidge(w: WeightSequence, p: float, L: float) -> CertificateReport:
 def check_ratio_condition(w: WeightSequence, p: float, L: float) -> CertificateReport:
     """Per-index growth test on R_n = Lam_n/lam_n, checked for n <= N-1:
 
-        R_{n+1} <= R_n (1 - L lam_n / (p Lam_n))^(1-p) + L/p.
+        R_{n+1} <= R_n (1 - L lam_n / (p Lam_n))^(1-p) + L/p,
+
+    the base of the power positive since R_n >= 1 > L/p.
     """
-    params = BoundParams(p, L)
-    r = w.ratios
-    inner = 1.0 - (L / p) / r[:-1]  # positive since R_n >= 1 > L/p
-    rhs = r[:-1] * inner ** (1.0 - p) + L / p
-    return _report("ratio", params, w.N, rhs, r[1:])
+    return _report("ratio", BoundParams(p, L), w.N, _weight_rows(
+        w, lambda r: (r[:-1] * (1.0 - (L / p) / r[:-1]) ** (1.0 - p) + L / p,
+                      r[1:])))
 
 
 def check_factorable_product(spec: FactorableSpec, p: float, L: float) -> CertificateReport:
@@ -169,22 +165,31 @@ def check_factorable_product(spec: FactorableSpec, p: float, L: float) -> Certif
 
         (1/a_n) sum_{k<=n} b_k prod_{i=k..n} f_i^(1/(p-1)) <= p/(p-L),
         f_i = (a_i/b_{i+1} + 1 - L/p) / (a_i/b_i).
+
+    Every numerator is positive, even rounded: a_i/b_{i+1} + 1 >= 1 and
+    L/p <= 1 - 2^-53 for L < p.  The sums run a chunk at a time, each
+    chunk's carrying on from the last sum of the chunk before.
     """
     params = BoundParams(p, L)
     _require_normalized(spec, "product certificate")
     a, b = spec.a, spec.b
-    nums = a[:-1] / b[1:] + 1.0 - L / p
-    failed = _nonpositive_report(nums, "factorable-product", params, spec.N,
-                                 "nonpositive product factor")
-    if failed is not None:
-        return failed
-    lnf = (np.log(nums) - np.log((a / b)[:-1])) / (p - 1.0)
-    C = np.cumsum(lnf)                      # C[i] = sum_{j<=i+1} ln f_j^(1/(p-1))
-    Cprev = np.concatenate(([0.0], C[:-1]))
-    terms = np.log(b[:-1]) - Cprev          # ln b_k - C_{k-1}, k = 1..N-1
-    S = np.logaddexp.accumulate(terms)
-    lhs = np.exp(C + S - np.log(a[:-1]))
-    return _report("factorable-product", params, spec.N, params.bound, lhs)
+    # C and S of the row before the chunk; the first starts from -0.0
+    # and -inf, as x + -0.0 and logaddexp(-inf, x) are x (here x is
+    # never -0.0, which log never returns)
+    carry = np.array([-0.0, -math.inf])
+
+    def sides(lo, hi):
+        lnf = (np.log(a[lo:hi] / b[lo + 1:hi + 1] + 1.0 - L / p)
+               - np.log(a[lo:hi] / b[lo:hi])) / (p - 1.0)
+        # C_(lo-1)..C_(hi-1), C_n = sum_{j<=n} ln f_j^(1/(p-1))
+        C = np.cumsum(np.concatenate((carry[:1], lnf)))
+        # sum_{k<=n} exp(ln b_k - C_(k-1)), in log space
+        S = np.logaddexp.accumulate(np.concatenate(
+            (carry[1:], np.log(b[lo:hi]) - C[:-1])))
+        carry[:] = C[-1], S[-1]
+        return params.bound, np.exp(C[1:] + S[1:] - np.log(a[lo:hi]))
+
+    return _report("factorable-product", params, spec.N, sides)
 
 
 def check_product_condition(w: WeightSequence, p: float, L: float) -> CertificateReport:
@@ -220,18 +225,21 @@ def check_factorable_stepwise(spec: FactorableSpec, p: float, L: float) -> Certi
     lam_p = (1.0 - L / p) ** p
     A = lam_p ** (1.0 - 1.0 / p)
     B = 1.0 - lam_p - A
-    r, cross = _spec_ratios(spec)(0, spec.N)
-    x, y = r[:-1], r[1:]
-    g = A * x + B
-    failed = _nonpositive_report(g, "stepwise", params, spec.N,
-                                 "floor constant A*r_n+B nonpositive")
-    if failed is not None:
-        return failed
     e1 = 1.0 / (p - 1.0)
     ep = p / (p - 1.0)
-    lhs = (A * y + 1.0 - A) ** e1 * (g ** e1 + cross ** ep)
-    rhs = y ** ep * g ** e1
-    return _report("stepwise", params, spec.N, rhs, lhs)
+    a, b = spec.a, spec.b
+
+    def sides(lo, hi):
+        r = a[lo:hi + 1] / b[lo:hi + 1]
+        y, g = r[1:], A * r[:-1] + B
+        with np.errstate(invalid="ignore"):  # a nonpositive g fails first
+            ge = g ** e1
+        lhs = (A * y + 1.0 - A) ** e1 * (ge + (a[lo:hi] / b[lo + 1:hi + 1])
+                                         ** ep)
+        return y ** ep * ge, lhs, g
+
+    return _report("stepwise", params, spec.N, sides,
+                   "floor constant A*r_n+B nonpositive")
 
 
 def check_stepwise_p2(w: WeightSequence, L: float) -> CertificateReport:
@@ -243,10 +251,9 @@ def check_stepwise_p2(w: WeightSequence, L: float) -> CertificateReport:
         R_{n+1} - R_n <= L + (L^2/4) / (R_n - L/2);
     each can pass where the other fails.
     """
-    params = BoundParams(2.0, L)
-    r = w.ratios
-    rhs = L + (L * L / 4.0) * ((1.0 + L / 2.0) / (1.0 - L / 2.0)) / (r[1:] + L / 2.0)
-    return _report("stepwise-p2", params, w.N, rhs, np.diff(r))
+    return _report("stepwise-p2", BoundParams(2.0, L), w.N, _weight_rows(
+        w, lambda r: (L + (L * L / 4.0) * ((1.0 + L / 2.0) / (1.0 - L / 2.0))
+                      / (r[1:] + L / 2.0), np.diff(r))))
 
 
 # ----------------------------------------------------------------------

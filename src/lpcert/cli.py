@@ -94,15 +94,13 @@ def _csv_cell(value) -> str:
 def csv_rows(report: dict) -> list[dict]:
     """Map any report dict onto the fixed CSV columns (best effort)."""
     if "rows" in report:                      # compare matrix
-        out = []
-        for row in report["rows"]:
-            for method in report["methods"]:
-                out.append({"method": f"{method}[{row['label']}]",
-                            "p": report.get("p"), "L": report.get("L"),
-                            "c": report.get("c"), "N": report.get("N"),
-                            "pass": row[method]})
-        return out
+        return [{"method": f"{method}[{row['label']}]", "p": report.get("p"),
+                 "L": report.get("L"), "c": report.get("c"),
+                 "N": report.get("N"), "pass": row[method]}
+                for row in report["rows"] for method in report["methods"]]
     row = {col: report.get(col) for col in CSV_COLUMNS}
+    if row["pass"] is None:                   # hlp certify, hlp search
+        row["pass"] = report.get("certified", report.get("feasible"))
     if row.get("method") is None:
         row["method"] = report.get("branch", report.get("which",
                                                         report.get("choice")))
@@ -136,10 +134,7 @@ def decimate_trace(values) -> list[list[float]]:
     """[n, value] pairs: every index up to 1000, then powers of two."""
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     ns = list(range(1, min(TRACE_DENSE, vals.size) + 1))
-    k = 1024
-    while k <= vals.size:
-        ns.append(k)
-        k *= 2
+    ns += [1 << k for k in range(10, vals.size.bit_length())]
     if vals.size > TRACE_DENSE and ns[-1] != vals.size:
         ns.append(vals.size)
     return [[int(n), float(vals[n - 1])] for n in ns]
@@ -194,6 +189,7 @@ def run_certificate(method: str, w: WeightSequence, p: float,
                                trace_report)
     from .factorable import weighted_mean
 
+    _need_p2(method, p)
     if method == "cartlidge":
         return check_cartlidge(w, p, L)
     if method == "ratio":
@@ -205,8 +201,6 @@ def run_certificate(method: str, w: WeightSequence, p: float,
     if method == "stepwise":
         return check_factorable_stepwise(weighted_mean(w), p, L)
     if method == "stepwise-p2":
-        if abs(p - 2.0) > 1e-12:
-            raise ValueError("stepwise-p2 is the p = 2 specialization")
         return check_stepwise_p2(w, L)
     if method == "mu-primal":
         params = BoundParams(p=p, L=L)
@@ -217,6 +211,11 @@ def run_certificate(method: str, w: WeightSequence, p: float,
         trace = mu_dual(weighted_mean(w), p, params.U_p)
         return trace_report(trace, "mu-dual", params, w.N)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _need_p2(method: str, p: float) -> None:
+    if method == "stepwise-p2" and abs(p - 2.0) > 1e-12:
+        raise ValueError("stepwise-p2 is the p = 2 specialization")
 
 
 def search_smallest_L(method: str, w: WeightSequence,
@@ -416,18 +415,16 @@ def cmd_copson(args) -> tuple[dict, bool | None]:
     if args.copson_cmd == "kernel":
         rep = cop.check_kernel_inequality(args.p, args.c)
         return rep.to_dict(), rep.passed
+    w = parse_weights(args.weights, args.N)   # branch, mu and bge-mu
     if args.copson_cmd == "branch":
-        w = parse_weights(args.weights, args.N)
         rep = cop.check_copson_branch(w, args.p, args.c, args.branch,
                                       trials=args.trials, seed=args.seed)
         return rep.to_dict(), rep.passed
     if args.copson_cmd == "mu":
-        w = parse_weights(args.weights, args.N)
         trace = cop.mu_dual_copson(w, args.p, args.c)
         return (mu_trace_dict(trace, "copson-mu", args.p, w.N, c=args.c),
                 trace.passed)
     if args.copson_cmd == "bge-mu":
-        w = parse_weights(args.weights, args.N)
         trace = cop.mu_bge(w, args.p, args.alpha, route=args.route)
         return (mu_trace_dict(trace, f"bge-mu-{args.route}", args.p, w.N,
                               alpha=args.alpha), trace.passed)
@@ -502,7 +499,7 @@ def cmd_hlp(args) -> tuple[dict, bool | None]:
 
 
 def cmd_compare(args) -> tuple[dict, bool | None]:
-    from .certificates import cartlidge_constant
+    from .certificates import BoundParams, cartlidge_constant
     from .corpus import builtin_corpus
     from .sequences import load_weight_file
 
@@ -513,6 +510,11 @@ def cmd_compare(args) -> tuple[dict, bool | None]:
     for m in methods:
         if m not in CERTIFY_METHODS:
             raise ValueError(f"unknown method {m!r}")
+    # certify's usage errors, raised once before the corpus (any p > 1
+    # admits L = 1); a range escape fails only its own sequence
+    for m in methods:
+        _need_p2(m, args.p)
+    BoundParams(args.p, 1.0 if args.L is None else args.L)
     corpus = builtin_corpus(N=args.N, seed=args.seed)
     for path in args.weights_file or []:
         corpus.append(load_weight_file(path))
@@ -660,15 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-HANDLERS = {
-    "norm": cmd_norm,
-    "certify": cmd_certify,
-    "copson": cmd_copson,
-    "bge": cmd_bge,
-    "strengthened": cmd_strengthened,
-    "hlp": cmd_hlp,
-    "compare": cmd_compare,
-}
+HANDLERS = {"norm": cmd_norm, "certify": cmd_certify, "copson": cmd_copson,
+            "bge": cmd_bge, "strengthened": cmd_strengthened,
+            "hlp": cmd_hlp, "compare": cmd_compare}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -677,16 +673,11 @@ def main(argv: list[str] | None = None) -> int:
     handler = HANDLERS[args.command]
     try:
         report, passed = handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emit(report, args)
-    if passed is None:
-        return 0
-    return 0 if passed else 1
+    return 0 if passed is None or passed else 1
 
 
 if __name__ == "__main__":

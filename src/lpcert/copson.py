@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import (_ROW_CHUNK, RATIO_TOL, MuTrace, _binary64_pow, first_bad,
+from ._num import (_ROW_CHUNK, RATIO_TOL, MuTrace, _binary64_pow, fold,
                    margin_ok, record_dict, scaled_sums, suffix_sums,
                    trial_rows, weighted_sums)
 from ._options import BRANCHES
@@ -467,28 +467,20 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
 
 def _with_envelope(trace: MuTrace, constraint: str, targets,
                    floor: bool = False) -> MuTrace:
-    """trace relabelled and checked against an analytic envelope: an upper
-    one, mu_n <= target_n, or with floor a lower one, mu_n >= target_n
-    for n >= 2.
-
-    targets(lo, hi) returns the envelope at the 0-based rows
-    lo <= i < hi.  The envelope margins are formed one _ROW_CHUNK at a
-    time; their running minimum lowers the trace's worst margin, and
-    their first failing row is the target violation.
-    """
-    k = trace.n_evaluated
-    worst, t_bad = math.inf, None
-    for lo in range(int(floor), k, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, k)
+    """trace relabelled and checked against an analytic envelope, which
+    targets(lo, hi) gives at the 0-based rows lo <= i < hi: an upper one,
+    mu_n <= target_n, or with floor a lower one, mu_n >= target_n for
+    n >= 2.  The test runs on _num.fold; its worst margin lowers the
+    trace's (by Python's min, which a NaN leaves as it is) and its first
+    failing row is the target violation."""
+    def sides(lo, hi):
         t, mu = targets(lo, hi), trace.mu[lo:hi]
-        m = mu - t if floor else t - mu
-        worst = np.min(m, initial=worst)
-        if t_bad is None:
-            bad = first_bad(m, np.maximum(np.abs(t), np.abs(mu)))
-            t_bad = None if bad is None else lo + bad + 1
+        return (mu, t) if floor else (t, mu)
+
+    bad, worst = fold(sides, trace.n_evaluated, int(floor))
     return replace(trace, constraint=constraint,
-                   worst_margin=min(trace.worst_margin, float(worst)),
-                   target_violation=t_bad)
+                   worst_margin=min(trace.worst_margin, worst),
+                   target_violation=None if bad is None else bad + 1)
 
 
 def mu_dual_copson(w: WeightSequence, p: float, c: float) -> MuTrace:

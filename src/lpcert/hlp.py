@@ -76,7 +76,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import (MuTrace, margin_ok, margins_ok, record_dict, scaled_sums,
+from ._num import (MuTrace, margin_ok, passes, record_dict, scaled_sums,
                    suffix_sums, trial_rows)
 from ._options import N_MAX_DEFAULT
 
@@ -166,8 +166,7 @@ def _floor_scan(p: float, trace: MuTrace, n0_max: int) -> DirectCertificate:
     n = np.arange(1, k + 1, dtype=np.float64)
     floors = a * n + b
     slack = trace.mu - floors
-    scales = np.maximum(np.abs(trace.mu), np.abs(floors))
-    idx = np.flatnonzero(margins_ok(slack, scales))
+    idx = np.flatnonzero(passes(trace.mu, floors))
     if idx.size == 0:
         return DirectCertificate(p=p, n0=None, margin=float(np.max(slack)),
                                  n0_max=n0_max, trace=trace)
@@ -250,9 +249,9 @@ def shift_gap(y: float, p: float, c: float) -> float:
     """f(y) = (1/p-1) y + (1+cy)^(1-p) - (1+(c+1/p)y)^(1-p).
 
     f(0) = f'(0) = 0; nonnegativity on (0, 1/n0] propagates the linear
-    lower bound on the dual trace.  Needs 1 + c y > 0.
+    lower bound on the dual trace.  Needs 1 + c y > 0; y may be an array.
     """
-    if not (1.0 + c * y > 0.0):
+    if not np.all(1.0 + c * y > 0.0):
         raise ValueError("shift gap needs 1 + c*y > 0")
     e = 1.0 - p
     return (1.0 / p - 1.0) * y + (1.0 + c * y) ** e - (1.0 + (c + 1.0 / p) * y) ** e
@@ -288,7 +287,10 @@ def dual_feasible(p: float, n0: int, c: float) -> DualFeasibility:
 
 def _feasibility(p: float, n0: int, c: float, mu_n0: float) -> DualFeasibility:
     """dual_feasible's verdict from mu_{n0} in hand: every trace of at
-    least n0 values holds the same mu_{n0}, a prefix of the longer ones."""
+    least n0 values holds the same mu_{n0}, a prefix of the longer ones.
+    The shift gap is tested at y = 1/n0 alone, and the verdict rests on
+    that one point: the argument needs f >= 0 on all of (0, 1/n0], which
+    is checked on a grid in the tests, not proven here."""
     slope = (1.0 / p - 1.0) ** (1.0 / (p - 1.0))
     m1 = mu_n0 - slope * (n0 + c)
     m2 = c + 1.0 / (2.0 * p)

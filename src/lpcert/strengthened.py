@@ -31,13 +31,12 @@ is built around.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import (RATIO_TOL, _binary64_pow, first_bad, record_dict,
-                   trial_rows, weighted_sums, workspace)
+from ._num import (RATIO_TOL, _binary64_pow, fold, record_dict, trial_rows,
+                   weighted_sums, workspace)
 from ._options import BRANCHES, KINDS, MU_CHOICES
 from .certificates import cartlidge_constant
 from .copson import (_BRANCH_SUMS, _RANGE_FLOOR, _branch_weights,
@@ -304,21 +303,21 @@ class MuChoiceReport:
 
 
 def _finish_choice(choice: str, p: float, c: float | None, L: float | None,
-                   N: int, values: np.ndarray, target: float,
-                   feasible: bool, infeasible_at: int | None,
-                   identity_residual: float | None,
-                   note: str = "") -> MuChoiceReport:
-    margins = values - target
-    scales = np.maximum(np.abs(values), abs(target))
-    bad = first_bad(margins, scales)
-    arg = int(np.argmin(margins)) + 1 if margins.size else 0
-    passed = bad is None and feasible
+                   N: int, values: np.ndarray, target: float, mu, shift: int,
+                   identity_residual: float | None) -> MuChoiceReport:
+    """The report of values >= target at n = 1..N-1, run by _num.fold,
+    infeasible at the first mu (if given) outside (0, 1), whose index
+    plus shift is its n."""
+    out = np.flatnonzero(~((mu > 0.0) & (mu < 1.0))) if mu is not None else ()
+    infeasible_at = int(out[0]) + shift if len(out) else None
+    bad, worst = fold(lambda lo, hi: (values[lo:hi], target), N - 1)
     return MuChoiceReport(
         choice=choice, p=p, c=c, L=L, N=N, target=target,
-        min_value=float(np.min(values)) if values.size else math.inf,
-        min_margin=float(np.min(margins)) if margins.size else math.inf,
-        argmin=arg, feasible=feasible, infeasible_at=infeasible_at,
-        identity_residual=identity_residual, passed=passed, note=note)
+        min_value=float(np.min(values)), min_margin=worst,
+        argmin=int(np.argmin(values - target)) + 1,
+        feasible=infeasible_at is None, infeasible_at=infeasible_at,
+        identity_residual=identity_residual,
+        passed=bad is None and infeasible_at is None)
 
 
 def verify_mu_choice(choice: str, w: WeightSequence, p: float,
@@ -357,36 +356,27 @@ def verify_mu_choice(choice: str, w: WeightSequence, p: float,
     N = w.N
     op = (1.0 - 1.0 / p)
 
-    if choice == "cartlidge":
-        if L is None:
-            L = cartlidge_constant(w)
-        if not (L < p):
-            raise ValueError("cartlidge choice needs L < p")
-        mu = 1.0 / p + op * lam / Lam
-        head = mu[1:]           # mu_{n+1}, n = 1..N-1; all < 1
-        bad = np.flatnonzero(~(head < 1.0))
-        infeasible_at = int(bad[0]) + 2 if bad.size else None
-        middle = ((1.0 - head) ** (1.0 - p) * op ** (p - 1.0)
-                  * (Lam[:-1] / Lam[1:]) ** p * (Lam[1:] / lam[1:]))
-        values = p * Lam[:-1] * mu[:-1] / lam[:-1] - middle
-        return _finish_choice("cartlidge", p, None, L, N, values, p - L,
-                              infeasible_at is None, infeasible_at, None)
-
-    if choice == "copson":
-        if c is None or not (1.0 < c <= p):
-            raise ValueError("copson choice needs 1 < c <= p")
-        theta = (c - 1.0) / (p - 1.0)
-        mu = 1.0 - op * (1.0 - lam / Lam) ** theta
-        head = mu[1:]
-        bad = np.flatnonzero(~(head < 1.0))
-        infeasible_at = int(bad[0]) + 2 if bad.size else None
-        middle = ((1.0 - head) ** (1.0 - p) * op ** (p - 1.0)
-                  * (Lam[:-1] / Lam[1:]) ** c * (Lam[1:] / lam[:-1]))
+    if choice in ("cartlidge", "copson"):
+        if choice == "copson":
+            if c is None or not (1.0 < c <= p):
+                raise ValueError("copson choice needs 1 < c <= p")
+            mu = 1.0 - op * (1.0 - lam / Lam) ** ((c - 1.0) / (p - 1.0))
+            L, expo, last, target = None, c, lam[:-1], c - 1.0
+        else:
+            L = cartlidge_constant(w) if L is None else L
+            if not (L < p):
+                raise ValueError("cartlidge choice needs L < p")
+            mu = 1.0 / p + op * lam / Lam
+            c, expo, last, target = None, p, lam[1:], p - L
+        # mu_{n+1}, n = 1..N-1, are all < 1 (and > 0) when feasible
+        middle = ((1.0 - mu[1:]) ** (1.0 - p) * op ** (p - 1.0)
+                  * (Lam[:-1] / Lam[1:]) ** expo * (Lam[1:] / last))
         ref = Lam[:-1] / lam[:-1]
-        residual = float(np.max(np.abs(middle - ref) / ref))
+        residual = (float(np.max(np.abs(middle - ref) / ref))
+                    if choice == "copson" else None)
         values = p * Lam[:-1] * mu[:-1] / lam[:-1] - middle
-        return _finish_choice("copson", p, c, None, N, values, c - 1.0,
-                              infeasible_at is None, infeasible_at, residual)
+        return _finish_choice(choice, p, c, L, N, values, target, mu[1:], 2,
+                              residual)
 
     if choice == "leindler":
         if c is None or not (0.0 <= c < 1.0):
@@ -403,7 +393,7 @@ def verify_mu_choice(choice: str, w: WeightSequence, p: float,
         values = -(Lt[:-1] / lam[:-1]) * np.expm1(
             (1.0 - c) * np.log1p(-frac))
         return _finish_choice("leindler", p, c, None, N, values, 1.0 - c,
-                              True, None, residual)
+                              None, 0, residual)
 
     # dual choice
     if L is None:
@@ -411,8 +401,6 @@ def verify_mu_choice(choice: str, w: WeightSequence, p: float,
     if not (L < p / (p - 1.0)):
         raise ValueError("dual choice needs L < p/(p-1)")
     mu = 1.0 - op * lam[:-1] / lam[1:]      # mu_n, n = 1..N-1
-    bad = np.flatnonzero(~((mu > 0.0) & (mu < 1.0)))
-    infeasible_at = int(bad[0]) + 1 if bad.size else None
     target = p - (p - 1.0) * L
     values = np.empty(N - 1)
     values[0] = p * mu[0]                   # Lam_1 = lam_1
@@ -424,8 +412,8 @@ def verify_mu_choice(choice: str, w: WeightSequence, p: float,
         ref = Lam[:-2] / lam[1:-1]
         residual = float(np.max(np.abs(middle - ref) / ref))
         values[1:] = p * Lam[1:-1] * mu[1:] / lam[1:-1] - middle
-    return _finish_choice("dual", p, None, L, N, values, target,
-                          infeasible_at is None, infeasible_at, residual)
+    return _finish_choice("dual", p, None, L, N, values, target, mu, 1,
+                          residual)
 
 
 __all__ = [

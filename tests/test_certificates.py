@@ -1,5 +1,6 @@
 """Norm-bound certificates: conditions, implications, and mu traces."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -18,8 +19,11 @@ from lpcert import (BoundParams, FactorableSpec, build_weights,
                     check_stepwise_p2, comparability_pair, mu_dual, mu_primal,
                     power_lower_bound, ratio_at, trace_report, weighted_mean)
 from lpcert import _kernel
-from lpcert._num import margin_ok
-from lpcert.cli import CERTIFY_METHODS, search_smallest_L
+from lpcert._num import (_ROW_CHUNK, PASS_RTOL, MuTrace, fold, margin_ok,
+                         passes)
+from lpcert.certificates import CertificateReport
+from lpcert.cli import CERTIFY_METHODS, run_certificate, search_smallest_L
+from lpcert.copson import _with_envelope
 
 weight_arrays = st.lists(
     st.floats(min_value=1e-2, max_value=1e2, allow_nan=False,
@@ -387,3 +391,202 @@ def test_domain_validation():
         check_cartlidge(w, 2.0, -0.1)
     with pytest.raises(ValueError):
         check_stepwise_p2(w, 2.5)
+
+
+# ----------------------------------------------------------------------
+# The chunked fold against whole-array references
+
+# the fold runs _ROW_CHUNK rows at a time; these N end just before, on
+# and just after a chunk boundary, and inside a third chunk
+FOLD_NS = [_ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, _ROW_CHUNK + 2,
+           3 * _ROW_CHUNK + 5]
+
+
+def _random_monotone(N):
+    rng = np.random.default_rng(3)
+    return build_weights("explicit", N,
+                         values=0.05 + np.cumsum(rng.uniform(size=N)))
+
+
+def ref_report(method, p, L, N, big, small, positive=None, what=""):
+    """The verdict on whole arrays: the first nonpositive value fails
+    with a NaN margin; else margins big - small, each passing down to
+    -PASS_RTOL max(|big|, |small|, 1), finite."""
+    bound = BoundParams(p, L).bound
+    if positive is not None and np.any(positive <= 0.0):
+        n = int(np.flatnonzero(positive <= 0.0)[0]) + 1
+        return CertificateReport(method, p, N, False, n, math.nan, bound, L,
+                                 f"{what} at n={n}")
+    margins = big - small
+    scales = np.maximum(np.maximum(np.abs(big), np.abs(small)), 1.0)
+    bad = np.flatnonzero(~((margins >= -PASS_RTOL * scales)
+                           & np.isfinite(margins)))
+    return CertificateReport(
+        method, p, N, not bad.size, int(bad[0]) + 1 if bad.size else None,
+        float(np.min(margins)) if margins.size else math.inf, bound, L)
+
+
+def ref_product(spec, p, L, method="factorable-product"):
+    a, b = spec.a, spec.b
+    nums = a[:-1] / b[1:] + 1.0 - L / p
+    lnf = (np.log(nums) - np.log((a / b)[:-1])) / (p - 1.0)
+    C = np.cumsum(lnf)
+    S = np.logaddexp.accumulate(np.log(b[:-1])
+                                - np.concatenate(([0.0], C[:-1])))
+    lhs = np.exp(C + S - np.log(a[:-1]))
+    return ref_report(method, p, L, spec.N, BoundParams(p, L).bound, lhs)
+
+
+def ref_stepwise(spec, p, L):
+    lam_p = (1.0 - L / p) ** p
+    A = lam_p ** (1.0 - 1.0 / p)
+    B = 1.0 - lam_p - A
+    r = spec.a / spec.b
+    cross = spec.a[:-1] / spec.b[1:]
+    y, g = r[1:], A * r[:-1] + B
+    if np.any(g <= 0.0):
+        return ref_report("stepwise", p, L, spec.N, g, g, g,
+                          "floor constant A*r_n+B nonpositive")
+    e1, ep = 1.0 / (p - 1.0), p / (p - 1.0)
+    lhs = (A * y + 1.0 - A) ** e1 * (g ** e1 + cross ** ep)
+    return ref_report("stepwise", p, L, spec.N, y ** ep * g ** e1, lhs)
+
+
+def ref_check(method, w, p, L):
+    r = w.ratios
+    if method == "cartlidge":
+        return ref_report(method, p, L, w.N, L, np.diff(r))
+    if method == "ratio":
+        inner = 1.0 - (L / p) / r[:-1]
+        return ref_report(method, p, L, w.N,
+                          r[:-1] * inner ** (1.0 - p) + L / p, r[1:])
+    if method == "product":
+        return ref_product(weighted_mean(w), p, L, "product")
+    if method == "factorable-product":
+        return ref_product(weighted_mean(w), p, L)
+    if method == "stepwise":
+        return ref_stepwise(weighted_mean(w), p, L)
+    rhs = L + (L * L / 4.0) * ((1.0 + L / 2.0) / (1.0 - L / 2.0)) / (
+        r[1:] + L / 2.0)
+    return ref_report(method, p, L, w.N, rhs, np.diff(r))
+
+
+def _json(report):
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def test_fold_rules():
+    K = _ROW_CHUNK
+    big, small = np.ones(3 * K), np.ones(3 * K)
+
+    def rows(positive=None):
+        def sides(lo, hi):
+            pair = big[lo:hi], small[lo:hi]
+            return pair if positive is None else (*pair, positive[lo:hi])
+        return sides
+
+    assert fold(rows(), 0) == (None, math.inf)
+    assert fold(rows(), 3 * K) == (None, 0.0)
+    # a margin within the slack passes, an infinite one fails
+    big[5] -= 1e-13
+    big[K + 2] = math.inf
+    assert fold(rows(), 3 * K) == (K + 2, float(big[5] - 1.0))
+    assert fold(rows(), 3 * K, K + 3) == (None, 0.0)
+    # a NaN margin fails and is the worst; a later failure is not first
+    big[K + 1], big[2 * K] = math.nan, 0.5
+    bad, worst = fold(rows(), 3 * K)
+    assert bad == K + 1 and math.isnan(worst)
+    # a nonpositive value ends the fold at its row, past any failure
+    positive = np.ones(3 * K)
+    positive[2 * K + 3] = 0.0
+    assert fold(rows(positive), 3 * K) == (2 * K + 3, None)
+    bad, worst = fold(rows(positive), 2 * K + 3)    # before that row
+    assert bad == K + 1 and math.isnan(worst)
+    # a scalar side stands for every row
+    assert fold(lambda lo, hi: (0.5, small[lo:hi] / 4.0), 3 * K) == (
+        None, 0.25)
+
+
+@pytest.mark.parametrize("method", CERTIFY_METHODS[:6])
+@pytest.mark.parametrize("N", FOLD_NS)
+def test_chunked_checkers_match_whole_array_references(method, N):
+    weights = [build_weights("constant", N),
+               build_weights("power", N, exponent=0.5),
+               build_weights("power", N, exponent=2.0), _random_monotone(N)]
+    ps = [2.0] if method == "stepwise-p2" else [1.5, 2.0, 3.0]
+    for w in weights:
+        for p in ps:
+            for L in (0.3, 1.0 - 1e-13, 1.0, 1.4):
+                got = run_certificate(method, w, p, L)
+                assert _json(got) == _json(ref_check(method, w, p, L)), (
+                    w, p, L)
+
+
+@pytest.mark.parametrize("row", [2, _ROW_CHUNK - 1, _ROW_CHUNK,
+                                 _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 7,
+                                 3 * _ROW_CHUNK + 3])
+def test_nonpositive_stepwise_floor_wins_over_an_earlier_failure(row):
+    # the Cesaro matrix at p = 2, L = 0.5 fails its stepwise test at
+    # n = 1; a_n/b_n = 0.1 on one later row puts the floor
+    # 0.75 r_n - 0.3125 below 0 there, which is the reported failure
+    N = 3 * _ROW_CHUNK + 5
+    a, b = np.arange(1.0, N + 1.0), np.ones(N)
+    b[row - 1] = 10.0 * a[row - 1]
+    spec = FactorableSpec("dip", a, b)
+    assert check_factorable_stepwise(cesaro(N), 2.0, 0.5).first_fail == 1
+    got = check_factorable_stepwise(spec, 2.0, 0.5)
+    assert _json(got) == _json(ref_stepwise(spec, 2.0, 0.5))
+    assert got.first_fail == row and math.isnan(got.worst_margin)
+    assert got.note == f"floor constant A*r_n+B nonpositive at n={row}"
+
+
+@pytest.mark.parametrize("N", FOLD_NS)
+def test_product_sums_carry_across_chunks(N):
+    # a general spec with irregular factors: each chunk's cumsum and
+    # log-sum-exp carry on from the chunk before, bit for bit
+    rng = np.random.default_rng(N)
+    a = np.cumsum(rng.uniform(0.5, 1.5, size=N))
+    b = np.concatenate(([a[0]], rng.uniform(0.2, 2.0, size=N - 1)))
+    spec = FactorableSpec("irregular", a, b)
+    for p, L in ((1.5, 0.4), (2.0, 1.0), (3.0, 2.9)):
+        got = check_factorable_product(spec, p, L)
+        assert _json(got) == _json(ref_product(spec, p, L))
+        assert _json(check_factorable_stepwise(spec, p, L)) == _json(
+            ref_stepwise(spec, p, L))
+
+
+@pytest.mark.parametrize("floor", [False, True])
+@pytest.mark.parametrize("N", FOLD_NS)
+def test_envelope_fold_matches_whole_array_reference(N, floor):
+    rng = np.random.default_rng(N + floor)
+    mu = rng.uniform(1.0, 2.0, size=N)
+    targets = mu * (0.5 if floor else 2.0)
+    # failing rows in the first and the last chunk, and a near-tie that
+    # passes within the slack
+    for i in (N // 3, N - 2):
+        targets[i] = mu[i] * (1.0 + 1e-9 if floor else 1.0 - 1e-9)
+    targets[1] = mu[1] * (1.0 + 1e-14 if floor else 1.0 - 1e-14)
+    trace = MuTrace(mu=mu, constraint="c", worst_margin=0.25,
+                    first_violation=None)
+    got = _with_envelope(trace, "env", lambda lo, hi: targets[lo:hi], floor)
+    big, small = (mu, targets) if floor else (targets, mu)
+    big, small = big[int(floor):], small[int(floor):]
+    margins = big - small
+    bad = np.flatnonzero(~passes(big, small))
+    assert got.target_violation == int(bad[0]) + 1 + int(floor) == N // 3 + 1
+    assert got.worst_margin == min(0.25, float(np.min(margins)))
+    assert got.constraint == "env" and not got.passed
+
+
+@pytest.mark.parametrize("method", CERTIFY_METHODS[:6])
+def test_checker_holds_a_few_chunks(method):
+    # every side is formed a chunk at a time: at N = 1e6 a check holds a
+    # few _ROW_CHUNK temporaries (128 KiB each), not arrays of N values
+    w = build_weights("power", 10 ** 6, exponent=0.5)
+    tracemalloc.start()
+    try:
+        assert run_certificate(method, w, 2.0, 1.0).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20, peak / 2 ** 20

@@ -411,6 +411,63 @@ def test_csv_compare_rows(tmp_path):
     assert lines[1].startswith("cartlidge[")
 
 
+def test_csv_hlp_pass_is_the_verdict(tmp_path):
+    # hlp certify and hlp search report `certified` and `feasible`, not
+    # `pass`; the CSV pass column carries that verdict, as the exit code
+    out = tmp_path / "r.csv"
+    for argv, code in [(["certify", "--p", "0.35"], 0),
+                       (["certify", "--p", "0.355", "--nmax", "2000"], 1),
+                       (["certify", "--p", "0.35", "--method", "dual-shift"],
+                        0),
+                       (["search", "--p", "0.345"], 0),
+                       (["search", "--p", "0.45", "--nmax", "500"], 1)]:
+        assert run(["hlp", *argv, "--format", "csv", "--out", str(out)]) == code
+        cells = out.read_text().splitlines()[1].split(",")
+        assert cells[6] == ("true" if code == 0 else "false"), argv
+    # the JSON report is unchanged: no pass key
+    assert run(["hlp", "search", "--p", "0.345", "--out", str(out)]) == 0
+    assert "pass" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ratio,product", "--p", "2", "--L", "5"], "need 0 < L < p"),
+    (["ratio,product", "--p", "2", "--L", "0"], "need 0 < L < p"),
+    (["ratio,product", "--p", "0.5"], "need p > 1"),
+    (["mu-dual,cartlidge", "--p", "1", "--L", "0.5"], "need p > 1"),
+    (["stepwise-p2,ratio", "--p", "3"],
+     "stepwise-p2 is the p = 2 specialization"),
+    (["ratio,stepwise-p2", "--p", "2.5", "--L", "1"],
+     "stepwise-p2 is the p = 2 specialization"),
+])
+def test_compare_usage_errors_exit_two(argv, message, capsys):
+    # an error of p, L or a method alone is certify's usage error,
+    # raised once before the corpus, not a row of failing sequences
+    methods, *rest = argv
+    assert run(["compare", "--methods", methods, "--N", "64", *rest]) == 2
+    got = capsys.readouterr()
+    assert got.err == f"error: {message}\n" and got.out == ""
+    for method in methods.split(","):
+        certify = ["certify", "--method", method, "--N", "64", *rest]
+        if run(certify) == 2:
+            assert capsys.readouterr().err == got.err
+
+
+def test_compare_range_escapes_fail_their_own_sequence(tmp_path, capsys):
+    # at p = 200 the mu-dual trace leaves the binary64 range on most
+    # corpus members but not all: those rows are false, the rest stand
+    out = tmp_path / "r.json"
+    assert run(["compare", "--methods", "mu-dual,ratio", "--p", "200",
+                "--L", "1", "--N", "1000", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert all(r["ratio"] for r in rows)
+    failed = [r["label"] for r in rows if not r["mu-dual"]]
+    assert failed and len(failed) < len(rows)
+    assert failed[0] == "constant"
+    assert run(["certify", "--method", "mu-dual", "--weights", "constant",
+                "--p", "200", "--L", "1", "--N", "1000"]) == 2
+    assert "binary64 range" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # Weight specs and files
 

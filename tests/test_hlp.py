@@ -297,3 +297,15 @@ def test_certified_searches_stop_early(monkeypatch):
     steps.clear()
     assert not certify_direct(0.355, 20_000).certified
     assert max(steps) == 20_000
+
+
+@pytest.mark.parametrize("p", [0.334, 0.34, 0.345, 0.35])
+def test_shift_gap_is_positive_below_the_tested_point(p):
+    # _feasibility tests f at y = 1/n0 alone; the dual-shift argument
+    # needs f >= 0 on all of (0, 1/n0].  On a grid of 1e5 points f stays
+    # above 0 (near y = 0, f ~ K y^2 stays far above its rounding)
+    found = search_c(p)
+    assert found.feasible
+    y = np.linspace(0.0, 1.0 / found.n0, 100_001)[1:]
+    f = shift_gap(y, p, found.c)
+    assert f.shape == y.shape and np.all(f > 0.0), (found, y[f <= 0.0][:5])

@@ -35,7 +35,7 @@ import pytest
 from lpcert import BoundParams, FactorableSpec, build_weights, hlp
 from lpcert import _kernel, copson, weighted_mean
 from lpcert._kernel import _mu_dual_ratios
-from lpcert._num import _ROW_CHUNK, _binary64_pow, first_bad, margin_ok
+from lpcert._num import _ROW_CHUNK, _binary64_pow, margin_ok, passes
 from lpcert.certificates import mu_dual, mu_primal
 from lpcert.copson import _with_envelope, mu_bge, mu_dual_copson
 from lpcert.factorable import bge_matrix, bge_steps
@@ -164,10 +164,16 @@ def ref_mu_dual_ratios(r, cross, p, mu_1):
                     first_violation=violation)
 
 
+def first_failing(big, small):
+    """The 0-based index of the first entry of big >= small failing the
+    pass rule, or None."""
+    idx = np.flatnonzero(~passes(big, small))
+    return int(idx[0]) if idx.size else None
+
+
 def ref_with_envelope(trace, constraint, targets):
     t_margins = targets - trace.mu
-    t_bad = first_bad(t_margins, np.maximum(np.abs(targets),
-                                            np.abs(trace.mu)))
+    t_bad = first_failing(targets, trace.mu)
     return replace(trace, constraint=constraint, target_margins=t_margins,
                    target_violation=None if t_bad is None else t_bad + 1)
 
@@ -212,8 +218,7 @@ def ref_mu_bge_primal(w, p, alpha):
     floors = (lam[idx - 1] / Lam[idx - 1]) ** (p - 1.0) / (
         (p / (p - 1.0)) ** (p - 1.0) * s[idx - 1] ** p)
     t_margins[1:] = trace.mu[1:] - floors
-    bad = first_bad(t_margins[1:], np.maximum(np.abs(trace.mu[1:]),
-                                              np.abs(floors)))
+    bad = first_failing(trace.mu[1:], floors)
     return replace(trace, target_margins=t_margins,
                    target_violation=None if bad is None else bad + 2)
 
