@@ -31,7 +31,8 @@ running sums (scaled_sums, prefix_sums, suffix_sums) and the weighted
 power sums (weighted_sums); `exp`, the powers and the row maxima stay
 in numpy, whose SIMD loops beat libm.  A call of fewer than
 _COMPILED_MIN values runs numpy's code, where the ctypes call would
-cost more than the loop saves.
+cost more than the loop saves.  Every batch ends in one verdict:
+range_ratios, then trial_verdict (whose ratio_ok the HLP probe shares).
 
 Every per-index test big >= small (the certificate conditions, the
 envelopes of the Copson and bge traces, the strengthened mu choices)
@@ -427,3 +428,45 @@ def trial_rows(N: int, trials: int, seed: int, evaluate,
     if errors:
         raise errors[min(errors)]
     return np.concatenate(results)
+
+
+# A term u_n y_n^p of a trial's power sum loses at most DBL_MIN (u_n + 1)
+# to underflow (in y_n^p, then in the product), so a sum of at least
+# 2^52 DBL_MIN (sum u_n + N) has lost less than 2^-52 of itself; a
+# smaller sum, or one that overflows, has left the binary64 range.
+_RANGE_FLOOR = 2.0 ** 52 * float(np.finfo(np.float64).tiny)
+
+
+def range_floor(u: np.ndarray) -> float:
+    """_RANGE_FLOOR (sum u_n + N): the least power sum with the N
+    summation weights u that is still in the binary64 range; inf where
+    u overflows."""
+    return float(np.sum(u * _RANGE_FLOOR)) + u.shape[0] * _RANGE_FLOOR
+
+
+def range_ratios(what: str, p: float, S: np.ndarray, K, floors):
+    """The (m, k) ratios lhs / (K_j rhs_j) of a trial batch's power sums
+    S, whose k + 1 columns are lhs, rhs_1 .. rhs_k, by the range rule of
+    every batch: a domain error unless each column reaches its floor
+    (range_floor) and lhs and each K_j rhs_j are below inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = np.multiply(K, S[:, 1:])
+        if not ((S >= floors).all() and (S[:, 0] < math.inf).all()
+                and (den < math.inf).all()):
+            raise ValueError(f"{what} power sums leave the binary64 range "
+                             f"at p = {p:g}; lower p")
+        return S[:, :1] / den
+
+
+def ratio_ok(ratio: float) -> bool:
+    """A trial ratio's pass rule: at most 1 + RATIO_TOL, a NaN failing."""
+    return ratio <= 1.0 + RATIO_TOL
+
+
+def trial_verdict(R: np.ndarray) -> tuple[int, list[float], bool]:
+    """(j, maxima, passed) of a trial batch's ratios R, a row a trial: j
+    is the first row of the largest (or first NaN) ratio in column 0, and
+    the batch passes iff each column maximum passes ratio_ok."""
+    j = int(np.argmax(R[:, 0]))
+    maxima = [float(R[j, 0]), *map(float, np.max(R[:, 1:], axis=0))]
+    return j, maxima, all(map(ratio_ok, maxima))

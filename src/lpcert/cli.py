@@ -461,7 +461,7 @@ def cmd_strengthened(args) -> tuple[dict, bool | None]:
 
 def cmd_hlp(args) -> tuple[dict, bool | None]:
     from . import hlp
-    from ._num import RATIO_TOL
+    from ._num import ratio_ok
 
     if args.hlp_cmd == "threshold" and args.bracket:
         lo, hi = hlp.bracket_threshold()
@@ -485,7 +485,7 @@ def cmd_hlp(args) -> tuple[dict, bool | None]:
                  "pass": ok}, ok)
     if args.hlp_cmd == "dual-probe":
         worst = hlp.probe_dual_trials(args.p, args.N, args.trials, args.seed)
-        ok = worst <= 1.0 + RATIO_TOL
+        ok = ratio_ok(worst)
         return ({"method": "probe-dual", "p": args.p, "N": args.N,
                  "trials": args.trials, "max_ratio": worst, "pass": ok}, ok)
     if args.hlp_cmd == "search":
@@ -501,7 +501,6 @@ def cmd_hlp(args) -> tuple[dict, bool | None]:
 def cmd_compare(args) -> tuple[dict, bool | None]:
     from .certificates import BoundParams, cartlidge_constant
     from .corpus import builtin_corpus
-    from .sequences import load_weight_file
 
     _need_p(args)
     methods = [m.strip() for m in args.methods.split(",")]
@@ -517,7 +516,8 @@ def cmd_compare(args) -> tuple[dict, bool | None]:
     BoundParams(args.p, 1.0 if args.L is None else args.L)
     corpus = builtin_corpus(N=args.N, seed=args.seed)
     for path in args.weights_file or []:
-        corpus.append(load_weight_file(path))
+        # the rule of `certify --weights file:PATH --N`: truncated to N
+        corpus.append(parse_weights(f"file:{path}", args.N))
     p = args.p
 
     def one(w: WeightSequence) -> dict:
@@ -654,7 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="two comma-separated certify method names")
     comp.add_argument("--L", type=float, default=None)
     comp.add_argument("--weights-file", action="append", default=None,
-                      help="extra weight file to include (repeatable)")
+                      help="extra weight file to include, truncated to "
+                           "--N (repeatable)")
     comp.add_argument("--seed", type=int, default=7)
     _add_common(comp, weights=False)
     comp.add_argument("--N", type=int, default=256)

@@ -14,7 +14,7 @@ prefix partials Lam_n, truncated tail partials Lam*_n, and positive x:
 
 Every finite-N evaluation with positive x is an exact instance of the
 corresponding inequality (extend x by zeros), so a ratio above 1 + 1e-10
-is a genuine counterexample, not truncation noise.
+is a genuine counterexample, not truncation noise (_num.trial_verdict).
 
 The admissible-c threshold for the prefix branch beyond c = p is
 p - (p-1) c_q, where c_q is the unique negative root of
@@ -46,9 +46,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import (_ROW_CHUNK, RATIO_TOL, MuTrace, _binary64_pow, fold,
-                   margin_ok, record_dict, scaled_sums, suffix_sums,
-                   trial_rows, weighted_sums)
+from ._num import (_ROW_CHUNK, MuTrace, _binary64_pow, fold, margin_ok,
+                   range_floor, range_ratios, record_dict, scaled_sums,
+                   suffix_sums, trial_rows, trial_verdict, weighted_sums)
 from ._options import BRANCHES
 from .certificates import _dual_mu_1
 from .factorable import bge_steps
@@ -64,12 +64,6 @@ _BRANCH_SUMS = {"copson_prefix": ("prefix", "partials"),
                 "leindler_tail": ("suffix", "tails")}
 _NEEDS_C_ABOVE_1 = {"copson_prefix": True, "copson_tail": False,
                     "leindler_prefix": False, "leindler_tail": True}
-
-# A term u_n y_n^p of a trial's power sum loses at most DBL_MIN (u_n + 1)
-# to underflow (in y_n^p, then in the product), so a sum of at least
-# 2^52 DBL_MIN (sum u_n + N) has lost less than 2^-52 of itself; a
-# smaller sum, or one that overflows, has left the binary64 range.
-_RANGE_FLOOR = 2.0 ** 52 * float(np.finfo(np.float64).tiny)
 
 # points of the uniform grid on [0, 1] behind check_kernel_inequality
 _KERNEL_GRID = 4096
@@ -304,23 +298,38 @@ def _branch_weights(w: WeightSequence, branch: str, p: float,
     return w.values * getattr(w, _BRANCH_SUMS[branch][1]) ** (p - c)
 
 
-def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
-    """(sums, ratios) of the p-th power branch inequality: sums(X, work)
-    gives, per trial row of X (which it overwrites), its two power sums
-    as an (m, 2) array, work being a trial_rows workspace whose first
-    array holds the averages; ratios(S) gives the LHS/RHS ratios of a
-    batch of such sums by the range rule (_range_ratios).  K^p and u
-    are formed once.  A power sum out of the binary64 range
-    (_RANGE_FLOOR), or a right side K^p times one that overflows, is a
-    domain error: its ratio would not be evidence."""
+def _trial_report(w: WeightSequence, branch: str, p: float,
+                  c_or_alpha: float, trials: int, seed: int, sums,
+                  bounds) -> BranchReport:
+    """_num's one trial verdict, with bounds = (K, floors), on the power
+    sums of seeded trial rows with log-uniform entries in [1e-3, 1e3],
+    which `sums` gives a block at a time (trial_rows)."""
+    R = range_ratios(branch, p, trial_rows(w.N, trials, seed, sums),
+                     *bounds)
+    j, (best,), passed = trial_verdict(R)
+    return BranchReport(branch=branch, p=p, c_or_alpha=c_or_alpha, N=w.N,
+                        trials=trials, max_ratio=best,
+                        min_margin=1.0 - best, argmin=j + 1, passed=passed)
+
+
+def check_copson_branch(w: WeightSequence, p: float, c: float, branch: str,
+                        trials: int = 1000, seed: int = 0) -> BranchReport:
+    """Random positive trials (log-uniform entries in [1e-3, 1e3]) of one
+    branch; every trial is an exact finite instance, so the max ratio must
+    stay <= 1 + 1e-10.  sums(X, work) gives each row's two power sums,
+    X overwritten and the averages in work[0]; K^p and u are formed once.
+    """
+    if not (p > 1.0):
+        raise ValueError("need p > 1")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     # branch_constant validates branch and c
     Kp = _binary64_pow(branch_constant(branch, p, c), p, "K^p")
     direction, base = _BRANCH_SUMS[branch]
     # out of range, u and the sums overflow or turn NaN (inf times an
-    # underflowed 0); the range check reports that instead of numpy
+    # underflowed 0); the range rule reports that instead of numpy
     with np.errstate(over="ignore"):
         u = _branch_weights(w, branch, p, c)
-    floor = _range_floor(u)
 
     def sums(X, work):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -332,59 +341,8 @@ def _branch_ratios(w: WeightSequence, branch: str, p: float, c: float):
             rhs = weighted_sums(X, u, X)
         return np.stack([lhs, rhs], axis=-1)
 
-    def ratios(S):
-        return _range_ratios(branch, p, S[:, 0], Kp, S[:, 1], (floor, floor))
-
-    return sums, ratios
-
-
-def _range_floor(u: np.ndarray) -> float:
-    """_RANGE_FLOOR (sum u_n + N): the least power sum with the N
-    summation weights u that is still in the binary64 range; inf where
-    u overflows."""
-    return float(np.sum(u * _RANGE_FLOOR)) + u.shape[0] * _RANGE_FLOOR
-
-
-def _range_ratios(what: str, p: float, lhs, K: float, rhs, floors):
-    """lhs / (K rhs) for the power sums of a whole trial batch, by the
-    range rule of every batch: a domain error unless lhs and rhs reach
-    their floors (_range_floor) and lhs and K rhs are below inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = K * rhs
-        if not ((lhs >= floors[0]) & (rhs >= floors[1]) & (lhs < math.inf)
-                & (den < math.inf)).all():
-            raise ValueError(f"{what} power sums leave the binary64 range "
-                             f"at p = {p:g}; lower p")
-        return lhs / den
-
-
-def _trial_report(w: WeightSequence, branch: str, p: float,
-                  c_or_alpha: float, trials: int, seed: int,
-                  sums_of, ratios_of) -> BranchReport:
-    """Max of ratios_of over the sums_of of seeded trial rows with
-    log-uniform entries in [1e-3, 1e3], drawn and evaluated a block at
-    a time by trial_rows; ratios_of takes the whole batch's sums at
-    once.  argmin is the first row attaining the max."""
-    ratios = ratios_of(trial_rows(w.N, trials, seed, sums_of))
-    j = int(np.argmax(ratios))
-    best = float(ratios[j])
-    return BranchReport(branch=branch, p=p, c_or_alpha=c_or_alpha, N=w.N,
-                        trials=trials, max_ratio=best,
-                        min_margin=1.0 - best, argmin=j + 1,
-                        passed=best <= 1.0 + RATIO_TOL)
-
-
-def check_copson_branch(w: WeightSequence, p: float, c: float, branch: str,
-                        trials: int = 1000, seed: int = 0) -> BranchReport:
-    """Random positive trials (log-uniform entries in [1e-3, 1e3]) of one
-    branch; every trial is an exact finite instance, so the max ratio must
-    stay <= 1 + 1e-10."""
-    if not (p > 1.0):
-        raise ValueError("need p > 1")
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    return _trial_report(w, branch, p, c, trials, seed,
-                         *_branch_ratios(w, branch, p, c))
+    return _trial_report(w, branch, p, c, trials, seed, sums,
+                         ((Kp,), (range_floor(u),) * 2))
 
 
 def near_extremal_schedule(p: float, c: float, n_start: int = 64,
@@ -430,7 +388,7 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
               seed: int = 0) -> BranchReport:
     """Random trials of the blocked tail inequality with truncated tail
     sums; max LHS/RHS ratio must stay <= 1 + 1e-10.  Power sums out of
-    the binary64 range are a domain error (_range_ratios)."""
+    the binary64 range are a domain error (_num.range_ratios)."""
     if not (p >= 1.0):
         raise ValueError("need p >= 1")
     if not (alpha > 0.0):
@@ -442,7 +400,6 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
     with np.errstate(over="ignore"):
         wa = w.partials ** alpha
         lwa = lam * wa ** p
-    floors = _range_floor(lam), _range_floor(lwa)
 
     def sums(X, work):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -455,10 +412,8 @@ def check_bge(w: WeightSequence, p: float, alpha: float, trials: int = 1000,
             rhs = weighted_sums(X, lwa, X)
         return np.stack([lhs, rhs], axis=-1)
 
-    def ratios(S):
-        return _range_ratios("bge", p, S[:, 0], K, S[:, 1], floors)
-
-    return _trial_report(w, "bge", p, alpha, trials, seed, sums, ratios)
+    return _trial_report(w, "bge", p, alpha, trials, seed, sums,
+                         ((K,), (range_floor(lam), range_floor(lwa))))
 
 
 # ----------------------------------------------------------------------

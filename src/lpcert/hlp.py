@@ -152,6 +152,8 @@ def certify_direct(p: float, n0_max: int = N_MAX_DEFAULT) -> DirectCertificate:
     over the evaluated trace when no n0 qualifies.  The trace stops early
     as the module docstring describes; the result is a full scan's.
     """
+    if n0_max < 1:
+        raise ValueError("need n0_max >= 1")
     head = min(n0_max, _PREFIX)
     cert = _floor_scan(p, mu_direct(p, head), n0_max)
     if head < n0_max and not cert.certified and cert.trace.first_violation is None:
@@ -336,6 +338,8 @@ def search_c(p: float, n0_max: int = 10_000) -> ShiftSearch:
     The trace stops early as the module docstring describes; the result
     is a full scan's.
     """
+    if n0_max < 1:
+        raise ValueError("need n0_max >= 1")
     head = min(n0_max, _PREFIX)
     trace = mu_dual(p, head)
     found = _shift_scan(p, trace, n0_max)

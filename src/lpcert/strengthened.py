@@ -21,7 +21,7 @@ its tail analogue computed by tail_cartlidge_constant; the dual cases
 need L (resp. L') < p/(p-1) for a positive constant.  All checks run on
 finite truncations with truncated tail partials; index reversal turns a
 finite prefix instance into the matching tail instance, so every finite
-evaluation is exact.
+evaluation is exact (verdict: _num.range_ratios, then trial_verdict).
 
 verify_mu_choice evaluates, for the named closed-form mu sequence, the
 per-index inequality that the inductive proof of the corresponding case
@@ -35,12 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import (RATIO_TOL, _binary64_pow, fold, record_dict, trial_rows,
+from ._num import (_RANGE_FLOOR, _binary64_pow, fold, range_floor,
+                   range_ratios, record_dict, trial_rows, trial_verdict,
                    weighted_sums, workspace)
 from ._options import BRANCHES, KINDS, MU_CHOICES
 from .certificates import cartlidge_constant
-from .copson import (_BRANCH_SUMS, _RANGE_FLOOR, _branch_weights,
-                     _range_floor, _range_ratios, branch_constant)
+from .copson import _BRANCH_SUMS, _branch_weights, branch_constant
 from .sequences import WeightSequence, averaged
 
 _COPSON_KINDS = BRANCHES
@@ -75,7 +75,7 @@ class StrengthenedCase:
     prefix-mean and tail-mean cases, 0 <= c < 1 for the crossed ones).
     L may be pinned for the cartlidge/dual kinds; left as None it is
     computed from the weights at check time (prefix or tail constant as
-    the kind demands).
+    the kind demands).  A kind rejects the one it does not take.
     """
 
     kind: str
@@ -91,6 +91,8 @@ class StrengthenedCase:
         if self.kind in _COPSON_KINDS:
             if self.c is None:
                 raise ValueError(f"kind {self.kind} needs c")
+            if self.L is not None:
+                raise ValueError(f"kind {self.kind} takes no L")
             branch_constant(self.kind, self.p, self.c)   # checks c
         elif self.c is not None:
             raise ValueError(f"kind {self.kind} takes no c")
@@ -139,20 +141,18 @@ class StrengthenedReport:
 
 
 def _case_ratios(case: StrengthenedCase, w: WeightSequence):
-    """(L, sums, ratios): sums(X, work=None) gives, per trial row of X
+    """(L, sums, bounds): sums(X, work=None) gives, per trial row of X
     (of length N, positive and finite), the power sums of the
     first-power inequality and of its Holder corollary's right side as
-    an (m, 3) array; ratios(S) gives the first-power LHS/RHS ratio and
-    the corollary's of a batch of such sums as an (m, 2) array.
+    an (m, 3) array; bounds = (K, floors), K and K^p of the two right
+    sides and the floors of the three sums, feed _num's range rule.
 
     L, K, K^p and the summation weights u are formed once; each row is
     rescaled (in place) by its maximum.  X is overwritten, and work, a
     trial_rows workspace (or two fresh arrays), holds the averages and
     their (p-1)-th powers.  The non-Copson kinds sum with u = 1, so they
-    skip it, and their range floor _range_floor(u) is 2 N _RANGE_FLOOR
+    skip it, and their range floor range_floor(u) is 2 N _RANGE_FLOOR
     (exact: every term is a power of two times an integer below 2^53).
-    Power sums out of the binary64 range are a domain error
-    (copson._range_ratios), checked once on the whole batch.
     """
     p = case.p
     L = case.effective_L(w)
@@ -166,11 +166,11 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
             u = _branch_weights(w, case.kind, p, case.c)
         weigh = (lambda a, out: np.multiply(a, u, out=out))
         power_sums = (lambda a: weighted_sums(a, u, a))
-        floors = (_range_floor(u),) * 2
+        floor = range_floor(u)
     else:
         weigh = (lambda a, out: a)
         power_sums = (lambda a: np.sum(a, axis=-1))
-        floors = (2.0 * w.N * _RANGE_FLOOR,) * 2
+        floor = 2.0 * w.N * _RANGE_FLOOR
 
     def sums(X, work=None):
         S, ip = work or workspace(X.shape)
@@ -184,27 +184,19 @@ def _case_ratios(case: StrengthenedCase, w: WeightSequence):
             rhs_p = power_sums(X)
         return np.stack([lhs, rhs, rhs_p], axis=-1)
 
-    def ratios(S):
-        lhs = S[:, 0]
-        first = _range_ratios(case.kind, p, lhs, K, S[:, 1], floors)
-        power = _range_ratios(case.kind, p, lhs, Kp, S[:, 2], floors)
-        return np.stack([first, power], axis=-1)
-
-    return L, sums, ratios
+    return L, sums, ((K, Kp), (floor,) * 3)
 
 
 def _report(case: StrengthenedCase, w: WeightSequence, L: float | None,
-            R: np.ndarray, note: str) -> StrengthenedReport:
-    """The report of per-row (first, corollary) ratios R; argmax is the
-    first row of largest first-power ratio."""
-    j = int(np.argmax(R[:, 0]))
-    max_ratio = float(R[j, 0])
-    cor_max = float(np.max(R[:, 1]))
-    ok = max_ratio <= 1.0 + RATIO_TOL and cor_max <= 1.0 + RATIO_TOL
+            S: np.ndarray, bounds, note: str) -> StrengthenedReport:
+    """_num's one trial verdict, with bounds, on per-row power sums S;
+    argmax is the first row of largest first-power ratio."""
+    R = range_ratios(case.kind, case.p, S, *bounds)
+    j, (max_ratio, cor_max), passed = trial_verdict(R)
     return StrengthenedReport(
         which=case.kind, p=case.p, c=case.c, L=L, N=w.N, trials=R.shape[0],
         max_ratio=max_ratio, min_margin=1.0 - max_ratio,
-        corollary_max_ratio=cor_max, argmax=j + 1, passed=ok, note=note)
+        corollary_max_ratio=cor_max, argmax=j + 1, passed=passed, note=note)
 
 
 def check_strengthened(case: StrengthenedCase, w: WeightSequence,
@@ -212,12 +204,12 @@ def check_strengthened(case: StrengthenedCase, w: WeightSequence,
     """Evaluate one positive vector against the case's first-power
     inequality and its p-th power corollary."""
     X = np.array(x, dtype=np.float64).reshape(1, -1)
-    L, sums, ratios = _case_ratios(case, w)
+    L, sums, bounds = _case_ratios(case, w)
     if X.shape[-1] != w.N:
         raise ValueError(f"x has length {X.shape[-1]}, weights have {w.N}")
     if not np.all(X > 0.0) or not np.all(np.isfinite(X)):
         raise ValueError("trial vectors must be positive and finite")
-    return _report(case, w, L, ratios(sums(X)), note="single vector")
+    return _report(case, w, L, sums(X), bounds, note="single vector")
 
 
 def _profile_rows(N: int):
@@ -268,11 +260,11 @@ def strengthened_trials(case: StrengthenedCase, w: WeightSequence,
     workers as blocks of their own (trial_rows' lead)."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    L, sums, ratios = _case_ratios(case, w)
+    L, sums, bounds = _case_ratios(case, w)
     n_det, fill = _profile_rows(w.N)
     S = trial_rows(w.N, max(0, trials - n_det), seed, sums,
                    lead=(min(trials, n_det), fill))
-    return _report(case, w, L, ratios(S),
+    return _report(case, w, L, S, bounds,
                    note=f"{n_det} deterministic profiles")
 
 
@@ -344,10 +336,15 @@ def verify_mu_choice(choice: str, w: WeightSequence, p: float,
     Feasibility demands mu_n < 1 wherever (1-mu_n)^(1-p) is consumed
     (mu_1 = 1 exactly is fine for the prefix choices since only
     mu_{n+1}, n >= 1 enters there) and additionally mu_n > 0 for the
-    dual choice.
+    dual choice.  c is for the copson and leindler choices only, L for
+    the cartlidge and dual ones.
     """
     if choice not in MU_CHOICES:
         raise ValueError(f"unknown mu choice {choice!r}")
+    if choice in ("copson", "leindler") and L is not None:
+        raise ValueError(f"{choice} choice takes no L")
+    if choice in ("cartlidge", "dual") and c is not None:
+        raise ValueError(f"{choice} choice takes no c")
     if not (p > 1.0):
         raise ValueError("need p > 1")
     if w.N < 2:
@@ -361,13 +358,13 @@ def verify_mu_choice(choice: str, w: WeightSequence, p: float,
             if c is None or not (1.0 < c <= p):
                 raise ValueError("copson choice needs 1 < c <= p")
             mu = 1.0 - op * (1.0 - lam / Lam) ** ((c - 1.0) / (p - 1.0))
-            L, expo, last, target = None, c, lam[:-1], c - 1.0
+            expo, last, target = c, lam[:-1], c - 1.0
         else:
             L = cartlidge_constant(w) if L is None else L
             if not (L < p):
                 raise ValueError("cartlidge choice needs L < p")
             mu = 1.0 / p + op * lam / Lam
-            c, expo, last, target = None, p, lam[1:], p - L
+            expo, last, target = p, lam[1:], p - L
         # mu_{n+1}, n = 1..N-1, are all < 1 (and > 0) when feasible
         middle = ((1.0 - mu[1:]) ** (1.0 - p) * op ** (p - 1.0)
                   * (Lam[:-1] / Lam[1:]) ** expo * (Lam[1:] / last))

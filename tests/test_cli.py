@@ -171,6 +171,13 @@ def test_bge_mu_stalled_partials_are_domain_errors(route, capsys):
     (["copson", "branch", "--branch", "copson_prefix", "--c", "2", "--p",
       "80", "--N", "2000", "--trials", "50"],
      "copson_prefix power sums leave the binary64 range at p = 80; lower p"),
+    # the n0 searches name their own bound, checked first (they said
+    # "need N >= 1", a parameter neither command has)
+    (["hlp", "certify", "--p", "0.35", "--nmax", "0"], "need n0_max >= 1"),
+    (["hlp", "certify", "--p", "0.35", "--nmax", "0", "--method",
+      "dual-shift"], "need n0_max >= 1"),
+    (["hlp", "search", "--p", "0.35", "--nmax", "0"], "need n0_max >= 1"),
+    (["hlp", "certify", "--p", "2", "--nmax", "-3"], "need n0_max >= 1"),
 ])
 def test_out_of_range_inputs_are_domain_errors(argv, message, capsys):
     assert run(argv) == 2
@@ -487,6 +494,32 @@ def test_weight_file_with_truncation(tmp_path):
     # asking for more entries than the file holds is a usage error
     assert run(["certify", "--method", "cartlidge", "--p", "2",
                 "--weights", f"file:{path}", "--N", "99"]) == 2
+
+
+def test_compare_truncates_weight_files_to_N(tmp_path, capsys):
+    # a --weights-file is checked at --N, the N its JSON and CSV rows
+    # print: its first 256 weights are constant (both methods pass at
+    # L = 1), the rest drop to 1e-6 (both fail on the whole file)
+    path = tmp_path / "w.txt"
+    path.write_text("1.0\n" * 256 + "1e-6\n" * 4744)
+    argv = ["compare", "--methods", "ratio,product", "--p", "2", "--L", "1",
+            "--N", "256", "--weights-file", str(path)]
+    out = tmp_path / "r.json"
+    assert run([*argv, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["N"] == 256
+    assert rep["rows"][-1] == {"label": f"file:{path}", "ratio": True,
+                               "product": True}
+    assert run([*argv, "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-2:] == [
+        f"{m}[file:{path}],2.0,1.0,,,256,true,,," for m in ("ratio",
+                                                           "product")]
+    # a file shorter than --N is certify's usage error
+    path.write_text("1.0\n" * 100)
+    assert run(argv) == 2
+    got = capsys.readouterr()
+    assert got.err == "error: --N 256 exceeds file length 100\n"
+    assert got.out == ""
 
 
 def test_missing_weight_file_is_usage_error(tmp_path):

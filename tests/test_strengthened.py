@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpcert import (KINDS, MU_CHOICES, StrengthenedCase, build_weights,
-                    cartlidge_constant, check_strengthened,
+                    cartlidge_constant, check_strengthened, cli,
                     strengthened_trials, tail_cartlidge_constant,
                     verify_mu_choice)
 
@@ -225,10 +225,22 @@ def test_check_strengthened_messages(x, message):
         check_strengthened(case, build_weights("constant", 8), x)
 
 
-@pytest.mark.parametrize("N", [1, 3, 2000, 20_000, 10**6])
-def test_unit_weight_range_floor_is_2N_range_floors(N):
-    # the non-Copson cases sum with u = 1 and take this floor without
-    # forming np.ones(N); every partial sum is exact, so the two agree
-    from lpcert.copson import _RANGE_FLOOR, _range_floor
-
-    assert _range_floor(np.ones(N)) == 2.0 * N * _RANGE_FLOOR
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--which", "copson_prefix", "--c", "1.5", "--L", "0.3",
+      "--trials", "5"], "kind copson_prefix takes no L"),
+    (["check", "--which", "dual", "--c", "1.5", "--trials", "5"],
+     "kind dual takes no c"),
+    (["mu", "--choice", "copson", "--c", "1.5", "--L", "0.3"],
+     "copson choice takes no L"),
+    (["mu", "--choice", "leindler", "--c", "0.5", "--L", "0.3"],
+     "leindler choice takes no L"),
+    (["mu", "--choice", "cartlidge", "--c", "1.5"],
+     "cartlidge choice takes no c"),
+    (["mu", "--choice", "dual", "--c", "1.5"], "dual choice takes no c"),
+])
+def test_an_input_a_case_does_not_take_is_rejected(argv, message, capsys):
+    # c or L given to a kind or mu choice that takes none is a usage
+    # error, not silently dropped from the report
+    assert cli.main(["strengthened", *argv, "--p", "2", "--N", "64"]) == 2
+    got = capsys.readouterr()
+    assert got.err == f"error: {message}\n" and got.out == ""

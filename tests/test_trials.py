@@ -28,7 +28,7 @@ from lpcert import (BRANCHES, KINDS, StrengthenedCase, build_weights,
                     strengthened_trials)
 from lpcert import _num
 from lpcert._num import RATIO_TOL
-from lpcert.copson import BranchReport, _trial_report, branch_constant
+from lpcert.copson import BranchReport, branch_constant
 from lpcert.hlp import _dual_ratios
 from lpcert.strengthened import StrengthenedReport, _profile_rows
 
@@ -511,18 +511,74 @@ def test_deterministic_profiles_are_np_unique_rows(N):
 
 
 def test_nan_ratios_fail_the_batch():
-    # a NaN ratio is a failure that the whole-batch argmax reports at the
+    # a NaN ratio is a failure that the worst-row rule reports at the
     # first row (the chunked loop skipped such chunks and reported a pass
     # at -inf)
-    w = build_weights("constant", 1000)
-    rep = _trial_report(w, "bge", 150.0, 0.6, 30, 0,
-                        lambda X, work: np.full(X.shape[0], math.nan),
-                        lambda ratios: ratios)
-    assert math.isnan(rep.max_ratio) and not rep.passed
-    assert rep.argmin == 1
+    j, maxima, passed = _num.trial_verdict(np.full((30, 1), math.nan))
+    assert math.isnan(maxima[0]) and not passed
+    assert j == 0
     # at p = 150 both sides of every bge trial overflow, so each ratio
     # would be inf/inf: by the range rule of the branch trials that is a
     # domain error before any ratio is reported
+    w = build_weights("constant", 1000)
     with pytest.raises(ValueError, match="bge power sums leave the binary64 "
                        "range at p = 150"):
         check_bge(w, 150.0, 0.6, trials=30)
+
+
+def test_trial_verdict_rules_on_every_column():
+    # the first row of the largest first-column ratio; every column's
+    # maximum must pass, a NaN in any column failing the batch
+    R = np.array([[0.5, 1.0], [0.9, 0.2], [0.9, 1.0 + 2 * RATIO_TOL]])
+    assert _num.trial_verdict(R) == (1, [0.9, 1.0 + 2 * RATIO_TOL], False)
+    R[2, 1] = 1.0 + RATIO_TOL
+    assert _num.trial_verdict(R) == (1, [0.9, 1.0 + RATIO_TOL], True)
+    R[0, 1] = math.nan
+    assert not _num.trial_verdict(R)[2]
+    assert _num.ratio_ok(1.0 + RATIO_TOL) and not _num.ratio_ok(math.nan)
+
+
+@pytest.mark.parametrize("N", [1, 3, 2000, 20_000, 10**6])
+def test_unit_weight_range_floor_is_2N_range_floors(N):
+    # the non-Copson strengthened cases sum with u = 1 and take this
+    # floor without forming np.ones(N); every partial sum is exact, so
+    # the two agree
+    assert _num.range_floor(np.ones(N)) == 2.0 * N * _num._RANGE_FLOOR
+
+
+def _old_range_ratios(lhs, K, rhs, floors):
+    """The one-column rule range_ratios replaced, run once per column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = K * rhs
+        if not ((lhs >= floors[0]) & (rhs >= floors[1]) & (lhs < math.inf)
+                & (den < math.inf)).all():
+            raise ValueError("out of range")
+        return lhs / den
+
+
+def test_range_ratios_is_the_one_column_rule_per_column():
+    # S = [lhs, rhs_1, rhs_2] with constants K_1, K_2: a domain error
+    # when lhs or any rhs is below its floor, lhs or any K_j rhs_j is
+    # inf, or any sum is NaN; otherwise the old per-column quotients bit
+    # for bit
+    rng = np.random.default_rng(3)
+    S = np.exp(rng.uniform(-300.0, 300.0, size=(50, 3)))
+    K, floors = (3.0, 1e-7), (1e-200, 1e-250, 1e-150)
+    got = _num.range_ratios("case", 2.5, S, K, floors)
+    want = np.stack([_old_range_ratios(S[:, 0], K[j], S[:, j + 1],
+                                       (floors[0], floors[j + 1]))
+                     for j in range(2)], axis=-1)
+    assert got.shape == (50, 2) and got.tobytes() == want.tobytes()
+    message = r"^case power sums leave the binary64 range at p = 2.5; lower p$"
+    for col, value in [(0, 1e-201), (1, 1e-251), (2, 1e-151), (0, math.inf),
+                       (1, math.inf), (2, math.inf), (0, math.nan),
+                       (1, math.nan), (2, math.nan)]:
+        bad = S.copy()
+        bad[17, col] = value
+        with pytest.raises(ValueError, match=message):
+            _num.range_ratios("case", 2.5, bad, K, floors)
+    # a finite rhs_j whose K_j rhs_j overflows
+    bad = S.copy()
+    bad[4, 1] = 1e308
+    with pytest.raises(ValueError, match=message):
+        _num.range_ratios("case", 2.5, bad, K, floors)
